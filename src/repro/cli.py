@@ -336,11 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queued-plus-running job bound; beyond it submissions get "
         "429 (default: 32)",
     )
-    serve.add_argument(
-        "--backend", choices=["auto", "stdlib", "fastapi"], default="auto",
-        help="HTTP backend; 'auto' uses fastapi when importable, else "
-        "the stdlib server (default: auto)",
-    )
 
     return parser
 
@@ -838,35 +833,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ExperimentService, create_server, have_fastapi
+    from repro.serve import ExperimentService, create_server
     from repro.serve.app import serve_forever
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "fastapi" if have_fastapi() else "stdlib"
-    if backend == "fastapi" and not have_fastapi():
-        print(
-            "repro serve: error: --backend fastapi, but fastapi is not "
-            "installed (use --backend stdlib)",
-            file=sys.stderr,
-        )
-        return 2
     service = ExperimentService(
         args.store, workers=args.workers, max_pending=args.max_pending
     )
-    if backend == "fastapi":  # pragma: no cover - optional dependency
-        import uvicorn
-
-        from repro.serve import create_fastapi_app
-
-        app = create_fastapi_app(service)
-        print(f"repro serve [fastapi] on http://{args.host}:{args.port}")
-        print(f"store: {service.store.root}  ({len(service.store)} records)")
-        try:
-            uvicorn.run(app, host=args.host, port=args.port, log_level="warning")
-        finally:
-            service.close()
-        return 0
     server = create_server(service, args.host, args.port)
     host, port = server.server_address[:2]
     print(f"repro serve [stdlib] on http://{host}:{port}")

@@ -36,8 +36,8 @@ the bounded job queue's backpressure signal).
 
 Two :class:`UserWarning` categories accompany the hierarchy so silent
 degradations become visible without aborting a sweep:
-:class:`ExecutorFallbackWarning` (``run_grid(executor="auto")`` picked a
-slower path than the batched executor) and
+:class:`ExecutorFallbackWarning` (``run_grid(executor="auto")`` runs some
+schemes serially instead of in the batched arena) and
 :class:`TimeoutUnenforcedWarning` (a per-cell timeout was requested on a
 platform without ``signal.SIGALRM`` and cannot be enforced).
 """
@@ -179,12 +179,13 @@ class QueueFullError(ServeError):
 
 
 class ExecutorFallbackWarning(UserWarning):
-    """``run_grid(executor="auto")`` fell back from the batched executor.
+    """``run_grid(executor="auto")`` runs some cells outside the arena.
 
-    Emitted with the concrete reason (unbatchable schemes, or per-cell
-    hardening routed to the process pool) so the silent slow-path pick
-    documented at the call site becomes visible; the same reason is
-    recorded in the grid's metrics registry when one is attached.
+    Names the schemes the batched executor cannot replicate — their
+    cells run serially in the calling process, out of reach of
+    ``timeout``/``chaos`` — so the slow-path pick is visible; the same
+    reason is recorded in the grid's metrics registry when one is
+    attached.
     """
 
 

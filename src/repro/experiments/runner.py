@@ -70,14 +70,11 @@ __all__ = [
     "default_init_threshold",
 ]
 
-#: Accepted ``run_grid(executor=...)`` values.  ``"auto"`` picks the
-#: batched executor whenever every cell supports it and no per-cell
-#: hardening (chaos / timeout) was requested, falling back to the
-#: process pool (``n_jobs > 1``) or the serial loop otherwise — and the
-#: fallback is announced with :class:`~repro.errors.
-#: ExecutorFallbackWarning` plus registry metadata, never silent.
-#: Explicit ``executor="batched"`` accepts ``timeout``/``chaos`` and
-#: enforces them at shard granularity through the worker pool.
+#: Accepted ``run_grid(executor=...)`` values.  ``"auto"`` is
+#: ``"batched"``: hardening (``timeout``/``chaos``) routes the cells
+#: through the worker pool, and cells whose scheme the batched executor
+#: cannot replicate run serially in the parent, announced with
+#: :class:`~repro.errors.ExecutorFallbackWarning` plus registry metadata.
 GRID_EXECUTORS = ("auto", "serial", "process", "batched")
 
 
@@ -277,69 +274,6 @@ class QuarantineReport:
         return tuple(f.index for f in self.failures)
 
 
-def _run_grid_cell(
-    payload: tuple,
-) -> RunMetrics:
-    """One grid cell, picklable for ``ProcessPoolExecutor`` workers.
-
-    Schemes travel as spec strings (Scheme factories close over locals
-    and do not pickle) and are rebuilt with ``make_scheme`` in the
-    worker; the cost model and splitter pickle as-is.
-
-    The per-cell ``timeout`` is enforced *inside* the worker with
-    ``SIGALRM`` (POSIX only; off-POSIX the parent warns with
-    :class:`~repro.errors.TimeoutUnenforcedWarning` instead of silently
-    dropping the bound) so a wedged cell surfaces as a retryable
-    :class:`~repro.errors.GridCellError` instead of stalling the whole
-    pool.  ``chaos`` is the deterministic crash hook for the hardening
-    tests; ``attempt`` rides along so chaos can fire on attempt 0 and
-    let the retry succeed.
-    """
-    (
-        spec,
-        total_work,
-        n_pes,
-        seed,
-        cost_model,
-        splitter,
-        init_threshold,
-        sanitize,
-        timeout,
-        chaos,
-        index,
-        attempt,
-    ) = payload
-    if chaos is not None:
-        chaos.maybe_trigger(index, attempt)
-
-    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-
-        def _on_alarm(signum: int, frame: object) -> None:
-            raise GridCellError(
-                f"grid cell {index} ({spec!r}, W={total_work}, P={n_pes}) "
-                f"timed out after {timeout}s"
-            )
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return run_divisible(
-            make_scheme(spec),
-            total_work,
-            n_pes,
-            cost_model=cost_model,
-            splitter=splitter,
-            seed=seed,
-            init_threshold=init_threshold,
-            sanitize=sanitize,
-        )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
-
 def plan_grid(
     schemes: list[Scheme | str],
     works: list[int],
@@ -381,121 +315,83 @@ def plan_grid(
     return plans
 
 
-def _run_grid_batch(payload: tuple) -> list[tuple[int, RunMetrics]]:
-    """One shard of planned cells, picklable for pool workers.
+def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
+    """One unit of planned cells — the only pool worker entry point.
 
-    Unlike the per-cell worker above, a shard carries *many* cells and
-    rebuilds its schemes (spec strings) and MegaArena once — the spawn
-    and rebuild cost is amortized over the whole batch.
+    Schemes travel as spec strings (Scheme factories close over locals
+    and do not pickle) and are rebuilt with ``make_scheme`` here; the
+    cost model and splitter pickle as-is.  A one-cell unit runs
+    :func:`run_divisible`; a larger one packs its cells into one
+    MegaArena (:func:`run_batched_cells`), so spawn and rebuild cost is
+    paid per unit, not per cell.
 
-    Hardening is enforced at shard granularity: ``chaos`` fires before
-    the arena starts, once per cell index the shard carries (so the
-    same ``GridChaos(index=...)`` crashes the same work on every
-    executor), and ``timeout`` arms a single ``SIGALRM`` watchdog of
-    ``timeout * len(shard)`` seconds — the cells advance in lock-step,
-    so a per-cell budget scales to the shard it is packed into.  A
-    tripped watchdog raises a retryable
-    :class:`~repro.errors.GridCellError` naming the shard.
+    ``timeout`` arms a single ``SIGALRM`` watchdog of ``timeout *
+    len(unit)`` seconds (POSIX only; elsewhere the parent warns
+    :class:`~repro.errors.TimeoutUnenforcedWarning`) — batched cells
+    advance in lock-step, so a per-cell budget scales to the unit it is
+    packed into — and a tripped watchdog raises a retryable
+    :class:`~repro.errors.GridCellError`.  ``chaos`` fires under the
+    watchdog, once per cell the unit carries with that cell's own
+    attempt number, so the same ``GridChaos(index=...)`` crashes the
+    same work however the grid is cut into units.
     """
-    (
-        shard,
-        cost_model,
-        splitter,
-        kernel_backend,
-        sanitize,
-        timeout,
-        chaos,
-        attempt,
-    ) = payload
-    if chaos is not None:
-        for row in shard:
-            chaos.maybe_trigger(row[0], attempt)
+    rows, cost_model, splitter, kernel_backend, sanitize, timeout, chaos = payload
     plans = [
-        CellPlan(
-            index=index,
-            scheme=make_scheme(spec),
-            n_pes=n_pes,
-            total_work=total_work,
-            seed=seed,
-            init_threshold=threshold,
-        )
-        for (index, spec, total_work, n_pes, seed, threshold) in shard
+        CellPlan(index, make_scheme(spec), n_pes, total_work, seed, threshold)
+        for (index, spec, n_pes, total_work, seed, threshold, _) in rows
     ]
-    watchdog = None if timeout is None else timeout * len(shard)
-    use_alarm = watchdog is not None and hasattr(signal, "SIGALRM")
+    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
     if use_alarm:
-        indices = [p.index for p in plans]
+        budget = timeout * len(rows)
 
         def _on_alarm(signum: int, frame: object) -> None:
             raise GridCellError(
-                f"batched shard of {len(indices)} cell(s) "
-                f"{indices} timed out after {watchdog}s"
+                f"grid cell(s) {[p.index for p in plans]} timed out "
+                f"after {budget}s"
             )
 
         previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, watchdog)
+        signal.setitimer(signal.ITIMER_REAL, budget)
     try:
-        results = run_batched_cells(
-            plans,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
-            kernel_backend=kernel_backend,
+        if chaos is not None:
+            for row in rows:
+                chaos.maybe_trigger(row[0], row[-1])
+        if len(plans) == 1:
+            metrics = _run_cell(plans[0], cost_model, splitter, sanitize)
+            return [(plans[0].index, metrics)]
+        return sorted(
+            run_batched_cells(
+                plans,
+                cost_model=cost_model,
+                splitter=splitter,
+                sanitize=sanitize,
+                kernel_backend=kernel_backend,
+            ).items()
         )
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-    return sorted(results.items())
 
 
 def _resolve_executor(
-    executor: str,
-    plans: list[CellPlan],
-    n_jobs: int | None,
-    timeout: float | None,
-    chaos: GridChaos | None,
-) -> tuple[str, list[tuple[str, str]]]:
-    """Pick the concrete execution path for this grid.
-
-    Returns ``(resolved, fallback_reasons)`` where the reasons — pairs
-    of a short machine code and a human sentence — are non-empty exactly
-    when ``"auto"`` declined the batched fast path; ``run_grid`` turns
-    them into an :class:`~repro.errors.ExecutorFallbackWarning` and
-    registry metadata.
-    """
+    executor: str, n_jobs: int | None, hardened: bool
+) -> str:
+    """Validate ``executor`` against the other arguments; ``"auto"`` is
+    ``"batched"``."""
     if executor not in GRID_EXECUTORS:
         raise ConfigError(
             f"executor must be one of {GRID_EXECUTORS}, got {executor!r}"
         )
     if executor == "process" and not (n_jobs is not None and n_jobs > 1):
         raise ConfigError("executor='process' requires n_jobs > 1")
-    if executor != "auto":
-        return executor, []
-    reasons: list[tuple[str, str]] = []
-    if timeout is not None or chaos is not None:
-        reasons.append(
-            (
-                "hardening",
-                "per-cell timeout/chaos hardening was requested "
-                "(auto routes it to the per-cell pool; pass "
-                "executor='batched' for shard-level enforcement)",
-            )
+    if executor == "serial" and hardened:
+        raise ConfigError(
+            "executor='serial' runs cells in the calling process, where "
+            "timeout=/chaos= cannot be enforced; use executor='auto' (or "
+            "'batched'/'process') to run them under the worker watchdog"
         )
-    unbatchable = sorted(
-        {p.scheme.name for p in plans if not is_batchable(p.scheme)}
-    )
-    if unbatchable:
-        reasons.append(
-            (
-                "unbatchable-scheme",
-                "scheme(s) the batched executor cannot replicate: "
-                + ", ".join(unbatchable),
-            )
-        )
-    if not reasons:
-        return "batched", []
-    return ("process" if n_jobs is not None and n_jobs > 1 else "serial"), reasons
+    return "batched" if executor == "auto" else executor
 
 
 #: One-per-process latch for the off-POSIX timeout warning.
@@ -580,7 +476,6 @@ def run_grid(
     init_threshold: float | None | str = "auto",
     n_jobs: int | None = None,
     timeout: float | None = None,
-    max_retries: int = 2,
     retry: RetryPolicy | None = None,
     chaos: GridChaos | None = None,
     registry: MetricsRegistry | None = None,
@@ -595,16 +490,32 @@ def run_grid(
     Each cell gets the deterministic child seed :func:`cell_seed`
     ``(base_seed, index)`` with ``index`` in scheme-major order (see
     there), so cells are reproducible independently of grid shape and of
-    how the grid is executed.
+    how the grid is executed: results come back in scheme-major order
+    with the same per-cell seeds on every path, and all executors are
+    record-for-record identical.
 
-    ``n_jobs`` enables worker processes (``concurrent.futures``): whole
-    cells on the ``"process"`` path, contiguous *shards* of cells on the
-    ``"batched"`` path.  Results are returned in the same scheme-major
-    order with the same per-cell seeds on every path, so all executors
-    are record-for-record identical.  Multi-process execution requires
-    every scheme's name to round-trip through ``make_scheme`` (all
-    Table 1 schemes do; baseline schemes with opaque factories must use
-    the serial path).
+    **Execution** — the planned cells are cut into *units* (lists of
+    cells) and ``executor`` (:data:`GRID_EXECUTORS`) picks the cut:
+
+    - ``"batched"`` packs every compatible cell into one
+      :class:`~repro.workmodel.mega.MegaArena` and advances all of them
+      with single full-width kernel calls, in this process.  With
+      ``n_jobs > 1`` the cells become ``n_jobs`` contiguous shards, one
+      pool worker each; with ``timeout``/``chaos`` they always go
+      through the pool (a single shard without ``n_jobs``), so an
+      injected ``os._exit`` kills a worker, never the caller.  Cells
+      whose scheme the arena cannot replicate (opaque factories, e.g.
+      FESS) run serially in the calling process, unhardened.
+    - ``"process"`` (needs ``n_jobs > 1``) makes every cell its own
+      unit on the pool.
+    - ``"serial"`` is the one-cell-at-a-time oracle in the calling
+      process; it cannot enforce ``timeout``/``chaos`` and rejects them.
+    - ``"auto"`` (default) is ``"batched"``, and warns
+      :class:`~repro.errors.ExecutorFallbackWarning` naming any scheme
+      it has to run serially.
+
+    Pooled units need every scheme's name to round-trip through
+    ``make_scheme`` (all Table 1 schemes do).
 
     **Durability** — ``journal`` names a write-ahead
     :class:`~repro.experiments.journal.CellJournal` file: every
@@ -615,23 +526,22 @@ def run_grid(
     the journal round-trips records exactly, a killed-and-resumed grid
     returns records **bit-identical** to an uninterrupted run.
 
-    The parallel paths are hardened against worker failure:
+    **Hardening** — one loop serves every pooled unit:
 
-    - ``timeout`` bounds each cell's wall-clock seconds (enforced
-      in-worker via ``SIGALRM`` on POSIX; elsewhere a one-time
-      :class:`~repro.errors.TimeoutUnenforcedWarning` is emitted and
-      ``grid.timeout_enforced`` is recorded as 0 instead of silently
-      pretending the bound held);
-    - a cell that raises, times out, or loses its worker is retried
-      under ``retry`` (a :class:`RetryPolicy`; defaults to
-      ``RetryPolicy(max_retries=max_retries)``) **with the same**
-      :func:`cell_seed`, after a deterministic exponential backoff
-      whose jitter derives from the cell seed — so a retried cell's
-      record is identical to an undisturbed one and the whole backoff
-      schedule is replayable;
-    - a ``BrokenProcessPool`` (worker killed hard) respawns the pool and
-      requeues every unfinished in-flight cell, each charged one
-      attempt and reported with its ``(scheme, W, P)`` coordinates;
+    - ``timeout`` bounds each cell's wall-clock seconds through an
+      in-worker ``SIGALRM`` watchdog of ``timeout * len(unit)`` (POSIX;
+      elsewhere a one-time :class:`~repro.errors.TimeoutUnenforcedWarning`
+      is emitted and ``grid.timeout_enforced`` is recorded as 0 instead
+      of pretending the bound held);
+    - a unit that raises, times out, or loses its worker charges one
+      attempt to every cell it carried, and those cells are requeued
+      **as one-cell units with the same** :func:`cell_seed` under
+      ``retry`` (a :class:`RetryPolicy`), after a deterministic
+      exponential backoff whose jitter derives from the cell seeds — so
+      a retried cell's record is identical to an undisturbed one, the
+      backoff schedule is replayable, and a poison cell ends up alone;
+    - a ``BrokenProcessPool`` (worker killed hard) respawns the pool
+      and requeues every unfinished in-flight cell the same way;
     - cells that exhaust their retries are **quarantined**: the raised
       :class:`~repro.errors.GridCellError` carries the structured
       :class:`GridFailure` list, every completed :class:`GridRecord`
@@ -645,42 +555,22 @@ def run_grid(
 
     ``registry`` folds every cell's metrics into a
     :class:`~repro.obs.registry.MetricsRegistry` (plus ``grid.*``
-    operational counters: cells/retries totals, resumed and quarantined
-    cells, the resolved executor path and any auto-fallback reason, and
-    whether a requested timeout is enforceable).  Recording happens in
-    the parent process in cell-index order on every execution path, so
-    all executors produce identical snapshots.
+    operational counters: cells total, retried cell attempts, resumed
+    and quarantined cells, the resolved executor path and any
+    auto-fallback reason, and whether a requested timeout is enforced).
+    Recording happens in the parent process in cell-index order on every
+    execution path, so all executors produce identical snapshots.
 
-    ``executor`` selects the execution strategy (:data:`GRID_EXECUTORS`):
-    ``"batched"`` packs every compatible cell into one
-    :class:`~repro.workmodel.mega.MegaArena` and advances all of them
-    with single full-width kernel calls (record-identical to serial;
-    with ``n_jobs > 1`` processes shard *batches* of cells, amortizing
-    spawn/rebuild); ``"process"`` is the per-cell pool; ``"serial"``
-    forces the one-cell-at-a-time oracle; ``"auto"`` (default) picks
-    batched whenever every cell supports it and no per-cell hardening
-    (``timeout``/``chaos``) was requested, warning
-    :class:`~repro.errors.ExecutorFallbackWarning` when it falls back.
-    Explicit ``executor="batched"`` *does* accept ``timeout``/``chaos``:
-    shards run in worker processes with a ``timeout * shard_size``
-    watchdog and per-cell-index chaos injection, and a crashed shard is
-    retried whole with its original seeds (cells journaled by finished
-    shards are replayed from the journal, not recomputed).  Chaos and
-    timeout apply to the pooled shard cells; unbatchable fallback cells
-    run serially in the parent, unhardened.
+    ``kernel_backend`` selects the kernel tier the mega-arena and its
+    matchers run on (``"numpy"`` reference by default,
+    ``"fused"``/``"jit"``/``"auto"`` — see :mod:`repro.kernels`);
+    one-cell units ignore it, and every tier is record-identical.
 
-    ``kernel_backend`` selects the kernel tier the batched executor's
-    mega-arena and matchers run on (``"numpy"`` reference by default,
-    ``"fused"``/``"jit"``/``"auto"`` — see :mod:`repro.kernels`); the
-    serial and process paths ignore it, and every tier is
-    record-identical.
-
-    ``sanitize`` turns on the runtime invariant checks in every cell
-    (serial, pooled and batched paths alike); sanitized records are
-    bit-identical to unsanitized ones.
+    ``sanitize`` turns on the runtime invariant checks in every cell on
+    every path; sanitized records are bit-identical to unsanitized ones.
     """
     if retry is None:
-        retry = RetryPolicy(max_retries=max_retries)
+        retry = RetryPolicy()
     if timeout is not None and timeout <= 0:
         raise ConfigError(f"timeout must be positive, got {timeout}")
     if resume and journal is None:
@@ -688,8 +578,14 @@ def run_grid(
     plans = plan_grid(
         schemes, works, pes, base_seed=base_seed, init_threshold=init_threshold
     )
-    resolved, fallback_reasons = _resolve_executor(
-        executor, plans, n_jobs, timeout, chaos
+    hardened = timeout is not None or chaos is not None
+    resolved = _resolve_executor(executor, n_jobs, hardened)
+    # Cells the arena cannot replicate (opaque scheme factories) stay in
+    # this process on the batched path.
+    stay_behind = (
+        {p.index for p in plans if not is_batchable(p.scheme)}
+        if resolved == "batched"
+        else set()
     )
 
     cell_journal: "CellJournal | None" = None
@@ -714,67 +610,78 @@ def run_grid(
         if cell_journal is not None:
             cell_journal.record_cell(plan, metrics)
 
-    if fallback_reasons:
-        detail = "; ".join(human for _, human in fallback_reasons)
+    fell_back = executor == "auto" and bool(stay_behind)
+    if fell_back:
+        names = sorted({p.scheme.name for p in plans if p.index in stay_behind})
         warnings.warn(
-            f"run_grid(executor='auto') fell back to {resolved!r}: {detail}",
+            "run_grid(executor='auto') runs scheme(s) the batched executor "
+            f"cannot replicate serially in the calling process: "
+            f"{', '.join(names)}"
+            + (" (timeout/chaos do not reach those cells)" if hardened else ""),
             ExecutorFallbackWarning,
             stacklevel=2,
         )
-    timeout_enforced = timeout is None or hasattr(signal, "SIGALRM")
-    if not timeout_enforced:
-        _warn_timeout_unenforced()
     if registry is not None:
         registry.counter("grid.executor", {"path": resolved}).inc()
-        for code, _ in fallback_reasons:
-            registry.counter("grid.executor_fallback", {"reason": code}).inc()
-        if timeout is not None:
-            registry.gauge("grid.timeout_enforced").set(
-                1.0 if timeout_enforced else 0.0
-            )
+        if fell_back:
+            registry.counter(
+                "grid.executor_fallback", {"reason": "unbatchable-scheme"}
+            ).inc()
+    if timeout is not None:
+        # A watchdog is armed only in pool workers, so the bound holds
+        # when the platform has SIGALRM and no cell stays behind here.
+        if not hasattr(signal, "SIGALRM"):
+            _warn_timeout_unenforced()
+        enforced = hasattr(signal, "SIGALRM") and not any(
+            p.index in stay_behind for p in todo
+        )
+        if registry is not None:
+            registry.gauge("grid.timeout_enforced").set(float(enforced))
 
-    if resolved == "batched":
-        retries = _execute_batched(
-            todo,
-            plans,
-            results,
-            on_done,
-            cost_model=cost_model,
-            splitter=splitter,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            chaos=chaos,
-            retry=retry,
-            registry=registry,
-            kernel_backend=kernel_backend,
-            sanitize=sanitize,
-            journal=cell_journal,
-        )
+    # Cut the work: pooled units, one in-process arena, serial leftovers.
+    n_workers = n_jobs if n_jobs is not None and n_jobs > 1 else 1
+    units: list[list[CellPlan]] = []
+    arena: list[CellPlan] = []
+    serial: list[CellPlan] = []
+    if resolved == "serial":
+        serial = todo
     elif resolved == "process":
-        retries = _execute_process(
-            todo,
+        units = [[p] for p in todo]
+    else:
+        arena = [p for p in todo if p.index not in stay_behind]
+        serial = [p for p in todo if p.index in stay_behind]
+        if arena and (hardened or (n_workers > 1 and len(arena) > 1)):
+            units, arena = _shard_plans(arena, n_workers), []
+
+    retries = 0
+    if units:
+        retries = _execute_pooled(
+            units,
             plans,
             results,
             on_done,
-            cost_model=cost_model,
-            splitter=splitter,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            chaos=chaos,
+            worker_args=(
+                cost_model, splitter, kernel_backend, sanitize, timeout, chaos
+            ),
+            max_workers=n_workers,
             retry=retry,
             registry=registry,
-            sanitize=sanitize,
             journal=cell_journal,
         )
-    else:
-        retries = _execute_serial(
-            todo,
-            results,
-            on_done,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
+    if arena:
+        results.update(
+            run_batched_cells(
+                arena,
+                cost_model=cost_model,
+                splitter=splitter,
+                sanitize=sanitize,
+                kernel_backend=kernel_backend,
+                on_cell_done=on_done,
+            )
         )
+    for plan in serial:
+        results[plan.index] = _run_cell(plan, cost_model, splitter, sanitize)
+        on_done(plan, results[plan.index])
 
     records = [
         GridRecord(p.scheme.name, p.n_pes, p.total_work, results[p.index])
@@ -784,146 +691,23 @@ def run_grid(
     return records
 
 
-def _execute_serial(
-    todo: list[CellPlan],
-    results: dict[int, RunMetrics],
-    on_done: Callable[[CellPlan, RunMetrics], None],
-    *,
+def _run_cell(
+    plan: CellPlan,
     cost_model: CostModel | None,
     splitter: WorkSplitter | None,
     sanitize: bool,
-) -> int:
-    """The one-cell-at-a-time oracle path (journals as it goes)."""
-    for plan in todo:
-        metrics = run_divisible(
-            plan.scheme,
-            plan.total_work,
-            plan.n_pes,
-            cost_model=cost_model,
-            splitter=splitter,
-            seed=plan.seed,
-            init_threshold=plan.init_threshold,
-            sanitize=sanitize,
-        )
-        results[plan.index] = metrics
-        on_done(plan, metrics)
-    return 0
-
-
-def _require_spec_named(plans: list[CellPlan], where: str) -> None:
-    for plan in plans:
-        try:
-            make_scheme(plan.scheme.name)
-        except ValueError:
-            raise ConfigError(
-                f"scheme {plan.scheme.name!r} cannot be rebuilt from its "
-                f"spec; {where} supports spec-named schemes only — use the "
-                "serial path"
-            ) from None
-
-
-def _execute_process(
-    todo: list[CellPlan],
-    plans: list[CellPlan],
-    results: dict[int, RunMetrics],
-    on_done: Callable[[CellPlan, RunMetrics], None],
-    *,
-    cost_model: CostModel | None,
-    splitter: WorkSplitter | None,
-    n_jobs: int | None,
-    timeout: float | None,
-    chaos: GridChaos | None,
-    retry: RetryPolicy,
-    registry: MetricsRegistry | None,
-    sanitize: bool,
-    journal: "CellJournal | None",
-) -> int:
-    """The per-cell process pool with retry, backoff and quarantine."""
-    _require_spec_named(todo, "run_grid(n_jobs>1)")
-    by_index = {p.index: p for p in todo}
-
-    def payload_for(plan: CellPlan, attempt: int) -> tuple:
-        return (
-            plan.scheme.name,
-            plan.total_work,
-            plan.n_pes,
-            plan.seed,
-            cost_model,
-            splitter,
-            plan.init_threshold,
-            sanitize,
-            timeout,
-            chaos,
-            plan.index,
-            attempt,
-        )
-
-    failures: list[GridFailure] = []
-    attempts: dict[int, int] = {p.index: 0 for p in todo}
-    pending = [p.index for p in todo]
-    pool = ProcessPoolExecutor(max_workers=n_jobs)
-    try:
-        while pending:
-            in_flight = {
-                pool.submit(
-                    _run_grid_cell, payload_for(by_index[idx], attempts[idx])
-                ): idx
-                for idx in pending
-            }
-            pending = []
-            delays: list[float] = []
-            pool_broken = False
-            for fut in as_completed(in_flight):
-                idx = in_flight[fut]
-                plan = by_index[idx]
-                try:
-                    metrics = fut.result()
-                    results[idx] = metrics
-                    on_done(plan, metrics)
-                    continue
-                except BrokenProcessPool:
-                    pool_broken = True
-                    error = (
-                        f"worker pool broke while cell {idx} "
-                        f"({plan.scheme.name!r}, W={plan.total_work}, "
-                        f"P={plan.n_pes}) was in flight"
-                    )
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                attempts[idx] += 1
-                if attempts[idx] > retry.max_retries:
-                    failures.append(
-                        GridFailure(
-                            idx,
-                            plan.scheme.name,
-                            plan.n_pes,
-                            plan.total_work,
-                            attempts[idx],
-                            error,
-                        )
-                    )
-                else:
-                    pending.append(idx)
-                    delays.append(retry.delay(plan.seed, attempts[idx] - 1))
-            if pool_broken:
-                # A hard worker death poisons every future in the old
-                # pool; respawn and let the requeued cells rerun with
-                # their original seeds.
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=n_jobs)
-            pending.sort()
-            if pending and delays:
-                # One sleep per resubmission round — the *decision* (how
-                # long) came from RetryPolicy.delay, which is pure.
-                time.sleep(max(delays))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    if failures:
-        _raise_quarantine(
-            plans, results, failures, retry.max_retries, registry, journal
-        )
-    return sum(attempts.values())
+) -> RunMetrics:
+    """One planned cell through the serial oracle, :func:`run_divisible`."""
+    return run_divisible(
+        plan.scheme,
+        plan.total_work,
+        plan.n_pes,
+        cost_model=cost_model,
+        splitter=splitter,
+        seed=plan.seed,
+        init_threshold=plan.init_threshold,
+        sanitize=sanitize,
+    )
 
 
 def _shard_plans(plans: list[CellPlan], n_shards: int) -> list[list[CellPlan]]:
@@ -939,161 +723,117 @@ def _shard_plans(plans: list[CellPlan], n_shards: int) -> list[list[CellPlan]]:
     return shards
 
 
-def _execute_batched(
-    todo: list[CellPlan],
+def _execute_pooled(
+    units: list[list[CellPlan]],
     plans: list[CellPlan],
     results: dict[int, RunMetrics],
     on_done: Callable[[CellPlan, RunMetrics], None],
     *,
-    cost_model: CostModel | None,
-    splitter: WorkSplitter | None,
-    n_jobs: int | None,
-    timeout: float | None,
-    chaos: GridChaos | None,
+    worker_args: tuple,
+    max_workers: int,
     retry: RetryPolicy,
     registry: MetricsRegistry | None,
-    kernel_backend: str,
-    sanitize: bool,
     journal: "CellJournal | None",
 ) -> int:
-    """Execute planned cells through the mega-arena batched backend.
+    """Run ``units`` on a process pool: the one retry/quarantine loop.
 
-    Cells whose scheme the batched executor cannot replicate (opaque
-    matcher/trigger factories) fall back to the serial oracle in index
-    order; everything else advances in one :class:`MegaArena`.  With
-    ``n_jobs > 1`` the batchable cells are split into contiguous
-    *shards* — each worker process rebuilds its schemes once and packs
-    its whole shard into one arena, so spawn/rebuild cost is paid per
-    shard, not per cell.  When hardening (``timeout``/``chaos``) is
-    requested the shard pool is always used (one shard without
-    ``n_jobs``), so an injected ``os._exit`` kills a worker, never the
-    parent, and the watchdog alarm runs in-worker.  A failed shard is
-    retried whole with the same seeds after a deterministic backoff
-    (records of a retried shard are identical to an undisturbed one);
-    shards that exhaust the retry budget are quarantined with every
-    completed record attached.
+    Each round submits every pending unit to :func:`_run_unit` and
+    journals results as they land.  A unit that fails — raised, timed
+    out, or its pool broke — charges one attempt to each cell it
+    carried; cells with budget left are requeued as one-cell units (so
+    a poison cell is isolated from its shard-mates), the rest become
+    :class:`GridFailure` entries.  Returns the total cell attempts charged;
+    raises the quarantine :class:`~repro.errors.GridCellError` if any
+    cell ran out of budget.
     """
-    batchable = [p for p in todo if is_batchable(p.scheme)]
-    fallback = [p for p in todo if not is_batchable(p.scheme)]
-    retries = 0
-    hardened = timeout is not None or chaos is not None
-    pooled = bool(batchable) and (
-        hardened or (n_jobs is not None and n_jobs > 1 and len(batchable) > 1)
-    )
-
-    if pooled:
-        _require_spec_named(batchable, "sharded batched execution")
-        n_shards = n_jobs if n_jobs is not None and n_jobs > 1 else 1
-        shards = _shard_plans(batchable, n_shards)
-        by_index = {p.index: p for p in batchable}
-
-        def payload_for(shard: list[CellPlan], attempt: int) -> tuple:
-            rows = [
-                (
-                    p.index,
-                    p.scheme.name,
-                    p.total_work,
-                    p.n_pes,
-                    p.seed,
-                    p.init_threshold,
-                )
-                for p in shard
-            ]
-            return (
-                rows,
-                cost_model,
-                splitter,
-                kernel_backend,
-                sanitize,
-                timeout,
-                chaos,
-                attempt,
-            )
-
-        attempts = [0] * len(shards)
-        pending = list(range(len(shards)))
-        failures: list[GridFailure] = []
-        pool = ProcessPoolExecutor(max_workers=n_shards)
+    by_index = {p.index: p for unit in units for p in unit}
+    for name in sorted({p.scheme.name for p in by_index.values()}):
         try:
-            while pending:
-                in_flight = {
-                    pool.submit(
-                        _run_grid_batch, payload_for(shards[s], attempts[s])
-                    ): s
-                    for s in pending
-                }
-                pending = []
-                delays: list[float] = []
-                pool_broken = False
-                for fut in as_completed(in_flight):
-                    s = in_flight[fut]
-                    try:
-                        for index, metrics in fut.result():
-                            results[index] = metrics
-                            on_done(by_index[index], metrics)
-                        continue
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        error = f"worker pool broke while shard {s} was in flight"
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                    attempts[s] += 1
-                    if attempts[s] > retry.max_retries:
-                        failures.extend(
+            make_scheme(name)
+        except ValueError:
+            raise ConfigError(
+                f"scheme {name!r} cannot be rebuilt from its spec; pooled "
+                "grid execution supports spec-named schemes only — use "
+                "the serial path"
+            ) from None
+    attempts = dict.fromkeys(by_index, 0)
+
+    def payload(unit: list[CellPlan]) -> tuple:
+        rows = [
+            (
+                p.index,
+                p.scheme.name,
+                p.n_pes,
+                p.total_work,
+                p.seed,
+                p.init_threshold,
+                attempts[p.index],
+            )
+            for p in unit
+        ]
+        return (rows, *worker_args)
+
+    failures: list[GridFailure] = []
+    pool: ProcessPoolExecutor | None = None
+    try:
+        while units:
+            if pool is None:
+                pool = ProcessPoolExecutor(max_workers=max_workers)
+            in_flight = {pool.submit(_run_unit, payload(u)): u for u in units}
+            units = []
+            delays: list[float] = []
+            pool_broken = False
+            for fut in as_completed(in_flight):
+                unit = in_flight[fut]
+                try:
+                    done = fut.result()
+                except BrokenProcessPool:
+                    # A hard worker death poisons every future of the
+                    # old pool; respawn below and let the requeued cells
+                    # rerun with their original seeds.
+                    pool_broken = True
+                    error = "worker pool broke while the cell was in flight"
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
+                    for index, metrics in done:
+                        results[index] = metrics
+                        on_done(by_index[index], metrics)
+                    continue
+                for plan in unit:
+                    attempts[plan.index] += 1
+                    if attempts[plan.index] > retry.max_retries:
+                        failures.append(
                             GridFailure(
-                                p.index,
-                                p.scheme.name,
-                                p.n_pes,
-                                p.total_work,
-                                attempts[s],
+                                plan.index,
+                                plan.scheme.name,
+                                plan.n_pes,
+                                plan.total_work,
+                                attempts[plan.index],
                                 error,
                             )
-                            for p in shards[s]
                         )
                     else:
-                        pending.append(s)
+                        units.append([plan])
                         delays.append(
-                            retry.delay(shards[s][0].seed, attempts[s] - 1)
+                            retry.delay(plan.seed, attempts[plan.index] - 1)
                         )
-                if pool_broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=n_shards)
-                pending.sort()
-                if pending and delays:
-                    time.sleep(max(delays))
-        finally:
+            if pool_broken:
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = None
+            units.sort(key=lambda unit: unit[0].index)
+            if delays:
+                # One sleep per resubmission round — the *decision* (how
+                # long) came from RetryPolicy.delay, which is pure.
+                time.sleep(max(delays))
+    finally:
+        if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        retries = sum(attempts)
-
-        if failures:
-            _raise_quarantine(
-                plans, results, failures, retry.max_retries, registry, journal
-            )
-    elif batchable:
-        batch_results = run_batched_cells(
-            batchable,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
-            kernel_backend=kernel_backend,
-            on_cell_done=on_done,
+    if failures:
+        _raise_quarantine(
+            plans, results, failures, retry.max_retries, registry, journal
         )
-        results.update(batch_results)
-
-    for plan in fallback:
-        metrics = run_divisible(
-            plan.scheme,
-            plan.total_work,
-            plan.n_pes,
-            cost_model=cost_model,
-            splitter=splitter,
-            seed=plan.seed,
-            init_threshold=plan.init_threshold,
-            sanitize=sanitize,
-        )
-        results[plan.index] = metrics
-        on_done(plan, metrics)
-    return retries
+    return sum(attempts.values())
 
 
 def _fold_grid_metrics(

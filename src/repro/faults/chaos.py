@@ -8,12 +8,12 @@ are exactly reproducible and the retried attempt is guaranteed clean,
 which is what lets the hardened grid assert that a retried cell's record
 equals the serial oracle's.
 
-Both pooled executors honor it: the per-cell ``"process"`` path calls
-:meth:`GridChaos.maybe_trigger` right before the cell's simulation, and
-the sharded ``"batched"`` path calls it at shard start for every cell
-index the shard carries with the *shard's* attempt number — so the same
-``GridChaos(index=...)`` crashes the same logical work on either
-executor, and a shard retried after a crash runs clean.
+Both pooled executors honor it through the one pool worker: under the
+armed watchdog and before any simulation starts, it calls
+:meth:`GridChaos.maybe_trigger` for every cell the unit carries (one
+cell on ``"process"``, a shard on ``"batched"``) with that cell's own
+attempt number — so the same ``GridChaos(index=...)`` crashes the same
+logical work on either executor, and the retried cell runs clean.
 
 Kinds:
 
@@ -22,7 +22,7 @@ Kinds:
 - ``"raise"`` — raise a :class:`~repro.errors.GridCellError` inside the
   worker; exercises per-cell retry accounting;
 - ``"hang"`` — sleep past any per-cell timeout; exercises the in-worker
-  alarm path.
+  alarm path (the serial executor has none and rejects chaos).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class GridChaos:
     def maybe_trigger(self, index: int, attempt: int) -> None:
         """Fire the configured crash if ``(index, attempt)`` matches.
 
-        Runs inside the pool worker, before the cell's simulation starts.
+        Runs inside the pool worker, before the unit's simulation starts.
         """
         if index != self.index or attempt not in self.attempts:
             return

@@ -25,6 +25,7 @@ one-line explanation ``repro bench`` prints in that case.
 
 from __future__ import annotations
 
+import threading
 from importlib import import_module
 from typing import Callable
 
@@ -72,6 +73,9 @@ _IMPL_MODULES = (
 
 _REGISTRY: dict[tuple[str, str], Callable] = {}
 _LOADED = False
+#: Serializes the first load.  Re-entrant because an implementation
+#: module may look a kernel up while it is itself being imported.
+_LOAD_LOCK = threading.RLock()
 
 
 def available_backends() -> tuple[str, ...]:
@@ -109,9 +113,11 @@ def _ensure_loaded() -> None:
     global _LOADED
     if _LOADED:
         return
-    _LOADED = True
-    for mod in _IMPL_MODULES:
-        import_module(mod)
+    with _LOAD_LOCK:
+        for mod in _IMPL_MODULES:
+            import_module(mod)
+        # Raised last: a thread that sees the flag sees a full registry.
+        _LOADED = True
 
 
 def get_kernel(name: str, backend: str = "auto") -> Callable:

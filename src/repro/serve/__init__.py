@@ -23,14 +23,13 @@ Layers (each usable on its own):
   streams, ``serve.*`` metrics;
 - :mod:`repro.serve.schemas` — request parsing/validation and the
   :class:`JobEvent` lifecycle trace event;
-- :mod:`repro.serve.app` — HTTP adapters: a dependency-free
-  ``http.server`` backend that always works, and a FastAPI app factory
-  used when FastAPI is installed (``repro serve`` picks automatically).
+- :mod:`repro.serve.app` — the HTTP adapter: a dependency-free
+  ``http.server`` backend.
 
 See ``docs/serve.md`` for the endpoint reference and deployment notes.
 """
 
-from repro.serve.app import create_fastapi_app, create_server, have_fastapi
+from repro.serve.app import create_server
 from repro.serve.queue import Job, JobQueue
 from repro.serve.schemas import (
     GridRequest,
@@ -53,6 +52,4 @@ __all__ = [
     "parse_solve_request",
     "parse_grid_request",
     "create_server",
-    "create_fastapi_app",
-    "have_fastapi",
 ]

@@ -1,12 +1,10 @@
-"""HTTP adapters: a dependency-free stdlib server and a FastAPI factory.
+"""The HTTP adapter: a dependency-free stdlib server.
 
-Both adapters are *thin*: every endpoint parses the payload with
-:mod:`repro.serve.schemas` and delegates to the same
-:class:`~repro.serve.service.ExperimentService` methods, and every
+The adapter is *thin*: every endpoint parses the payload with
+:mod:`repro.serve.schemas` and delegates to an
+:class:`~repro.serve.service.ExperimentService` method, and every
 :class:`~repro.errors.ServeError` maps to its ``status`` with the same
-``{"error", "detail"}`` JSON body — so the two backends are
-wire-compatible and the test suite drives the stdlib one as a stand-in
-for both.
+``{"error", "detail"}`` JSON body.
 
 Endpoints
 ---------
@@ -22,11 +20,8 @@ Endpoints
   hit/miss counters, ``grid.*`` operational counters, ledger gauges).
 - ``GET /healthz`` — liveness + code version (what the cache keys pin).
 
-The stdlib backend is a :class:`http.server.ThreadingHTTPServer`; it
-exists so the service runs in environments without FastAPI installed
-(FastAPI is an optional extra, never a hard dependency).  When FastAPI
-*is* available, :func:`create_fastapi_app` builds the equivalent ASGI
-app for uvicorn & friends; ``repro serve`` picks whichever is present.
+The server is a :class:`http.server.ThreadingHTTPServer`, so the
+service runs wherever Python does.
 """
 
 from __future__ import annotations
@@ -38,20 +33,11 @@ from repro.errors import BadRequestError, ConfigError, ServeError
 from repro.serve.schemas import parse_grid_request, parse_solve_request
 from repro.serve.service import ExperimentService
 
-__all__ = ["create_server", "serve_forever", "create_fastapi_app", "have_fastapi"]
+__all__ = ["create_server", "serve_forever"]
 
 #: Largest accepted request body; a grid submission is a few hundred
 #: bytes, so anything near this is abuse, not a client.
 MAX_BODY_BYTES = 1 << 20
-
-
-def have_fastapi() -> bool:
-    """Whether the optional FastAPI adapter can be built here."""
-    try:  # pragma: no cover - depends on the host environment
-        import fastapi  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def _error_body(exc: Exception, status: int) -> dict:
@@ -184,65 +170,3 @@ def serve_forever(server: ServiceHTTPServer) -> None:
         server.shutdown()
         server.server_close()
         server.service.close()
-
-
-def create_fastapi_app(service: ExperimentService):
-    """Build the FastAPI app over ``service`` (requires fastapi).
-
-    Wire-compatible with the stdlib backend: same routes, same JSON
-    shapes, same typed error bodies.  Handlers are sync ``def``s —
-    FastAPI runs them on its threadpool, and the service core is
-    thread-safe — so the adapter adds no async plumbing of its own.
-    """
-    from fastapi import FastAPI, Request
-    from fastapi.responses import JSONResponse, PlainTextResponse
-
-    app = FastAPI(
-        title="repro serve",
-        description="Content-addressed experiment service for "
-        "Karypis & Kumar (1992) tree-search reproductions.",
-    )
-
-    @app.exception_handler(ServeError)
-    def _serve_error(request: Request, exc: ServeError) -> JSONResponse:
-        return JSONResponse(
-            status_code=exc.status, content=_error_body(exc, exc.status)
-        )
-
-    @app.exception_handler(ConfigError)
-    def _config_error(request: Request, exc: ConfigError) -> JSONResponse:
-        return JSONResponse(status_code=400, content=_error_body(exc, 400))
-
-    @app.post("/solve")
-    def solve(payload: dict) -> dict:
-        return service.submit_solve(parse_solve_request(payload))
-
-    @app.post("/grid")
-    def grid(payload: dict) -> dict:
-        return service.submit_grid(parse_grid_request(payload))
-
-    @app.get("/jobs/{job_id}")
-    def job(job_id: str) -> dict:
-        return service.job(job_id)
-
-    @app.get("/jobs/{job_id}/events")
-    def job_events(job_id: str) -> PlainTextResponse:
-        return PlainTextResponse(
-            service.job_events(job_id), media_type="application/x-ndjson"
-        )
-
-    @app.get("/records/{key}")
-    def record(key: str) -> dict:
-        return service.record(key)
-
-    @app.get("/metrics")
-    def metrics() -> dict:
-        return service.metrics()
-
-    @app.get("/healthz")
-    def healthz() -> dict:
-        from repro.experiments.journal import code_version
-
-        return {"ok": True, "code_version": code_version()}
-
-    return app

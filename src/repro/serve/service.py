@@ -64,6 +64,7 @@ class ExperimentService:
         self.root = Path(root)
         self.store = RecordStore(self.root / "cells")
         self.jobs_dir = self.root / "jobs"
+        self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.queue = JobQueue(workers=workers, max_pending=max_pending)
         self.registry = MetricsRegistry()
         self._registry_lock = threading.Lock()
@@ -85,15 +86,29 @@ class ExperimentService:
 
     # -- job plumbing ------------------------------------------------------
 
-    def _job_dir(self, job: Job) -> Path:
-        path = self.jobs_dir / job.id
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+    def _new_job(self, kind: str, request: dict, keys: list[str]) -> Job:
+        """A job whose artifact directory this call created.
+
+        Ids restart with the service and other service processes may
+        share ``root``, so an id is taken only once ``mkdir`` proves
+        nobody — an earlier incarnation or a concurrent one — owns
+        ``jobs/<id>``: a job never appends to another job's event
+        stream or reopens its journal.
+        """
+        while True:
+            job_id = self.queue.new_id()
+            try:
+                (self.jobs_dir / job_id).mkdir()
+            except FileExistsError:
+                continue
+            return Job(
+                id=job_id, kind=kind, request=request, keys=keys, n_cells=len(keys)
+            )
 
     def _emit(self, job: Job, status: str, detail: str = "") -> None:
         """Append one lifecycle event to the job's JSONL stream."""
         if job.events_path is None:
-            job.events_path = self._job_dir(job) / "events.jsonl"
+            job.events_path = self.jobs_dir / job.id / "events.jsonl"
         sink = JsonlSink(job.events_path)
         sink.emit(JobEvent(cycle=job.next_seq(), status=status, detail=detail))
         sink.close()
@@ -116,13 +131,7 @@ class ExperimentService:
         key = cell_key(
             request.scheme, request.total_work, request.n_pes, request.seed
         )
-        job = Job(
-            id=self.queue.new_id(),
-            kind="solve",
-            request=request.to_dict(),
-            keys=[key],
-            n_cells=1,
-        )
+        job = self._new_job("solve", request.to_dict(), [key])
         if key in self.store:
             job.status = "done"
             job.cache_hit = True
@@ -193,13 +202,7 @@ class ExperimentService:
             base_seed=request.base_seed,
         )
         keys = self._cell_keys(plans)
-        job = Job(
-            id=self.queue.new_id(),
-            kind="grid",
-            request=request.to_dict(),
-            keys=keys,
-            n_cells=len(keys),
-        )
+        job = self._new_job("grid", request.to_dict(), keys)
         hits = sum(1 for key in keys if key in self.store)
         misses = len(keys) - hits
         if misses == 0:
@@ -239,7 +242,7 @@ class ExperimentService:
             list(request.pes),
             base_seed=request.base_seed,
         )
-        journal_path = self._job_dir(job) / "journal.jrnl"
+        journal_path = self.jobs_dir / job.id / "journal.jrnl"
         journal = CellJournal(journal_path)
         # Pre-seed the job's write-ahead journal with every cached cell;
         # run_grid(resume=True) then skips exactly those — cached cells

@@ -61,6 +61,21 @@ class TestRecordIdentity:
         auto = run_grid(SCHEMES, WORKS, PES, base_seed=11)
         assert auto == oracle
 
+    def test_per_cell_pool_matches_oracle(self, oracle):
+        pooled = run_grid(
+            SCHEMES, WORKS, PES, base_seed=11, executor="process", n_jobs=2,
+            sanitize=True,
+        )
+        assert pooled == oracle
+
+    def test_auto_under_a_timeout_matches_oracle(self, oracle):
+        """Hardening moves the default executor's cells into one pooled
+        shard; the records do not notice."""
+        hardened = run_grid(
+            SCHEMES, WORKS, PES, base_seed=11, timeout=60.0, sanitize=True
+        )
+        assert hardened == oracle
+
     def test_single_cell_grid(self):
         ser = run_grid(["GP-DP"], [600], [16], base_seed=3, executor="serial")
         bat = run_grid(["GP-DP"], [600], [16], base_seed=3, executor="batched")

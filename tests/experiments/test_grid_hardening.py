@@ -5,16 +5,20 @@ exercising each failure path; in every recoverable case the final
 records must be **identical** to an undisturbed serial grid, because
 retries rerun the cell with the same ``cell_seed``.
 
-The executor is pinned to ``"process"`` where chaos/timeout hardening is
-exercised on the per-cell pool (``"auto"`` would warn about its batched
-fallback — that warning has its own tests below); the batched shard
-pool's hardening is covered in ``test_durability.py``.
+Both pooled shapes — ``"process"`` (every unit is one cell) and
+``"batched"`` (contiguous shards) — share one worker and one
+retry/quarantine loop, so the recovery suite is parametrised over the
+executor instead of being written once per shape.  Journal replay after
+a quarantine and the real SIGKILL harness live in ``test_durability.py``.
 """
 
 import signal
+import warnings
 
 import pytest
 
+from repro.baselines.fess_fegs import fess_scheme
+from repro.core.config import PAPER_SCHEMES
 from repro.errors import (
     ConfigError,
     ExecutorFallbackWarning,
@@ -22,6 +26,7 @@ from repro.errors import (
     TimeoutUnenforcedWarning,
 )
 from repro.experiments import runner as runner_mod
+from repro.experiments.journal import CellJournal
 from repro.experiments.runner import (
     GridFailure,
     QuarantineReport,
@@ -31,63 +36,83 @@ from repro.experiments.runner import (
 from repro.faults import GridChaos
 from repro.obs import MetricsRegistry
 
+#: The four-cell grid of the quarantine tests (two shards of two).
 SCHEMES = ["nGP-S0.75", "GP-DP"]
 WORKS = [1_500, 3_000]
 PES = [16]
 
 #: Fast backoff for chaos tests — same decision structure, tiny sleeps.
 FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.001, max_delay=0.002)
+ONE_RETRY = RetryPolicy(max_retries=1, base_delay=0.001, max_delay=0.002)
+
+POOLED = ("process", "batched")
+
+
+def _six(**kwargs):
+    """All six Table 1 schemes, one small cell each, sanitizer on."""
+    return run_grid(
+        list(PAPER_SCHEMES), [400], [8], base_seed=13, sanitize=True, **kwargs
+    )
 
 
 @pytest.fixture(scope="module")
-def serial_oracle():
-    return run_grid(SCHEMES, WORKS, PES, base_seed=7)
+def oracle():
+    return _six(executor="serial")
 
 
-def test_worker_raise_is_retried_with_same_seed(serial_oracle):
-    records = run_grid(
-        SCHEMES,
-        WORKS,
-        PES,
-        base_seed=7,
+@pytest.mark.parametrize("journaled", [False, True], ids=["nojournal", "journal"])
+@pytest.mark.parametrize("kind", ["raise", "exit", "hang"])
+@pytest.mark.parametrize("executor", POOLED)
+def test_chaos_recovery_equals_oracle(executor, kind, journaled, tmp_path, oracle):
+    """One sabotaged attempt — an exception, a hard worker death
+    (``BrokenProcessPool`` -> respawn -> requeue) or a hang the watchdog
+    has to cut short — and the grid still equals the serial oracle, with
+    every cell journaled exactly once."""
+    if kind == "hang" and not hasattr(signal, "SIGALRM"):
+        pytest.skip("watchdog needs SIGALRM")
+    path = tmp_path / "grid.journal" if journaled else None
+    registry = MetricsRegistry()
+    records = _six(
+        executor=executor,
         n_jobs=2,
-        executor="process",
+        timeout=0.3 if kind == "hang" else None,
         retry=FAST_RETRY,
-        chaos=GridChaos(index=1, kind="raise", attempts=(0,)),
+        chaos=GridChaos(index=2, kind=kind, attempts=(0,)),
+        journal=path,
+        registry=registry,
     )
-    assert records == serial_oracle
+    assert records == oracle
+    # Attempts are charged per cell: the failed unit is cell 2 alone on
+    # "process" and the shard (0, 1, 2) on "batched"; a dead pool also
+    # charges whatever else was still in flight.
+    charged = 1 if executor == "process" else 3
+    retries = registry.counter("grid.retries_total").value
+    assert retries >= charged if kind == "exit" else retries == charged
+    if path is not None:
+        assert len(CellJournal(path)) == len(oracle)
 
 
-def test_worker_death_respawns_pool_and_requeues(serial_oracle):
-    # kind="exit" hard-kills the worker process: every in-flight future
-    # breaks with BrokenProcessPool, the pool is respawned, and all
-    # unfinished cells rerun with their original seeds.
-    records = run_grid(
-        SCHEMES,
-        WORKS,
-        PES,
-        base_seed=7,
-        n_jobs=2,
-        executor="process",
-        retry=FAST_RETRY,
-        chaos=GridChaos(index=2, kind="exit", attempts=(0,)),
-    )
-    assert records == serial_oracle
-
-
-def test_hung_cell_times_out_and_retries(serial_oracle):
-    records = run_grid(
-        SCHEMES,
-        WORKS,
-        PES,
-        base_seed=7,
-        n_jobs=2,
-        executor="process",
-        timeout=5.0,
-        retry=FAST_RETRY,
-        chaos=GridChaos(index=3, kind="hang", attempts=(0,)),
-    )
-    assert records == serial_oracle
+@pytest.mark.parametrize("executor", POOLED)
+def test_poison_cell_is_quarantined_alone(executor):
+    """A failed multi-cell unit is requeued as one-cell units, so with
+    budget left the poison cell's shard-mates finish and only it is
+    quarantined — from the same loop on both pooled shapes."""
+    with pytest.raises(GridCellError) as excinfo:
+        run_grid(
+            SCHEMES,
+            WORKS,
+            PES,
+            base_seed=7,
+            n_jobs=2,
+            executor=executor,
+            retry=ONE_RETRY,
+            chaos=GridChaos(index=0, kind="raise", attempts=(0, 1)),
+        )
+    err = excinfo.value
+    assert [(f.index, f.attempts) for f in err.failures] == [(0, 2)]
+    assert len(err.completed) == 3
+    serial = run_grid(SCHEMES, WORKS, PES, base_seed=7, executor="serial")
+    assert list(err.completed) == serial[1:]
 
 
 def test_persistent_failure_raises_structured_report():
@@ -101,9 +126,7 @@ def test_persistent_failure_raises_structured_report():
             n_jobs=2,
             executor="process",
             registry=registry,
-            retry=RetryPolicy(
-                max_retries=1, base_delay=0.001, max_delay=0.002
-            ),
+            retry=ONE_RETRY,
             chaos=GridChaos(index=0, kind="raise", attempts=(0, 1)),
         )
     err = excinfo.value
@@ -131,13 +154,27 @@ def test_persistent_failure_raises_structured_report():
 
 def test_retry_and_timeout_config_validated():
     with pytest.raises(ConfigError):
-        run_grid(SCHEMES, WORKS, PES, max_retries=-1)
+        RetryPolicy(max_retries=-1)
     with pytest.raises(ConfigError):
         run_grid(SCHEMES, WORKS, PES, timeout=0.0)
     with pytest.raises(ConfigError):
         RetryPolicy(jitter=1.5)
     with pytest.raises(ConfigError):
         RetryPolicy(base_delay=-0.1)
+    # The retry budget has one spelling: retry=RetryPolicy(max_retries=...).
+    with pytest.raises(TypeError):
+        run_grid(SCHEMES, WORKS, PES, max_retries=1)
+
+
+def test_serial_executor_rejects_hardening():
+    """The in-process oracle arms no watchdog and fires no chaos, so
+    asking it to is a typed error that names the way out."""
+    with pytest.raises(ConfigError, match="auto"):
+        run_grid(SCHEMES[:1], [400], [8], executor="serial", timeout=30.0)
+    with pytest.raises(ConfigError, match="auto"):
+        run_grid(
+            SCHEMES[:1], [400], [8], executor="serial", chaos=GridChaos(index=0)
+        )
 
 
 def test_chaos_validation():
@@ -172,38 +209,83 @@ class TestRetryPolicy:
             full = min(1.0, 0.08 * 2**attempt)
             assert full * 0.5 <= d <= full
 
+    def test_round_backoff_is_max_of_requeued_cell_delays(self, monkeypatch):
+        """The sleep before a retry round is the max of the pure
+        per-cell delays of the cells being requeued — here the whole
+        failed shard (0, 1), each at attempt 0."""
+        slept = []
+        monkeypatch.setattr(runner_mod.time, "sleep", slept.append)
+        policy = RetryPolicy(max_retries=1, base_delay=0.004, max_delay=0.01)
+        run_grid(
+            SCHEMES,
+            WORKS,
+            PES,
+            base_seed=7,
+            n_jobs=2,
+            executor="batched",
+            retry=policy,
+            chaos=GridChaos(index=0, kind="raise", attempts=(0,)),
+        )
+        seeds = [runner_mod.cell_seed(7, index) for index in (0, 1)]
+        assert slept == [max(policy.delay(seed, 0) for seed in seeds)]
+
 
 class TestFallbackVisibility:
-    def test_auto_hardening_fallback_warns_and_records(self):
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"), reason="watchdog needs SIGALRM"
+    )
+    def test_auto_hardening_is_pooled(self):
+        """``auto`` + ``timeout``/``chaos`` used to resolve to the serial
+        loop, which takes neither: the hang never fired and the gauge
+        still read 1.  Now it is one pooled unit, really timed out."""
         registry = MetricsRegistry()
-        with pytest.warns(ExecutorFallbackWarning, match="timeout/chaos"):
-            run_grid(
-                SCHEMES[:1],
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExecutorFallbackWarning)
+            records = run_grid(
+                ["GP-DK"],
                 [400],
                 [8],
-                base_seed=1,
-                timeout=30.0,
+                timeout=0.2,
+                retry=FAST_RETRY,
+                chaos=GridChaos(index=0, kind="hang"),
                 registry=registry,
             )
-        snap = registry.snapshot()["counters"]
-        assert snap["grid.executor{path=serial}"] == 1
-        assert snap["grid.executor_fallback{reason=hardening}"] == 1
+        assert records == run_grid(["GP-DK"], [400], [8], executor="serial")
+        snap = registry.snapshot()
+        assert snap["counters"]["grid.executor{path=batched}"] == 1
+        # One retry: proof the hang fired and the watchdog cut it short.
+        assert snap["counters"]["grid.retries_total"] == 1
+        assert snap["gauges"]["grid.timeout_enforced"] == 1.0
 
     def test_auto_unbatchable_fallback_warns_with_scheme_name(self):
-        from repro.baselines.fess_fegs import fess_scheme
-
         registry = MetricsRegistry()
         with pytest.warns(ExecutorFallbackWarning, match="FESS"):
             run_grid([fess_scheme()], [400], [8], registry=registry)
         snap = registry.snapshot()["counters"]
         assert snap["grid.executor_fallback{reason=unbatchable-scheme}"] == 1
 
-    def test_batched_fast_path_does_not_warn(self):
-        import warnings as _warnings
-
+    def test_auto_unbatchable_with_n_jobs(self):
+        """``auto`` + ``n_jobs`` used to route FESS to the per-cell pool,
+        which cannot pickle it (ConfigError); it falls back instead, and
+        a timeout that cannot reach those cells is reported as such."""
         registry = MetricsRegistry()
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", ExecutorFallbackWarning)
+        with pytest.warns(ExecutorFallbackWarning, match="FESS"):
+            records = run_grid(
+                [fess_scheme(), "GP-DK"],
+                [400],
+                [8],
+                n_jobs=2,
+                timeout=30.0,
+                registry=registry,
+            )
+        with pytest.warns(ExecutorFallbackWarning):
+            assert records == run_grid([fess_scheme(), "GP-DK"], [400], [8])
+        assert registry.snapshot()["gauges"]["grid.timeout_enforced"] == 0.0
+
+    def test_batched_fast_path_does_not_warn(self):
+        registry = MetricsRegistry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExecutorFallbackWarning)
             run_grid(SCHEMES[:1], [400], [8], base_seed=1, registry=registry)
         snap = registry.snapshot()["counters"]
         assert snap["grid.executor{path=batched}"] == 1
@@ -214,13 +296,7 @@ class TestTimeoutEnforcement:
     def test_posix_timeout_reports_enforced(self):
         registry = MetricsRegistry()
         run_grid(
-            SCHEMES[:1],
-            [400],
-            [8],
-            base_seed=1,
-            executor="serial",
-            timeout=30.0,
-            registry=registry,
+            SCHEMES[:1], [400], [8], base_seed=1, timeout=30.0, registry=registry
         )
         assert registry.snapshot()["gauges"]["grid.timeout_enforced"] == 1.0
 
@@ -234,23 +310,19 @@ class TestTimeoutEnforcement:
                 [400],
                 [8],
                 base_seed=1,
-                executor="serial",
                 timeout=30.0,
                 registry=registry,
             )
         assert registry.snapshot()["gauges"]["grid.timeout_enforced"] == 0.0
         # The warning is a one-per-process latch; the metadata is not.
-        import warnings as _warnings
-
         registry2 = MetricsRegistry()
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", TimeoutUnenforcedWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TimeoutUnenforcedWarning)
             run_grid(
                 SCHEMES[:1],
                 [400],
                 [8],
                 base_seed=1,
-                executor="serial",
                 timeout=30.0,
                 registry=registry2,
             )

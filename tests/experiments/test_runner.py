@@ -112,11 +112,10 @@ class TestRunGridParallel:
         assert a == b
 
     def test_unroundtrippable_scheme_rejected(self):
-        from repro.errors import ExecutorFallbackWarning
-
+        # Asked for by name, the per-cell pool cannot pickle FESS; the
+        # default executor falls back instead (test_grid_hardening.py).
         with pytest.raises(ValueError, match="serial"):
-            with pytest.warns(ExecutorFallbackWarning):
-                run_grid([fess_scheme()], [2_000], [16], n_jobs=2)
+            run_grid([fess_scheme()], [2_000], [16], n_jobs=2, executor="process")
 
     def test_unroundtrippable_scheme_fine_serially(self):
         from repro.errors import ExecutorFallbackWarning

@@ -8,6 +8,10 @@ These tests run identically with or without numba installed — every
 assertion branches on :data:`HAVE_NUMBA` rather than assuming a tier.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -84,6 +88,53 @@ class TestRegistryLookup:
     def test_register_rejects_unknown_backend(self):
         with pytest.raises(ConfigError, match="unknown backend"):
             register("x", "cuda", lambda: None)
+
+
+_RACE_SCRIPT = """
+import sys, threading, time
+sys.path.insert(0, sys.argv[1])
+from repro.kernels import dispatch
+
+real_import = dispatch.import_module
+def slow_import(name):
+    time.sleep(0.05)  # hold the load open so every thread arrives mid-way
+    return real_import(name)
+dispatch.import_module = slow_import
+
+N = 8
+barrier = threading.Barrier(N)
+errors = []
+def lookup():
+    barrier.wait(timeout=30)
+    try:
+        dispatch.get_kernel("mega.expand_all", "numpy")
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=lookup) for _ in range(N)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads), "lookup thread wedged"
+assert not errors, errors
+"""
+
+
+def test_concurrent_first_lookup_sees_a_full_registry():
+    """The registry's first load races with nothing: threads that hit
+    ``get_kernel`` while the implementation modules are still importing
+    wait for the load instead of finding a half-filled registry (the
+    first concurrent ``repro serve`` job used to die with ``KeyError: no
+    kernel registered under 'mega.expand_all'``).  Needs a fresh
+    interpreter — this process loaded the registry long ago."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RACE_SCRIPT, src],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestJitNote:

@@ -170,6 +170,31 @@ class TestJobEvents:
         assert any(type(e).__name__ == "JobEvent" for e in events)
 
 
+def test_restarted_service_never_reuses_a_job_directory(tmp_path):
+    """Job ids restart with the process, job artifacts do not: a second
+    service over the same root used to hand out ``job-000001`` again,
+    append to the first incarnation's event stream and reopen its stale
+    journal."""
+    root = tmp_path / "serve"
+    views = []
+    for seed in (1, 2):  # two distinct misses, one per incarnation
+        svc = ExperimentService(root, workers=1, max_pending=4)
+        try:
+            view = svc.submit_grid(_grid(base_seed=seed))
+            svc.wait(view["id"])
+            events = [
+                json.loads(line)
+                for line in svc.job_events(view["id"]).strip().splitlines()
+            ]
+        finally:
+            svc.close()
+        assert [e["status"] for e in events].count("queued") == 1
+        assert svc.job(view["id"])["computed_cells"] == 2
+        views.append(view)
+    assert views[0]["id"] != views[1]["id"]
+    assert len(list((root / "jobs").iterdir())) == 2
+
+
 class TestBackpressure:
     def test_queue_full_raises_typed_429(self, tmp_path):
         queue = JobQueue(workers=1, max_pending=2)

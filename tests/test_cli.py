@@ -270,7 +270,6 @@ class TestServeCommand:
             [
                 "serve", "--host", "0.0.0.0", "--port", "9999",
                 "--store", "s", "--workers", "4", "--max-pending", "8",
-                "--backend", "stdlib",
             ]
         )
         assert args.command == "serve"
@@ -278,20 +277,9 @@ class TestServeCommand:
         assert args.max_pending == 8
 
     def test_backend_choices_are_closed(self):
+        """There is one HTTP backend, so there is no flag to pick it."""
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "flask"])
-
-    def test_fastapi_backend_without_fastapi_is_a_cli_error(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import repro.serve.app as app_mod
-
-        monkeypatch.setattr(app_mod, "have_fastapi", lambda: False)
-        monkeypatch.setattr("repro.serve.have_fastapi", lambda: False)
-        code = main(
-            ["serve", "--backend", "fastapi", "--store", str(tmp_path / "s")]
-        )
-        assert code == 2
-        assert "fastapi is not installed" in capsys.readouterr().err
+        for backend in ("stdlib", "fastapi", "flask"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--backend", backend])
