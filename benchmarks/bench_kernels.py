@@ -2,12 +2,11 @@
 
 Times the primitives every experiment is built from: sum-scans at
 machine width, matching, a full divisible expansion cycle, one complete
-paper-scale run, stack-model expansion per backend (list loop vs flat
-arena), and real 15-puzzle node expansion.
+paper-scale run, stack-model expansion, and real 15-puzzle node
+expansion.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.matching import GPMatcher, NGPMatcher
 from repro.core.scheduler import Scheduler
@@ -72,22 +71,17 @@ def test_paper_scale_full_run(benchmark):
     assert metrics.efficiency > 0.8
 
 
-@pytest.mark.parametrize(
-    "backend,sampler",
-    [("list", "pernode"), ("list", "batched"), ("arena", "batched")],
-    ids=["list-pernode", "list-batched", "arena"],
-)
-def test_stack_expand_cycle(benchmark, backend, sampler):
+def test_stack_expand_cycle(benchmark):
     # Warm through the scheduler so work is spread over the PEs, then
-    # time the raw expansion kernel (the arena's headline win).
-    wl = StackWorkload(P * 64, P, rng=0, backend=backend, sampler=sampler)
+    # time the raw expansion kernel.
+    wl = StackWorkload(P * 64, P, rng=0)
     Scheduler(wl, SimdMachine(P, CostModel()), "GP-S0.75", max_cycles=64).run()
     benchmark(wl.expand_cycle)
 
 
 def test_stack_arena_full_run(benchmark):
     def run():
-        wl = StackWorkload(500_000, P, rng=0, backend="arena")
+        wl = StackWorkload(500_000, P, rng=0)
         Scheduler(wl, SimdMachine(P, CostModel()), "GP-S0.90").run()
         return wl
 
@@ -95,10 +89,9 @@ def test_stack_arena_full_run(benchmark):
     assert wl.done() and wl.total_expanded() == 500_000
 
 
-@pytest.mark.parametrize("backend", ["list", "arena"])
-def test_puzzle_expand_cycle(benchmark, backend):
+def test_puzzle_expand_cycle(benchmark):
     puzzle = BENCH_INSTANCES["small"]
-    wl = SearchWorkload(puzzle, 40, 64, backend=backend)
+    wl = SearchWorkload(puzzle, 40, 64)
     # Warm the stacks so the cycle touches many PEs.
     for _ in range(30):
         wl.expand_cycle()
@@ -106,13 +99,13 @@ def test_puzzle_expand_cycle(benchmark, backend):
 
 
 def test_puzzle_arena_full_ida(benchmark):
-    # A complete parallel IDA* run on the vectorized backend: the
+    # A complete parallel IDA* run on the vectorized storage: the
     # end-to-end number behind BENCH_search.json's full_ida section.
     from repro.search.parallel import ParallelIDAStar
 
     def run():
         return ParallelIDAStar(
-            BENCH_INSTANCES["small"], 256, "GP-S0.75", backend="arena"
+            BENCH_INSTANCES["small"], 256, "GP-S0.75"
         ).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ Commands:
   / tsp) with parallel search on the simulated machine.
 - ``xo`` — the Equation 18 optimal static trigger for a configuration.
 - ``table`` / ``figure`` — regenerate a paper table or figure.
-- ``bench`` — time the hot kernels, the real-search backends and a
+- ``bench`` — time the kernel tiers, the real-search kernels and a
   small grid; writes ``BENCH_kernels.json`` and ``BENCH_search.json``
   for the perf trajectory.
 - ``stats`` — render a metrics-registry snapshot (written by ``run
@@ -105,14 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. 'kill=1,drop=0.02,seed=3'",
     )
     solve.add_argument(
-        # Mirrors kernels.dispatch.BACKENDS; kept literal so building the
-        # parser stays import-light (locked by a CLI test).
-        "--kernel-backend", default="numpy",
+        # Mirrors kernels.dispatch BACKENDS / DEFAULT_KERNEL_BACKEND; kept
+        # literal so building the parser stays import-light (locked by a
+        # CLI test).
+        "--kernel-backend", default="auto",
         choices=["auto", "numpy", "fused", "jit"],
-        help="expand-cycle kernel tier (puzzle only — a non-numpy tier "
-        "switches the search to the arena backend, which needs the "
-        "puzzle's vectorizable state).  'jit' needs numba and degrades "
-        "to 'fused' without it (default: numpy)",
+        help="expand-cycle kernel tier for problems with a vectorized "
+        "arena form (the puzzle); accepted and inert for the others.  "
+        "'jit' needs numba and degrades to 'fused' without it "
+        "(default: auto)",
     )
 
     xo = sub.add_parser("xo", help="Equation 18 optimal static trigger")
@@ -169,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
         "an uninterrupted run)",
     )
     grid.add_argument(
-        "--kernel-backend", default="numpy",
+        "--kernel-backend", default="auto",
         choices=["auto", "numpy", "fused", "jit"],
         help="kernel tier for the batched executor's mega-arena "
         "(serial/process paths ignore it; every tier is "
-        "record-identical; default: numpy)",
+        "record-identical; default: auto)",
     )
 
     bench = sub.add_parser(
@@ -242,15 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--pes", type=int, default=256, help="P, processors")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
-        "--backend", default="arena", choices=["list", "arena"],
-        help="stack-model storage backend to profile (default: arena)",
-    )
-    trace.add_argument(
-        "--kernel-backend", default="numpy",
+        "--kernel-backend", default="auto",
         choices=["auto", "numpy", "fused", "jit"],
-        help="expand-cycle kernel tier for the arena backend "
-        "(default: numpy; the list backend is the oracle and only "
-        "accepts numpy)",
+        help="expand-cycle kernel tier to profile (default: auto)",
     )
 
     iso = sub.add_parser(
@@ -430,7 +425,7 @@ def _print_fault_report(metrics: object) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro.kernels.dispatch import jit_note, resolve_backend
+    from repro.kernels.dispatch import jit_note
     from repro.search.branch_and_bound import ParallelDFBB
     from repro.search.parallel import ParallelIDAStar
 
@@ -446,22 +441,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.faults import FaultPlan
 
         faults = FaultPlan.from_spec(args.faults, args.pes)
-    kernel_backend = resolve_backend(args.kernel_backend)
-    if kernel_backend != "numpy" and args.problem != "puzzle":
-        print(
-            "repro solve: error: a non-numpy --kernel-backend needs the "
-            "arena-backed search, which only the puzzle problem supports",
-            file=sys.stderr,
-        )
-        return 2
     if args.kernel_backend == "jit" and jit_note() is not None:
         print(f"note: {jit_note()}")
-    # Non-numpy tiers run on the arena storage; numpy keeps the
-    # historical list-backend default.
-    search_kwargs = dict(
-        kernel_backend=kernel_backend,
-        backend="arena" if kernel_backend != "numpy" else "list",
-    )
     init = 0.85 if args.scheme.endswith(("DK", "DP")) else None
     if args.problem == "puzzle":
         from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
@@ -470,7 +451,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("instance:", puzzle.tiles)
         result = ParallelIDAStar(
             puzzle, args.pes, args.scheme, init_threshold=init, faults=faults,
-            **search_kwargs,
+            kernel_backend=args.kernel_backend,
         ).run()
         print(
             f"optimal cost={result.solution_cost}  solutions={result.solutions}\n"
@@ -484,7 +465,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         problem = NQueensProblem(args.size or 8)
         result = ParallelIDAStar(
             problem, args.pes, args.scheme, init_threshold=init, faults=faults,
-            **search_kwargs,
+            kernel_backend=args.kernel_backend,
         ).run()
         print(
             f"{problem.n}-queens: solutions={result.solutions}  "
@@ -520,7 +501,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         problem = GraphColoringProblem.random(args.size or 10, 3, rng=args.seed)
         result = ParallelIDAStar(
             problem, args.pes, args.scheme, init_threshold=init, faults=faults,
-            **search_kwargs,
+            kernel_backend=args.kernel_backend,
         ).run()
         print(
             f"3-coloring, {problem.n_vertices} vertices: "
@@ -701,21 +682,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.scheduler import Scheduler
-    from repro.kernels.dispatch import resolve_backend
     from repro.obs import Profiler, profiled
     from repro.simd.machine import SimdMachine
     from repro.workmodel.stackmodel import StackWorkload
 
-    if args.backend == "list" and resolve_backend(args.kernel_backend) != "numpy":
-        print(
-            "repro trace: error: --kernel-backend needs --backend arena "
-            "(the list backend is the numpy-only oracle)",
-            file=sys.stderr,
-        )
-        return 2
     workload = StackWorkload(
-        args.work, args.pes, rng=args.seed, backend=args.backend,
-        kernel_backend=args.kernel_backend,
+        args.work, args.pes, rng=args.seed, kernel_backend=args.kernel_backend
     )
     machine = SimdMachine(args.pes)
     init = 0.85 if args.scheme.endswith(("DK", "DP", "D_K", "D_P")) else None

@@ -26,6 +26,12 @@ import numpy as np
 # implementation of the LB phase: every scan they perform is priced into the
 # ledger by the scheduler through Matcher.setup_scans, so calling the scan
 # primitives directly here does not bypass cost accounting.
+from repro.kernels.dispatch import (
+    DEFAULT_KERNEL_BACKEND,
+    get_kernel,
+    resolve_backend,
+)
+from repro.kernels.workspace import KernelWorkspace
 from repro.simd.scan import enumerate_mask, rendezvous
 
 __all__ = ["MatchResult", "Matcher", "NGPMatcher", "GPMatcher"]
@@ -71,20 +77,17 @@ class Matcher:
 
     name: str = "abstract"
     setup_scans: int = 2
-    kernel_backend: str = "numpy"
 
-    def configure_kernels(self, backend: str, workspace=None) -> None:
+    def configure_kernels(
+        self, kernel_backend: str = DEFAULT_KERNEL_BACKEND, workspace=None
+    ) -> None:
         """Route rendezvous/enumeration through a kernel tier.
 
-        ``backend`` is resolved like every other dispatch site
+        ``kernel_backend`` is resolved like every other dispatch site
         (``"auto"`` picks the best available); a workspace is created on
         demand when a non-numpy tier needs one and none is supplied.
         """
-        from repro.kernels.dispatch import get_kernel, resolve_backend
-        from repro.kernels.workspace import KernelWorkspace
-
-        resolved = resolve_backend(backend)
-        self.kernel_backend = resolved
+        resolved = resolve_backend(kernel_backend)
         if workspace is None and resolved != "numpy":
             workspace = KernelWorkspace()
         self._kernel_ws = workspace

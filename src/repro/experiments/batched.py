@@ -47,7 +47,7 @@ from repro.core.metrics import RunMetrics
 from repro.core.splitting import AlphaSplitter, WorkSplitter
 from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger
 from repro.errors import ConfigError
-from repro.kernels.dispatch import resolve_backend
+from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND, resolve_backend
 from repro.kernels.workspace import KernelWorkspace
 from repro.obs.profile import span
 from repro.simd.cost import CostModel
@@ -144,8 +144,8 @@ class MegaGridExecutor:
         but on by default only in tests.
     kernel_backend:
         Tier for the mega kernels and every cell matcher's rendezvous —
-        ``"numpy"`` (reference, default), ``"fused"``, ``"jit"`` or
-        ``"auto"``.  One :class:`~repro.kernels.KernelWorkspace` is
+        ``"numpy"`` (reference), ``"fused"``, ``"jit"`` or ``"auto"``
+        (default).  One :class:`~repro.kernels.KernelWorkspace` is
         shared by the arena and all matchers.
     on_cell_done:
         Called as ``on_cell_done(plan, metrics)`` the cycle each cell
@@ -162,7 +162,7 @@ class MegaGridExecutor:
         cost_model: CostModel | None = None,
         splitter: WorkSplitter | None = None,
         sanitize: bool = False,
-        kernel_backend: str = "numpy",
+        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
         on_cell_done: "Callable[[CellPlan, RunMetrics], None] | None" = None,
     ) -> None:
         if not cells:
@@ -492,7 +492,7 @@ def run_batched_cells(
     cost_model: CostModel | None = None,
     splitter: WorkSplitter | None = None,
     sanitize: bool = False,
-    kernel_backend: str = "numpy",
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     on_cell_done: "Callable[[CellPlan, RunMetrics], None] | None" = None,
 ) -> dict[int, RunMetrics]:
     """Execute planned cells on one :class:`MegaGridExecutor`.

@@ -4,19 +4,12 @@ Times the hot kernels and a small Figure-4-style grid, then writes
 ``BENCH_kernels.json`` so every PR can compare against the last recorded
 numbers:
 
-- **expand_cycle kernel** — node-expansion throughput of the stack-model
-  backends at machine width, measured in a warmed (work-spread) state:
-  the list backend with its per-node sampler (the historical
-  implementation), the list backend with the batched sampler (isolates
-  the RNG-batching win), and the flat arena (adds the vectorized
-  storage win).
-- **full run** — one complete scheduler run per backend, plus a
-  bit-identity check between the list (batched) and arena runs.
-- **kernel tiers** — the same warmed ``expand_cycle`` measured across
-  the :mod:`repro.kernels` dispatch tiers on the arena backend
-  (``numpy`` reference vs ``fused`` zero-allocation vs ``jit`` when
-  numba is importable), with an end-state identity check across tiers
-  and the ``jit_note`` explaining the fallback on numba-less hosts.
+- **kernel tiers** — node-expansion throughput of the stack model's
+  ``expand_cycle`` at machine width, measured in a warmed (work-spread)
+  state across the :mod:`repro.kernels` dispatch tiers (``numpy``
+  reference vs ``fused`` zero-allocation vs ``jit`` when numba is
+  importable), with an end-state identity check across tiers and the
+  ``jit_note`` explaining the fallback on numba-less hosts.
 - **grid** — a small static-trigger isoefficiency grid (Figure 4's
   shape) executed serially and with ``run_grid(n_jobs=...)``, plus a
   record-identity check between the two.
@@ -25,14 +18,11 @@ The *search* section (written separately as ``BENCH_search.json``)
 covers the real 15-puzzle workload the same way:
 
 - **search expansion kernel** — ``SearchWorkload.expand_cycle``
-  throughput per backend (plain list, flat arena) from identically
-  warmed stack states, with backend bit-identity (per-PE counts,
-  expansions, next bound) asserted on the timed states in the same run.
-  (The ``list-memo`` variant was retired: it benched *slower* than the
-  plain list — see :mod:`repro.search.memo`.)
-- **full parallel IDA*** — a complete run on a fixed bench instance per
-  backend, asserting expansion-count/bound/solution identity across
-  backends and against serial IDA*.
+  throughput per kernel tier from identically warmed stack states, with
+  bit-identity (per-PE counts, expansions, next bound) asserted on the
+  timed states in the same run.
+- **full parallel IDA*** — a complete run on a fixed bench instance,
+  asserted node for node against serial IDA*.
 
 ``python -m repro bench --compare OLD.json NEW.json`` diffs two saved
 reports metric by metric (:func:`compare_bench`), prints per-section
@@ -71,8 +61,6 @@ __all__ = [
     "BENCH_PATH",
     "BENCH_SEARCH_PATH",
     "DEFAULT_REPEATS",
-    "bench_expand_kernel",
-    "bench_full_run",
     "bench_kernel_tiers",
     "bench_grid",
     "bench_search_kernel",
@@ -97,14 +85,6 @@ def _check_repeats(repeats: int) -> None:
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-#: (backend, sampler) variants timed by the kernel/full-run benches.
-_VARIANTS = (
-    ("list-pernode", "list", "pernode"),
-    ("list-batched", "list", "batched"),
-    ("arena", "arena", "batched"),
-)
-
-
 def _host_info() -> dict:
     return {
         "platform": platform.platform(),
@@ -115,135 +95,17 @@ def _host_info() -> dict:
 
 
 def _warmed_workload(
-    backend: str,
-    sampler: str,
-    *,
-    work: int,
-    n_pes: int,
-    seed: int,
-    warm_cycles: int,
-    kernel_backend: str = "numpy",
+    *, work: int, n_pes: int, seed: int, warm_cycles: int, kernel_backend: str
 ) -> StackWorkload:
     """A stack workload after ``warm_cycles`` scheduled cycles of spread.
 
-    The warmup is deterministic and identical across variants (same seed,
-    same scheme), so every backend is timed from the same tree state.
+    The warmup is deterministic and identical across tiers (same seed,
+    same scheme), so every tier is timed from the same tree state.
     """
-    workload = StackWorkload(
-        work,
-        n_pes,
-        rng=seed,
-        backend=backend,
-        sampler=sampler,
-        kernel_backend=kernel_backend,
-    )
+    workload = StackWorkload(work, n_pes, rng=seed, kernel_backend=kernel_backend)
     machine = SimdMachine(n_pes, CostModel())
     Scheduler(workload, machine, "GP-S0.75", max_cycles=warm_cycles).run()
     return workload
-
-
-def bench_expand_kernel(
-    *,
-    n_pes: int = 4096,
-    work_per_pe: int = 400,
-    warm_cycles: int = 64,
-    time_cycles: int = 60,
-    seed: int = 0,
-    repeats: int = DEFAULT_REPEATS,
-) -> dict:
-    """Throughput of ``expand_cycle`` per backend variant at width ``n_pes``.
-
-    Best-of-``repeats``: each repeat rebuilds the identically warmed
-    workload from the same seed and re-times the same cycles; repeat 0
-    is an untimed warmup pass.
-    """
-    _check_repeats(repeats)
-    work = n_pes * work_per_pe
-    backends: dict[str, dict] = {}
-    for name, backend, sampler in _VARIANTS:
-        best: dict | None = None
-        for rep in range(repeats + 1):
-            workload = _warmed_workload(
-                backend,
-                sampler,
-                work=work,
-                n_pes=n_pes,
-                seed=seed,
-                warm_cycles=warm_cycles,
-            )
-            expanded_before = workload.total_expanded()
-            cycles = 0
-            t0 = time.perf_counter()
-            while cycles < time_cycles and not workload.done():
-                workload.expand_cycle()
-                cycles += 1
-            dt = time.perf_counter() - t0
-            row = {
-                "cycles": cycles,
-                "nodes_per_s": (workload.total_expanded() - expanded_before) / dt,
-                "ms_per_cycle": dt / max(cycles, 1) * 1e3,
-            }
-            if rep and (best is None or row["ms_per_cycle"] < best["ms_per_cycle"]):
-                best = row
-        assert best is not None
-        backends[name] = best
-    return {
-        "n_pes": n_pes,
-        "total_work": work,
-        "warm_cycles": warm_cycles,
-        "time_cycles": time_cycles,
-        "repeats": repeats,
-        "backends": backends,
-        "speedup_arena_vs_list": (
-            backends["arena"]["nodes_per_s"] / backends["list-pernode"]["nodes_per_s"]
-        ),
-        "speedup_arena_vs_list_batched": (
-            backends["arena"]["nodes_per_s"] / backends["list-batched"]["nodes_per_s"]
-        ),
-    }
-
-
-def bench_full_run(
-    *,
-    n_pes: int = 4096,
-    work_per_pe: int = 100,
-    seed: int = 0,
-    scheme: str = "GP-S0.75",
-    repeats: int = DEFAULT_REPEATS,
-) -> dict:
-    """Wall-clock of one complete scheduled stack-model run per variant.
-
-    Best-of-``repeats`` full runs (identical by construction — same
-    seed, same scheme); repeat 0 is an untimed warmup pass.
-    """
-    _check_repeats(repeats)
-    work = n_pes * work_per_pe
-    seconds: dict[str, float] = {}
-    metrics: dict[str, object] = {}
-    for name, backend, sampler in _VARIANTS:
-        best: float | None = None
-        for rep in range(repeats + 1):
-            workload = StackWorkload(
-                work, n_pes, rng=seed, backend=backend, sampler=sampler
-            )
-            machine = SimdMachine(n_pes, CostModel())
-            t0 = time.perf_counter()
-            metrics[name] = Scheduler(workload, machine, scheme).run()
-            dt = time.perf_counter() - t0
-            if rep and (best is None or dt < best):
-                best = dt
-        assert best is not None
-        seconds[name] = best
-    return {
-        "n_pes": n_pes,
-        "total_work": work,
-        "scheme": scheme,
-        "repeats": repeats,
-        "seconds": seconds,
-        "speedup_arena_vs_list": seconds["list-pernode"] / seconds["arena"],
-        # Same batched RNG stream => the runs must be indistinguishable.
-        "metrics_identical": metrics["list-batched"] == metrics["arena"],
-    }
 
 
 def bench_kernel_tiers(
@@ -255,9 +117,9 @@ def bench_kernel_tiers(
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """Arena ``expand_cycle`` throughput per :mod:`repro.kernels` tier.
+    """Stack-model ``expand_cycle`` throughput per :mod:`repro.kernels` tier.
 
-    Times the identically warmed arena workload under each dispatchable
+    Times the identically warmed workload under each dispatchable
     tier — ``numpy`` (the reference), ``fused`` (the zero-allocation
     workspace path) and ``jit`` when numba is importable — and asserts
     the end states (expansion count, per-PE stack windows, RNG position)
@@ -275,8 +137,6 @@ def bench_kernel_tiers(
         best: dict | None = None
         for rep in range(repeats + 1):
             workload = _warmed_workload(
-                "arena",
-                "batched",
                 work=work,
                 n_pes=n_pes,
                 seed=seed,
@@ -392,40 +252,27 @@ def bench_grid(
 
 # -- real-search benches (the BENCH_search.json section) -------------------
 
-#: (name, backend, kernel_backend) variants timed by the search kernel
-#: bench.  The old ``list-memo`` variant was retired after it benched
-#: *slower* than the plain list backend (whole-state hashing beat
-#: recomputing h) — the regression now lives on as lint rule R102's memo
-#: check.  ``arena-fused`` runs the same arena through the
-#: :mod:`repro.kernels` fused tier (workspace scratch, no per-cycle
-#: allocation).
+#: (name, kernel_backend) variants timed by the search kernel bench:
+#: the reference tier and the :mod:`repro.kernels` fused tier (workspace
+#: scratch, no per-cycle allocation) over the same arena.
 _SEARCH_VARIANTS = (
-    ("list", "list", "numpy"),
-    ("arena", "arena", "numpy"),
-    ("arena-fused", "arena", "fused"),
+    ("arena", "numpy"),
+    ("arena-fused", "fused"),
 )
 
 
 def _warmed_search_workload(
-    problem,
-    bound: int,
-    backend: str,
-    *,
-    n_pes: int,
-    warm_cycles: int,
-    kernel_backend: str = "numpy",
+    problem, bound: int, *, n_pes: int, warm_cycles: int, kernel_backend: str
 ):
     """A ``SearchWorkload`` after ``warm_cycles`` scheduled spread cycles.
 
     The warmup is deterministic and identical across variants (same
-    instance, bound and scheme), so every backend is timed from the same
+    instance, bound and scheme), so every tier is timed from the same
     — vector-identical — stack state.
     """
     from repro.search.parallel import SearchWorkload
 
-    workload = SearchWorkload(
-        problem, bound, n_pes, backend=backend, kernel_backend=kernel_backend
-    )
+    workload = SearchWorkload(problem, bound, n_pes, kernel_backend=kernel_backend)
     machine = SimdMachine(n_pes, CostModel())
     Scheduler(
         workload, machine, "GP-S0.75", init_threshold=0.9, max_cycles=warm_cycles
@@ -443,7 +290,7 @@ def bench_search_kernel(
     time_cycles: int = 48,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """Throughput of the real-search ``expand_cycle`` per backend.
+    """Throughput of the real-search ``expand_cycle`` per kernel tier.
 
     One fixed 15-puzzle instance, one generous cost bound (root ``h``
     plus ``bound_slack``, wide enough that the tree outlives the timing
@@ -459,13 +306,12 @@ def bench_search_kernel(
     bound = problem.heuristic(problem.initial_state()) + bound_slack
     backends: dict[str, dict] = {}
     end_states: dict[str, tuple] = {}
-    for name, backend, kernel_backend in _SEARCH_VARIANTS:
+    for name, kernel_backend in _SEARCH_VARIANTS:
         best: dict | None = None
         for rep in range(repeats + 1):
             workload = _warmed_search_workload(
                 problem,
                 bound,
-                backend,
                 n_pes=n_pes,
                 warm_cycles=warm_cycles,
                 kernel_backend=kernel_backend,
@@ -493,11 +339,11 @@ def bench_search_kernel(
             )
         assert best is not None
         backends[name] = best
-    reference = end_states["list"]
+    reference = end_states["arena"]
     identical = all(state == reference for state in end_states.values())
     if not identical:
         raise RuntimeError(
-            "search backends diverged during the kernel bench; the timing "
+            "search kernel tiers diverged during the kernel bench; the timing "
             "numbers would compare different trees"
         )
     return {
@@ -509,9 +355,6 @@ def bench_search_kernel(
         "repeats": repeats,
         "backends": backends,
         "backends_identical": identical,
-        "speedup_arena_vs_list": (
-            backends["arena"]["nodes_per_s"] / backends["list"]["nodes_per_s"]
-        ),
         "speedup_fused_vs_arena": (
             backends["arena-fused"]["nodes_per_s"]
             / backends["arena"]["nodes_per_s"]
@@ -520,29 +363,22 @@ def bench_search_kernel(
 
 
 def _profile_expand_spans(problem, n_pes: int) -> dict:
-    """Span-profile one full IDA* run per backend (expand spans only).
+    """Span-profile one full IDA* run per kernel tier (expand spans only).
 
-    Explains the small-instance ``speedup_arena_vs_list`` floor: per
-    lock-step cycle the arena kernel issues a fixed ~25 numpy dispatches
-    regardless of how few PEs are busy, so when the frontier is tiny
-    (few nodes per cycle) the list oracle's per-node Python cost
-    undercuts the arena's per-cycle dispatch cost.  The recorded
-    ``us_per_cycle`` pair quantifies that floor on this host; the dense
-    ``expansion_kernel`` section shows the same kernel winning ~12x once
-    every PE is busy.
+    Per lock-step cycle the reference kernel issues a fixed ~25 numpy
+    dispatches regardless of how few PEs are busy, so on a tiny frontier
+    the cycle is all dispatch cost; the fused tier's sparse-frontier band
+    runs a per-row loop instead.  The recorded ``us_per_cycle`` pair
+    quantifies that on this host.
     """
     from repro.obs.profile import Profiler, activate, deactivate
     from repro.search.parallel import ParallelIDAStar
 
     spans: dict[str, dict] = {}
-    for name, backend, kernel_backend in _SEARCH_VARIANTS:
+    for name, kernel_backend in _SEARCH_VARIANTS:
         def run():
             return ParallelIDAStar(
-                problem,
-                n_pes,
-                "GP-S0.75",
-                backend=backend,
-                kernel_backend=kernel_backend,
+                problem, n_pes, "GP-S0.75", kernel_backend=kernel_backend
             ).run()
 
         run()
@@ -552,20 +388,12 @@ def _profile_expand_spans(problem, n_pes: int) -> dict:
             run()
         finally:
             deactivate()
-        agg = profiler.totals()[f"expand.search.{backend}"]
+        agg = profiler.totals()["expand.search.arena"]
         spans[name] = {
             "cycles": agg["count"],
             "seconds": agg["seconds"],
             "us_per_cycle": 1e6 * agg["seconds"] / agg["count"],
         }
-    spans["note"] = (
-        "arena expand pays a fixed numpy-dispatch cost per cycle; on "
-        "sparse frontiers (few busy PEs) the per-node list oracle is at "
-        "or below that floor.  The fused tier narrows it with a "
-        "per-row loop when <= 3 PEs are busy (and scratch reuse above "
-        "that); the dense expansion_kernel section shows the full "
-        "crossover"
-    )
     return spans
 
 
@@ -575,63 +403,45 @@ def bench_search_full(
     n_pes: int = 256,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """Wall-clock of one complete parallel IDA* run per backend.
+    """Wall-clock of one complete parallel IDA* run at the default tier.
 
-    Runs the fixed bench instance to optimality on both backends
-    (best-of-``repeats``, repeat 0 untimed warmup), asserts (in-run)
-    that expansions, bounds and solutions are identical across backends
-    *and* match serial IDA* node for node, and reports the list
-    backend's heuristic-memo hit rate.
+    Runs the fixed bench instance to optimality (best-of-``repeats``,
+    repeat 0 untimed warmup) and asserts (in-run) that expansions, bounds
+    and the optimal cost match serial IDA* node for node.
     """
+    from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND, resolve_backend
     from repro.problems.fifteen_puzzle import BENCH_INSTANCES
     from repro.search.ida_star import ida_star
     from repro.search.parallel import ParallelIDAStar
 
     _check_repeats(repeats)
     problem = BENCH_INSTANCES[instance]
-    seconds: dict[str, float] = {}
-    results: dict[str, object] = {}
-    for backend in ("list", "arena"):
-        best: float | None = None
-        for rep in range(repeats + 1):
-            t0 = time.perf_counter()
-            results[backend] = ParallelIDAStar(
-                problem, n_pes, "GP-S0.75", backend=backend
-            ).run()
-            dt = time.perf_counter() - t0
-            if rep and (best is None or dt < best):
-                best = dt
-        assert best is not None
-        seconds[backend] = best
-    list_result, arena_result = results["list"], results["arena"]
+    best: float | None = None
+    for rep in range(repeats + 1):
+        t0 = time.perf_counter()
+        result = ParallelIDAStar(problem, n_pes, "GP-S0.75").run()
+        dt = time.perf_counter() - t0
+        if rep and (best is None or dt < best):
+            best = dt
+    assert best is not None
     serial = ida_star(problem)
-    identical = (
-        list_result.total_expanded == arena_result.total_expanded
-        and list_result.bounds == arena_result.bounds
-        and list_result.solution_cost == arena_result.solution_cost
-        and list_result.solutions == arena_result.solutions
-        and list_result.per_iteration_expanded == arena_result.per_iteration_expanded
-    )
     serial_parity = (
-        list_result.total_expanded == serial.total_expanded
-        and list_result.solution_cost == serial.solution_cost
+        result.total_expanded == serial.total_expanded
+        and result.bounds == serial.bounds
+        and result.solution_cost == serial.solution_cost
     )
-    if not (identical and serial_parity):
-        raise RuntimeError(
-            f"parallel IDA* diverged on {instance!r}: backends identical="
-            f"{identical}, serial parity={serial_parity}"
-        )
+    if not serial_parity:
+        raise RuntimeError(f"parallel IDA* diverged from serial on {instance!r}")
     return {
         "expand_span_profile": _profile_expand_spans(problem, n_pes),
         "instance": instance,
         "n_pes": n_pes,
         "repeats": repeats,
-        "total_expanded": list_result.total_expanded,
-        "solution_cost": list_result.solution_cost,
-        "bounds": list(list_result.bounds),
-        "seconds": seconds,
-        "speedup_arena_vs_list": seconds["list"] / seconds["arena"],
-        "backends_identical": identical,
+        "kernel_backend": resolve_backend(DEFAULT_KERNEL_BACKEND),
+        "total_expanded": result.total_expanded,
+        "solution_cost": result.solution_cost,
+        "bounds": list(result.bounds),
+        "seconds": {"arena": best},
         "serial_parity": serial_parity,
     }
 
@@ -705,15 +515,6 @@ def run_bench(
         "seed": seed,
         "host": _host_info(),
         "kernels": {
-            "expand_cycle": bench_expand_kernel(
-                n_pes=n_pes, seed=seed, repeats=repeats, **kernel_kwargs
-            ),
-            "full_run": bench_full_run(
-                n_pes=n_pes,
-                seed=seed,
-                work_per_pe=20 if smoke else 100,
-                repeats=repeats,
-            ),
             "fused": bench_kernel_tiers(
                 n_pes=n_pes, seed=seed, repeats=repeats, **kernel_kwargs
             ),
@@ -731,23 +532,9 @@ def run_bench(
 
 def render_bench(report: dict) -> str:
     """A terse human summary of one bench report."""
-    kernel = report["kernels"]["expand_cycle"]
-    full = report["kernels"]["full_run"]
     fused = report["kernels"]["fused"]
     grid = report["grid"]
-    lines = [
-        f"expand_cycle kernel @ P={kernel['n_pes']}:",
-    ]
-    for name, row in kernel["backends"].items():
-        lines.append(
-            f"  {name:13s} {row['nodes_per_s']:>12,.0f} nodes/s"
-            f"  ({row['ms_per_cycle']:.3f} ms/cycle)"
-        )
-    lines += [
-        f"  arena speedup vs list: {kernel['speedup_arena_vs_list']:.1f}x"
-        f" (vs list-batched: {kernel['speedup_arena_vs_list_batched']:.1f}x)",
-        f"kernel tiers (arena expand_cycle) @ P={fused['n_pes']}:",
-    ]
+    lines = [f"expand_cycle kernel tiers @ P={fused['n_pes']}:"]
     for name, row in fused["tiers"].items():
         lines.append(
             f"  {name:13s} {row['nodes_per_s']:>12,.0f} nodes/s"
@@ -760,11 +547,6 @@ def render_bench(report: dict) -> str:
     if fused["jit_note"]:
         lines.append(f"  note: {fused['jit_note']}")
     lines += [
-        f"full run @ P={full['n_pes']}, W={full['total_work']}: "
-        f"arena {full['seconds']['arena']:.2f}s, "
-        f"list {full['seconds']['list-pernode']:.2f}s "
-        f"({full['speedup_arena_vs_list']:.1f}x); "
-        f"bit-identical: {full['metrics_identical']}",
         f"grid {grid['cells']} cells, n_jobs={grid['n_jobs']}: "
         f"serial {grid['serial_s']:.2f}s, batched {grid['batched_s']:.2f}s "
         f"({grid['speedup']:.2f}x), process {grid['process_s']:.2f}s "
@@ -788,15 +570,11 @@ def render_search_bench(report: dict) -> str:
             f"  ({row['ms_per_cycle']:.3f} ms/cycle)"
         )
     lines += [
-        f"  arena speedup vs list: {kernel['speedup_arena_vs_list']:.1f}x"
-        f" (fused vs arena: {kernel['speedup_fused_vs_arena']:.2f}x);"
-        f" backends identical: {kernel['backends_identical']}",
+        f"  fused speedup vs numpy: {kernel['speedup_fused_vs_arena']:.2f}x;"
+        f" tiers identical: {kernel['backends_identical']}",
         f"full parallel IDA* ({full['instance']}, P={full['n_pes']}, "
-        f"W={full['total_expanded']}): "
-        f"arena {full['seconds']['arena']:.2f}s, "
-        f"list {full['seconds']['list']:.2f}s "
-        f"({full['speedup_arena_vs_list']:.1f}x); "
-        f"identical: {full['backends_identical']}, "
+        f"W={full['total_expanded']}, {full['kernel_backend']} tier): "
+        f"{full['seconds']['arena']:.2f}s; "
         f"serial parity: {full['serial_parity']}",
     ]
     return "\n".join(lines)

@@ -43,6 +43,7 @@ from repro.errors import (
 )
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
 from repro.faults import CheckpointConfig, FaultPlan, GridChaos
+from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND
 from repro.obs import Observability
 from repro.obs.registry import MetricsRegistry, record_run
 from repro.simd.cost import CostModel
@@ -480,7 +481,7 @@ def run_grid(
     chaos: GridChaos | None = None,
     registry: MetricsRegistry | None = None,
     executor: str = "auto",
-    kernel_backend: str = "numpy",
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     sanitize: bool = False,
     journal: "str | Path | None" = None,
     resume: bool = False,
@@ -562,8 +563,8 @@ def run_grid(
     execution path, so all executors produce identical snapshots.
 
     ``kernel_backend`` selects the kernel tier the mega-arena and its
-    matchers run on (``"numpy"`` reference by default,
-    ``"fused"``/``"jit"``/``"auto"`` — see :mod:`repro.kernels`);
+    matchers run on (``"auto"`` by default, or
+    ``"numpy"``/``"fused"``/``"jit"`` — see :mod:`repro.kernels`);
     one-cell units ignore it, and every tier is record-identical.
 
     ``sanitize`` turns on the runtime invariant checks in every cell on

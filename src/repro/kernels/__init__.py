@@ -10,7 +10,9 @@ the :class:`~repro.workmodel.mega.MegaArena` grid kernels — behind one
   :class:`KernelWorkspace`;
 - ``backend="jit"`` — numba ``@njit`` row loops when numba is
   importable, graceful fallback to ``"fused"`` when not;
-- ``backend="auto"`` — the best available tier.
+- ``backend="auto"`` — the best available tier, and the value of
+  :data:`DEFAULT_KERNEL_BACKEND`, the one default every
+  ``kernel_backend=`` parameter shares.
 
 See ``docs/performance.md`` ("Kernel tiers") for dispatch rules,
 workspace lifetime and the bit-identity gating story.
@@ -18,6 +20,7 @@ workspace lifetime and the bit-identity gating story.
 
 from repro.kernels.dispatch import (
     BACKENDS,
+    DEFAULT_KERNEL_BACKEND,
     HAVE_NUMBA,
     available_backends,
     get_kernel,
@@ -30,6 +33,7 @@ from repro.kernels.workspace import KernelWorkspace
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_KERNEL_BACKEND",
     "HAVE_NUMBA",
     "KernelWorkspace",
     "available_backends",

@@ -33,6 +33,7 @@ from repro.errors import ConfigError
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_KERNEL_BACKEND",
     "HAVE_NUMBA",
     "available_backends",
     "resolve_backend",
@@ -51,6 +52,10 @@ except Exception:  # pragma: no cover - ImportError on the lean image
 
 #: Dispatchable tiers, slowest to fastest.
 BACKENDS: tuple[str, ...] = ("numpy", "fused", "jit")
+
+#: The one default every ``kernel_backend=`` parameter and CLI
+#: ``--kernel-backend`` flag shares: the best tier this interpreter runs.
+DEFAULT_KERNEL_BACKEND = "auto"
 
 #: Lookup order per requested tier — a kernel missing from a tier falls
 #: through to the next one down.
@@ -120,7 +125,7 @@ def _ensure_loaded() -> None:
         _LOADED = True
 
 
-def get_kernel(name: str, backend: str = "auto") -> Callable:
+def get_kernel(name: str, backend: str = DEFAULT_KERNEL_BACKEND) -> Callable:
     """The best registered implementation of ``name`` at ``backend``.
 
     Walks the fallback chain (``jit -> fused -> numpy``) so partially

@@ -117,7 +117,7 @@ def search_expand_numpy(wl: SearchWorkload, ws=None) -> int:  # repro: kernel
 
     # Push in *reversed* generation order (walk the move columns
     # right-to-left), so popping the flat tail visits children in
-    # generation order — same as the list backend's level reversal.
+    # generation order — same as the ``DFSStack`` path's level reversal.
     keep_r = keep[:, ::-1]
     lens = keep_r.sum(axis=1, dtype=np.int64)
     total = int(lens.sum())

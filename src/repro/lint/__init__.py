@@ -22,7 +22,7 @@ dataflow (:mod:`repro.lint.dataflow`):
 - **R101** no wall-clock / ``os.environ`` / set-order / ``id()``-keyed
   nondeterminism in kernel-marked code;
 - **R102** kernel purity: no Python PE-axis loops, object dtypes, float
-  dtype drift, I/O, or per-state memoization;
+  dtype drift or I/O;
 - **R103** writes to PE-indexed storage are dominated by an
   alive/active mask guard.
 

@@ -13,10 +13,8 @@ bit-identity gate in this repo rests on:
 - **R101** — nondeterminism sources in kernel-marked code: wall-clock,
   ``os.environ``, set/dict-order iteration, ``id()``-keyed maps.
 - **R102** — kernel purity: no Python-level loops over the PE axis, no
-  object-dtype arrays, no float dtype drift in the int64 arenas, no
-  file/console I/O, and no per-state Python-level memoization (the
-  pattern that made ``list-memo`` *slower* than the plain list backend
-  in BENCH_search.json).
+  object-dtype arrays, no float dtype drift in the int64 arenas and no
+  file/console I/O.
 - **R103** — mask provenance: writes to PE-indexed arena storage must be
   dominated by an alive/active mask guard — the static twin of the
   runtime sanitizer's mask taxonomy and ``FaultRuntime``'s dead-PE
@@ -311,7 +309,7 @@ class KernelPurity(DataflowRule):
     """R102: kernel functions stay vectorized, typed and I/O-free."""
 
     rule_id = "R102"
-    title = "kernel purity violation (PE loop / dtype drift / I/O / memo)"
+    title = "kernel purity violation (PE loop / dtype drift / I/O)"
 
     _PE_AXIS_NAMES = frozenset({"n_pes", "num_pes", "n_processors"})
     _FLOAT_DTYPES = frozenset(
@@ -322,7 +320,6 @@ class KernelPurity(DataflowRule):
         {"write_text", "write_bytes", "read_text", "read_bytes", "save",
          "savetxt", "tofile"}
     )
-    _MEMO_CALLS = frozenset({"repro.search.memo.HeuristicMemo"})
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         info = self.module_info(ctx)
@@ -384,22 +381,12 @@ class KernelPurity(DataflowRule):
                     "do I/O; report through the ledger / repro.obs instead",
                 )
             dotted = resolve_call(func, info.bindings)
-            if dotted is not None:
-                if dotted.startswith(self._IO_CALLS):
-                    yield self.finding(
-                        ctx, node,
-                        f"call to {dotted} in kernel '{fn.name}': kernels "
-                        "must not do I/O",
-                    )
-                if dotted in self._MEMO_CALLS:
-                    yield self.finding(
-                        ctx, node,
-                        f"per-state Python-level memoization in kernel "
-                        f"'{fn.name}': hashing whole-state keys per node "
-                        "costs more than recomputing h (BENCH_search.json's "
-                        "list-memo regression); use the arena's incremental "
-                        "delta tables instead",
-                    )
+            if dotted is not None and dotted.startswith(self._IO_CALLS):
+                yield self.finding(
+                    ctx, node,
+                    f"call to {dotted} in kernel '{fn.name}': kernels "
+                    "must not do I/O",
+                )
 
     def _is_pe_axis_range(self, it: ast.expr) -> bool:
         if not (

@@ -8,12 +8,10 @@
 - :mod:`repro.search.ida_star` — serial IDA* (Korf [15]) finding all
   solutions up to the final bound, the paper's speedup-anomaly-free setup.
 - :mod:`repro.search.arena` — packed flat-array storage for the per-PE
-  stacks: the vectorized ``backend="arena"`` of the parallel workload.
-- :mod:`repro.search.memo` — bounded heuristic memoization for the list
-  backend (hit/miss counters surfaced by the bench harness).
-- :mod:`repro.search.parallel` — the real-stacks SIMD workload (list and
-  arena backends) and the parallel IDA* driver built on the core
-  scheduler.
+  stacks of problems with a vectorizable view (the sliding puzzles).
+- :mod:`repro.search.parallel` — the real-stacks SIMD workload (arena
+  storage when the problem allows it, per-PE ``DFSStack`` objects
+  otherwise) and the parallel IDA* driver built on the core scheduler.
 - :mod:`repro.search.branch_and_bound` — Depth-First Branch and Bound
   (the other depth-first family of Section 2), serial and SIMD-parallel
   with lock-step incumbent broadcasting.
@@ -21,7 +19,6 @@
 
 from repro.search.problem import SearchProblem
 from repro.search.arena import SearchArena
-from repro.search.memo import HeuristicMemo
 from repro.search.stack import DFSStack, StackEntry
 from repro.search.serial import depth_bounded_dfs, SerialSearchResult
 from repro.search.ida_star import ida_star, IDAStarResult
@@ -50,7 +47,6 @@ __all__ = [
     "serial_dfbb",
     "SearchProblem",
     "SearchArena",
-    "HeuristicMemo",
     "DFSStack",
     "StackEntry",
     "depth_bounded_dfs",

@@ -1,8 +1,8 @@
 """Flat-arena storage for real per-PE DFS search stacks.
 
-The list backend of :class:`~repro.search.parallel.SearchWorkload` keeps
-one :class:`~repro.search.stack.DFSStack` of ``StackEntry`` objects per
-PE and pays a Python-level loop — pop, goal test, expand, heuristic,
+For a general problem :class:`~repro.search.parallel.SearchWorkload`
+keeps one :class:`~repro.search.stack.DFSStack` of ``StackEntry`` objects
+per PE and pays a Python-level loop — pop, goal test, expand, heuristic,
 push — per PE per lock-step cycle.  At machine width (P >= 1024) that
 loop dominates the 15-puzzle experiment's wall clock the same way the
 deque loop dominated the synthetic stack model before
@@ -23,12 +23,12 @@ Section 5) advances ``bottom`` on the left in O(1) per pair.  All
 operations are full-width numpy kernels; none iterates over PEs.
 
 Why a flat window is *exactly* a ``DFSStack``: the level structure of
-the list backend concatenates, in level order, to one flat sequence.
+a ``DFSStack`` concatenates, in level order, to one flat sequence.
 ``pop_next`` removes the flat tail (the deepest level's last entry),
 ``push_level`` appends to the flat tail, and ``split_bottom`` removes
 the flat head (level 0's first entry).  Every workload operation reads
 or writes only the two ends, so storing the flat sequence loses nothing
-— and the cross-backend suite asserts the resulting searches are
+— and the cross-storage suite asserts the resulting searches are
 expansion-count- and solution-identical, scheme for scheme.
 
 The expansion *kernel* (move tables, delta-``h``, bound pruning) lives
@@ -155,9 +155,10 @@ class SearchArena:
 
     def donate_half(self, donor: int, receiver: int) -> int:
         """Move the bottom ``count // 2`` entries to an empty receiver,
-        re-ordered shallow-to-deep by ``g`` (stable), matching the list
-        backend's ``split_half`` receiver rebuild.  Returns the number of
-        entries moved (the caller checks donor >= 2, receiver empty).
+        re-ordered shallow-to-deep by ``g`` (stable), matching the
+        ``DFSStack`` path's ``split_half`` receiver rebuild.  Returns the
+        number of entries moved (the caller checks donor >= 2, receiver
+        empty).
 
         Unmasked scalar-pair helper: the "half" ablation drives it one
         validated donor/receiver pair at a time from Python.

@@ -8,27 +8,26 @@ donation hands over the alternative at the bottom of a stack (Section 5's
 deepening driver, sharing one machine ledger across iterations so the
 reported efficiency covers the whole run.
 
-Two storage backends implement the same workload, mirroring the
-``StackWorkload`` split:
+The workload picks its stack storage from the problem alone:
 
-- ``backend="list"`` — one :class:`~repro.search.stack.DFSStack` per PE,
-  expanded in a per-PE Python loop.  The transparent oracle; works with
-  any :class:`~repro.search.problem.SearchProblem`.  (The deprecated
-  :class:`~repro.search.memo.HeuristicMemo` ablation remains available
-  via ``heuristic_memo=True`` but benches slower than recomputing.)
-- ``backend="arena"`` — all stacks packed into one
+- a problem that exposes the vectorizable view (``_ARENA_PROTOCOL``) and
+  answers ``supports_arena_backend()`` — a
+  :class:`~repro.problems.npuzzle.SlidingPuzzle` with the Manhattan
+  heuristic, any side — has all stacks packed into one
   :class:`~repro.search.arena.SearchArena`; a cycle pops every non-empty
-  top, goal-tests, generates children from the problem's precomputed
-  move table, updates ``h`` incrementally via the Manhattan delta table
-  (O(1) per move instead of an O(side^2) recompute), bound-prunes and
-  pushes — all in a handful of full-width numpy kernels.  Requires a
-  vectorizable problem (:class:`~repro.problems.npuzzle.SlidingPuzzle`
-  with the Manhattan heuristic, any side).
+  top, goal-tests, generates children from the precomputed move table,
+  updates ``h`` incrementally via the Manhattan delta table (O(1) per
+  move instead of an O(side^2) recompute), bound-prunes and pushes — all
+  in a handful of full-width kernels;
+- any other :class:`~repro.search.problem.SearchProblem` (n-queens,
+  colouring, a linear-conflict puzzle) gets one
+  :class:`~repro.search.stack.DFSStack` per PE, expanded in a per-PE
+  Python loop.
 
-Both backends expand the *same* deterministic tree, so full runs are
-expansion-count- and solution-identical — the anomaly-free property of
-the paper's setup makes this a hard equality, asserted scheme by scheme
-in the integration suite.
+Both storages expand the *same* deterministic tree, so full runs are
+expansion-count- and solution-identical — asserted scheme by scheme in
+the integration suite, which reaches the ``DFSStack`` path on a puzzle by
+hiding its vectorizable view (``tests/oracles.opaque``).
 
 Because each iteration runs its bound to exhaustion (all solutions up to
 the bound are collected), the number of nodes expanded is *identical* to
@@ -36,10 +35,9 @@ serial IDA*'s — the paper's anomaly-free setup, asserted by the
 integration tests.
 
 Busy/idle/expanding masks derive from one cached per-PE entry count,
-invalidated on every mutation; code that mutates ``stacks`` directly
-must call :meth:`SearchWorkload.invalidate_masks` before re-reading
-masks (the convention ``StackWorkload``/``DivisibleWorkload`` already
-follow).
+invalidated on every mutation; code that mutates the ``DFSStack`` objects
+in ``stacks`` directly must call :meth:`SearchWorkload.invalidate_masks`
+before re-reading masks.
 """
 
 from __future__ import annotations
@@ -53,14 +51,17 @@ from repro.core.metrics import RunMetrics
 from repro.core.scheduler import Scheduler
 from repro.faults.plan import FaultPlan
 from repro.faults.runtime import FaultRuntime
-from repro.kernels.dispatch import get_kernel, resolve_backend
+from repro.kernels.dispatch import (
+    DEFAULT_KERNEL_BACKEND,
+    get_kernel,
+    resolve_backend,
+)
 from repro.kernels.workspace import KernelWorkspace
 from repro.obs import Observability
 from repro.obs.events import IterationEvent
 from repro.obs.profile import span
 from repro.obs.registry import record_run
 from repro.search.arena import BLANK_COL, G_COL, PREV_COL, SearchArena
-from repro.search.memo import HeuristicMemo
 from repro.search.problem import SearchProblem
 from repro.search.stack import DFSStack, StackEntry
 from repro.simd.cost import CostModel
@@ -73,7 +74,7 @@ __all__ = [
     "parallel_depth_bounded",
 ]
 
-#: Methods a problem must provide for the vectorized arena backend
+#: What a problem must expose to be stored in the vectorized arena
 #: (duck-typed so problems/ and search/ stay import-cycle-free).
 _ARENA_PROTOCOL = (
     "supports_arena_backend",
@@ -105,25 +106,17 @@ class SearchWorkload:
         Stop at the cycle boundary after any PE finds a goal — the mode
         with speedup anomalies (Rao & Kumar [33]).  The paper's
         experiments keep this off; the anomaly benchmark turns it on.
-    backend:
-        ``"list"`` (per-PE ``DFSStack`` oracle, any problem) or
-        ``"arena"`` (flat vectorized storage, sliding puzzles with the
-        Manhattan heuristic).
-    h_memo:
-        Optional :class:`~repro.search.memo.HeuristicMemo` the list
-        backend routes child-``h`` computations through (share one across
-        IDA* iterations to carry the cache over).  The arena backend
-        needs none and rejects it.
     kernel_backend:
-        Expand-cycle kernel tier for the arena backend — ``"numpy"``
-        (reference, default), ``"fused"`` (zero-allocation workspace
-        path with a sparse-frontier fast path), ``"jit"`` (numba row
-        loop when available, else fused) or ``"auto"``.  The list
-        backend is the oracle and only accepts ``"numpy"``.
+        Expand-cycle kernel tier for the arena storage — ``"numpy"``
+        (reference), ``"fused"`` (zero-allocation workspace path with a
+        sparse-frontier fast path), ``"jit"`` (numba row loop when
+        available, else fused) or ``"auto"`` (the default: the best tier
+        available).  Every tier is bit-identical; a problem stored in
+        ``DFSStack``s has no kernel to pick and ignores it.
     workspace:
         Optional shared :class:`~repro.kernels.KernelWorkspace` (IDA*
-        passes one across iterations); one is created per workload when
-        a non-numpy tier needs it.
+        passes one across iterations); one is created per arena-stored
+        workload when a non-numpy tier needs it.
     """
 
     def __init__(
@@ -134,80 +127,59 @@ class SearchWorkload:
         *,
         split: str = "bottom",
         first_solution_only: bool = False,
-        backend: str = "list",
-        h_memo: HeuristicMemo | None = None,
-        kernel_backend: str = "numpy",
+        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
         workspace: KernelWorkspace | None = None,
     ) -> None:
         if split not in ("bottom", "half"):
             raise ValueError(f"split must be 'bottom' or 'half', got {split!r}")
-        if backend not in ("list", "arena"):
-            raise ValueError(f"backend must be 'list' or 'arena', got {backend!r}")
         self.problem = problem
         self.bound = int(bound)
         self.n_pes = int(n_pes)
         self.split = split
         self.first_solution_only = first_solution_only
-        self.backend = backend
-        resolved = resolve_backend(kernel_backend)
-        if backend == "list" and resolved != "numpy":
-            raise ValueError(
-                "the list backend is the oracle tier and only accepts "
-                f"kernel_backend='numpy', got {kernel_backend!r}"
-            )
-        self.kernel_backend = resolved
-        if workspace is None and resolved != "numpy":
-            workspace = KernelWorkspace()
-        self._kernel_ws = workspace
-        self._expand_kernel = None
+        self.kernel_backend = resolve_backend(kernel_backend)
 
         self.expanded = 0
         self.solutions = 0
         self.goal_depths: list[int] = []
         self.next_bound: int | None = None
         self._cached_counts: np.ndarray | None = None
-        # Reusable 0..k iota for the arena kernel's row indexing — grown
-        # on demand so steady-state cycles allocate no index arrays.
-        self._iota = np.arange(max(self.n_pes, 4), dtype=np.int64)
 
         self._stacks: list[DFSStack] | None = None
         self._arena: SearchArena | None = None
         root = problem.initial_state()
-        if backend == "arena":
-            if h_memo is not None:
-                raise ValueError(
-                    "h_memo applies to the list backend only; the arena "
-                    "updates h incrementally via the delta table"
-                )
-            missing = [a for a in _ARENA_PROTOCOL if not hasattr(problem, a)]
-            if missing:
-                raise TypeError(
-                    f"backend='arena' needs a vectorizable problem exposing "
-                    f"{missing} (see SlidingPuzzle); got "
-                    f"{type(problem).__name__}"
-                )
-            if not problem.supports_arena_backend():
-                raise ValueError(
-                    "the arena backend's delta table is exact for the "
-                    "Manhattan heuristic only; construct the puzzle with "
-                    "heuristic_name='manhattan'"
-                )
-            self._h = problem.heuristic
+        h0 = problem.heuristic(root)
+        root_in_bound = h0 <= self.bound
+        if not root_in_bound:
+            # Same report as depth_bounded_dfs: the pruned root's f is
+            # the next threshold, not "tree exhausted".
+            self.next_bound = h0
+        if (
+            all(hasattr(problem, name) for name in _ARENA_PROTOCOL)
+            and problem.supports_arena_backend()
+        ):
+            if workspace is None and self.kernel_backend != "numpy":
+                workspace = KernelWorkspace()
+            self._kernel_ws = workspace
+            self._expand_kernel = get_kernel(
+                "search.expand_cycle", self.kernel_backend
+            )
+            # Reusable 0..k iota for the arena kernel's row indexing —
+            # grown on demand so steady-state cycles allocate no index
+            # arrays.
+            self._iota = np.arange(max(self.n_pes, 4), dtype=np.int64)
             self._move_table = problem.move_table()
             self._dist_table = problem.manhattan_table()
             self._goal_row = problem.goal_row()
             self._arena = SearchArena(self.n_pes, problem.state_width)
             self._arena.workspace = self._kernel_ws
-            self._expand_kernel = get_kernel("search.expand_cycle", resolved)
-            h0 = problem.heuristic(root)
-            if h0 <= self.bound:
+            if root_in_bound:
                 tiles_row, blank, prev = problem.encode_state(root)
                 meta_row = np.array([0, h0, blank, prev], dtype=np.int32)
                 self._arena.push_root(0, tiles_row, meta_row)
         else:
-            self._h = h_memo if h_memo is not None else problem.heuristic
             self._stacks = [DFSStack() for _ in range(self.n_pes)]
-            if self._h(root) <= self.bound:
+            if root_in_bound:
                 self._stacks[0] = DFSStack([StackEntry(root, 0)])
 
     # -- storage views -----------------------------------------------------
@@ -216,10 +188,11 @@ class SearchWorkload:
     def stacks(self) -> list:
         """The per-PE stacks.
 
-        List backend: the live list of ``DFSStack`` objects (mutable in
-        place — call :meth:`invalidate_masks` after direct edits).  Arena
-        backend: a *snapshot* — one list of decoded ``StackEntry`` per PE,
-        bottom to top; mutating it does not touch the arena.
+        ``DFSStack`` storage: the live list of ``DFSStack`` objects
+        (mutable in place — call :meth:`invalidate_masks` after direct
+        edits).  Arena storage: a *snapshot* — one list of decoded
+        ``StackEntry`` per PE, bottom to top; mutating it does not touch
+        the arena.
         """
         if self._stacks is not None:
             return self._stacks
@@ -285,7 +258,7 @@ class SearchWorkload:
         self._cached_counts = None
         n = 0
         problem = self.problem
-        h = self._h
+        h = problem.heuristic
         bound = self.bound
         for stack in stacks:
             entry = stack.pop_next()
@@ -390,8 +363,9 @@ class SearchWorkload:
     def extract_pe(self, pe: int):
         """Quarantine PE ``pe``'s whole DFS stack.
 
-        List backend: the :class:`DFSStack` object itself (levels intact).
-        Arena backend: the ``(tiles, meta)`` window, bottom to top.
+        ``DFSStack`` storage: the :class:`DFSStack` object itself (levels
+        intact).  Arena storage: the ``(tiles, meta)`` window, bottom to
+        top.
         """
         self._cached_counts = None
         if self._arena is not None:
@@ -425,10 +399,8 @@ def parallel_depth_bounded(
     split: str = "bottom",
     trace: bool = False,
     first_solution_only: bool = False,
-    backend: str = "list",
-    h_memo: HeuristicMemo | None = None,
     sanitize: bool = False,
-    kernel_backend: str = "numpy",
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
 ) -> tuple[SearchWorkload, RunMetrics]:
     """One cost-bounded parallel DFS pass (no iterative deepening).
 
@@ -446,8 +418,6 @@ def parallel_depth_bounded(
         n_pes,
         split=split,
         first_solution_only=first_solution_only,
-        backend=backend,
-        h_memo=h_memo,
         kernel_backend=kernel_backend,
     )
     metrics = Scheduler(
@@ -467,8 +437,6 @@ class ParallelSearchResult:
 
     ``total_expanded`` is the parallel ``W``; ``per_iteration_expanded``
     lets tests compare each iteration against serial IDA* exactly.
-    ``h_memo_hits``/``h_memo_misses`` report the list backend's heuristic
-    cache (both zero when the memo is off or the backend is the arena).
     """
 
     solution_cost: int | None
@@ -477,13 +445,6 @@ class ParallelSearchResult:
     bounds: tuple[int, ...]
     per_iteration_expanded: tuple[int, ...]
     metrics: RunMetrics
-    h_memo_hits: int = 0
-    h_memo_misses: int = 0
-
-    @property
-    def h_memo_hit_rate(self) -> float:
-        total = self.h_memo_hits + self.h_memo_misses
-        return self.h_memo_hits / total if total else 0.0
 
 
 class ParallelIDAStar:
@@ -506,20 +467,10 @@ class ParallelIDAStar:
         triggers); ``None`` skips the initialization phase.
     split:
         Stack donation policy, forwarded to the workload.
-    backend:
-        Stack storage, forwarded to the workload (``"list"`` or
-        ``"arena"``); both produce identical results.
     kernel_backend:
-        Expand-cycle kernel tier forwarded to every iteration's workload
-        (arena backend only); one :class:`~repro.kernels.KernelWorkspace`
-        is shared across all iterations so scratch buffers warm up once.
-    heuristic_memo:
-        List backend only: cache child heuristics in one (deprecated)
-        :class:`~repro.search.memo.HeuristicMemo` shared across all
-        iterations.  Default **off** — BENCH_search.json shows the memo
-        is slower than recomputing the incremental heuristic (whole-
-        state hashing dominates); the flag remains so the ablation can
-        still be reproduced.  Ignored by the arena backend.
+        Expand-cycle kernel tier forwarded to every iteration's workload;
+        one :class:`~repro.kernels.KernelWorkspace` is shared across all
+        iterations so scratch buffers warm up once.
     sanitize:
         Forwarded to every iteration's
         :class:`~repro.core.scheduler.Scheduler` — assert the lock-step
@@ -549,12 +500,10 @@ class ParallelIDAStar:
         init_threshold: float | None = None,
         split: str = "bottom",
         max_iterations: int = 100,
-        backend: str = "list",
-        heuristic_memo: bool = False,
         sanitize: bool = False,
         faults: FaultPlan | None = None,
         obs: Observability | None = None,
-        kernel_backend: str = "numpy",
+        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     ) -> None:
         self.problem = problem
         self.n_pes = int(n_pes)
@@ -563,7 +512,6 @@ class ParallelIDAStar:
         self.init_threshold = init_threshold
         self.split = split
         self.max_iterations = max_iterations
-        self.backend = backend
         self.sanitize = sanitize
         self.faults = faults
         self.obs = obs
@@ -572,11 +520,6 @@ class ParallelIDAStar:
         # pooled arena planes warmed by iteration k are reused by k+1.
         self._kernel_ws = (
             KernelWorkspace() if self.kernel_backend != "numpy" else None
-        )
-        self.h_memo = (
-            HeuristicMemo(problem.heuristic)
-            if heuristic_memo and backend == "list"
-            else None
         )
 
     def run(self) -> ParallelSearchResult:
@@ -595,8 +538,6 @@ class ParallelIDAStar:
                 bound,
                 self.n_pes,
                 split=self.split,
-                backend=self.backend,
-                h_memo=self.h_memo,
                 kernel_backend=self.kernel_backend,
                 workspace=self._kernel_ws,
             )
@@ -657,8 +598,6 @@ class ParallelIDAStar:
             metrics=self._final_metrics(
                 machine, sum(per_iter), last_metrics, fault_runtime
             ),
-            h_memo_hits=self.h_memo.hits if self.h_memo is not None else 0,
-            h_memo_misses=self.h_memo.misses if self.h_memo is not None else 0,
         )
         if self.obs is not None and self.obs.metrics is not None:
             record_run(self.obs.metrics, result.metrics)

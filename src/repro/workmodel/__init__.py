@@ -6,8 +6,7 @@
 - :mod:`repro.workmodel.stackmodel` — per-PE stacks of pending subtree
   sizes with stick-breaking expansion and bottom-of-stack donation; a
   mid-fidelity bridge between the divisible model and the real DFS engine.
-  Two backends: ``"list"`` (one deque per PE, the oracle) and ``"arena"``
-  (all stacks in one flat array, vectorized kernels).
+  All stacks sit in one flat array advanced by vectorized kernels.
 - :mod:`repro.workmodel.arena` — the flat-arena storage and the batched
   stick-breaking sampler (``StackArena``, ``draw_children_batch``).
 - :mod:`repro.workmodel.mega` — many independent grid cells packed onto

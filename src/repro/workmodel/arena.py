@@ -1,19 +1,18 @@
 """Flat-arena stack storage and the batched stick-breaking sampler.
 
 The mid-fidelity :class:`~repro.workmodel.stackmodel.StackWorkload` keeps
-one DFS stack of pending subtree sizes per PE.  The list backend stores
-them as ``P`` Python deques and pays a Python-level loop per lock-step
-cycle; at paper scale (P = 8192) that loop — one RNG call per expanded
-node — dominates the wall clock by orders of magnitude.
+one DFS stack of pending subtree sizes per PE.  Stored as ``P`` Python
+deques, a lock-step cycle is a Python-level loop that at paper scale
+(P = 8192) dominates the wall clock by orders of magnitude.
 
 This module holds the two pieces that remove it:
 
 - :func:`draw_children_batch` — one cycle's worth of branching factors
   and stick-breaking partitions for *all* expanding PEs, drawn in a fixed
-  sequence of batched RNG calls.  Both stack backends route their draws
-  through it (the list backend via ``sampler="batched"``), which is what
-  makes arena and list runs bit-identical seed for seed: same generator,
-  same call sequence, same values.
+  sequence of batched RNG calls.  The test-side deque reference
+  (``tests/oracles``) routes its draws through it too, which is what
+  makes the two bit-identical seed for seed: same generator, same call
+  sequence, same values.
 - :class:`StackArena` — all per-PE stacks in a single ``(P, capacity)``
   int64 array with per-PE ``bottom``/``top`` pointers.  Pushes and pops
   are fancy-indexed scatters/gathers, counts are one vector subtraction,

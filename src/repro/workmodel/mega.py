@@ -31,7 +31,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, resolve_backend
+from repro.kernels.dispatch import (
+    DEFAULT_KERNEL_BACKEND,
+    get_kernel,
+    resolve_backend,
+)
 from repro.kernels.workspace import KernelWorkspace
 from repro.util.validation import check_positive_int
 
@@ -50,10 +54,10 @@ class MegaArena:
         ``c`` starts with ``W_c`` on its first PE (the paper's "root on
         one processor" setting).  Omitted, every cell starts empty.
     kernel_backend:
-        Tier for the four grid kernels — ``"numpy"`` (reference,
-        default), ``"fused"`` (scratch-backed; count vectors come back
-        as *borrowed* workspace views, valid until the same kernel's
-        next call), ``"jit"`` or ``"auto"``.
+        Tier for the four grid kernels — ``"numpy"`` (reference),
+        ``"fused"`` (scratch-backed; count vectors come back as
+        *borrowed* workspace views, valid until the same kernel's next
+        call), ``"jit"`` or ``"auto"`` (default).
     workspace:
         Optional shared :class:`~repro.kernels.KernelWorkspace`; one is
         created per arena when a non-numpy tier needs it.
@@ -72,7 +76,7 @@ class MegaArena:
         pes: Sequence[int],
         *,
         roots: Sequence[int] | None = None,
-        kernel_backend: str = "numpy",
+        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
         workspace: KernelWorkspace | None = None,
     ) -> None:
         resolved = resolve_backend(kernel_backend)

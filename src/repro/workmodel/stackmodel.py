@@ -11,47 +11,35 @@ here depends on stack *composition*: a PE whose stack holds one huge
 subtree is not busy (cannot split) even though it has lots of work — the
 situation that makes D_P fail (Section 6.1, observation 2).
 
-Two storage backends implement the same workload:
-
-- ``backend="list"`` — one :class:`~collections.deque` per PE, expanded
-  in a per-PE Python loop.  Simple and transparent: the oracle the test
-  suite checks the arena against.  Donation pops the deque's left end in
-  O(1) (a plain list's ``pop(0)`` would be O(depth)).
-- ``backend="arena"`` — all stacks in one flat int64 array with
-  top/bottom pointers (:class:`~repro.workmodel.arena.StackArena`); a
-  cycle pops, draws and pushes for every expanding PE in a handful of
-  full-width numpy kernels.  This is the paper-scale (P = 8192) path.
-
-The ``sampler`` knob controls how child sizes are drawn:
-
-- ``"pernode"`` (list-backend default) — one RNG call sequence per
-  expanded node, the historical stream of this model.
-- ``"batched"`` (arena requirement and its only mode) — all expanding
-  PEs' draws per cycle flow through one
-  :func:`~repro.workmodel.arena.draw_children_batch` call.  Running the
-  list backend with ``sampler="batched"`` consumes the *same* stream as
-  the arena, making the two backends bit-identical seed for seed — the
-  equivalence the integration suite asserts scheme by scheme.
+All stacks live in one flat int64 array with top/bottom pointers
+(:class:`~repro.workmodel.arena.StackArena`), the data-parallel form of
+the paper's P lock-step PEs: a cycle pops, draws and pushes for every
+expanding PE in a handful of full-width kernels, and all of a cycle's
+child sizes come from one
+:func:`~repro.workmodel.arena.draw_children_batch` call.  A
+deque-per-PE reference on the same RNG stream lives test-side
+(``tests/oracles``); the identity suites diff every kernel tier against
+it.
 
 Busy/idle/expanding masks derive from one cached per-PE entry count,
 invalidated on every mutation, so a scheduler cycle that reads all three
-masks (trigger, sanitizer, matcher) pays for a single counts pass.  Code
-that mutates ``stacks`` directly (tests, notebooks) must call
-:meth:`StackWorkload.invalidate_masks` before re-reading masks.
+masks (trigger, sanitizer, matcher) pays for a single counts pass.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, resolve_backend
+from repro.kernels.dispatch import (
+    DEFAULT_KERNEL_BACKEND,
+    get_kernel,
+    resolve_backend,
+)
 from repro.kernels.workspace import KernelWorkspace
 from repro.obs.profile import span
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
-from repro.workmodel.arena import StackArena, draw_children_batch
+from repro.workmodel.arena import StackArena
 
 __all__ = ["StackWorkload"]
 
@@ -72,19 +60,11 @@ class StackWorkload:
         step instead of a fan-out — raises depth/irregularity.
     rng:
         Seed or generator.
-    backend:
-        ``"list"`` (deque-per-PE oracle) or ``"arena"`` (flat-array,
-        vectorized).
-    sampler:
-        ``"pernode"`` or ``"batched"``; defaults to the backend's native
-        mode (list -> pernode, arena -> batched).  The arena backend only
-        supports ``"batched"``.
     kernel_backend:
-        Expand-cycle kernel tier for the arena backend — ``"numpy"``
-        (reference, default), ``"fused"`` (zero-allocation workspace
-        path), ``"jit"`` (numba when available, else fused) or
-        ``"auto"``.  The list backend is the oracle and only accepts
-        ``"numpy"``.
+        Expand-cycle kernel tier — ``"numpy"`` (reference), ``"fused"``
+        (zero-allocation workspace path), ``"jit"`` (numba when
+        available, else fused) or ``"auto"`` (the default: the best tier
+        available).  Every tier is bit-identical.
     workspace:
         Optional shared :class:`~repro.kernels.KernelWorkspace`; one is
         created per workload when a non-numpy tier needs it.
@@ -98,9 +78,7 @@ class StackWorkload:
         max_branching: int = 4,
         leaf_probability: float = 0.0,
         rng: int | np.random.Generator | None = None,
-        backend: str = "list",
-        sampler: str | None = None,
-        kernel_backend: str = "numpy",
+        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
         workspace: KernelWorkspace | None = None,
     ) -> None:
         self.total_work = check_positive_int(total_work, "total_work")
@@ -112,95 +90,37 @@ class StackWorkload:
             )
         self.leaf_probability = leaf_probability
         self.rng = as_generator(rng)
-        if backend not in ("list", "arena"):
-            raise ValueError(f"backend must be 'list' or 'arena', got {backend!r}")
-        if sampler is None:
-            sampler = "batched" if backend == "arena" else "pernode"
-        if sampler not in ("pernode", "batched"):
-            raise ValueError(
-                f"sampler must be 'pernode' or 'batched', got {sampler!r}"
-            )
-        if backend == "arena" and sampler != "batched":
-            raise ValueError("the arena backend only supports sampler='batched'")
-        self.backend = backend
-        self.sampler = sampler
-        resolved = resolve_backend(kernel_backend)
-        if backend == "list" and resolved != "numpy":
-            raise ValueError(
-                "the list backend is the oracle tier and only accepts "
-                f"kernel_backend='numpy', got {kernel_backend!r}"
-            )
-        self.kernel_backend = resolved
-        if workspace is None and resolved != "numpy":
+        self.kernel_backend = resolve_backend(kernel_backend)
+        if workspace is None and self.kernel_backend != "numpy":
             workspace = KernelWorkspace()
         self._kernel_ws = workspace
+        self._expand_kernel = get_kernel("stack.expand_cycle", self.kernel_backend)
 
-        self._arena: StackArena | None = None
-        self._stacks: list[deque[int]] | None = None
-        self._expand_kernel = None
-        if backend == "arena":
-            self._arena = StackArena(n_pes)
-            self._arena.workspace = self._kernel_ws
-            self._arena.push_root(0, total_work)
-            self._expand_kernel = get_kernel("stack.expand_cycle", resolved)
-        else:
-            # stacks[p] holds PE p's pending subtree sizes; the root
-            # subtree (the whole tree) starts on PE 0.
-            self._stacks = [deque() for _ in range(n_pes)]
-            self._stacks[0].append(total_work)
+        # The root subtree (the whole tree) starts on PE 0.
+        self._arena = StackArena(n_pes)
+        self._arena.workspace = self._kernel_ws
+        self._arena.push_root(0, total_work)
         self._expanded = 0
         self._cached_counts: np.ndarray | None = None
 
     # -- storage views -----------------------------------------------------
 
     @property
-    def stacks(self) -> list:
-        """The per-PE stacks.
-
-        List backend: the live list of deques (mutable in place — call
-        :meth:`invalidate_masks` after direct edits).  Arena backend: a
-        plain-list *snapshot* materialized from the flat array; mutating
-        it does not touch the arena.
-        """
-        if self._stacks is not None:
-            return self._stacks
-        assert self._arena is not None
+    def stacks(self) -> list[list[int]]:
+        """A plain-list *snapshot* of the per-PE stacks, bottom to top;
+        mutating it does not touch the arena."""
         return self._arena.to_lists()
 
     def invalidate_masks(self) -> None:
-        """Drop the cached per-PE counts after direct stack mutation."""
+        """Drop the cached per-PE counts."""
         self._cached_counts = None
-
-    # -- tree growth -------------------------------------------------------
-
-    def _children_of(self, size: int) -> list[int]:
-        """Partition ``size - 1`` remaining nodes into child subtrees
-        (the per-node sampler; one RNG call sequence per expansion)."""
-        rest = size - 1
-        if rest <= 0:
-            return []
-        if self.leaf_probability and self.rng.random() < self.leaf_probability:
-            return [rest]
-        b = int(self.rng.integers(1, self.max_branching + 1))
-        b = min(b, rest)
-        if b == 1:
-            return [rest]
-        weights = self.rng.dirichlet(np.ones(b))
-        parts = self.rng.multinomial(rest, weights)
-        return [int(c) for c in parts if c > 0]
 
     # -- Workload protocol ------------------------------------------------
 
     def _counts(self) -> np.ndarray:
         """Per-PE pending-entry counts, cached until the next mutation."""
         if self._cached_counts is None:
-            if self._arena is not None:
-                self._cached_counts = self._arena.counts()
-            else:
-                assert self._stacks is not None
-                self._cached_counts = np.fromiter(
-                    (len(s) for s in self._stacks), dtype=np.int64, count=self.n_pes
-                )
+            self._cached_counts = self._arena.counts()
         return self._cached_counts
 
     def expanding_mask(self) -> np.ndarray:
@@ -215,11 +135,6 @@ class StackWorkload:
         return self._counts() == 0
 
     def expand_cycle(self) -> int:
-        if self._arena is not None:
-            return self._expand_cycle_arena()
-        return self._expand_cycle_list()
-
-    def _expand_cycle_arena(self) -> int:
         with span("expand.stack.arena"):
             return self._expand_cycle_arena_inner()
 
@@ -230,43 +145,9 @@ class StackWorkload:
         # against this workload, so the wrapper is a plain delegation.
         return self._expand_kernel(self, self._kernel_ws)
 
-    def _expand_cycle_list(self) -> int:
-        with span("expand.stack.list"):
-            return self._expand_cycle_list_inner()
-
-    def _expand_cycle_list_inner(self) -> int:
-        stacks = self._stacks
-        assert stacks is not None
-        self._cached_counts = None
-        if self.sampler == "pernode":
-            n = 0
-            for stack in stacks:
-                if not stack:
-                    continue
-                size = stack.pop()
-                self._expanded += 1
-                n += 1
-                stack.extend(self._children_of(size))
-            return n
-        pes = [p for p, stack in enumerate(stacks) if stack]
-        if not pes:
-            return 0
-        sizes = np.fromiter(
-            (stacks[p].pop() for p in pes), dtype=np.int64, count=len(pes)
-        )
-        self._expanded += len(pes)
-        lens, flat = draw_children_batch(
-            self.rng, sizes, self.max_branching, self.leaf_probability
-        )
-        children = flat.tolist()
-        offset = 0
-        for p, ln in zip(pes, lens.tolist()):
-            if ln:
-                stacks[p].extend(children[offset : offset + ln])
-                offset += ln
-        return len(pes)
-
     def transfer(self, donors: np.ndarray, receivers: np.ndarray) -> int:
+        """Donate the node at the bottom of each donor's stack (nearest
+        the root — typically the largest pending subtree)."""
         donors = np.asarray(donors, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)
         if donors.shape != receivers.shape:
@@ -274,26 +155,13 @@ class StackWorkload:
         if len(donors) == 0:
             return 0
         self._cached_counts = None
-        if self._arena is not None:
-            counts = self._arena.counts()
-            valid = (counts[donors] >= 2) & (counts[receivers] == 0)
-            donors = donors[valid]
-            receivers = receivers[valid]
-            if len(donors):
-                self._arena.donate_bottoms(donors, receivers)
-            return int(len(donors))
-        stacks = self._stacks
-        assert stacks is not None
-        moved = 0
-        for d, r in zip(donors.tolist(), receivers.tolist()):
-            stack = stacks[d]
-            if len(stack) < 2 or stacks[r]:
-                continue
-            # Donate the node at the bottom of the stack (nearest the root
-            # — typically the largest pending subtree).
-            stacks[r].append(stack.popleft())
-            moved += 1
-        return moved
+        counts = self._arena.counts()
+        valid = (counts[donors] >= 2) & (counts[receivers] == 0)
+        donors = donors[valid]
+        receivers = receivers[valid]
+        if len(donors):
+            self._arena.donate_bottoms(donors, receivers)
+        return int(len(donors))
 
     def done(self) -> bool:
         return self._expanded >= self.total_work
@@ -302,18 +170,10 @@ class StackWorkload:
         return self._expanded
 
     def extract_pe(self, pe: int) -> tuple[tuple[int, ...], int]:
-        """Quarantine PE ``pe``'s whole stack (bottom -> top order).
-
-        Returns an immutable, backend-neutral snapshot so a frontier
-        extracted under one backend injects identically under the other.
-        """
+        """Quarantine PE ``pe``'s whole stack (bottom -> top order) as an
+        immutable snapshot :meth:`inject_pe` accepts."""
         self._cached_counts = None
-        if self._arena is not None:
-            values = tuple(int(v) for v in self._arena.extract_window(pe))
-        else:
-            assert self._stacks is not None
-            values = tuple(self._stacks[pe])
-            self._stacks[pe].clear()
+        values = tuple(int(v) for v in self._arena.extract_window(pe))
         return values, len(values)
 
     def inject_pe(self, pe: int, payload: tuple[int, ...]) -> int:
@@ -322,21 +182,12 @@ class StackWorkload:
         if not values:
             return 0
         self._cached_counts = None
-        if self._arena is not None:
-            return self._arena.inject_window(
-                pe, np.asarray(values, dtype=np.int64)
-            )
-        assert self._stacks is not None
-        self._stacks[pe].extend(values)
-        return len(values)
+        return self._arena.inject_window(pe, np.asarray(values, dtype=np.int64))
 
     # -- Introspection -----------------------------------------------------
 
     def total_remaining(self) -> int:
-        if self._arena is not None:
-            return self._arena.total_pending()
-        assert self._stacks is not None
-        return sum(sum(s) for s in self._stacks)
+        return self._arena.total_pending()
 
     def check_conservation(self) -> bool:
         """Expanded + pending subtree sizes == W at all times."""

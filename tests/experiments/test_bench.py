@@ -5,34 +5,29 @@ import json
 import pytest
 
 from repro.experiments.bench import (
-    bench_expand_kernel,
-    bench_full_run,
     bench_grid,
+    bench_kernel_tiers,
+    bench_search_full,
     bench_search_kernel,
     compare_bench,
     render_compare,
     run_bench,
     run_search_bench,
 )
+from repro.kernels.dispatch import available_backends
 
 
 class TestKernelBench:
     def test_reports_all_variants(self):
-        report = bench_expand_kernel(
+        report = bench_kernel_tiers(
             n_pes=32, work_per_pe=40, warm_cycles=16, time_cycles=5
         )
-        assert set(report["backends"]) == {"list-pernode", "list-batched", "arena"}
-        for row in report["backends"].values():
+        assert set(report["tiers"]) == set(available_backends())
+        for row in report["tiers"].values():
             assert row["nodes_per_s"] > 0
             assert row["ms_per_cycle"] > 0
-        assert report["speedup_arena_vs_list"] > 0
-
-
-class TestFullRunBench:
-    def test_backends_bit_identical(self):
-        report = bench_full_run(n_pes=32, work_per_pe=40)
-        assert report["metrics_identical"] is True
-        assert report["seconds"]["arena"] > 0
+        assert report["speedup_fused_vs_numpy"] > 0
+        assert report["records_identical"] is True
 
 
 class TestGridBench:
@@ -53,13 +48,11 @@ class TestSearchKernelBench:
         report = bench_search_kernel(
             n_pes=32, scramble=30, bound_slack=10, warm_cycles=16, time_cycles=4
         )
-        # list-memo was retired (benched slower than the plain list);
-        # arena-fused is the kernel tier riding the same arena backend.
-        assert set(report["backends"]) == {"list", "arena", "arena-fused"}
+        # arena-fused is the fused kernel tier over the same arena.
+        assert set(report["backends"]) == {"arena", "arena-fused"}
         for row in report["backends"].values():
             assert row["nodes_per_s"] > 0
         assert report["backends_identical"] is True
-        assert report["speedup_arena_vs_list"] > 0
         assert report["speedup_fused_vs_arena"] > 0
 
 
@@ -73,9 +66,8 @@ class TestRunSearchBench:
         kernel = persisted["search"]["expansion_kernel"]
         assert kernel["backends_identical"] is True
         full = persisted["search"]["full_ida"]
-        assert full["backends_identical"] is True
         assert full["serial_parity"] is True
-        assert "h_memo_hit_rate" not in full  # retired with list-memo
+        assert set(full["seconds"]) == {"arena"}
         assert report["search"]["full_ida"]["total_expanded"] == full["total_expanded"]
 
 
@@ -95,11 +87,12 @@ class TestRunBench:
         assert persisted["schema"] == 1
         assert persisted["smoke"] is True
         assert persisted["host"]["cpu_count"] >= 1
+        assert set(persisted["kernels"]) == {"fused"}
         assert (
-            persisted["kernels"]["expand_cycle"]["speedup_arena_vs_list"]
-            == report["kernels"]["expand_cycle"]["speedup_arena_vs_list"]
+            persisted["kernels"]["fused"]["speedup_fused_vs_numpy"]
+            == report["kernels"]["fused"]["speedup_fused_vs_numpy"]
         )
-        assert persisted["kernels"]["full_run"]["metrics_identical"] is True
+        assert persisted["kernels"]["fused"]["records_identical"] is True
         assert persisted["grid"]["records_identical"] is True
         assert report["search_report"]["search"]["expansion_kernel"][
             "backends_identical"
@@ -117,25 +110,25 @@ class TestRunBench:
 
 class TestBestOfN:
     def test_repeats_reported(self):
-        report = bench_expand_kernel(
+        report = bench_kernel_tiers(
             n_pes=16, work_per_pe=20, warm_cycles=8, time_cycles=4, repeats=2
         )
         assert report["repeats"] == 2
-        for row in report["backends"].values():
+        for row in report["tiers"].values():
             assert row["ms_per_cycle"] > 0
 
     def test_rejects_nonpositive_repeats(self):
-        import pytest
-
         with pytest.raises(ValueError, match="repeats"):
-            bench_expand_kernel(
+            bench_kernel_tiers(
                 n_pes=16, work_per_pe=20, warm_cycles=8, time_cycles=4, repeats=0
             )
 
     def test_full_run_repeats_stay_bit_identical(self):
-        report = bench_full_run(n_pes=16, work_per_pe=20, repeats=2)
+        """Every repeat of the full IDA* run is the same search: the one
+        kept for the report still matches serial IDA* node for node."""
+        report = bench_search_full(instance="tiny", n_pes=16, repeats=2)
         assert report["repeats"] == 2
-        assert report["metrics_identical"] is True
+        assert report["serial_parity"] is True
 
 
 def _report(nodes_per_s, seconds):

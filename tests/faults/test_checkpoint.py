@@ -17,6 +17,7 @@ from repro.faults.checkpoint import MAGIC
 from repro.simd.machine import SimdMachine
 from repro.workmodel.divisible import DivisibleWorkload
 from repro.workmodel.stackmodel import StackWorkload
+from tests.oracles import ListStackWorkload
 
 N_PES = 16
 WORK = 3_000
@@ -38,8 +39,8 @@ def _scheduler(workload, *, checkpoint=None, faults=None, **kwargs):
     "make_workload",
     [
         lambda: DivisibleWorkload(WORK, N_PES, rng=3),
+        lambda: ListStackWorkload(WORK, N_PES, rng=3),
         lambda: StackWorkload(WORK, N_PES, rng=3),
-        lambda: StackWorkload(WORK, N_PES, rng=3, backend="arena"),
     ],
     ids=["divisible", "stack-list", "stack-arena"],
 )

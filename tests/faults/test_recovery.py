@@ -18,6 +18,7 @@ from repro.faults import FaultPlan, PEFailure, Straggler
 from repro.simd.machine import SimdMachine
 from repro.workmodel.divisible import DivisibleWorkload
 from repro.workmodel.stackmodel import StackWorkload
+from tests.oracles import ListStackWorkload
 
 N_PES = 32
 WORK = 5_000
@@ -39,8 +40,8 @@ KILL_PLAN = FaultPlan(failures=(PEFailure(15, 3), PEFailure(40, 11)))
     "make_workload",
     [
         lambda: DivisibleWorkload(WORK, N_PES, rng=0),
+        lambda: ListStackWorkload(WORK, N_PES, rng=0),
         lambda: StackWorkload(WORK, N_PES, rng=0),
-        lambda: StackWorkload(WORK, N_PES, rng=0, backend="arena"),
     ],
     ids=["divisible", "stack-list", "stack-arena"],
 )

@@ -1,11 +1,11 @@
-"""Seed-for-seed equivalence: arena vs list backend, serial vs parallel grid.
+"""Seed-for-seed equivalence: ``StackWorkload`` vs the deque-per-PE oracle.
 
-The arena backend and the list backend running the batched sampler share
+The arena-stored workload and ``tests.oracles.ListStackWorkload`` share
 one RNG stream (both route draws through ``draw_children_batch``), so a
-full scheduled run must be **bit-identical** between them: same cycles,
-same LB phases, same ledger, same per-cycle trace — across every paper
-scheme, with the runtime sanitizer asserting the lock-step invariants
-throughout.
+full scheduled run must be **bit-identical** between them at every
+kernel tier: same cycles, same LB phases, same ledger, same per-cycle
+trace — across every paper scheme, with the runtime sanitizer asserting
+the lock-step invariants throughout.
 """
 
 import pytest
@@ -13,22 +13,17 @@ import pytest
 from repro.core.config import PAPER_SCHEMES
 from repro.core.scheduler import Scheduler
 from repro.experiments.runner import default_init_threshold
+from repro.kernels.dispatch import available_backends
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
 from repro.workmodel.stackmodel import StackWorkload
+from tests.oracles import ListStackWorkload
 
 WORK, N_PES, SEED = 12_000, 32, 11
 
 
-def _run(backend: str, spec: str, **workload_kwargs):
-    workload = StackWorkload(
-        WORK,
-        N_PES,
-        rng=SEED,
-        backend=backend,
-        sampler="batched",
-        **workload_kwargs,
-    )
+def _run(workload_cls, spec: str, **workload_kwargs):
+    workload = workload_cls(WORK, N_PES, rng=SEED, **workload_kwargs)
     machine = SimdMachine(N_PES, CostModel())
     metrics = Scheduler(
         workload,
@@ -47,22 +42,18 @@ class TestArenaListBitIdentity:
     def test_run_metrics_identical(self, spec):
         """GP/nGP x S^x/D_P/D_K: RunMetrics (ledger + trace included)
         compare equal field for field."""
-        list_metrics = _run("list", spec)
-        arena_metrics = _run("arena", spec)
-        assert list_metrics == arena_metrics
+        list_metrics = _run(ListStackWorkload, spec)
         assert list_metrics.trace is not None
-        assert (
-            list_metrics.trace.busy_per_cycle
-            == arena_metrics.trace.busy_per_cycle
-        )
+        for tier in available_backends():
+            arena_metrics = _run(StackWorkload, spec, kernel_backend=tier)
+            assert list_metrics == arena_metrics, tier
+            assert (
+                list_metrics.trace.busy_per_cycle
+                == arena_metrics.trace.busy_per_cycle
+            )
 
     def test_identical_with_irregular_trees(self):
-        a = _run("list", "GP-DK", leaf_probability=0.4, max_branching=6)
-        b = _run("arena", "GP-DK", leaf_probability=0.4, max_branching=6)
-        assert a == b
-
-    def test_pernode_sampler_is_a_different_stream(self):
-        """The legacy per-node sampler is kept for continuity but is not
-        the batched stream; a list/pernode run may legitimately differ."""
-        workload = StackWorkload(WORK, N_PES, rng=SEED)  # defaults: list/pernode
-        assert workload.backend == "list" and workload.sampler == "pernode"
+        shape = dict(leaf_probability=0.4, max_branching=6)
+        a = _run(ListStackWorkload, "GP-DK", **shape)
+        for tier in available_backends():
+            assert a == _run(StackWorkload, "GP-DK", kernel_backend=tier, **shape)

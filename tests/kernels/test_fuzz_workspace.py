@@ -28,8 +28,6 @@ def _pair(work, n_pes, max_branching, leaf_probability, seed):
             max_branching=max_branching,
             leaf_probability=leaf_probability,
             rng=seed,
-            backend="arena",
-            sampler="batched",
             kernel_backend=kernel_backend,
         )
 

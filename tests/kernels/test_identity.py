@@ -2,10 +2,9 @@
 
 The acceptance gate for the kernel layer: across all six paper schemes
 (GP/nGP x S^x/D_P/D_K), with the runtime sanitizer asserting the
-lock-step invariants, the fused tier (and the jit tier where numba is
-installed — without it ``"jit"`` resolves to fused, so the parametrize
-still exercises the resolution path) produces *exactly* the runs the
-list oracle produces: same RunMetrics, same traces, same stacks, same
+lock-step invariants, the numpy and fused tiers (and the jit tier where
+numba is installed) produce *exactly* the runs the test-side list
+oracles (``tests/oracles``) produce: same RunMetrics, same traces, same stacks, same
 RNG stream position.  Covers all three workload families the kernels
 back: the synthetic stack model, the real 15-puzzle search, and the
 mega-arena grid executor.
@@ -22,25 +21,25 @@ from repro.search.parallel import ParallelIDAStar
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
 from repro.workmodel.stackmodel import StackWorkload
+from tests.oracles import ListStackWorkload, opaque
 
 WORK, N_PES, SEED = 8_000, 32, 7
 
-#: Non-reference tiers to gate (("fused",) without numba, + "jit" with).
-TIERS = tuple(t for t in available_backends() if t != "numpy")
+#: Every tier this interpreter runs ("jit" only where numba imports).
+TIERS = available_backends()
 
 _stack_oracle: dict[str, object] = {}
 _search_oracle: dict[str, object] = {}
 
 
-def _stack_run(spec: str, kernel_backend: str, backend: str = "arena"):
-    workload = StackWorkload(
-        WORK,
-        N_PES,
-        rng=SEED,
-        backend=backend,
-        sampler="batched",
-        kernel_backend=kernel_backend,
-    )
+def _stack_run(spec: str, kernel_backend: str | None):
+    """One sanitized traced run; ``kernel_backend=None`` is the oracle."""
+    if kernel_backend is None:
+        workload = ListStackWorkload(WORK, N_PES, rng=SEED)
+    else:
+        workload = StackWorkload(
+            WORK, N_PES, rng=SEED, kernel_backend=kernel_backend
+        )
     machine = SimdMachine(N_PES, CostModel())
     metrics = Scheduler(
         workload,
@@ -59,7 +58,7 @@ class TestStackTierIdentity:
     @pytest.mark.parametrize("spec", PAPER_SCHEMES)
     def test_tier_matches_list_oracle(self, spec, tier):
         if spec not in _stack_oracle:
-            _stack_oracle[spec] = _stack_run(spec, "numpy", backend="list")
+            _stack_oracle[spec] = _stack_run(spec, None)
         oracle_metrics, oracle_wl = _stack_oracle[spec]
         metrics, workload = _stack_run(spec, tier)
         assert metrics == oracle_metrics
@@ -83,11 +82,10 @@ class TestSearchTierIdentity:
     def test_tier_matches_list_oracle(self, spec, tier):
         if spec not in _search_oracle:
             _search_oracle[spec] = ParallelIDAStar(
-                BENCH_INSTANCES["tiny"],
+                opaque(BENCH_INSTANCES["tiny"]),
                 64,
                 spec,
                 init_threshold=default_init_threshold(spec),
-                backend="list",
                 sanitize=True,
             ).run()
         oracle = _search_oracle[spec]
@@ -96,7 +94,6 @@ class TestSearchTierIdentity:
             64,
             spec,
             init_threshold=default_init_threshold(spec),
-            backend="arena",
             kernel_backend=tier,
             sanitize=True,
         ).run()

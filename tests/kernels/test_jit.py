@@ -18,12 +18,13 @@ from repro.kernels.search import _expand_rows_driver, _expand_search_rows
 from repro.kernels.workspace import KernelWorkspace
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
 from repro.search.parallel import ParallelIDAStar, SearchWorkload
+from tests.oracles import opaque
 
 
 def _spread_workload(kernel_backend: str, cycles: int = 24) -> SearchWorkload:
     problem = BENCH_INSTANCES["tiny"]
     bound = problem.heuristic(problem.initial_state()) + 10
-    wl = SearchWorkload(problem, bound, 16, backend="arena", kernel_backend=kernel_backend)
+    wl = SearchWorkload(problem, bound, 16, kernel_backend=kernel_backend)
     for _ in range(cycles):
         if wl.done():
             break
@@ -98,13 +99,12 @@ class TestCompiledTier:
 
     def test_full_ida_star_identical_under_jit(self):
         list_res = ParallelIDAStar(
-            BENCH_INSTANCES["tiny"], 64, "GP-S0.75", backend="list", sanitize=True
+            opaque(BENCH_INSTANCES["tiny"]), 64, "GP-S0.75", sanitize=True
         ).run()
         jit_res = ParallelIDAStar(
             BENCH_INSTANCES["tiny"],
             64,
             "GP-S0.75",
-            backend="arena",
             kernel_backend="jit",
             sanitize=True,
         ).run()

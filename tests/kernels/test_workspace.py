@@ -143,7 +143,6 @@ class TestPooledArenaGrowth:
             n_pes=8,
             max_branching=2,
             leaf_probability=0.4,
-            backend="arena",
         )
         numpy_wl = StackWorkload(rng=11, kernel_backend="numpy", **kwargs)
         fused_wl = StackWorkload(rng=11, kernel_backend="fused", **kwargs)

@@ -1,4 +1,4 @@
-"""R102 fixture: kernel purity (PE loops, dtype drift, I/O, memo).
+"""R102 fixture: kernel purity (PE loops, dtype drift, I/O).
 
 One seeded violation per purity clause, plus near-misses that look
 similar but are allowed: a bounded (non-PE-axis) loop, an int64 array,
@@ -6,8 +6,6 @@ and the same PE loop in an unmarked method.
 """
 
 import numpy as np
-
-from repro.search.memo import HeuristicMemo
 
 
 class KernelArena:
@@ -25,9 +23,6 @@ class KernelArena:
 
     def bad_io(self, report):  # repro: kernel
         print(report)
-
-    def bad_memo(self, h):  # repro: kernel
-        return HeuristicMemo(h)
 
     def near_miss_bounded_loop(self, k):  # repro: kernel
         return [i * i for i in range(k)]

@@ -82,14 +82,7 @@ class TestR102KernelPurity:
             "bad_object_dtype",
             "bad_float_drift",
             "bad_io",
-            "bad_memo",
         } <= hit
-
-    def test_memo_finding_names_the_bench_regression(self):
-        result = lint_fixture("purity.py", ["R102"])
-        memo = [f for f in result.findings if "memoization" in f.message]
-        assert len(memo) == 1
-        assert "BENCH_search.json" in memo[0].message
 
     def test_near_misses_stay_clean(self):
         result = lint_fixture("purity.py", ["R102"])

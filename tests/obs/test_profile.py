@@ -82,7 +82,7 @@ class TestKernelSpanFidelity:
         monkeypatch.setattr(
             StackWorkload, "_expand_cycle_arena_inner", timed_inner
         )
-        workload = StackWorkload(40_000, 128, rng=0, backend="arena")
+        workload = StackWorkload(40_000, 128, rng=0)
         machine = SimdMachine(128)
         prof = Profiler()
         with profiled(prof):

@@ -11,6 +11,7 @@ from repro.search.parallel import (
     parallel_depth_bounded,
 )
 from repro.search.serial import depth_bounded_dfs
+from tests.oracles import opaque
 
 
 class TestSearchWorkload:
@@ -83,6 +84,22 @@ class TestSerialParallelEquivalence:
         assert wl.expanded == serial.expanded
         assert wl.solutions == serial.solutions
         assert metrics.total_work == serial.expanded
+
+    @pytest.mark.parametrize("storage", ["arena", "list"])
+    @pytest.mark.parametrize("slack", [-2, 0, 6])
+    def test_puzzle_bounded_pass_matches_serial(self, slack, storage):
+        """One bounded pass reports what ``depth_bounded_dfs`` reports on
+        both storages — including a root pruned by the bound (slack < 0),
+        whose ``f`` is the next threshold, not "tree exhausted"."""
+        p = SlidingPuzzle.scrambled(3, 16, rng=3)
+        bound = p.heuristic(p.initial_state()) + slack
+        serial = depth_bounded_dfs(p, bound)
+        wl, _ = parallel_depth_bounded(
+            opaque(p) if storage == "list" else p, bound, 4, "GP-S0.75"
+        )
+        assert (wl.expanded, wl.solutions, wl.next_bound) == (
+            serial.expanded, serial.solutions, serial.next_bound
+        )
 
 
 class TestParallelMetrics:

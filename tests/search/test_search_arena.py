@@ -1,10 +1,10 @@
-"""Unit tests for the packed search arena and the vectorized backend.
+"""Unit tests for the packed search arena and the vectorized storage.
 
 The cross-scheme run-level equivalence lives in
 ``tests/integration/test_search_backend_equivalence.py``; here we test
 the building blocks — the puzzle's vectorizable codec and tables, the
-arena storage primitives, and cycle-by-cycle lock-step identity between
-the backends including donation.
+arena storage primitives, which problems get the arena, and cycle-by-cycle
+lock-step identity between the two storages including donation.
 """
 
 import numpy as np
@@ -14,6 +14,8 @@ from repro.problems.npuzzle import SlidingPuzzle, manhattan_distance
 from repro.problems.nqueens import NQueensProblem
 from repro.search.arena import G_COL, SearchArena
 from repro.search.parallel import SearchWorkload
+from repro.search.stack import DFSStack
+from tests.oracles import opaque
 
 
 class TestPuzzleCodec:
@@ -142,37 +144,41 @@ class TestSearchArena:
         assert meta[:, G_COL].tolist() == [1, 2, 3, 9]
 
 
+def _on_dfs_stacks(workload) -> bool:
+    return all(isinstance(s, DFSStack) for s in workload.stacks)
+
+
 class TestArenaBackendValidation:
+    """The arena is chosen from the problem alone, never by the caller."""
+
+    def test_manhattan_puzzle_gets_the_arena(self):
+        wl = SearchWorkload(SlidingPuzzle.scrambled(3, 8, rng=0), 20, 4)
+        assert wl._arena is not None and not _on_dfs_stacks(wl)
+
     def test_rejects_problem_without_codec(self):
-        with pytest.raises(TypeError, match="vectorizable"):
-            SearchWorkload(NQueensProblem(5), 5, 4, backend="arena")
+        """No vectorizable view: the arena is declined, not an error."""
+        wl = SearchWorkload(NQueensProblem(5), 5, 4)
+        assert wl._arena is None and _on_dfs_stacks(wl)
 
     def test_rejects_linear_conflict_heuristic(self):
+        """The delta table is exact for Manhattan only, so a
+        linear-conflict puzzle runs on ``DFSStack``s."""
         p = SlidingPuzzle(
             SlidingPuzzle.scrambled(4, 8, rng=0).tiles,
             heuristic_name="linear_conflict",
         )
-        with pytest.raises(ValueError, match="[Mm]anhattan"):
-            SearchWorkload(p, 40, 4, backend="arena")
+        wl = SearchWorkload(p, 40, 4)
+        assert wl._arena is None and _on_dfs_stacks(wl)
 
-    def test_rejects_h_memo(self):
-        from repro.search.memo import HeuristicMemo
-
-        p = SlidingPuzzle.scrambled(3, 8, rng=0)
-        with pytest.raises(ValueError, match="h_memo"):
-            SearchWorkload(
-                p, 20, 4, backend="arena", h_memo=HeuristicMemo(p.heuristic)
-            )
-
-    def test_bad_backend_rejected(self):
-        p = SlidingPuzzle.scrambled(3, 8, rng=0)
-        with pytest.raises(ValueError, match="backend"):
-            SearchWorkload(p, 20, 4, backend="gpu")
+    def test_kernel_tier_is_inert_without_an_arena(self):
+        for tier in ("numpy", "fused", "jit", "auto"):
+            wl = SearchWorkload(NQueensProblem(5), 5, 4, kernel_backend=tier)
+            assert wl.expand_cycle() == 1
 
 
 def _flat_stacks(workload):
-    """Both backends' stacks as flat per-PE StackEntry sequences."""
-    if workload.backend == "list":
+    """Either storage's stacks as flat per-PE StackEntry sequences."""
+    if workload._arena is None:
         return [s.entries() for s in workload.stacks]
     return workload.stacks
 
@@ -181,10 +187,11 @@ def _flat_stacks(workload):
 @pytest.mark.parametrize("split", ["bottom", "half"])
 def test_lockstep_cycle_and_transfer_identity(side, scramble, bound, split):
     """Expand + donate in lock-step: the arena's packed windows must hold
-    exactly the list backend's flattened stacks after every operation."""
+    exactly the ``DFSStack`` storage's flattened stacks after every
+    operation."""
     p = SlidingPuzzle.scrambled(side, scramble, rng=9)
-    wl_list = SearchWorkload(p, bound, 16, backend="list", split=split)
-    wl_arena = SearchWorkload(p, bound, 16, backend="arena", split=split)
+    wl_list = SearchWorkload(opaque(p), bound, 16, split=split)
+    wl_arena = SearchWorkload(p, bound, 16, split=split)
     for cycle in range(80):
         assert wl_list.expand_cycle() == wl_arena.expand_cycle()
         assert np.array_equal(wl_list.expanding_mask(), wl_arena.expanding_mask())
@@ -210,7 +217,7 @@ def test_mask_memoization_and_invalidate():
     """Masks are cached per mutation; direct stack edits need
     invalidate_masks() — the StackWorkload/DivisibleWorkload convention."""
     p = SlidingPuzzle.scrambled(3, 12, rng=2)
-    wl = SearchWorkload(p, 20, 4)
+    wl = SearchWorkload(opaque(p), 20, 4)
     wl.expand_cycle()
     counts = wl._counts()
     assert wl._counts() is counts  # cached snapshot, no recompute

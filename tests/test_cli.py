@@ -56,6 +56,46 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", "sudoku"])
 
+    @pytest.mark.parametrize("problem", ["queens", "coloring", "knapsack", "tsp"])
+    def test_kernel_tier_is_inert_without_an_arena_form(self, problem, capsys):
+        """Only the puzzle has a vectorized form; everywhere else every
+        tier (``auto`` is the default) is accepted and changes nothing."""
+        args = ["solve", problem, "--size", "6", "--pes", "4"]
+        assert main(args) == 0
+        default_out = capsys.readouterr().out
+        for tier in ("auto", "numpy", "fused"):
+            assert main([*args, "--kernel-backend", tier]) == 0
+            assert capsys.readouterr().out == default_out
+
+    def test_explicit_jit_without_numba_prints_the_note(self, capsys):
+        from repro.kernels.dispatch import jit_note
+
+        assert main(
+            ["solve", "queens", "--size", "5", "--pes", "4",
+             "--kernel-backend", "jit"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert ("note: " in out) == (jit_note() is not None)
+
+    def test_kernel_backend_flags_mirror_dispatch(self):
+        """The three ``--kernel-backend`` flags are kept literal in the
+        parser (import-light) and must mirror the dispatch constants;
+        storage has no flag anywhere."""
+        from repro.cli import build_parser
+        from repro.kernels.dispatch import BACKENDS, DEFAULT_KERNEL_BACKEND
+
+        subs = build_parser()._subparsers._group_actions[0].choices
+        for command in ("solve", "grid", "trace"):
+            flags = {
+                opt: action
+                for action in subs[command]._actions
+                for opt in action.option_strings
+            }
+            tier = flags["--kernel-backend"]
+            assert tuple(tier.choices) == ("auto", *BACKENDS)
+            assert tier.default == DEFAULT_KERNEL_BACKEND
+            assert "--backend" not in flags
+
 
 class TestXo:
     def test_prints_trigger(self, capsys):
@@ -140,12 +180,12 @@ class TestBench:
              "--out", str(out), "--search-out", str(search_out)]
         ) == 0
         printed = capsys.readouterr().out
-        assert "expand_cycle kernel" in printed
+        assert "expand_cycle kernel tiers" in printed
         assert "record-identical: True" in printed
         assert "search expand_cycle kernel" in printed
         report = json.loads(out.read_text())
         assert report["smoke"] is True
-        assert report["kernels"]["full_run"]["metrics_identical"] is True
+        assert report["kernels"]["fused"]["records_identical"] is True
         search = json.loads(search_out.read_text())
         assert search["search"]["expansion_kernel"]["backends_identical"] is True
         assert search["search"]["full_ida"]["serial_parity"] is True
@@ -250,16 +290,6 @@ class TestTrace:
         text = capsys.readouterr().out
         assert "chrome trace" in text and "expand.stack.arena" in text
 
-    def test_list_backend_spans(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        assert main(
-            [
-                "trace", "--work", "2000", "--pes", "16",
-                "--backend", "list", "--out", str(out),
-            ]
-        ) == 0
-        names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
-        assert "expand.stack.list" in names
 
 
 class TestServeCommand:

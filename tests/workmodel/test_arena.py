@@ -1,14 +1,14 @@
-"""Arena backend unit tests: storage kernels, the batched sampler, and a
+"""Arena unit tests: storage kernels, the batched sampler, and a
 hypothesis fuzz pinning the arena to the deque-backed list oracle."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import spawn_child
 from repro.workmodel.arena import StackArena, draw_children_batch
 from repro.workmodel.stackmodel import StackWorkload
+from tests.oracles import ListStackWorkload
 
 
 class TestDrawChildrenBatch:
@@ -109,12 +109,9 @@ class TestArenaMatchesListOracle:
     def test_lockstep_state_identical(self, work, n_pes, seed, leaf_p):
         """Expand/transfer interleavings leave bit-identical stacks, and the
         conservation invariant (expanded + pending == W) holds every cycle."""
-        arena = StackWorkload(
-            work, n_pes, rng=seed, leaf_probability=leaf_p, backend="arena"
-        )
-        oracle = StackWorkload(
-            work, n_pes, rng=seed, leaf_probability=leaf_p,
-            backend="list", sampler="batched",
+        arena = StackWorkload(work, n_pes, rng=seed, leaf_probability=leaf_p)
+        oracle = ListStackWorkload(
+            work, n_pes, rng=seed, leaf_probability=leaf_p
         )
         schedule = spawn_child(seed, 1)
         guard = 0
@@ -141,10 +138,8 @@ class TestArenaMatchesListOracle:
     def test_deep_chain_growth(self):
         """leaf_probability ~ 1 makes near-chains; the arena must grow its
         capacity without corrupting any stack."""
-        wl = StackWorkload(4_000, 2, rng=3, leaf_probability=0.95, backend="arena")
-        oracle = StackWorkload(
-            4_000, 2, rng=3, leaf_probability=0.95, backend="list", sampler="batched"
-        )
+        wl = StackWorkload(4_000, 2, rng=3, leaf_probability=0.95)
+        oracle = ListStackWorkload(4_000, 2, rng=3, leaf_probability=0.95)
         while not wl.done():
             wl.expand_cycle()
             oracle.expand_cycle()
@@ -154,15 +149,11 @@ class TestArenaMatchesListOracle:
 
 class TestArenaWorkloadBasics:
     def test_stacks_snapshot(self):
-        wl = StackWorkload(100, 4, rng=0, backend="arena")
+        wl = StackWorkload(100, 4, rng=0)
         assert wl.stacks == [[100], [], [], []]
 
     def test_transfer_validity_filter(self):
-        wl = StackWorkload(100, 3, rng=0, backend="arena")
+        wl = StackWorkload(100, 3, rng=0)
         # PE 0 holds one entry (unsplittable): the pair must be declined.
         assert wl.transfer(np.array([0]), np.array([1])) == 0
         assert wl.stacks == [[100], [], []]
-
-    def test_pernode_sampler_rejected(self):
-        with pytest.raises(ValueError):
-            StackWorkload(10, 2, backend="arena", sampler="pernode")

@@ -7,7 +7,10 @@ invalidate that cache itself; a caller reading masks right after a
 mutation must see the post-mutation state without calling
 ``invalidate_masks`` by hand.  The check: warm the cache, mutate, read
 the (possibly cached) masks, then force invalidation and re-read — the
-two reads must agree for every mutator on every workload and backend.
+two reads must agree for every mutator on every workload and storage
+(``stack-list`` is the test-side deque oracle, which must honour the same
+protocol; ``search-list`` is the per-PE ``DFSStack`` storage, reached by
+hiding the puzzle's vectorizable view).
 """
 
 import numpy as np
@@ -17,22 +20,22 @@ from repro.problems.fifteen_puzzle import BENCH_INSTANCES
 from repro.search.parallel import SearchWorkload
 from repro.workmodel.divisible import DivisibleWorkload
 from repro.workmodel.stackmodel import StackWorkload
+from tests.oracles import ListStackWorkload, opaque
 
 N_PES = 8
 
 
-def _make_search(backend):
-    problem = BENCH_INSTANCES["tiny"]
+def _make_search(problem):
     bound = problem.heuristic(problem.initial_state()) + 6
-    return SearchWorkload(problem, bound, N_PES, backend=backend)
+    return SearchWorkload(problem, bound, N_PES)
 
 
 WORKLOADS = {
     "divisible": lambda: DivisibleWorkload(500, N_PES, rng=0),
-    "stack-list": lambda: StackWorkload(500, N_PES, rng=0),
-    "stack-arena": lambda: StackWorkload(500, N_PES, rng=0, backend="arena"),
-    "search-list": lambda: _make_search("list"),
-    "search-arena": lambda: _make_search("arena"),
+    "stack-list": lambda: ListStackWorkload(500, N_PES, rng=0),
+    "stack-arena": lambda: StackWorkload(500, N_PES, rng=0),
+    "search-list": lambda: _make_search(opaque(BENCH_INSTANCES["tiny"])),
+    "search-arena": lambda: _make_search(BENCH_INSTANCES["tiny"]),
 }
 
 

@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,15 @@ from repro.core.scheduler import Scheduler
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
 from repro.workmodel.stackmodel import StackWorkload
+
+
+def _with_stacks(*stacks):
+    """A workload whose PE ``i`` holds exactly ``stacks[i]`` (bottom -> top)."""
+    wl = StackWorkload(100, len(stacks), rng=0)
+    wl.extract_pe(0)
+    for pe, values in enumerate(stacks):
+        wl.inject_pe(pe, tuple(values))
+    return wl
 
 
 class TestConstruction:
@@ -22,21 +29,12 @@ class TestConstruction:
             StackWorkload(0, 4)
         with pytest.raises(ValueError):
             StackWorkload(10, 4, leaf_probability=1.0)
-        with pytest.raises(ValueError, match="backend"):
-            StackWorkload(10, 4, backend="gpu")
-        with pytest.raises(ValueError, match="sampler"):
-            StackWorkload(10, 4, sampler="antithetic")
-        with pytest.raises(ValueError, match="arena"):
-            StackWorkload(10, 4, backend="arena", sampler="pernode")
 
 
 class TestMasks:
     def test_busy_needs_two_stack_nodes(self):
-        wl = StackWorkload(100, 3, rng=0)
-        wl.stacks[0] = deque([50])    # one huge subtree: expanding, NOT busy
-        wl.stacks[1] = deque([2, 3])  # two entries: busy
-        wl.stacks[2] = deque()
-        wl.invalidate_masks()
+        # One huge subtree: expanding, NOT busy; two entries: busy.
+        wl = _with_stacks([50], [2, 3], [])
         assert np.array_equal(wl.expanding_mask(), [True, True, False])
         assert np.array_equal(wl.busy_mask(), [False, True, False])
         assert np.array_equal(wl.idle_mask(), [False, False, True])
@@ -44,7 +42,8 @@ class TestMasks:
     def test_invalidate_masks_after_direct_mutation(self):
         wl = StackWorkload(100, 2, rng=0)
         assert np.array_equal(wl.idle_mask(), [False, True])
-        wl.stacks[1] = deque([4, 5])
+        wl._arena.push_root(1, 4)  # behind the workload's back
+        assert np.array_equal(wl.idle_mask(), [False, True])
         wl.invalidate_masks()
         assert np.array_equal(wl.idle_mask(), [False, False])
 
@@ -71,23 +70,18 @@ class TestExpansion:
 
 class TestTransfer:
     def test_bottom_of_stack_donated(self):
-        wl = StackWorkload(100, 2, rng=0)
-        wl.stacks[0] = deque([40, 10, 5])
-        wl.stacks[1] = deque()
+        wl = _with_stacks([40, 10, 5], [])
         moved = wl.transfer(np.array([0]), np.array([1]))
         assert moved == 1
         assert list(wl.stacks[0]) == [10, 5]
         assert list(wl.stacks[1]) == [40]
 
     def test_refuses_unsplittable_donor(self):
-        wl = StackWorkload(100, 2, rng=0)
-        wl.stacks[0] = deque([100])
+        wl = _with_stacks([100], [])
         assert wl.transfer(np.array([0]), np.array([1])) == 0
 
     def test_refuses_nonidle_receiver(self):
-        wl = StackWorkload(100, 2, rng=0)
-        wl.stacks[0] = deque([40, 10])
-        wl.stacks[1] = deque([3])
+        wl = _with_stacks([40, 10], [3])
         assert wl.transfer(np.array([0]), np.array([1])) == 0
 
     def test_shape_mismatch(self):
