@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-data/)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="worker threads (default: 2)"
+        "--workers", type=int, default=2,
+        help="worker processes computing queued jobs (default: 2)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=32,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -63,10 +63,20 @@ class TraceEvent:
     kind = "event"
 
     def to_dict(self) -> dict:
-        """The event as a JSON-ready dict (``kind`` first)."""
+        """The event as a JSON-ready dict (``kind`` first).
+
+        Fields are scalars, read straight off the instance in
+        declaration order; ``dataclasses.asdict`` would deep-copy each
+        one recursively, once per event of a streamed run.
+        """
         d = {"kind": self.kind}
-        d.update(asdict(self))
+        for name in self.__dataclass_fields__:
+            d[name] = getattr(self, name)
         return d
+
+    def to_jsonl(self) -> str:
+        """The event as its one compact line of a JSONL stream."""
+        return json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
 
 
 @dataclass(frozen=True)
@@ -239,8 +249,7 @@ class JsonlSink(EventSink):
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("a", encoding="utf-8")
-        json.dump(event.to_dict(), self._fh, separators=(",", ":"))
-        self._fh.write("\n")
+        self._fh.write(event.to_jsonl())
         self.n_emitted += 1
 
     def close(self) -> None:

@@ -21,12 +21,19 @@ Endpoints
 - ``GET /healthz`` — liveness + code version (what the cache keys pin).
 
 The server is a :class:`http.server.ThreadingHTTPServer`, so the
-service runs wherever Python does.
+service runs wherever Python does.  A response is one write: status
+line, headers and body leave in a single ``sendall`` on a
+``TCP_NODELAY`` socket.  Written as separate sends on a Nagle socket,
+every keep-alive response waited out the client's delayed ACK (a
+measured 44 ms floor under each request).
 """
 
 from __future__ import annotations
 
 import json
+import signal
+import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import BadRequestError, ConfigError, ServeError
@@ -82,6 +89,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: an event stream longer than
+    # one segment must not wait on Nagle for its last partial segment.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the service has
     # metrics for that.
@@ -95,11 +105,14 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             raw = (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
             ctype = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        head = (
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {ctype}\r\n"
+            f"Content-Length: {len(raw)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + raw)
 
     def _handle(self, method: str) -> None:
         service: ExperimentService = self.server.service  # type: ignore[attr-defined]
@@ -160,11 +173,23 @@ def create_server(
     return ServiceHTTPServer((host, port), service)
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
+
+
 def serve_forever(server: ServiceHTTPServer) -> None:
-    """Run until interrupted, then stop the worker pool cleanly."""
+    """Run until interrupted (``SIGINT``) or terminated (``SIGTERM``),
+    then stop the HTTP server and both worker pools cleanly.
+
+    ``SIGTERM`` is what a supervisor sends; unhandled it would kill the
+    process without :meth:`ExperimentService.close` and leave the forked
+    compute workers to notice on their own that their parent is gone.
+    """
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
+    except KeyboardInterrupt:  # pragma: no cover - signal path
         pass
     finally:
         server.shutdown()

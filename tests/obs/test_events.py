@@ -89,6 +89,51 @@ class TestJsonlSink:
         second.close()
         assert read_jsonl_events(path) == ALL_EVENTS[:2]
 
+    def test_stream_bytes_are_golden(self, tmp_path):
+        """The stream's bytes, pinned at the commit before the sink
+        stopped going through ``dataclasses.asdict`` and ``json.dump``:
+        every registered kind, and the floats whose repr is not plain
+        digits."""
+        import json
+
+        from repro.obs.events import _EVENT_TYPES
+        from repro.serve.schemas import JobEvent
+
+        events = [
+            *ALL_EVENTS,
+            CycleEvent(cycle=2**40, busy=0, expanding=0, r1=1e-07, r2=1e22),
+            CycleEvent(cycle=0, busy=1, expanding=1, r1=float("inf"), r2=0.1 + 0.2),
+            JobEvent(cycle=0, status="queued"),
+            JobEvent(
+                cycle=1, status="cache-hit", detail='record "3f2a\u2026" served\tfrom store'
+            ),
+        ]
+        golden = (
+            b'{"kind":"cycle","cycle":3,"busy":7,"expanding":9,"r1":1.5,"r2":0.25}\n'
+            b'{"kind":"lb","cycle":4,"rounds":2,"transfers":11,"dt":0.125}\n'
+            b'{"kind":"recovery","cycle":5,"rounds":1,"transfers":3}\n'
+            b'{"kind":"fault","cycle":6,"event":"death","pe":13,"entries":0}\n'
+            b'{"kind":"fault","cycle":6,"event":"quarantine","pe":13,"entries":42}\n'
+            b'{"kind":"iteration","cycle":7,"bound":22,"expanded":900}\n'
+            b'{"kind":"cycle","cycle":1099511627776,"busy":0,"expanding":0,'
+            b'"r1":1e-07,"r2":1e+22}\n'
+            b'{"kind":"cycle","cycle":0,"busy":1,"expanding":1,"r1":Infinity,'
+            b'"r2":0.30000000000000004}\n'
+            b'{"kind":"job","cycle":0,"status":"queued","detail":""}\n'
+            b'{"kind":"job","cycle":1,"status":"cache-hit",'
+            b'"detail":"record \\"3f2a\\u2026\\" served\\tfrom store"}\n'
+        )
+        path = tmp_path / "events.jsonl"
+        sink = JsonlSink(path)
+        for event in events:
+            sink.emit(event)
+        sink.close()
+        assert path.read_bytes() == golden
+        assert "".join(e.to_jsonl() for e in events).encode() == golden
+        # A new event kind has to add its line here.
+        registered = {k for k in _EVENT_TYPES if not k.startswith("test-")}
+        assert {json.loads(line)["kind"] for line in golden.splitlines()} == registered
+
     def test_picklable_mid_stream(self, tmp_path):
         """Checkpointed runs can carry a streaming sink: the live file
         handle is dropped on pickle and reopens on the next emit."""

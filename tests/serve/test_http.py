@@ -7,13 +7,17 @@ stream, and the cache-hit flow as an actual client would see it.
 """
 
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import ExperimentService, create_server
+from repro.serve.app import _Handler
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +205,123 @@ class TestErrorContract:
             srv.server_close()
             service.close()
             thread.join(timeout=10)
+
+
+class _KeepAliveClient:
+    """One keep-alive connection that cannot itself cause a delayed-ACK
+    stall: ``TCP_NODELAY``, and each request leaves in one ``sendall``.
+    Whatever stall is left is the server's."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=10)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buf = b""
+
+    def close(self):
+        self.sock.close()
+
+    def request(self, method, path, body=b""):
+        """``(status, content type, body bytes)`` of one round trip."""
+        self.sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        while b"\r\n\r\n" not in self.buf:
+            self._fill()
+        head, self.buf = self.buf.split(b"\r\n\r\n", 1)
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+        length = int(headers["content-length"])
+        while len(self.buf) < length:
+            self._fill()
+        payload, self.buf = self.buf[:length], self.buf[length:]
+        return int(lines[0].split()[1]), headers["content-type"], payload
+
+    def _fill(self):
+        chunk = self.sock.recv(65536)
+        assert chunk, "server closed the keep-alive connection"
+        self.buf += chunk
+
+
+class TestOneSegmentResponses:
+    """A response is one write on a ``TCP_NODELAY`` socket.  Status
+    line, headers and body as separate sends on a Nagle socket made
+    every keep-alive response wait ~44 ms for the client's delayed ACK."""
+
+    @pytest.fixture()
+    def counted(self, tmp_path, monkeypatch):
+        """A server whose handlers record every ``wfile.write`` and
+        their socket's ``TCP_NODELAY``; yields ``(client, service,
+        writes, nodelay)``."""
+        writes, nodelay = [], []
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        plain_setup = _Handler.setup
+
+        def counting_setup(handler):
+            plain_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        service = ExperimentService(tmp_path, workers=1, max_pending=4)
+        srv = create_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        client = _KeepAliveClient(srv.server_address[:2])
+        try:
+            yield client, service, writes, nodelay
+        finally:
+            client.close()
+            srv.shutdown()
+            srv.server_close()
+            service.close()
+            thread.join(timeout=10)
+
+    def test_json_ndjson_and_error_bodies_are_one_write_each(self, counted):
+        client, service, writes, nodelay = counted
+        solve = json.dumps(
+            {"scheme": "GP-S0.75", "total_work": 4000, "n_pes": 16, "seed": 3}
+        ).encode()
+        status, ctype, body = client.request("POST", "/solve", solve)
+        assert (status, ctype) == (200, "application/json")
+        job_id = json.loads(body)["id"]
+        service.wait(job_id, timeout=60)
+        answers = [
+            client.request("GET", "/healthz"),
+            client.request("GET", f"/jobs/{job_id}/events"),
+            client.request("GET", "/jobs/job-424242"),
+            client.request("POST", "/solve", b"{not json"),
+        ]
+        assert [a[0] for a in answers] == [200, 200, 404, 400]
+        assert answers[1][1] == "application/x-ndjson"
+        # The event stream is far larger than one 1460-byte segment:
+        # the case where Nagle would hold back the last partial one.
+        assert len(answers[1][2]) > 8 * 1460
+        assert len(writes) == 1 + len(answers)
+        for raw, (_, _, payload) in zip(writes[1:], answers):
+            assert raw.startswith(b"HTTP/1.1 ") and raw.endswith(b"\r\n\r\n" + payload)
+        assert nodelay and all(nodelay)
+
+    def test_keep_alive_round_trip_has_no_delayed_ack_stall(self, counted):
+        """Loose on purpose: the stall is a deterministic >= 40 ms, a
+        loopback round trip well under a millisecond."""
+        client = counted[0]
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            assert client.request("GET", "/healthz")[0] == 200
+            times.append(time.perf_counter() - t0)
+        assert statistics.median(times) < 0.020
