@@ -10,7 +10,7 @@ Commands:
   / tsp) with parallel search on the simulated machine.
 - ``xo`` — the Equation 18 optimal static trigger for a configuration.
 - ``table`` / ``figure`` — regenerate a paper table or figure.
-- ``bench`` — time the kernel tiers, the real-search kernels and a
+- ``bench`` — time the stack and real-search expand kernels and a
   small grid; writes ``BENCH_kernels.json`` and ``BENCH_search.json``
   for the perf trajectory.
 - ``stats`` — render a metrics-registry snapshot (written by ``run
@@ -104,17 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan spec (puzzle/queens/coloring only), "
         "e.g. 'kill=1,drop=0.02,seed=3'",
     )
-    solve.add_argument(
-        # Mirrors kernels.dispatch BACKENDS / DEFAULT_KERNEL_BACKEND; kept
-        # literal so building the parser stays import-light (locked by a
-        # CLI test).
-        "--kernel-backend", default="auto",
-        choices=["auto", "numpy", "fused", "jit"],
-        help="expand-cycle kernel tier for problems with a vectorized "
-        "arena form (the puzzle); accepted and inert for the others.  "
-        "'jit' needs numba and degrades to 'fused' without it "
-        "(default: auto)",
-    )
 
     xo = sub.add_parser("xo", help="Equation 18 optimal static trigger")
     xo.add_argument("--work", type=float, required=True)
@@ -168,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="skip cells already recorded in --journal (bit-identical to "
         "an uninterrupted run)",
-    )
-    grid.add_argument(
-        "--kernel-backend", default="auto",
-        choices=["auto", "numpy", "fused", "jit"],
-        help="kernel tier for the batched executor's mega-arena "
-        "(serial/process paths ignore it; every tier is "
-        "record-identical; default: auto)",
     )
 
     bench = sub.add_parser(
@@ -242,11 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--work", type=int, default=50_000, help="W, total nodes")
     trace.add_argument("--pes", type=int, default=256, help="P, processors")
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--kernel-backend", default="auto",
-        choices=["auto", "numpy", "fused", "jit"],
-        help="expand-cycle kernel tier to profile (default: auto)",
-    )
 
     iso = sub.add_parser(
         "isoeff", help="extract an isoefficiency curve from a saved grid"
@@ -426,7 +403,7 @@ def _print_fault_report(metrics: object) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro.kernels.dispatch import jit_note
+    from repro.experiments.runner import default_init_threshold
     from repro.search.branch_and_bound import ParallelDFBB
     from repro.search.parallel import ParallelIDAStar
 
@@ -442,9 +419,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.faults import FaultPlan
 
         faults = FaultPlan.from_spec(args.faults, args.pes)
-    if args.kernel_backend == "jit" and jit_note() is not None:
-        print(f"note: {jit_note()}")
-    init = 0.85 if args.scheme.endswith(("DK", "DP")) else None
+    init = default_init_threshold(args.scheme)
     if args.problem == "puzzle":
         from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
 
@@ -452,7 +427,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("instance:", puzzle.tiles)
         result = ParallelIDAStar(
             puzzle, args.pes, args.scheme, init_threshold=init, faults=faults,
-            kernel_backend=args.kernel_backend,
         ).run()
         print(
             f"optimal cost={result.solution_cost}  solutions={result.solutions}\n"
@@ -466,7 +440,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         problem = NQueensProblem(args.size or 8)
         result = ParallelIDAStar(
             problem, args.pes, args.scheme, init_threshold=init, faults=faults,
-            kernel_backend=args.kernel_backend,
         ).run()
         print(
             f"{problem.n}-queens: solutions={result.solutions}  "
@@ -502,7 +475,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         problem = GraphColoringProblem.random(args.size or 10, 3, rng=args.seed)
         result = ParallelIDAStar(
             problem, args.pes, args.scheme, init_threshold=init, faults=faults,
-            kernel_backend=args.kernel_backend,
         ).run()
         print(
             f"3-coloring, {problem.n_vertices} vertices: "
@@ -575,7 +547,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         records = run_grid(
             args.schemes, args.works, args.pes, base_seed=args.seed,
             n_jobs=args.jobs, registry=registry, executor=args.executor,
-            kernel_backend=args.kernel_backend,
             journal=args.journal, resume=args.resume,
         )
     except ConfigError as exc:
@@ -683,15 +654,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.scheduler import Scheduler
+    from repro.experiments.runner import default_init_threshold
     from repro.obs import Profiler, profiled
     from repro.simd.machine import SimdMachine
     from repro.workmodel.stackmodel import StackWorkload
 
-    workload = StackWorkload(
-        args.work, args.pes, rng=args.seed, kernel_backend=args.kernel_backend
-    )
+    workload = StackWorkload(args.work, args.pes, rng=args.seed)
     machine = SimdMachine(args.pes)
-    init = 0.85 if args.scheme.endswith(("DK", "DP", "D_K", "D_P")) else None
+    init = default_init_threshold(args.scheme)
     profiler = Profiler()
     with profiled(profiler):
         metrics = Scheduler(

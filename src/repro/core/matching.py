@@ -26,12 +26,6 @@ import numpy as np
 # implementation of the LB phase: every scan they perform is priced into the
 # ledger by the scheduler through Matcher.setup_scans, so calling the scan
 # primitives directly here does not bypass cost accounting.
-from repro.kernels.dispatch import (
-    DEFAULT_KERNEL_BACKEND,
-    get_kernel,
-    resolve_backend,
-)
-from repro.kernels.workspace import KernelWorkspace
 from repro.simd.scan import enumerate_mask, rendezvous
 
 __all__ = ["MatchResult", "Matcher", "NGPMatcher", "GPMatcher"]
@@ -68,45 +62,10 @@ class Matcher:
     Subclasses implement :meth:`match`.  ``setup_scans`` is the number of
     sum-scan operations the scheme's setup step costs on the machine
     (Section 3.3: GP pays extra bookkeeping scans for the pointer).
-
-    By default the enumeration and rendezvous primitives are the plain
-    :mod:`repro.simd.scan` functions; :meth:`configure_kernels` reroutes
-    them through the :mod:`repro.kernels` registry (the batched executor
-    shares its workspace with every cell's matcher this way).
     """
 
     name: str = "abstract"
     setup_scans: int = 2
-
-    def configure_kernels(
-        self, kernel_backend: str = DEFAULT_KERNEL_BACKEND, workspace=None
-    ) -> None:
-        """Route rendezvous/enumeration through a kernel tier.
-
-        ``kernel_backend`` is resolved like every other dispatch site
-        (``"auto"`` picks the best available); a workspace is created on
-        demand when a non-numpy tier needs one and none is supplied.
-        """
-        resolved = resolve_backend(kernel_backend)
-        if workspace is None and resolved != "numpy":
-            workspace = KernelWorkspace()
-        self._kernel_ws = workspace
-        self._rendezvous_kernel = get_kernel("match.rendezvous", resolved)
-        self._enumerate_kernel = get_kernel("scan.enumerate_mask", resolved)
-
-    def _rendezvous(self, requesters, grantors, *, grantor_order=None):
-        kernel = getattr(self, "_rendezvous_kernel", None)
-        if kernel is None:
-            return rendezvous(requesters, grantors, grantor_order=grantor_order)
-        return kernel(
-            requesters, grantors, grantor_order=grantor_order, ws=self._kernel_ws
-        )
-
-    def _enumerate(self, mask):
-        kernel = getattr(self, "_enumerate_kernel", None)
-        if kernel is None:
-            return enumerate_mask(mask)
-        return kernel(mask, ws=self._kernel_ws)
 
     def match(self, busy: np.ndarray, idle: np.ndarray) -> MatchResult:
         """Pair busy donors with idle receivers for one transfer round."""
@@ -134,12 +93,12 @@ class NGPMatcher(Matcher):
 
     def match(self, busy: np.ndarray, idle: np.ndarray) -> MatchResult:
         busy, idle = self._validate(busy, idle)
-        donors, receivers = self._rendezvous(idle, busy)
+        donors, receivers = rendezvous(idle, busy)
         return MatchResult(
             donors=donors,
             receivers=receivers,
-            busy_ranks=self._enumerate(busy),
-            idle_ranks=self._enumerate(idle),
+            busy_ranks=enumerate_mask(busy),
+            idle_ranks=enumerate_mask(idle),
         )
 
 
@@ -191,7 +150,7 @@ class GPMatcher(Matcher):
     def match(self, busy: np.ndarray, idle: np.ndarray) -> MatchResult:
         busy, idle = self._validate(busy, idle)
         order = self.rotated_busy_order(busy)
-        donors, receivers = self._rendezvous(idle, busy, grantor_order=order)
+        donors, receivers = rendezvous(idle, busy, grantor_order=order)
         if len(donors) > 0:
             if self.advance == "last_donor":
                 self.pointer = int(donors[-1])
@@ -205,5 +164,5 @@ class GPMatcher(Matcher):
             donors=donors,
             receivers=receivers,
             busy_ranks=busy_ranks,
-            idle_ranks=self._enumerate(idle),
+            idle_ranks=enumerate_mask(idle),
         )

@@ -47,8 +47,6 @@ from repro.core.metrics import RunMetrics
 from repro.core.splitting import AlphaSplitter, WorkSplitter
 from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger
 from repro.errors import ConfigError
-from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND, resolve_backend
-from repro.kernels.workspace import KernelWorkspace
 from repro.obs.profile import span
 from repro.simd.cost import CostModel
 from repro.simd.machine import TimeLedger
@@ -142,11 +140,6 @@ class MegaGridExecutor:
         conservation across every cell, non-negative counts, and each
         finished cell's ledger identity.  Cheap (vectorized over cells)
         but on by default only in tests.
-    kernel_backend:
-        Tier for the mega kernels and every cell matcher's rendezvous —
-        ``"numpy"`` (reference), ``"fused"``, ``"jit"`` or ``"auto"``
-        (default).  One :class:`~repro.kernels.KernelWorkspace` is
-        shared by the arena and all matchers.
     on_cell_done:
         Called as ``on_cell_done(plan, metrics)`` the cycle each cell
         finishes — the write-ahead journal's hook, so an in-process
@@ -162,7 +155,6 @@ class MegaGridExecutor:
         cost_model: CostModel | None = None,
         splitter: WorkSplitter | None = None,
         sanitize: bool = False,
-        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
         on_cell_done: "Callable[[CellPlan, RunMetrics], None] | None" = None,
     ) -> None:
         if not cells:
@@ -171,20 +163,11 @@ class MegaGridExecutor:
         self.splitter = splitter if splitter is not None else AlphaSplitter()
         self.sanitize = sanitize
         self.on_cell_done = on_cell_done
-        self.kernel_backend = resolve_backend(kernel_backend)
-        self._kernel_ws = (
-            KernelWorkspace() if self.kernel_backend != "numpy" else None
-        )
         n = len(cells)
 
         self.pes = np.array([c.n_pes for c in cells], dtype=np.int64)
         self.totals = np.array([c.total_work for c in cells], dtype=np.int64)
-        self.arena = MegaArena(
-            self.pes.tolist(),
-            roots=self.totals.tolist(),
-            kernel_backend=self.kernel_backend,
-            workspace=self._kernel_ws,
-        )
+        self.arena = MegaArena(self.pes.tolist(), roots=self.totals.tolist())
 
         # Per-cell Python state and vectorized trigger parameters.  The
         # trigger objects built by the scheme are only probed for their
@@ -206,8 +189,6 @@ class MegaGridExecutor:
                     f"{type(matcher).__name__}/{type(trigger).__name__}, which "
                     "the batched executor does not support; run it serially"
                 )
-            if self.kernel_backend != "numpy":
-                matcher.configure_kernels(self.kernel_backend, self._kernel_ws)
             self.runs.append(_CellRun(plan, matcher, plan.scheme.multiple_transfers))
             if isinstance(trigger, StaticTrigger):
                 self.kind[i] = _KIND_STATIC
@@ -492,7 +473,6 @@ def run_batched_cells(
     cost_model: CostModel | None = None,
     splitter: WorkSplitter | None = None,
     sanitize: bool = False,
-    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     on_cell_done: "Callable[[CellPlan, RunMetrics], None] | None" = None,
 ) -> dict[int, RunMetrics]:
     """Execute planned cells on one :class:`MegaGridExecutor`.
@@ -507,7 +487,6 @@ def run_batched_cells(
             cost_model=cost_model,
             splitter=splitter,
             sanitize=sanitize,
-            kernel_backend=kernel_backend,
             on_cell_done=on_cell_done,
         )
     return executor.run()

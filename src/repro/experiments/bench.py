@@ -4,12 +4,9 @@ Times the hot kernels and a small Figure-4-style grid, then writes
 ``BENCH_kernels.json`` so every PR can compare against the last recorded
 numbers:
 
-- **kernel tiers** — node-expansion throughput of the stack model's
+- **stack kernel** — node-expansion throughput of the stack model's
   ``expand_cycle`` at machine width, measured in a warmed (work-spread)
-  state across the :mod:`repro.kernels` dispatch tiers (``numpy``
-  reference vs ``fused`` zero-allocation vs ``jit`` when numba is
-  importable), with an end-state identity check across tiers and the
-  ``jit_note`` explaining the fallback on numba-less hosts.
+  state.
 - **grid** — a small static-trigger isoefficiency grid (Figure 4's
   shape) executed serially and with ``run_grid(n_jobs=...)``, plus a
   record-identity check between the two.
@@ -18,9 +15,7 @@ The *search* section (written separately as ``BENCH_search.json``)
 covers the real 15-puzzle workload the same way:
 
 - **search expansion kernel** — ``SearchWorkload.expand_cycle``
-  throughput per kernel tier from identically warmed stack states, with
-  bit-identity (per-PE counts, expansions, next bound) asserted on the
-  timed states in the same run.
+  throughput from a warmed, machine-wide stack state.
 - **full parallel IDA*** — a complete run on a fixed bench instance,
   asserted node for node against serial IDA*.
 
@@ -61,7 +56,7 @@ __all__ = [
     "BENCH_PATH",
     "BENCH_SEARCH_PATH",
     "DEFAULT_REPEATS",
-    "bench_kernel_tiers",
+    "bench_stack_kernel",
     "bench_grid",
     "bench_search_kernel",
     "bench_search_full",
@@ -94,21 +89,38 @@ def _host_info() -> dict:
     }
 
 
-def _warmed_workload(
-    *, work: int, n_pes: int, seed: int, warm_cycles: int, kernel_backend: str
-) -> StackWorkload:
-    """A stack workload after ``warm_cycles`` scheduled cycles of spread.
+def _time_cycles(workload, time_cycles: int) -> dict:
+    """Time up to ``time_cycles`` bare ``expand_cycle`` calls."""
+    expanded_before = workload.total_expanded()
+    cycles = 0
+    t0 = time.perf_counter()
+    while cycles < time_cycles and not workload.done():
+        workload.expand_cycle()
+        cycles += 1
+    dt = time.perf_counter() - t0
+    nodes = workload.total_expanded() - expanded_before
+    return {
+        "cycles": cycles,
+        "nodes": nodes,
+        "nodes_per_s": nodes / dt,
+        "ms_per_cycle": dt / max(cycles, 1) * 1e3,
+    }
 
-    The warmup is deterministic and identical across tiers (same seed,
-    same scheme), so every tier is timed from the same tree state.
-    """
-    workload = StackWorkload(work, n_pes, rng=seed, kernel_backend=kernel_backend)
-    machine = SimdMachine(n_pes, CostModel())
-    Scheduler(workload, machine, "GP-S0.75", max_cycles=warm_cycles).run()
-    return workload
+
+def _best_of(make_workload, time_cycles: int, repeats: int) -> dict:
+    """Best-of-``repeats`` cycle timing, each repeat on a fresh
+    ``make_workload()``; repeat 0 is an untimed warmup."""
+    _check_repeats(repeats)
+    best: dict | None = None
+    for rep in range(repeats + 1):
+        row = _time_cycles(make_workload(), time_cycles)
+        if rep and (best is None or row["ms_per_cycle"] < best["ms_per_cycle"]):
+            best = row
+    assert best is not None
+    return best
 
 
-def bench_kernel_tiers(
+def bench_stack_kernel(
     *,
     n_pes: int = 4096,
     work_per_pe: int = 400,
@@ -117,73 +129,28 @@ def bench_kernel_tiers(
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """Stack-model ``expand_cycle`` throughput per :mod:`repro.kernels` tier.
+    """Stack-model ``expand_cycle`` throughput at machine width.
 
-    Times the identically warmed workload under each dispatchable
-    tier — ``numpy`` (the reference), ``fused`` (the zero-allocation
-    workspace path) and ``jit`` when numba is importable — and asserts
-    the end states (expansion count, per-PE stack windows, RNG position)
-    are bit-identical across tiers: the speedup only means something if
-    every tier did exactly the same work.  Best-of-``repeats`` per tier
-    (repeat 0 untimed warmup).
+    Each repeat rebuilds the same workload (same seed) and spreads it
+    with ``warm_cycles`` scheduled ``GP-S0.75`` cycles, so every repeat
+    times the same tree state.  Best-of-``repeats`` (repeat 0 untimed
+    warmup).
     """
-    from repro.kernels.dispatch import HAVE_NUMBA, available_backends, jit_note
-
-    _check_repeats(repeats)
     work = n_pes * work_per_pe
-    tiers: dict[str, dict] = {}
-    end_states: dict[str, tuple] = {}
-    for tier in available_backends():
-        best: dict | None = None
-        for rep in range(repeats + 1):
-            workload = _warmed_workload(
-                work=work,
-                n_pes=n_pes,
-                seed=seed,
-                warm_cycles=warm_cycles,
-                kernel_backend=tier,
-            )
-            expanded_before = workload.total_expanded()
-            cycles = 0
-            t0 = time.perf_counter()
-            while cycles < time_cycles and not workload.done():
-                workload.expand_cycle()
-                cycles += 1
-            dt = time.perf_counter() - t0
-            row = {
-                "cycles": cycles,
-                "nodes_per_s": (workload.total_expanded() - expanded_before) / dt,
-                "ms_per_cycle": dt / max(cycles, 1) * 1e3,
-            }
-            if rep and (best is None or row["ms_per_cycle"] < best["ms_per_cycle"]):
-                best = row
-            end_states[tier] = (
-                workload.total_expanded(),
-                workload.stacks,
-                workload.rng.bit_generator.state,
-            )
-        assert best is not None
-        tiers[tier] = best
-    reference = end_states["numpy"]
-    records_identical = all(state == reference for state in end_states.values())
-    if not records_identical:
-        raise RuntimeError(
-            "kernel tiers diverged during the tier bench; the timing "
-            "numbers would compare different trees"
-        )
+
+    def make() -> StackWorkload:
+        workload = StackWorkload(work, n_pes, rng=seed)
+        machine = SimdMachine(n_pes, CostModel())
+        Scheduler(workload, machine, "GP-S0.75", max_cycles=warm_cycles).run()
+        return workload
+
     return {
         "n_pes": n_pes,
         "total_work": work,
         "warm_cycles": warm_cycles,
         "time_cycles": time_cycles,
         "repeats": repeats,
-        "jit_available": HAVE_NUMBA,
-        "jit_note": jit_note(),
-        "tiers": tiers,
-        "speedup_fused_vs_numpy": (
-            tiers["fused"]["nodes_per_s"] / tiers["numpy"]["nodes_per_s"]
-        ),
-        "records_identical": records_identical,
+        **_best_of(make, time_cycles, repeats),
     }
 
 
@@ -252,34 +219,6 @@ def bench_grid(
 
 # -- real-search benches (the BENCH_search.json section) -------------------
 
-#: (name, kernel_backend) variants timed by the search kernel bench:
-#: the reference tier and the :mod:`repro.kernels` fused tier (workspace
-#: scratch, no per-cycle allocation) over the same arena.
-_SEARCH_VARIANTS = (
-    ("arena", "numpy"),
-    ("arena-fused", "fused"),
-)
-
-
-def _warmed_search_workload(
-    problem, bound: int, *, n_pes: int, warm_cycles: int, kernel_backend: str
-):
-    """A ``SearchWorkload`` after ``warm_cycles`` scheduled spread cycles.
-
-    The warmup is deterministic and identical across variants (same
-    instance, bound and scheme), so every tier is timed from the same
-    — vector-identical — stack state.
-    """
-    from repro.search.parallel import SearchWorkload
-
-    workload = SearchWorkload(problem, bound, n_pes, kernel_backend=kernel_backend)
-    machine = SimdMachine(n_pes, CostModel())
-    Scheduler(
-        workload, machine, "GP-S0.75", init_threshold=0.9, max_cycles=warm_cycles
-    ).run()
-    return workload
-
-
 def bench_search_kernel(
     *,
     n_pes: int = 1024,
@@ -290,62 +229,28 @@ def bench_search_kernel(
     time_cycles: int = 48,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """Throughput of the real-search ``expand_cycle`` per kernel tier.
+    """Throughput of the real-search ``expand_cycle`` at machine width.
 
     One fixed 15-puzzle instance, one generous cost bound (root ``h``
     plus ``bound_slack``, wide enough that the tree outlives the timing
     window), warmed through the scheduler so the cycle touches ~all PEs.
     Best-of-``repeats`` (repeat 0 untimed warmup); each repeat rebuilds
-    the identical warmed state.  After timing, the end states of all
-    variants are asserted identical — the timed work was the same work.
+    the identical warmed state.
     """
     from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
+    from repro.search.parallel import SearchWorkload
 
-    _check_repeats(repeats)
     problem = scrambled_fifteen_puzzle(scramble, rng=instance_seed)
     bound = problem.heuristic(problem.initial_state()) + bound_slack
-    backends: dict[str, dict] = {}
-    end_states: dict[str, tuple] = {}
-    for name, kernel_backend in _SEARCH_VARIANTS:
-        best: dict | None = None
-        for rep in range(repeats + 1):
-            workload = _warmed_search_workload(
-                problem,
-                bound,
-                n_pes=n_pes,
-                warm_cycles=warm_cycles,
-                kernel_backend=kernel_backend,
-            )
-            expanded_before = workload.total_expanded()
-            cycles = 0
-            t0 = time.perf_counter()
-            while cycles < time_cycles and not workload.done():
-                workload.expand_cycle()
-                cycles += 1
-            dt = time.perf_counter() - t0
-            nodes = workload.total_expanded() - expanded_before
-            row = {
-                "cycles": cycles,
-                "nodes": nodes,
-                "nodes_per_s": nodes / dt,
-                "ms_per_cycle": dt / max(cycles, 1) * 1e3,
-            }
-            if rep and (best is None or row["ms_per_cycle"] < best["ms_per_cycle"]):
-                best = row
-            end_states[name] = (
-                workload.total_expanded(),
-                workload.next_bound,
-                workload._counts().tolist(),
-            )
-        assert best is not None
-        backends[name] = best
-    reference = end_states["arena"]
-    identical = all(state == reference for state in end_states.values())
-    if not identical:
-        raise RuntimeError(
-            "search kernel tiers diverged during the kernel bench; the timing "
-            "numbers would compare different trees"
-        )
+
+    def make() -> SearchWorkload:
+        workload = SearchWorkload(problem, bound, n_pes)
+        machine = SimdMachine(n_pes, CostModel())
+        Scheduler(
+            workload, machine, "GP-S0.75", init_threshold=0.9, max_cycles=warm_cycles
+        ).run()
+        return workload
+
     return {
         "n_pes": n_pes,
         "scramble": scramble,
@@ -353,48 +258,8 @@ def bench_search_kernel(
         "warm_cycles": warm_cycles,
         "time_cycles": time_cycles,
         "repeats": repeats,
-        "backends": backends,
-        "backends_identical": identical,
-        "speedup_fused_vs_arena": (
-            backends["arena-fused"]["nodes_per_s"]
-            / backends["arena"]["nodes_per_s"]
-        ),
+        **_best_of(make, time_cycles, repeats),
     }
-
-
-def _profile_expand_spans(problem, n_pes: int) -> dict:
-    """Span-profile one full IDA* run per kernel tier (expand spans only).
-
-    Per lock-step cycle the reference kernel issues a fixed ~25 numpy
-    dispatches regardless of how few PEs are busy, so on a tiny frontier
-    the cycle is all dispatch cost; the fused tier's sparse-frontier band
-    runs a per-row loop instead.  The recorded ``us_per_cycle`` pair
-    quantifies that on this host.
-    """
-    from repro.obs.profile import Profiler, activate, deactivate
-    from repro.search.parallel import ParallelIDAStar
-
-    spans: dict[str, dict] = {}
-    for name, kernel_backend in _SEARCH_VARIANTS:
-        def run():
-            return ParallelIDAStar(
-                problem, n_pes, "GP-S0.75", kernel_backend=kernel_backend
-            ).run()
-
-        run()
-        profiler = Profiler()
-        activate(profiler)
-        try:
-            run()
-        finally:
-            deactivate()
-        agg = profiler.totals()["expand.search.arena"]
-        spans[name] = {
-            "cycles": agg["count"],
-            "seconds": agg["seconds"],
-            "us_per_cycle": 1e6 * agg["seconds"] / agg["count"],
-        }
-    return spans
 
 
 def bench_search_full(
@@ -403,13 +268,12 @@ def bench_search_full(
     n_pes: int = 256,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """Wall-clock of one complete parallel IDA* run at the default tier.
+    """Wall-clock of one complete parallel IDA* run.
 
     Runs the fixed bench instance to optimality (best-of-``repeats``,
     repeat 0 untimed warmup) and asserts (in-run) that expansions, bounds
     and the optimal cost match serial IDA* node for node.
     """
-    from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND, resolve_backend
     from repro.problems.fifteen_puzzle import BENCH_INSTANCES
     from repro.search.ida_star import ida_star
     from repro.search.parallel import ParallelIDAStar
@@ -433,11 +297,9 @@ def bench_search_full(
     if not serial_parity:
         raise RuntimeError(f"parallel IDA* diverged from serial on {instance!r}")
     return {
-        "expand_span_profile": _profile_expand_spans(problem, n_pes),
         "instance": instance,
         "n_pes": n_pes,
         "repeats": repeats,
-        "kernel_backend": resolve_backend(DEFAULT_KERNEL_BACKEND),
         "total_expanded": result.total_expanded,
         "solution_cost": result.solution_cost,
         "bounds": list(result.bounds),
@@ -515,7 +377,7 @@ def run_bench(
         "seed": seed,
         "host": _host_info(),
         "kernels": {
-            "fused": bench_kernel_tiers(
+            "stack": bench_stack_kernel(
                 n_pes=n_pes, seed=seed, repeats=repeats, **kernel_kwargs
             ),
         },
@@ -532,21 +394,12 @@ def run_bench(
 
 def render_bench(report: dict) -> str:
     """A terse human summary of one bench report."""
-    fused = report["kernels"]["fused"]
+    stack = report["kernels"]["stack"]
     grid = report["grid"]
-    lines = [f"expand_cycle kernel tiers @ P={fused['n_pes']}:"]
-    for name, row in fused["tiers"].items():
-        lines.append(
-            f"  {name:13s} {row['nodes_per_s']:>12,.0f} nodes/s"
-            f"  ({row['ms_per_cycle']:.3f} ms/cycle)"
-        )
-    lines.append(
-        f"  fused speedup vs numpy: {fused['speedup_fused_vs_numpy']:.2f}x;"
-        f" records identical: {fused['records_identical']}"
-    )
-    if fused["jit_note"]:
-        lines.append(f"  note: {fused['jit_note']}")
-    lines += [
+    lines = [
+        f"stack expand_cycle kernel @ P={stack['n_pes']}: "
+        f"{stack['nodes_per_s']:,.0f} nodes/s "
+        f"({stack['ms_per_cycle']:.3f} ms/cycle)",
         f"grid {grid['cells']} cells, n_jobs={grid['n_jobs']}: "
         f"serial {grid['serial_s']:.2f}s, batched {grid['batched_s']:.2f}s "
         f"({grid['speedup']:.2f}x), process {grid['process_s']:.2f}s "
@@ -562,18 +415,10 @@ def render_search_bench(report: dict) -> str:
     full = report["search"]["full_ida"]
     lines = [
         f"search expand_cycle kernel @ P={kernel['n_pes']}, "
-        f"bound={kernel['bound']}:",
-    ]
-    for name, row in kernel["backends"].items():
-        lines.append(
-            f"  {name:13s} {row['nodes_per_s']:>12,.0f} nodes/s"
-            f"  ({row['ms_per_cycle']:.3f} ms/cycle)"
-        )
-    lines += [
-        f"  fused speedup vs numpy: {kernel['speedup_fused_vs_arena']:.2f}x;"
-        f" tiers identical: {kernel['backends_identical']}",
+        f"bound={kernel['bound']}: {kernel['nodes_per_s']:,.0f} nodes/s "
+        f"({kernel['ms_per_cycle']:.3f} ms/cycle)",
         f"full parallel IDA* ({full['instance']}, P={full['n_pes']}, "
-        f"W={full['total_expanded']}, {full['kernel_backend']} tier): "
+        f"W={full['total_expanded']}): "
         f"{full['seconds']['arena']:.2f}s; "
         f"serial parity: {full['serial_parity']}",
     ]

@@ -43,7 +43,6 @@ from repro.errors import (
 )
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
 from repro.faults import CheckpointConfig, FaultPlan, GridChaos
-from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND
 from repro.obs import Observability
 from repro.obs.registry import MetricsRegistry, record_run
 from repro.simd.cost import CostModel
@@ -336,7 +335,7 @@ def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
     attempt number, so the same ``GridChaos(index=...)`` crashes the
     same work however the grid is cut into units.
     """
-    rows, cost_model, splitter, kernel_backend, sanitize, timeout, chaos = payload
+    rows, cost_model, splitter, sanitize, timeout, chaos = payload
     plans = [
         CellPlan(index, make_scheme(spec), n_pes, total_work, seed, threshold)
         for (index, spec, n_pes, total_work, seed, threshold, _) in rows
@@ -366,7 +365,6 @@ def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
                 cost_model=cost_model,
                 splitter=splitter,
                 sanitize=sanitize,
-                kernel_backend=kernel_backend,
             ).items()
         )
     finally:
@@ -481,7 +479,6 @@ def run_grid(
     chaos: GridChaos | None = None,
     registry: MetricsRegistry | None = None,
     executor: str = "auto",
-    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     sanitize: bool = False,
     journal: "str | Path | None" = None,
     resume: bool = False,
@@ -561,11 +558,6 @@ def run_grid(
     auto-fallback reason, and whether a requested timeout is enforced).
     Recording happens in the parent process in cell-index order on every
     execution path, so all executors produce identical snapshots.
-
-    ``kernel_backend`` selects the kernel tier the mega-arena and its
-    matchers run on (``"auto"`` by default, or
-    ``"numpy"``/``"fused"``/``"jit"`` — see :mod:`repro.kernels`);
-    one-cell units ignore it, and every tier is record-identical.
 
     ``sanitize`` turns on the runtime invariant checks in every cell on
     every path; sanitized records are bit-identical to unsanitized ones.
@@ -661,9 +653,7 @@ def run_grid(
             plans,
             results,
             on_done,
-            worker_args=(
-                cost_model, splitter, kernel_backend, sanitize, timeout, chaos
-            ),
+            worker_args=(cost_model, splitter, sanitize, timeout, chaos),
             max_workers=n_workers,
             retry=retry,
             registry=registry,
@@ -676,7 +666,6 @@ def run_grid(
                 cost_model=cost_model,
                 splitter=splitter,
                 sanitize=sanitize,
-                kernel_backend=kernel_backend,
                 on_cell_done=on_done,
             )
         )

@@ -32,8 +32,7 @@ or writes only the two ends, so storing the flat sequence loses nothing
 expansion-count- and solution-identical, scheme for scheme.
 
 The expansion *kernel* (move tables, delta-``h``, bound pruning) lives
-with the workload in :mod:`repro.search.parallel`; this module is pure
-storage, mirroring the ``stackmodel``/``arena`` split of the work model.
+in :mod:`repro.search.kernel`; this module is pure storage, mirroring the ``stackmodel``/``arena`` split of the work model.
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ class SearchArena:
         self.meta = np.zeros((n_pes, capacity, 4), dtype=np.int32)
         self.bottom = np.zeros(n_pes, dtype=np.int64)
         self.top = np.zeros(n_pes, dtype=np.int64)
-        # Optional KernelWorkspace: when set (fused/jit tiers), growth
-        # leases pooled planes and compaction reuses the cached iota
-        # instead of allocating fresh arrays every doubling.
-        self.workspace = None
 
     @property
     def capacity(self) -> int:
@@ -228,25 +223,12 @@ class SearchArena:
         new_capacity = self._capacity
         while new_capacity < need:
             new_capacity *= 2
-        ws = self.workspace
-        if ws is not None:
-            # Pooled growth: lease zero-filled planes from the workspace
-            # pool and return the outgrown ones, so repeated doublings in
-            # a long run recycle buffers instead of hitting the allocator.
-            grown_tiles = ws.lease(
-                (self.n_pes, new_capacity, self.state_width), np.dtype(np.uint8)
-            )
-            grown_meta = ws.lease((self.n_pes, new_capacity, 4), np.dtype(np.int32))
-        else:
-            grown_tiles = np.zeros(
-                (self.n_pes, new_capacity, self.state_width), dtype=np.uint8
-            )
-            grown_meta = np.zeros((self.n_pes, new_capacity, 4), dtype=np.int32)
+        grown_tiles = np.zeros(
+            (self.n_pes, new_capacity, self.state_width), dtype=np.uint8
+        )
+        grown_meta = np.zeros((self.n_pes, new_capacity, 4), dtype=np.int32)
         grown_tiles[:, : self._capacity] = self.tiles
         grown_meta[:, : self._capacity] = self.meta
-        if ws is not None:
-            ws.release(self.tiles)
-            ws.release(self.meta)
         self.tiles = grown_tiles
         self.meta = grown_meta
         self._capacity = new_capacity
@@ -259,12 +241,7 @@ class SearchArena:
             seg = counts[shifted]
             total = int(seg.sum())
             offsets = np.cumsum(seg) - seg
-            iota = (
-                self.workspace.iota(total)
-                if self.workspace is not None
-                else np.arange(total, dtype=np.int64)
-            )
-            within = iota - np.repeat(offsets, seg)
+            within = np.arange(total, dtype=np.int64) - np.repeat(offsets, seg)
             rows = np.repeat(shifted, seg)
             src = np.repeat(self.bottom[shifted], seg) + within
             # Fancy-index RHS gathers into a temp before the scatter, so

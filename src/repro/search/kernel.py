@@ -1,28 +1,28 @@
-"""Search-workload expand-cycle kernels (numpy / fused / sparse rows).
+"""The arena search workload's expand-cycle kernel and its scratch.
 
 One lock-step cycle of the real 15-puzzle search = pop every non-empty
 PE's top entry, goal-test it, generate its table-driven moves with the
 incremental Manhattan delta, prune against the cost bound (recording the
 next-iteration bound) and push the surviving children in reversed
-generation order.  Three implementations share that contract:
+generation order.  :func:`expand_cycle` picks one of three
+implementations of that cycle by the frontier width it observes — the
+busy-PE count, never a caller's choice:
 
-- :func:`search_expand_numpy` — the reference tier: the exact
-  pre-dispatch body of ``SearchWorkload._expand_cycle_arena_inner``.
-- :func:`search_expand_fused` — the zero-allocation tier: every
-  temporary (popped rows, masks, move tables, scatter indices) comes
-  from a :class:`~repro.kernels.workspace.KernelWorkspace`; gathers use
-  ``np.take(..., out=)`` into source-dtype buffers, arithmetic runs
-  through ufunc ``out=``.  Below :data:`SPARSE_THRESHOLD` busy PEs it
-  drops to the scalar row loop — at a nearly-idle frontier (the P=256
-  full-IDA* tail) full-width numpy dispatch costs more than the work.
-- :func:`_expand_search_rows` — the scalar row loop itself, written in
-  numba-compatible style (plain loops, preallocated buffers, int
-  sentinels).  The jit tier (:mod:`repro.kernels.jit`) compiles this
-  very function with ``@njit``, so the code path the JIT runs is the
-  one the sparse path already exercises under the identity suite.
+- ``<=`` :data:`SPARSE_THRESHOLD` busy PEs: :func:`_expand_rows`, a
+  scalar row loop.  At a near-idle frontier (the full-IDA* tail) the
+  ~40 us of fixed numpy-call overhead per cycle dwarfs the work.
+- mid-width: :func:`_expand_reference`, a handful of allocating
+  full-width numpy calls.
+- ``>=`` :data:`DENSE_THRESHOLD` busy PEs: :func:`_expand_dense`, the
+  same arithmetic with every temporary (popped rows, masks, move
+  tables, scatter indices) in :class:`KernelWorkspace` scratch; gathers
+  use ``np.take(..., out=)`` and arithmetic runs through ufunc ``out=``.
+  It makes more, smaller numpy calls than the reference and only pays
+  off once per-element work dominates per-call overhead.
 
-All tiers are bit-identical to the list oracle across the six paper
-schemes with the sanitizer on (the cross-tier identity suite gates it).
+All three leave the workload in the same state, bit for bit; the bands
+are a pure performance decision.  ``tests/kernels`` runs each band in
+lock-step against the per-PE ``DFSStack`` storage.
 """
 
 from __future__ import annotations
@@ -31,39 +31,180 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernels.dispatch import register
-from repro.kernels.stack import fused_reset_windows, segment_slots
-from repro.kernels.workspace import KernelWorkspace
 from repro.search.arena import BLANK_COL, G_COL, H_COL, PREV_COL
 
 if TYPE_CHECKING:
     from repro.search.parallel import SearchWorkload
 
-__all__ = ["search_expand_numpy", "search_expand_fused", "SPARSE_THRESHOLD"]
+__all__ = ["KernelWorkspace", "expand_cycle"]
 
-#: Busy-PE count at or below which the fused tier uses the scalar row
-#: loop instead of full-width numpy ops (the sparse-frontier fast path:
-#: at a near-idle frontier the ~40 us of fixed numpy-call overhead per
-#: cycle dwarfs the work, and the row loop halves it).
+#: Busy-PE count at or below which a cycle runs the scalar row loop.
 SPARSE_THRESHOLD = 3
 
-#: Busy-PE count below which the fused tier delegates mid-width cycles
-#: to the reference kernel: the scratch-backed dense path makes more
-#: (smaller) numpy calls than the reference, which only pays off once
-#: per-element work dominates per-call overhead (measured crossover
-#: ~700 busy PEs on the 15-puzzle tables).
+#: Busy-PE count from which a cycle runs the scratch-backed dense path
+#: (measured crossover ~700 busy PEs on the 15-puzzle tables).
 DENSE_THRESHOLD = 512
 
 
-def search_expand_numpy(wl: SearchWorkload, ws=None) -> int:  # repro: kernel
-    """Reference tier: the historical arena expand-cycle, verbatim."""
-    arena = wl._arena
-    assert arena is not None
+def _grow_to(n: int) -> int:
+    """Smallest power of two >= max(n, 16) — geometric growth floor."""
+    return max(16, 1 << (max(n, 1) - 1).bit_length())
+
+
+class KernelWorkspace:
+    """Named scratch buffers and a shared iota for one search workload.
+
+    - **named scratch** (:meth:`scratch` / :meth:`scratch2d`): a buffer
+      per logical role (``"search.keep"``, ...), grown geometrically and
+      returned as a leading-slice view.  Reused buffers come back
+      *dirty*; the kernel overwrites every element it reads.  A view is
+      valid until the next request for the *same name*.
+    - **the iota** (:meth:`iota`): one cached, read-only ``arange`` for
+      ``0..n`` row/flat indexing.
+    """
+
+    __slots__ = ("_named", "_iota")
+
+    def __init__(self) -> None:
+        self._named: dict[str, np.ndarray] = {}
+        self._iota = np.arange(16, dtype=np.int64)
+        self._iota.setflags(write=False)
+
+    def scratch(self, name: str, n: int, dtype=np.int64) -> np.ndarray:
+        """A 1-D buffer of ``n`` elements under ``name`` (dirty on reuse)."""
+        want = np.dtype(dtype)
+        buf = self._named.get(name)
+        if buf is None or buf.ndim != 1 or buf.dtype != want or buf.shape[0] < n:
+            buf = np.empty(_grow_to(n), dtype=want)
+            self._named[name] = buf
+        return buf[:n]
+
+    def scratch2d(self, name: str, rows: int, cols: int, dtype=np.int64) -> np.ndarray:
+        """A ``(rows, cols)`` buffer under ``name`` (dirty on reuse).
+
+        The row capacity grows geometrically; a change of ``cols`` or
+        dtype reallocates (column widths are fixed per logical role).
+        """
+        want = np.dtype(dtype)
+        buf = self._named.get(name)
+        if (
+            buf is None
+            or buf.ndim != 2
+            or buf.dtype != want
+            or buf.shape[1] != cols
+            or buf.shape[0] < rows
+        ):
+            buf = np.empty((_grow_to(rows), cols), dtype=want)
+            self._named[name] = buf
+        return buf[:rows]
+
+    def iota(self, n: int) -> np.ndarray:
+        """Read-only ``arange(n)`` view backed by one cached array."""
+        if n > len(self._iota):
+            fresh = np.arange(_grow_to(n), dtype=np.int64)
+            fresh.setflags(write=False)
+            self._iota = fresh
+        return self._iota[:n]
+
+
+def expand_cycle(wl: SearchWorkload, ws: KernelWorkspace) -> int:  # repro: kernel
+    """One lock-step expansion cycle of an arena-stored search workload.
+
+    Selects the expanding PEs itself (``flatnonzero`` of the non-empty
+    mask), so every write lands in an expanding PE's own window; owns
+    the count-cache invalidation and the expansion bookkeeping.  Returns
+    the number of PEs that expanded.
+    """
     pes = np.flatnonzero(wl._counts() > 0)
     n = len(pes)
     if n == 0:
         return 0
     wl._cached_counts = None
+    if n <= SPARSE_THRESHOLD:
+        return _expand_rows(wl, pes, ws)
+    if n < DENSE_THRESHOLD:
+        return _expand_reference(wl, pes, ws)
+    return _expand_dense(wl, pes, ws)
+
+
+def _segment_slots(
+    pes: np.ndarray,
+    tops: np.ndarray,
+    lens: np.ndarray,
+    capacity: int,
+    ws: KernelWorkspace,
+) -> np.ndarray:
+    """Flat destination slot per CSR element for a segmented arena push.
+
+    Element ``i`` of the returned array is ``row * capacity + slot`` for
+    the ``i``-th value of the flat CSR payload — the scatter index
+    :meth:`SearchArena.push_segments` derives with three ``np.repeat``
+    calls, computed here as cumsum + gathers into workspace scratch.
+    At least one segment must be non-empty.
+
+    Unmasked by construction: ``pes`` is the caller's
+    ``flatnonzero(active)`` selection, so every computed slot belongs to
+    an expanding PE's own window.
+    """
+    if int(lens.min()) > 0:
+        # Dense-segment fast path: every listed PE pushes, so the
+        # empty-segment drop (flatnonzero + two gathers) is skipped.
+        m = len(lens)
+        lens_nz = lens
+        pes_nz = pes
+        tops_nz = tops
+    else:
+        nzseg = np.flatnonzero(lens)
+        m = len(nzseg)
+        lens_nz = ws.scratch("push.lens_nz", m)
+        np.take(lens, nzseg, out=lens_nz)
+        pes_nz = ws.scratch("push.pes_nz", m)
+        np.take(pes, nzseg, out=pes_nz)
+        tops_nz = ws.scratch("push.tops_nz", m)
+        np.take(tops, nzseg, out=tops_nz)
+    ends = ws.scratch("push.ends", m)
+    np.cumsum(lens_nz, out=ends)
+    total = int(ends[-1])
+    marks = ws.scratch("push.marks", total)
+    marks.fill(0)
+    if m > 1:
+        # Segment ends are strictly increasing, so these indices are
+        # unique — plain scatter, no np.add.at needed.
+        marks[ends[:-1]] = 1
+    segid = ws.scratch("push.segid", total)
+    np.cumsum(marks, out=segid)
+    # Fold row, start slot and segment begin into one per-segment base —
+    # base[s] = row*capacity + start - begin — so only a single gather
+    # plus one iota add run at flat-payload length:
+    # dest[i] = base[segid[i]] + i.
+    base = ws.scratch("push.base", m)
+    np.multiply(pes_nz, capacity, out=base)
+    np.add(base, tops_nz, out=base)
+    np.subtract(base, ends, out=base)
+    np.add(base, lens_nz, out=base)
+    dest = ws.scratch("push.dest", total)
+    np.take(base, segid, out=dest)
+    np.add(dest, ws.iota(total), out=dest)
+    return dest
+
+
+def _reset_windows(bottom: np.ndarray, top: np.ndarray, ws: KernelWorkspace) -> None:
+    """Rewind exhausted windows to slot 0 without an index array.
+
+    Full-width over the unmasked PE axis — the two stores are
+    ``where=``-guarded by the emptiness mask itself, exactly like
+    :meth:`SearchArena.reset_empty_windows`'s masked stores.
+    """
+    empty = ws.scratch("search.reset.empty", len(top), dtype=bool)
+    np.equal(top, bottom, out=empty)
+    np.copyto(top, 0, where=empty)
+    np.copyto(bottom, 0, where=empty)
+
+
+def _expand_reference(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
+    """Mid-width band: allocating full-width numpy over the arena methods."""
+    arena = wl._arena
+    n = len(pes)
     tiles, meta = arena.pop_tops(pes)
     wl.expanded += n
 
@@ -99,9 +240,7 @@ def search_expand_numpy(wl: SearchWorkload, ws=None) -> int:  # repro: kernel
     dests = wl._move_table[blank_l]  # (m, 4)
     valid = (dests >= 0) & (dests != prev_l[:, None])
     safe = np.where(valid, dests, 0)
-    if m > len(wl._iota):
-        wl._iota = np.arange(m, dtype=np.int64)
-    rows = wl._iota[:m]
+    rows = ws.iota(m)
     moved = tiles_l[rows[:, None], safe]  # (m, 4) moved-tile values
     # Incremental Manhattan: tile `moved` slides from `safe` into the
     # blank, so h changes by D[moved, blank] - D[moved, safe].
@@ -124,9 +263,7 @@ def search_expand_numpy(wl: SearchWorkload, ws=None) -> int:  # repro: kernel
     if total:
         ii, jj = np.nonzero(keep_r)  # row-major: per-parent reversed order
         dest_sel = dests[:, ::-1][ii, jj]
-        if total > len(wl._iota):
-            wl._iota = np.arange(total, dtype=np.int64)
-        flat = wl._iota[:total]
+        flat = ws.iota(total)
         flat_tiles = tiles_l[ii]  # fancy indexing copies
         flat_tiles[flat, blank_l[ii]] = flat_tiles[flat, dest_sel]
         flat_tiles[flat, dest_sel] = 0
@@ -145,12 +282,11 @@ def _expand_search_rows(
 ):
     """Scalar row loop: pop + goal test + moves + push, one PE at a time.
 
-    Numba-compatible by construction (plain loops over the caller's
-    index set, preallocated ``parent`` row buffer, ``-1`` sentinel for
-    an unset next bound, results written into ``goal_depths``).  The
-    caller has already ensured per-PE capacity for the worst case (+3
-    net entries) and owns all bookkeeping.  Returns
-    ``(n_goals, next_bound)``.
+    Plain loops over the caller's index set, a preallocated ``parent``
+    row buffer, a ``-1`` sentinel for an unset next bound and results
+    written into ``goal_depths``.  The caller has already ensured per-PE
+    capacity for the worst case (+3 net entries) and owns all
+    bookkeeping.  Returns ``(n_goals, next_bound)``.
 
     Unmasked by construction: ``pes`` is the non-empty selection, so
     every write lands in an expanding PE's own window.
@@ -202,10 +338,8 @@ def _expand_search_rows(
     return n_goals, next_bound
 
 
-def _expand_rows_driver(
-    wl: SearchWorkload, pes, ws: KernelWorkspace, rows_fn
-) -> int:
-    """Shared bookkeeping around a row-loop kernel (sparse and jit paths)."""
+def _expand_rows(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
+    """Sparse band: bookkeeping around the scalar row loop."""
     arena = wl._arena
     n = len(pes)
     # Worst case net growth is +3 per PE (pop one, push <= 4); ensure
@@ -216,7 +350,7 @@ def _expand_rows_driver(
     goal_depths = ws.scratch("search.rows.goals", n)
     parent = ws.scratch("search.rows.parent", arena.state_width, dtype=np.uint8)
     nb = wl.next_bound if wl.next_bound is not None else -1
-    n_goals, nb = rows_fn(
+    n_goals, nb = _expand_search_rows(
         arena.tiles,
         arena.meta,
         arena.top,
@@ -235,12 +369,12 @@ def _expand_rows_driver(
         wl.goal_depths.extend(int(goal_depths[i]) for i in range(n_goals))
     if nb >= 0:
         wl.next_bound = int(nb)
-    fused_reset_windows(arena.bottom, arena.top, ws, "search.reset")
+    _reset_windows(arena.bottom, arena.top, ws)
     return n
 
 
-def _search_expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
-    """Fused full-width cycle: scratch-backed gathers, ufunc ``out=`` math."""
+def _expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
+    """Dense band: scratch-backed gathers, ufunc ``out=`` math."""
     arena = wl._arena
     n = len(pes)
     width = arena.state_width
@@ -266,13 +400,13 @@ def _search_expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
     goal = ws.scratch("search.goal", n, dtype=bool)
     np.all(eq, axis=1, out=goal)
     if goal.any():
-        # Rare branch — mirror the reference tier's allocating filter so
+        # Rare branch — mirror the reference band's allocating filter so
         # goal-cycle state stays bit-identical.
         wl.solutions += int(goal.sum())
         wl.goal_depths.extend(int(d) for d in meta[goal, G_COL])
         live = ~goal
         if not live.any():
-            fused_reset_windows(arena.bottom, arena.top, ws, "search.reset")
+            _reset_windows(arena.bottom, arena.top, ws)
             return n
         pes_l = pes[live]
         tiles_l = np.ascontiguousarray(tiles[live])
@@ -389,44 +523,17 @@ def _search_expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
         flat_meta[:, PREV_COL] = blank_sel
 
         # -- push: segment-id scatter (capacity first — growth decisions
-        # match the reference tier's push_segments ordering) --------------
+        # match the reference band's push_segments ordering) --------------
         arena._ensure_capacity(pes_l, lens)
         tiles_plane = arena.tiles.reshape(-1, width)
         meta_plane = arena.meta.reshape(-1, 4)
         tops2 = ws.scratch("search.tops2", m)
         np.take(arena.top, pes_l, out=tops2)
-        dest, _ = segment_slots(pes_l, tops2, lens, arena.capacity, ws, "search.push")
+        dest = _segment_slots(pes_l, tops2, lens, arena.capacity, ws)
         tiles_plane[dest] = flat_tiles
         meta_plane[dest] = flat_meta
         np.add(tops2, lens, out=tops2)
         arena.top[pes_l] = tops2
 
-    fused_reset_windows(arena.bottom, arena.top, ws, "search.reset")
+    _reset_windows(arena.bottom, arena.top, ws)
     return n
-
-
-def search_expand_fused(wl: SearchWorkload, ws: KernelWorkspace) -> int:  # repro: kernel
-    """Fused tier: pick the cheapest implementation for the frontier width.
-
-    Three bands, measured on the 15-puzzle tables: the scalar row loop
-    at a near-idle frontier (<= :data:`SPARSE_THRESHOLD` busy PEs), the
-    reference kernel for mid-width cycles, and the scratch-backed dense
-    path once per-element work dominates numpy call overhead
-    (>= :data:`DENSE_THRESHOLD`).  All three produce bit-identical
-    workload state, so the bands are a pure performance decision.
-    """
-    pes = np.flatnonzero(wl._counts() > 0)
-    n = len(pes)
-    if n == 0:
-        return 0
-    if n <= SPARSE_THRESHOLD:
-        wl._cached_counts = None
-        return _expand_rows_driver(wl, pes, ws, _expand_search_rows)
-    if n < DENSE_THRESHOLD:
-        return search_expand_numpy(wl, ws)
-    wl._cached_counts = None
-    return _search_expand_dense(wl, pes, ws)
-
-
-register("search.expand_cycle", "numpy", search_expand_numpy)
-register("search.expand_cycle", "fused", search_expand_fused)

@@ -18,7 +18,7 @@ The workload picks its stack storage from the problem alone:
   top, goal-tests, generates children from the precomputed move table,
   updates ``h`` incrementally via the Manhattan delta table (O(1) per
   move instead of an O(side^2) recompute), bound-prunes and pushes — all
-  in a handful of full-width kernels;
+  in a handful of full-width kernels (:mod:`repro.search.kernel`);
 - any other :class:`~repro.search.problem.SearchProblem` (n-queens,
   colouring, a linear-conflict puzzle) gets one
   :class:`~repro.search.stack.DFSStack` per PE, expanded in a per-PE
@@ -51,17 +51,12 @@ from repro.core.metrics import RunMetrics
 from repro.core.scheduler import Scheduler
 from repro.faults.plan import FaultPlan
 from repro.faults.runtime import FaultRuntime
-from repro.kernels.dispatch import (
-    DEFAULT_KERNEL_BACKEND,
-    get_kernel,
-    resolve_backend,
-)
-from repro.kernels.workspace import KernelWorkspace
 from repro.obs import Observability
 from repro.obs.events import IterationEvent
 from repro.obs.profile import span
 from repro.obs.registry import record_run
 from repro.search.arena import BLANK_COL, G_COL, PREV_COL, SearchArena
+from repro.search.kernel import KernelWorkspace, expand_cycle
 from repro.search.problem import SearchProblem
 from repro.search.stack import DFSStack, StackEntry
 from repro.simd.cost import CostModel
@@ -106,17 +101,6 @@ class SearchWorkload:
         Stop at the cycle boundary after any PE finds a goal — the mode
         with speedup anomalies (Rao & Kumar [33]).  The paper's
         experiments keep this off; the anomaly benchmark turns it on.
-    kernel_backend:
-        Expand-cycle kernel tier for the arena storage — ``"numpy"``
-        (reference), ``"fused"`` (zero-allocation workspace path with a
-        sparse-frontier fast path), ``"jit"`` (numba row loop when
-        available, else fused) or ``"auto"`` (the default: the best tier
-        available).  Every tier is bit-identical; a problem stored in
-        ``DFSStack``s has no kernel to pick and ignores it.
-    workspace:
-        Optional shared :class:`~repro.kernels.KernelWorkspace` (IDA*
-        passes one across iterations); one is created per arena-stored
-        workload when a non-numpy tier needs it.
     """
 
     def __init__(
@@ -127,8 +111,6 @@ class SearchWorkload:
         *,
         split: str = "bottom",
         first_solution_only: bool = False,
-        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
-        workspace: KernelWorkspace | None = None,
     ) -> None:
         if split not in ("bottom", "half"):
             raise ValueError(f"split must be 'bottom' or 'half', got {split!r}")
@@ -137,7 +119,6 @@ class SearchWorkload:
         self.n_pes = int(n_pes)
         self.split = split
         self.first_solution_only = first_solution_only
-        self.kernel_backend = resolve_backend(kernel_backend)
 
         self.expanded = 0
         self.solutions = 0
@@ -158,21 +139,11 @@ class SearchWorkload:
             all(hasattr(problem, name) for name in _ARENA_PROTOCOL)
             and problem.supports_arena_backend()
         ):
-            if workspace is None and self.kernel_backend != "numpy":
-                workspace = KernelWorkspace()
-            self._kernel_ws = workspace
-            self._expand_kernel = get_kernel(
-                "search.expand_cycle", self.kernel_backend
-            )
-            # Reusable 0..k iota for the arena kernel's row indexing —
-            # grown on demand so steady-state cycles allocate no index
-            # arrays.
-            self._iota = np.arange(max(self.n_pes, 4), dtype=np.int64)
+            self._kernel_ws = KernelWorkspace()
             self._move_table = problem.move_table()
             self._dist_table = problem.manhattan_table()
             self._goal_row = problem.goal_row()
             self._arena = SearchArena(self.n_pes, problem.state_width)
-            self._arena.workspace = self._kernel_ws
             if root_in_bound:
                 tiles_row, blank, prev = problem.encode_state(root)
                 meta_row = np.array([0, h0, blank, prev], dtype=np.int32)
@@ -289,11 +260,7 @@ class SearchWorkload:
             return self._expand_cycle_arena_inner()
 
     def _expand_cycle_arena_inner(self) -> int:  # repro: kernel
-        # The cycle body lives in repro.kernels.search; the registry
-        # resolved the tier once at construction.  Every tier does its own
-        # pes selection, count-cache invalidation and bookkeeping against
-        # this workload, so the wrapper is a plain delegation.
-        return self._expand_kernel(self, self._kernel_ws)
+        return expand_cycle(self, self._kernel_ws)
 
     def transfer(self, donors: np.ndarray, receivers: np.ndarray) -> int:
         donors = np.asarray(donors, dtype=np.int64)
@@ -400,7 +367,6 @@ def parallel_depth_bounded(
     trace: bool = False,
     first_solution_only: bool = False,
     sanitize: bool = False,
-    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
 ) -> tuple[SearchWorkload, RunMetrics]:
     """One cost-bounded parallel DFS pass (no iterative deepening).
 
@@ -418,7 +384,6 @@ def parallel_depth_bounded(
         n_pes,
         split=split,
         first_solution_only=first_solution_only,
-        kernel_backend=kernel_backend,
     )
     metrics = Scheduler(
         workload,
@@ -467,10 +432,6 @@ class ParallelIDAStar:
         triggers); ``None`` skips the initialization phase.
     split:
         Stack donation policy, forwarded to the workload.
-    kernel_backend:
-        Expand-cycle kernel tier forwarded to every iteration's workload;
-        one :class:`~repro.kernels.KernelWorkspace` is shared across all
-        iterations so scratch buffers warm up once.
     sanitize:
         Forwarded to every iteration's
         :class:`~repro.core.scheduler.Scheduler` — assert the lock-step
@@ -503,7 +464,6 @@ class ParallelIDAStar:
         sanitize: bool = False,
         faults: FaultPlan | None = None,
         obs: Observability | None = None,
-        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     ) -> None:
         self.problem = problem
         self.n_pes = int(n_pes)
@@ -515,12 +475,6 @@ class ParallelIDAStar:
         self.sanitize = sanitize
         self.faults = faults
         self.obs = obs
-        self.kernel_backend = resolve_backend(kernel_backend)
-        # One workspace for the whole deepening run: scratch buffers and
-        # pooled arena planes warmed by iteration k are reused by k+1.
-        self._kernel_ws = (
-            KernelWorkspace() if self.kernel_backend != "numpy" else None
-        )
 
     def run(self) -> ParallelSearchResult:
         machine = SimdMachine(self.n_pes, self.cost_model)
@@ -538,8 +492,6 @@ class ParallelIDAStar:
                 bound,
                 self.n_pes,
                 split=self.split,
-                kernel_backend=self.kernel_backend,
-                workspace=self._kernel_ws,
             )
             scheduler = Scheduler(
                 workload,

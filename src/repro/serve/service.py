@@ -58,7 +58,6 @@ from typing import Any, Callable
 from repro.errors import JobNotFoundError, QueueFullError, RecordNotFoundError
 from repro.experiments.journal import CellJournal, cell_key
 from repro.experiments.runner import GridRecord, plan_grid, run_divisible, run_grid
-from repro.kernels.dispatch import registered_kernels
 from repro.obs import JsonlSink, MetricsRegistry, Observability
 from repro.serve.queue import Job, JobQueue
 from repro.serve.schemas import GridRequest, JobEvent, SolveRequest
@@ -89,7 +88,6 @@ def _worker_init(alive_r: int, alive_w: int) -> None:
     # service's call, through the pool, not a signal's.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    registered_kernels()  # imports every kernel tier before the first job
 
 
 def _solve_cell(
@@ -203,7 +201,7 @@ class ExperimentService:
         # Parent and children share every page until one side writes to
         # it, and a full collection writes into the GC header of every
         # object: unfrozen, a worker's first collection copied the whole
-        # inherited heap (its first kernel import took 70 ms, not 8).
+        # inherited heap.
         gc.freeze()
         pool = ProcessPoolExecutor(
             self.queue.workers,

@@ -114,10 +114,6 @@ class StackArena:
         self.data = np.zeros((n_pes, capacity), dtype=np.int64)
         self.bottom = np.zeros(n_pes, dtype=np.int64)
         self.top = np.zeros(n_pes, dtype=np.int64)
-        # Optional KernelWorkspace: when set (fused/jit tiers), growth
-        # leases pooled buffers and compaction reuses the cached iota
-        # instead of allocating fresh arrays every doubling.
-        self.workspace = None
 
     @property
     def capacity(self) -> int:
@@ -235,16 +231,8 @@ class StackArena:
         new_capacity = self._capacity
         while new_capacity < need:
             new_capacity *= 2
-        if self.workspace is not None:
-            # Pooled growth: lease a zero-filled plane from the workspace
-            # pool and return the outgrown one, so repeated doublings in a
-            # long run recycle buffers instead of hitting the allocator.
-            grown = self.workspace.lease((self.n_pes, new_capacity), np.dtype(np.int64))
-        else:
-            grown = np.zeros((self.n_pes, new_capacity), dtype=np.int64)
+        grown = np.zeros((self.n_pes, new_capacity), dtype=np.int64)
         grown[:, : self._capacity] = self.data
-        if self.workspace is not None:
-            self.workspace.release(self.data)
         self.data = grown
         self._capacity = new_capacity
 
@@ -256,12 +244,7 @@ class StackArena:
             seg = counts[shifted]
             total = int(seg.sum())
             offsets = np.cumsum(seg) - seg
-            iota = (
-                self.workspace.iota(total)
-                if self.workspace is not None
-                else np.arange(total, dtype=np.int64)
-            )
-            within = iota - np.repeat(offsets, seg)
+            within = np.arange(total, dtype=np.int64) - np.repeat(offsets, seg)
             rows = np.repeat(shifted, seg)
             # Fancy-index RHS gathers into a temp before the scatter, so
             # overlapping source/destination windows are safe.

@@ -31,12 +31,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.kernels.dispatch import (
-    DEFAULT_KERNEL_BACKEND,
-    get_kernel,
-    resolve_backend,
-)
-from repro.kernels.workspace import KernelWorkspace
 from repro.util.validation import check_positive_int
 
 __all__ = ["MegaArena"]
@@ -53,14 +47,6 @@ class MegaArena:
         Optional per-cell initial root work ``W_c``; when given, cell
         ``c`` starts with ``W_c`` on its first PE (the paper's "root on
         one processor" setting).  Omitted, every cell starts empty.
-    kernel_backend:
-        Tier for the four grid kernels — ``"numpy"`` (reference),
-        ``"fused"`` (scratch-backed; count vectors come back as
-        *borrowed* workspace views, valid until the same kernel's next
-        call), ``"jit"`` or ``"auto"`` (default).
-    workspace:
-        Optional shared :class:`~repro.kernels.KernelWorkspace`; one is
-        created per arena when a non-numpy tier needs it.
 
     Attributes
     ----------
@@ -76,18 +62,7 @@ class MegaArena:
         pes: Sequence[int],
         *,
         roots: Sequence[int] | None = None,
-        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
-        workspace: KernelWorkspace | None = None,
     ) -> None:
-        resolved = resolve_backend(kernel_backend)
-        self.kernel_backend = resolved
-        if workspace is None and resolved != "numpy":
-            workspace = KernelWorkspace()
-        self._kernel_ws = workspace
-        self._expand_kernel = get_kernel("mega.expand_all", resolved)
-        self._busy_kernel = get_kernel("mega.busy_counts", resolved)
-        self._nonzero_kernel = get_kernel("mega.nonzero_counts", resolved)
-        self._remaining_kernel = get_kernel("mega.remaining", resolved)
         widths = [check_positive_int(int(p), "cell width") for p in pes]
         if not widths:
             raise ValueError("MegaArena needs at least one cell")
@@ -151,30 +126,31 @@ class MegaArena:
         ``DivisibleWorkload.expand_cycle`` does per cell — rows of
         finished cells are all zero and therefore self-masking.  Returns
         the per-cell count of rows that expanded (cell ``c``'s
-        ``n_expanding`` for this cycle).  Fused tier: the returned counts
-        are a borrowed workspace view — consume before the next call.
+        ``n_expanding`` for this cycle).
         """
-        return self._expand_kernel(
-            self.work, self._starts, self._expanded, self._kernel_ws
-        )
+        active = self.work > 0
+        counts = np.add.reduceat(active.astype(np.int64), self._starts)
+        np.subtract(self.work, 1, out=self.work, where=active)
+        self._expanded += counts
+        return counts
 
     def busy_counts(self) -> np.ndarray:  # repro: kernel
         """Per-cell count of busy (splittable, ``work >= 2``) PEs.
 
         Full-width read-only reduction over the unmasked flat axis.
         """
-        return self._busy_kernel(self.work, self._starts, self._kernel_ws)
+        return np.add.reduceat((self.work > 1).astype(np.int64), self._starts)
 
     def nonzero_counts(self) -> np.ndarray:  # repro: kernel
         """Per-cell count of non-idle (``work >= 1``) PEs.
 
         Full-width read-only reduction over the unmasked flat axis.
         """
-        return self._nonzero_kernel(self.work, self._starts, self._kernel_ws)
+        return np.add.reduceat((self.work > 0).astype(np.int64), self._starts)
 
     def remaining(self) -> np.ndarray:  # repro: kernel
         """Per-cell unexpanded node totals (conservation observable)."""
-        return self._remaining_kernel(self.work, self._starts, self._kernel_ws)
+        return np.add.reduceat(self.work, self._starts)
 
     # -- invariants -------------------------------------------------------
 

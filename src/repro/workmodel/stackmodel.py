@@ -18,7 +18,7 @@ expanding PE in a handful of full-width kernels, and all of a cycle's
 child sizes come from one
 :func:`~repro.workmodel.arena.draw_children_batch` call.  A
 deque-per-PE reference on the same RNG stream lives test-side
-(``tests/oracles``); the identity suites diff every kernel tier against
+(``tests/oracles``); the identity suites diff this workload against
 it.
 
 Busy/idle/expanding masks derive from one cached per-PE entry count,
@@ -30,16 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.dispatch import (
-    DEFAULT_KERNEL_BACKEND,
-    get_kernel,
-    resolve_backend,
-)
-from repro.kernels.workspace import KernelWorkspace
 from repro.obs.profile import span
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
-from repro.workmodel.arena import StackArena
+from repro.workmodel.arena import StackArena, draw_children_batch
 
 __all__ = ["StackWorkload"]
 
@@ -60,14 +54,6 @@ class StackWorkload:
         step instead of a fan-out — raises depth/irregularity.
     rng:
         Seed or generator.
-    kernel_backend:
-        Expand-cycle kernel tier — ``"numpy"`` (reference), ``"fused"``
-        (zero-allocation workspace path), ``"jit"`` (numba when
-        available, else fused) or ``"auto"`` (the default: the best tier
-        available).  Every tier is bit-identical.
-    workspace:
-        Optional shared :class:`~repro.kernels.KernelWorkspace`; one is
-        created per workload when a non-numpy tier needs it.
     """
 
     def __init__(
@@ -78,8 +64,6 @@ class StackWorkload:
         max_branching: int = 4,
         leaf_probability: float = 0.0,
         rng: int | np.random.Generator | None = None,
-        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
-        workspace: KernelWorkspace | None = None,
     ) -> None:
         self.total_work = check_positive_int(total_work, "total_work")
         self.n_pes = check_positive_int(n_pes, "n_pes")
@@ -90,15 +74,9 @@ class StackWorkload:
             )
         self.leaf_probability = leaf_probability
         self.rng = as_generator(rng)
-        self.kernel_backend = resolve_backend(kernel_backend)
-        if workspace is None and self.kernel_backend != "numpy":
-            workspace = KernelWorkspace()
-        self._kernel_ws = workspace
-        self._expand_kernel = get_kernel("stack.expand_cycle", self.kernel_backend)
 
         # The root subtree (the whole tree) starts on PE 0.
         self._arena = StackArena(n_pes)
-        self._arena.workspace = self._kernel_ws
         self._arena.push_root(0, total_work)
         self._expanded = 0
         self._cached_counts: np.ndarray | None = None
@@ -139,11 +117,22 @@ class StackWorkload:
             return self._expand_cycle_arena_inner()
 
     def _expand_cycle_arena_inner(self) -> int:  # repro: kernel
-        # The cycle body lives in repro.kernels.stack; the registry
-        # resolved the tier once at construction.  Every tier does its
-        # own pes selection, count-cache invalidation and bookkeeping
-        # against this workload, so the wrapper is a plain delegation.
-        return self._expand_kernel(self, self._kernel_ws)
+        # Selects the expanding PEs itself (flatnonzero of the non-empty
+        # mask); the arena methods it calls are full-width kernels.
+        arena = self._arena
+        pes = np.flatnonzero(self._counts() > 0)
+        n = len(pes)
+        if n == 0:
+            return 0
+        self._cached_counts = None
+        self._expanded += n
+        sizes = arena.pop_tops(pes)
+        lens, flat = draw_children_batch(
+            self.rng, sizes, self.max_branching, self.leaf_probability
+        )
+        arena.push_segments(pes, lens, flat)
+        arena.reset_empty_windows()
+        return n
 
     def transfer(self, donors: np.ndarray, receivers: np.ndarray) -> int:
         """Donate the node at the bottom of each donor's stack (nearest

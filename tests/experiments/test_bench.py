@@ -6,28 +6,24 @@ import pytest
 
 from repro.experiments.bench import (
     bench_grid,
-    bench_kernel_tiers,
     bench_search_full,
     bench_search_kernel,
+    bench_stack_kernel,
     compare_bench,
     render_compare,
     run_bench,
     run_search_bench,
 )
-from repro.kernels.dispatch import available_backends
 
 
 class TestKernelBench:
-    def test_reports_all_variants(self):
-        report = bench_kernel_tiers(
+    def test_reports_one_timing(self):
+        report = bench_stack_kernel(
             n_pes=32, work_per_pe=40, warm_cycles=16, time_cycles=5
         )
-        assert set(report["tiers"]) == set(available_backends())
-        for row in report["tiers"].values():
-            assert row["nodes_per_s"] > 0
-            assert row["ms_per_cycle"] > 0
-        assert report["speedup_fused_vs_numpy"] > 0
-        assert report["records_identical"] is True
+        assert report["cycles"] == 5
+        assert report["nodes_per_s"] > 0
+        assert report["ms_per_cycle"] > 0
 
 
 class TestGridBench:
@@ -44,16 +40,13 @@ class TestGridBench:
 
 
 class TestSearchKernelBench:
-    def test_reports_all_backends_and_identity(self):
+    def test_reports_one_timing(self):
         report = bench_search_kernel(
             n_pes=32, scramble=30, bound_slack=10, warm_cycles=16, time_cycles=4
         )
-        # arena-fused is the fused kernel tier over the same arena.
-        assert set(report["backends"]) == {"arena", "arena-fused"}
-        for row in report["backends"].values():
-            assert row["nodes_per_s"] > 0
-        assert report["backends_identical"] is True
-        assert report["speedup_fused_vs_arena"] > 0
+        assert report["nodes"] > 0
+        assert report["nodes_per_s"] > 0
+        assert report["ms_per_cycle"] > 0
 
 
 class TestRunSearchBench:
@@ -64,7 +57,7 @@ class TestRunSearchBench:
         assert persisted["schema"] == 1
         assert persisted["smoke"] is True
         kernel = persisted["search"]["expansion_kernel"]
-        assert kernel["backends_identical"] is True
+        assert kernel["nodes_per_s"] > 0
         full = persisted["search"]["full_ida"]
         assert full["serial_parity"] is True
         assert set(full["seconds"]) == {"arena"}
@@ -87,16 +80,13 @@ class TestRunBench:
         assert persisted["schema"] == 1
         assert persisted["smoke"] is True
         assert persisted["host"]["cpu_count"] >= 1
-        assert set(persisted["kernels"]) == {"fused"}
+        assert set(persisted["kernels"]) == {"stack"}
         assert (
-            persisted["kernels"]["fused"]["speedup_fused_vs_numpy"]
-            == report["kernels"]["fused"]["speedup_fused_vs_numpy"]
+            persisted["kernels"]["stack"]["nodes_per_s"]
+            == report["kernels"]["stack"]["nodes_per_s"]
         )
-        assert persisted["kernels"]["fused"]["records_identical"] is True
         assert persisted["grid"]["records_identical"] is True
-        assert report["search_report"]["search"]["expansion_kernel"][
-            "backends_identical"
-        ]
+        assert report["search_report"]["search"]["expansion_kernel"]["nodes_per_s"] > 0
         assert (tmp_path / "BENCH_search.json").exists()
 
     def test_no_search_skips_search_report(self, tmp_path):
@@ -110,16 +100,15 @@ class TestRunBench:
 
 class TestBestOfN:
     def test_repeats_reported(self):
-        report = bench_kernel_tiers(
+        report = bench_stack_kernel(
             n_pes=16, work_per_pe=20, warm_cycles=8, time_cycles=4, repeats=2
         )
         assert report["repeats"] == 2
-        for row in report["tiers"].values():
-            assert row["ms_per_cycle"] > 0
+        assert report["ms_per_cycle"] > 0
 
     def test_rejects_nonpositive_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
-            bench_kernel_tiers(
+            bench_stack_kernel(
                 n_pes=16, work_per_pe=20, warm_cycles=8, time_cycles=4, repeats=0
             )
 

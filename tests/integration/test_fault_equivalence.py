@@ -18,7 +18,6 @@ import pytest
 from repro.core.config import PAPER_SCHEMES
 from repro.experiments.runner import default_init_threshold
 from repro.faults import FaultPlan, PEFailure
-from repro.kernels.dispatch import available_backends
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
 from repro.search.ida_star import ida_star
 from repro.search.parallel import ParallelIDAStar
@@ -57,36 +56,26 @@ def _run(scheme: str, storage: str, faults=None, **kwargs):
     ).run()
 
 
-def _faulty_runs(scheme: str, storage: str):
-    """One faulty run on ``DFSStack``s, or one per kernel tier on the arena."""
-    if storage == "list":
-        return [_run(scheme, storage, PLAN)]
-    return [
-        _run(scheme, storage, PLAN, kernel_backend=tier)
-        for tier in available_backends()
-    ]
-
-
 @pytest.mark.parametrize("storage", ["list", "arena"])
 @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
 def test_faulty_run_matches_serial_oracle(scheme, storage):
     serial = _serial()
-    for result in _faulty_runs(scheme, storage):
-        # Faults actually fired — otherwise this test proves nothing.
-        assert result.metrics.faults.pe_deaths == 2
-        assert result.metrics.faults.nodes_recovered == (
-            result.metrics.faults.nodes_quarantined
-        )
-        # The answers are exactly the fault-free ones.
-        assert result.solution_cost == serial.solution_cost
-        assert result.solutions == serial.solutions
-        assert result.bounds == serial.bounds
-        assert result.per_iteration_expanded == tuple(
-            it.expanded for it in serial.iterations
-        )
-        assert result.total_expanded == serial.total_expanded
-        # The price of the faults is visible on the recovery line.
-        assert result.metrics.ledger.t_recovery > 0.0
+    result = _run(scheme, storage, PLAN)
+    # Faults actually fired — otherwise this test proves nothing.
+    assert result.metrics.faults.pe_deaths == 2
+    assert result.metrics.faults.nodes_recovered == (
+        result.metrics.faults.nodes_quarantined
+    )
+    # The answers are exactly the fault-free ones.
+    assert result.solution_cost == serial.solution_cost
+    assert result.solutions == serial.solutions
+    assert result.bounds == serial.bounds
+    assert result.per_iteration_expanded == tuple(
+        it.expanded for it in serial.iterations
+    )
+    assert result.total_expanded == serial.total_expanded
+    # The price of the faults is visible on the recovery line.
+    assert result.metrics.ledger.t_recovery > 0.0
 
 
 @pytest.mark.parametrize("storage", ["list", "arena"])

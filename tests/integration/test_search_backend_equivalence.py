@@ -18,7 +18,6 @@ paper's anomaly-free setup.
 import pytest
 
 from repro.experiments.runner import default_init_threshold
-from repro.kernels.dispatch import available_backends
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
 from repro.search.ida_star import ida_star
 from repro.search.parallel import ParallelIDAStar
@@ -53,10 +52,8 @@ def _parallel(instance: str, scheme: str, storage: str, **kwargs):
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_arena_matches_list_exactly(instance, scheme):
     """The hard equality: full-run results (cycles, LB phases and ledger
-    included) identical between storages, at every kernel tier."""
-    list_res = _parallel(instance, scheme, "list")
-    for tier in available_backends():
-        assert _parallel(instance, scheme, "arena", kernel_backend=tier) == list_res
+    included) identical between storages."""
+    assert _parallel(instance, scheme, "arena") == _parallel(instance, scheme, "list")
 
 
 @pytest.mark.parametrize("storage", ["list", "arena"])

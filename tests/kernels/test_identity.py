@@ -1,45 +1,80 @@
-"""Bit-identity of every kernel tier against the list oracle.
+"""Bit-identity of each kernel implementation against the list oracles.
 
 The acceptance gate for the kernel layer: across all six paper schemes
 (GP/nGP x S^x/D_P/D_K), with the runtime sanitizer asserting the
-lock-step invariants, the numpy and fused tiers (and the jit tier where
-numba is installed) produce *exactly* the runs the test-side list
-oracles (``tests/oracles``) produce: same RunMetrics, same traces, same stacks, same
-RNG stream position.  Covers all three workload families the kernels
-back: the synthetic stack model, the real 15-puzzle search, and the
-mega-arena grid executor.
+lock-step invariants, every implementation of a hot step produces
+*exactly* the run the test-side oracles (``tests/oracles``) produce:
+same RunMetrics, same traces, same stacks, same RNG stream position.
+Covers all three workload families the kernels back: the synthetic
+stack model, the real 15-puzzle search, and the mega-arena grid
+executor.
+
+Each operation has one shipped kernel; the ``tier`` axis names the two
+array formulations of it that remain in the tree:
+
+- ``"numpy"`` — the allocating full-width formulation: ``StackWorkload``
+  as shipped, the search kernel's reference body at *every* width, and
+  ``MegaArena`` reductions returning fresh arrays.
+- ``"fused"`` — the scratch-backed formulation: the stack cycle pushing
+  through the search kernel's segment-id scatter and ``where=``-guarded
+  window reset, the banded search kernel as ``SearchWorkload`` runs it,
+  and ``MegaArena`` reductions handed out as one reused buffer per
+  kernel (the executor must consume each count vector within its cycle).
 """
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.core.config import PAPER_SCHEMES
 from repro.core.scheduler import Scheduler
 from repro.experiments.runner import default_init_threshold, run_grid
-from repro.kernels.dispatch import available_backends
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
+from repro.search import kernel
 from repro.search.parallel import ParallelIDAStar
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
+from repro.workmodel.mega import MegaArena
 from repro.workmodel.stackmodel import StackWorkload
 from tests.oracles import ListStackWorkload, opaque
 
 WORK, N_PES, SEED = 8_000, 32, 7
 
-#: Every tier this interpreter runs ("jit" only where numba imports).
-TIERS = available_backends()
+TIERS = ("numpy", "fused")
 
 _stack_oracle: dict[str, object] = {}
 _search_oracle: dict[str, object] = {}
 
 
-def _stack_run(spec: str, kernel_backend: str | None):
-    """One sanitized traced run; ``kernel_backend=None`` is the oracle."""
-    if kernel_backend is None:
+def _fuse_stack_push(workload: StackWorkload) -> None:
+    """Route the workload's push and window reset through the search
+    kernel's scratch-backed ``_segment_slots`` / ``_reset_windows``."""
+    arena = workload._arena
+    ws = kernel.KernelWorkspace()
+
+    def push_segments(pes, lens, flat):
+        lens = np.asarray(lens, dtype=np.int64)
+        if int(lens.sum()) == 0:
+            return
+        arena._ensure_capacity(pes, lens)
+        tops = arena.top[pes]
+        dest = kernel._segment_slots(pes, tops, lens, arena.capacity, ws)
+        arena.data.reshape(-1)[dest] = flat
+        arena.top[pes] = tops + lens
+
+    arena.push_segments = push_segments
+    arena.reset_empty_windows = lambda: kernel._reset_windows(arena.bottom, arena.top, ws)
+
+
+def _stack_run(spec: str, tier: str | None):
+    """One sanitized traced run; ``tier=None`` is the oracle."""
+    if tier is None:
         workload = ListStackWorkload(WORK, N_PES, rng=SEED)
     else:
-        workload = StackWorkload(
-            WORK, N_PES, rng=SEED, kernel_backend=kernel_backend
-        )
+        workload = StackWorkload(WORK, N_PES, rng=SEED)
+        if tier == "fused":
+            _fuse_stack_push(workload)
     machine = SimdMachine(N_PES, CostModel())
     metrics = Scheduler(
         workload,
@@ -69,34 +104,29 @@ class TestStackTierIdentity:
             == oracle_wl.rng.bit_generator.state
         )
 
-    def test_auto_resolves_and_matches(self):
-        spec = "GP-S0.75"
-        a = _stack_run(spec, "auto")[0]
-        b = _stack_run(spec, "numpy")[0]
-        assert a == b
+
+def _search_run(problem, spec: str):
+    return ParallelIDAStar(
+        problem,
+        64,
+        spec,
+        init_threshold=default_init_threshold(spec),
+        sanitize=True,
+    ).run()
 
 
 class TestSearchTierIdentity:
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("spec", PAPER_SCHEMES)
-    def test_tier_matches_list_oracle(self, spec, tier):
+    def test_tier_matches_list_oracle(self, spec, tier, monkeypatch):
         if spec not in _search_oracle:
-            _search_oracle[spec] = ParallelIDAStar(
-                opaque(BENCH_INSTANCES["tiny"]),
-                64,
-                spec,
-                init_threshold=default_init_threshold(spec),
-                sanitize=True,
-            ).run()
+            _search_oracle[spec] = _search_run(opaque(BENCH_INSTANCES["tiny"]), spec)
         oracle = _search_oracle[spec]
-        result = ParallelIDAStar(
-            BENCH_INSTANCES["tiny"],
-            64,
-            spec,
-            init_threshold=default_init_threshold(spec),
-            kernel_backend=tier,
-            sanitize=True,
-        ).run()
+        if tier == "numpy":
+            # Neither width band fires: every cycle runs the reference body.
+            monkeypatch.setattr(kernel, "SPARSE_THRESHOLD", 0)
+            monkeypatch.setattr(kernel, "DENSE_THRESHOLD", sys.maxsize)
+        result = _search_run(BENCH_INSTANCES["tiny"], spec)
         assert result.total_expanded == oracle.total_expanded
         assert result.bounds == oracle.bounds
         assert result.per_iteration_expanded == oracle.per_iteration_expanded
@@ -105,14 +135,28 @@ class TestSearchTierIdentity:
         assert result.metrics == oracle.metrics
 
 
+def _borrowed(method):
+    """Wrap a ``MegaArena`` reduction so every call on an arena returns
+    the same buffer, overwritten in place."""
+
+    def reduction(self):
+        fresh = method(self)
+        buf = self.__dict__.setdefault(f"_borrowed_{method.__name__}", np.empty_like(fresh))
+        buf[...] = fresh
+        return buf
+
+    return reduction
+
+
 class TestMegaGridTierIdentity:
     @pytest.mark.parametrize("tier", TIERS)
-    def test_batched_grid_matches_serial_oracle(self, tier):
+    def test_batched_grid_matches_serial_oracle(self, tier, monkeypatch):
         schemes = ["GP-S0.90", "nGP-DK"]
         works = [2_000, 5_000]
         pes = [32]
         serial = run_grid(schemes, works, pes, executor="serial")
-        batched = run_grid(
-            schemes, works, pes, executor="batched", kernel_backend=tier
-        )
+        if tier == "fused":
+            for name in ("expand_all", "busy_counts", "nonzero_counts"):
+                monkeypatch.setattr(MegaArena, name, _borrowed(getattr(MegaArena, name)))
+        batched = run_grid(schemes, works, pes, executor="batched")
         assert serial == batched

@@ -170,11 +170,6 @@ class TestArenaBackendValidation:
         wl = SearchWorkload(p, 40, 4)
         assert wl._arena is None and _on_dfs_stacks(wl)
 
-    def test_kernel_tier_is_inert_without_an_arena(self):
-        for tier in ("numpy", "fused", "jit", "auto"):
-            wl = SearchWorkload(NQueensProblem(5), 5, 4, kernel_backend=tier)
-            assert wl.expand_cycle() == 1
-
 
 def _flat_stacks(workload):
     """Either storage's stacks as flat per-PE StackEntry sequences."""

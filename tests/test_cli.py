@@ -56,45 +56,40 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", "sudoku"])
 
-    @pytest.mark.parametrize("problem", ["queens", "coloring", "knapsack", "tsp"])
-    def test_kernel_tier_is_inert_without_an_arena_form(self, problem, capsys):
-        """Only the puzzle has a vectorized form; everywhere else every
-        tier (``auto`` is the default) is accepted and changes nothing."""
-        args = ["solve", problem, "--size", "6", "--pes", "4"]
-        assert main(args) == 0
-        default_out = capsys.readouterr().out
-        for tier in ("auto", "numpy", "fused"):
-            assert main([*args, "--kernel-backend", tier]) == 0
-            assert capsys.readouterr().out == default_out
+    @pytest.mark.parametrize("command", ["solve", "grid", "trace"])
+    def test_kernel_backend_flag_is_gone(self, command, capsys):
+        """Each kernel has one implementation, so there is no tier to
+        pick and no storage flag either: both are usage errors."""
+        from repro.cli import build_parser
 
-    def test_explicit_jit_without_numba_prints_the_note(self, capsys):
-        from repro.kernels.dispatch import jit_note
+        argv = {
+            "solve": ["solve", "puzzle"],
+            "grid": ["grid", "g.json", "--works", "100", "--pes", "4"],
+            "trace": ["trace"],
+        }[command]
+        for flag in ("--kernel-backend", "--backend"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, flag, "numpy"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("scheme", ["nGP-DP", "GP-DK", "GP-S0.75"])
+    def test_init_threshold_follows_section_7(self, scheme, capsys):
+        """``solve`` seeds the run exactly as the library's
+        :func:`default_init_threshold` says."""
+        from repro.experiments.runner import default_init_threshold
+        from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
+        from repro.search.parallel import ParallelIDAStar
 
         assert main(
-            ["solve", "queens", "--size", "5", "--pes", "4",
-             "--kernel-backend", "jit"]
+            ["solve", "puzzle", "--size", "14", "--pes", "8", "--scheme", scheme]
         ) == 0
         out = capsys.readouterr().out
-        assert ("note: " in out) == (jit_note() is not None)
-
-    def test_kernel_backend_flags_mirror_dispatch(self):
-        """The three ``--kernel-backend`` flags are kept literal in the
-        parser (import-light) and must mirror the dispatch constants;
-        storage has no flag anywhere."""
-        from repro.cli import build_parser
-        from repro.kernels.dispatch import BACKENDS, DEFAULT_KERNEL_BACKEND
-
-        subs = build_parser()._subparsers._group_actions[0].choices
-        for command in ("solve", "grid", "trace"):
-            flags = {
-                opt: action
-                for action in subs[command]._actions
-                for opt in action.option_strings
-            }
-            tier = flags["--kernel-backend"]
-            assert tuple(tier.choices) == ("auto", *BACKENDS)
-            assert tier.default == DEFAULT_KERNEL_BACKEND
-            assert "--backend" not in flags
+        result = ParallelIDAStar(
+            scrambled_fifteen_puzzle(14, rng=0), 8, scheme,
+            init_threshold=default_init_threshold(scheme),
+        ).run()
+        assert f"E={result.metrics.efficiency:.3f}" in out
 
 
 class TestXo:
@@ -180,14 +175,14 @@ class TestBench:
              "--out", str(out), "--search-out", str(search_out)]
         ) == 0
         printed = capsys.readouterr().out
-        assert "expand_cycle kernel tiers" in printed
+        assert "stack expand_cycle kernel" in printed
         assert "record-identical: True" in printed
         assert "search expand_cycle kernel" in printed
         report = json.loads(out.read_text())
         assert report["smoke"] is True
-        assert report["kernels"]["fused"]["records_identical"] is True
+        assert report["kernels"]["stack"]["nodes_per_s"] > 0
         search = json.loads(search_out.read_text())
-        assert search["search"]["expansion_kernel"]["backends_identical"] is True
+        assert search["search"]["expansion_kernel"]["nodes_per_s"] > 0
         assert search["search"]["full_ida"]["serial_parity"] is True
 
     def test_no_search_skips_search_report(self, tmp_path, capsys):
@@ -289,6 +284,26 @@ class TestTrace:
         assert "lb.match" in names
         text = capsys.readouterr().out
         assert "chrome trace" in text and "expand.stack.arena" in text
+
+    @pytest.mark.parametrize("scheme", ["nGP-DP", "GP-DK", "GP-S0.75"])
+    def test_init_threshold_follows_section_7(self, scheme, tmp_path, capsys):
+        """``trace`` seeds the run exactly as the library's
+        :func:`default_init_threshold` says."""
+        from repro.core.scheduler import Scheduler
+        from repro.experiments.runner import default_init_threshold
+        from repro.simd.machine import SimdMachine
+        from repro.workmodel.stackmodel import StackWorkload
+
+        assert main(
+            ["trace", "--work", "4000", "--pes", "32", "--scheme", scheme,
+             "--out", str(tmp_path / "trace.json")]
+        ) == 0
+        out = capsys.readouterr().out
+        metrics = Scheduler(
+            StackWorkload(4000, 32, rng=0), SimdMachine(32), scheme,
+            init_threshold=default_init_threshold(scheme),
+        ).run()
+        assert f"E={metrics.efficiency:.4f}" in out
 
 
 

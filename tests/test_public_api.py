@@ -6,7 +6,6 @@ import inspect
 import pytest
 
 import repro
-from repro.kernels.dispatch import DEFAULT_KERNEL_BACKEND
 
 SUBPACKAGES = [
     "repro.simd",
@@ -24,16 +23,17 @@ SUBPACKAGES = [
 ]
 
 
-#: Knobs retired with the storage-backend matrix: which storage holds
-#: the stacks is private to ``workmodel.stackmodel`` / ``search.parallel``.
-RETIRED_KNOBS = {"backend", "sampler", "h_memo", "heuristic_memo"}
+#: Knobs retired with the storage-backend matrix (which storage holds
+#: the stacks is private to ``workmodel.stackmodel`` / ``search.parallel``)
+#: and with the kernel tiers (each kernel has one implementation).
+RETIRED_KNOBS = {
+    "backend", "sampler", "h_memo", "heuristic_memo", "kernel_backend", "workspace",
+}
 
 
 def _public_callables():
     """(dotted name, callable) for every function, class constructor and
-    public method exported by ``repro`` or a subpackage's ``__all__``.
-    (``repro.kernels`` is the tier registry itself, where ``backend``
-    names a kernel tier; it exports no workload entry point.)"""
+    public method exported by ``repro`` or a subpackage's ``__all__``."""
     seen = set()
     names = SUBPACKAGES + ["repro.experiments.batched"]
     modules = [repro] + [importlib.import_module(m) for m in names]
@@ -81,20 +81,6 @@ class TestPublicAPI:
             for knob in RETIRED_KNOBS & set(_parameters(obj))
         ]
         assert not offenders, offenders
-
-    def test_kernel_backend_defaults_are_the_dispatch_constant(self):
-        taking = {
-            dotted: _parameters(obj)["kernel_backend"]
-            for dotted, obj in _public_callables()
-            if "kernel_backend" in _parameters(obj)
-        }
-        assert {dotted.rsplit(".", 1)[-1] for dotted in taking} >= {
-            "StackWorkload", "SearchWorkload", "ParallelIDAStar",
-            "parallel_depth_bounded", "run_grid", "run_batched_cells",
-            "MegaGridExecutor", "MegaArena", "configure_kernels",
-        }
-        for dotted, param in taking.items():
-            assert param.default is DEFAULT_KERNEL_BACKEND, dotted
 
     def test_every_public_item_documented(self):
         for name in repro.__all__:

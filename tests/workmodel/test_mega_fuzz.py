@@ -54,7 +54,7 @@ class TestPacking:
         rng = as_generator(seed)
         arena, pes, roots = _random_arena(rng, n_cells, max_p, max_w)
         for _ in range(cycles):
-            before = arena.remaining().copy()  # fused: a borrowed view
+            before = arena.remaining()
             counts = arena.expand_all()
             assert np.all(counts >= 0) and np.all(counts <= pes)
             assert np.array_equal(arena.remaining(), before - counts)
