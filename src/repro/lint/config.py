@@ -32,12 +32,11 @@ __all__ = ["KERNEL_MODULES", "LintConfig", "load_config"]
 #: individual functions inside mixed modules like search/parallel.py).
 KERNEL_MODULES: frozenset[str] = frozenset(
     {
+        "repro/simd/arena.py",
         "repro/simd/scan.py",
         "repro/simd/reduce.py",
         "repro/simd/router.py",
-        "repro/workmodel/arena.py",
         "repro/workmodel/mega.py",
-        "repro/search/arena.py",
         "repro/search/kernel.py",
     }
 )

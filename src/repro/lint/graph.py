@@ -8,7 +8,7 @@ every linted module once into a :class:`ProjectIndex`:
 - a **module index** mapping dotted module names to parsed ASTs, import
   bindings and kernel markings;
 - a **symbol table** of every function/method, keyed by qualified name
-  (``repro.search.arena.SearchArena.pop_tops``);
+  (``repro.simd.arena.WindowArena.pop_tops``);
 - a **call graph** whose edges are statically resolvable calls (import-
   derived names, module-level locals, ``self.``/``cls.`` methods of the
   enclosing class, and ``alias.method(...)`` where the alias' class is
@@ -258,10 +258,10 @@ class ProjectIndex:
         """Local-variable class types from annotations and simple aliases.
 
         Parameters annotated with a project class seed the map
-        (``def kernel(arena: StackArena, ...)``); the assignment walk
+        (``def kernel(arena: WindowArena, ...)``); the assignment walk
         then recognizes ``arena = self._arena`` and ``wl._arena`` reads
         through :attr:`attr_types` (the receiver being ``self``/``cls``
-        or any already-typed local) and ``arena = SearchArena(...)`` —
+        or any already-typed local) and ``arena = WindowArena(...)`` —
         enough to resolve the ``alias.method(...)`` call style the
         kernels use.
         """
@@ -390,7 +390,7 @@ def build_project(
         project.modules[name] = info
         project.functions.update(info.functions)
         project.classes |= info.classes
-    # Bind self-attribute types (``self._arena = SearchArena(...)``) so
+    # Bind self-attribute types (``self._arena = WindowArena(...)``) so
     # resolve_callee can follow method calls through instance attributes.
     for fn in project.functions.values():
         if fn.cls is None:

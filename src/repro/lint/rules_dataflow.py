@@ -18,8 +18,10 @@ bit-identity gate in this repo rests on:
 - **R103** — mask provenance: writes to PE-indexed arena storage must be
   dominated by an alive/active mask guard — the static twin of the
   runtime sanitizer's mask taxonomy and ``FaultRuntime``'s dead-PE
-  masking.  Functions documented ``full-width`` (the R003 convention)
-  are exempt.
+  masking.  The PE axis is the first index element; storage is any
+  attribute (``self.top``) or a loop variable over one (``for plane in
+  self.planes``).  Functions documented ``full-width`` (the R003
+  convention) are exempt.
 
 Kernel scope = the :data:`~repro.lint.config.KERNEL_MODULES` registry,
 ``kernel_modules`` config entries, and ``# repro: kernel`` pragmas
@@ -80,6 +82,31 @@ def _walk_own(root: ast.AST):
         ):
             continue
         stack.extend(list(ast.iter_child_nodes(node))[::-1])
+
+
+def _storage_loop_names(root: ast.AST) -> set[str]:
+    """Loop variables that alias attribute-rooted storage.
+
+    ``for plane in self.planes`` binds ``plane`` to arena storage, and so
+    does the matching target of ``for plane, flat in zip(self.planes,
+    flats)``; a write through such a name is a write to the arena.
+    """
+    names: set[str] = set()
+    for node in _walk_own(root):
+        if not isinstance(node, ast.For):
+            continue
+        pairs = [(node.target, node.iter)]
+        if (
+            isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name)
+            and node.iter.func.id == "zip"
+            and isinstance(node.target, ast.Tuple)
+        ):
+            pairs = list(zip(node.target.elts, node.iter.args))
+        for target, source in pairs:
+            if isinstance(target, ast.Name) and isinstance(source, ast.Attribute):
+                names.add(target.id)
+    return names
 
 
 class DataflowRule(Rule):
@@ -436,6 +463,8 @@ class MaskProvenance(DataflowRule):
             yield from self._check_function(ctx, fn)
 
     def _check_function(self, ctx: LintContext, fn) -> Iterator[Finding]:
+        storage = _storage_loop_names(fn.node)
+
         # Walk with a guard stack: a write dominated by an `if`/`while`
         # whose test is mask-derived is properly guarded.
         def visit(node: ast.AST, guarded: bool) -> Iterator[Finding]:
@@ -458,7 +487,7 @@ class MaskProvenance(DataflowRule):
                     node.targets if isinstance(node, ast.Assign) else [node.target]
                 )
                 for target in targets:
-                    finding = self._check_write(ctx, fn, target)
+                    finding = self._check_write(ctx, fn, target, storage)
                     if finding is not None:
                         yield finding
             for child in ast.iter_child_nodes(node):
@@ -467,26 +496,34 @@ class MaskProvenance(DataflowRule):
         for child in ast.iter_child_nodes(fn.node):
             yield from visit(child, False)
 
-    def _check_write(self, ctx: LintContext, fn, target: ast.expr):
+    def _check_write(
+        self, ctx: LintContext, fn, target: ast.expr, storage_names: set[str]
+    ):
         if not isinstance(target, ast.Subscript):
             return None
-        # Only attribute-rooted storage counts (self.tiles, arena.meta);
-        # local temporaries are scratch space, not arena state.
-        if not isinstance(target.value, ast.Attribute):
-            return None
-        index = target.slice
-        # A pure-slice index (self.top[:] = ..., buf[:, :k] = ...) writes
-        # every PE explicitly — full-width by construction, not a masked
-        # subset gone wrong.
-        if isinstance(index, ast.Slice) or (
-            isinstance(index, ast.Tuple)
-            and all(isinstance(e, ast.Slice) for e in index.elts)
+        # Only attribute-rooted storage counts (self.top, arena.planes),
+        # directly or through a loop variable over it; other locals are
+        # scratch space, not arena state.
+        root = target.value
+        if not (
+            isinstance(root, ast.Attribute)
+            or (isinstance(root, ast.Name) and root.id in storage_names)
         ):
+            return None
+        # Judge the PE axis, the first index element: a mask-derived slot
+        # index further right does not make the PE selection masked.
+        index = target.slice
+        if isinstance(index, ast.Tuple) and index.elts:
+            index = index.elts[0]
+        # A slice on the PE axis (self.top[:] = ..., buf[:, :k] = ...)
+        # writes every PE explicitly — full-width by construction, not a
+        # masked subset gone wrong.
+        if isinstance(index, ast.Slice):
             return None
         tags = self.prov(ctx, fn, index)
         if tags & {MASK, MASK_INDEX}:
             return None
-        storage = ast.unparse(target.value)
+        storage = ast.unparse(root)
         return self.finding(
             ctx, target,
             f"write to PE-indexed storage '{storage}' in kernel "

@@ -10,8 +10,8 @@ can refuse to undo the last move — the standard pruning that removes the
 trivial 2-cycles of the naive tree.  Goal testing ignores that component.
 
 Besides the per-node ``SearchProblem`` interface, the puzzle exposes a
-*vectorizable* view consumed by the flat search arena
-(:mod:`repro.search.arena`): states encode to fixed-width ``uint8`` rows
+*vectorizable* view consumed by the arena search kernel
+(:mod:`repro.search.kernel`): states encode to fixed-width ``uint8`` rows
 (:meth:`SlidingPuzzle.encode_state` / :meth:`~SlidingPuzzle.decode_state`)
 and three precomputed tables drive batched expansion —
 :meth:`~SlidingPuzzle.move_table` (blank destinations per position, in
@@ -228,7 +228,7 @@ class SlidingPuzzle(SearchProblem):
             total += linear_conflicts(tiles, self.side)
         return total
 
-    # -- vectorizable view (consumed by repro.search.arena) -----------------
+    # -- vectorizable view (consumed by repro.search.kernel) ----------------
     #
     # The arena backend recognizes problems by these methods (duck typing:
     # no import cycle between problems/ and search/).  All tables are

@@ -7,18 +7,17 @@
 - :mod:`repro.search.serial` — serial depth-first / depth-bounded search.
 - :mod:`repro.search.ida_star` — serial IDA* (Korf [15]) finding all
   solutions up to the final bound, the paper's speedup-anomaly-free setup.
-- :mod:`repro.search.arena` — packed flat-array storage for the per-PE
-  stacks of problems with a vectorizable view (the sliding puzzles).
-- :mod:`repro.search.parallel` — the real-stacks SIMD workload (arena
-  storage when the problem allows it, per-PE ``DFSStack`` objects
-  otherwise) and the parallel IDA* driver built on the core scheduler.
+- :mod:`repro.search.parallel` — the real-stacks SIMD workload (a
+  ``repro.simd.arena.WindowArena`` when the problem has a vectorizable
+  view, per-PE ``DFSStack`` objects otherwise) and the parallel IDA*
+  driver built on the core scheduler.
+- :mod:`repro.search.kernel` — the arena storage's expand-cycle kernel.
 - :mod:`repro.search.branch_and_bound` — Depth-First Branch and Bound
   (the other depth-first family of Section 2), serial and SIMD-parallel
   with lock-step incumbent broadcasting.
 """
 
 from repro.search.problem import SearchProblem
-from repro.search.arena import SearchArena
 from repro.search.stack import DFSStack, StackEntry
 from repro.search.serial import depth_bounded_dfs, SerialSearchResult
 from repro.search.ida_star import ida_star, IDAStarResult
@@ -46,7 +45,6 @@ __all__ = [
     "SerialBnBResult",
     "serial_dfbb",
     "SearchProblem",
-    "SearchArena",
     "DFSStack",
     "StackEntry",
     "depth_bounded_dfs",

@@ -15,7 +15,7 @@ busy-PE count, never a caller's choice:
   full-width numpy calls.
 - ``>=`` :data:`DENSE_THRESHOLD` busy PEs: :func:`_expand_dense`, the
   same arithmetic with every temporary (popped rows, masks, move
-  tables, scatter indices) in :class:`KernelWorkspace` scratch; gathers
+  tables, child rows) in :class:`KernelWorkspace` scratch; gathers
   use ``np.take(..., out=)`` and arithmetic runs through ufunc ``out=``.
   It makes more, smaller numpy calls than the reference and only pays
   off once per-element work dominates per-call overhead.
@@ -23,6 +23,13 @@ busy-PE count, never a caller's choice:
 All three leave the workload in the same state, bit for bit; the bands
 are a pure performance decision.  ``tests/kernels`` runs each band in
 lock-step against the per-PE ``DFSStack`` storage.
+
+The workload's :class:`~repro.simd.arena.WindowArena` holds two planes:
+encoded states (``tiles``, one uint8 row per entry) and ``meta``, whose
+int32 columns are named below.  Every band resets exhausted windows
+through the arena; the reference and dense bands push through
+``push_segments``, and the row band, which writes children in place,
+reserves their slots through ``reserve``.
 """
 
 from __future__ import annotations
@@ -31,12 +38,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.search.arena import BLANK_COL, G_COL, H_COL, PREV_COL
-
 if TYPE_CHECKING:
     from repro.search.parallel import SearchWorkload
 
-__all__ = ["KernelWorkspace", "expand_cycle"]
+__all__ = [
+    "KernelWorkspace",
+    "expand_cycle",
+    "G_COL",
+    "H_COL",
+    "BLANK_COL",
+    "PREV_COL",
+]
+
+#: Columns of the ``meta`` plane, in storage order.
+G_COL, H_COL, BLANK_COL, PREV_COL = 0, 1, 2, 3
 
 #: Busy-PE count at or below which a cycle runs the scalar row loop.
 SPARSE_THRESHOLD = 3
@@ -125,80 +140,6 @@ def expand_cycle(wl: SearchWorkload, ws: KernelWorkspace) -> int:  # repro: kern
     if n < DENSE_THRESHOLD:
         return _expand_reference(wl, pes, ws)
     return _expand_dense(wl, pes, ws)
-
-
-def _segment_slots(
-    pes: np.ndarray,
-    tops: np.ndarray,
-    lens: np.ndarray,
-    capacity: int,
-    ws: KernelWorkspace,
-) -> np.ndarray:
-    """Flat destination slot per CSR element for a segmented arena push.
-
-    Element ``i`` of the returned array is ``row * capacity + slot`` for
-    the ``i``-th value of the flat CSR payload — the scatter index
-    :meth:`SearchArena.push_segments` derives with three ``np.repeat``
-    calls, computed here as cumsum + gathers into workspace scratch.
-    At least one segment must be non-empty.
-
-    Unmasked by construction: ``pes`` is the caller's
-    ``flatnonzero(active)`` selection, so every computed slot belongs to
-    an expanding PE's own window.
-    """
-    if int(lens.min()) > 0:
-        # Dense-segment fast path: every listed PE pushes, so the
-        # empty-segment drop (flatnonzero + two gathers) is skipped.
-        m = len(lens)
-        lens_nz = lens
-        pes_nz = pes
-        tops_nz = tops
-    else:
-        nzseg = np.flatnonzero(lens)
-        m = len(nzseg)
-        lens_nz = ws.scratch("push.lens_nz", m)
-        np.take(lens, nzseg, out=lens_nz)
-        pes_nz = ws.scratch("push.pes_nz", m)
-        np.take(pes, nzseg, out=pes_nz)
-        tops_nz = ws.scratch("push.tops_nz", m)
-        np.take(tops, nzseg, out=tops_nz)
-    ends = ws.scratch("push.ends", m)
-    np.cumsum(lens_nz, out=ends)
-    total = int(ends[-1])
-    marks = ws.scratch("push.marks", total)
-    marks.fill(0)
-    if m > 1:
-        # Segment ends are strictly increasing, so these indices are
-        # unique — plain scatter, no np.add.at needed.
-        marks[ends[:-1]] = 1
-    segid = ws.scratch("push.segid", total)
-    np.cumsum(marks, out=segid)
-    # Fold row, start slot and segment begin into one per-segment base —
-    # base[s] = row*capacity + start - begin — so only a single gather
-    # plus one iota add run at flat-payload length:
-    # dest[i] = base[segid[i]] + i.
-    base = ws.scratch("push.base", m)
-    np.multiply(pes_nz, capacity, out=base)
-    np.add(base, tops_nz, out=base)
-    np.subtract(base, ends, out=base)
-    np.add(base, lens_nz, out=base)
-    dest = ws.scratch("push.dest", total)
-    np.take(base, segid, out=dest)
-    np.add(dest, ws.iota(total), out=dest)
-    return dest
-
-
-def _reset_windows(bottom: np.ndarray, top: np.ndarray, ws: KernelWorkspace) -> None:
-    """Rewind exhausted windows to slot 0 without an index array.
-
-    Full-width over the unmasked PE axis — the two stores are
-    ``where=``-guarded by the emptiness mask itself, exactly like
-    :meth:`SearchArena.reset_empty_windows`'s masked stores.
-    """
-    empty = ws.scratch("search.reset.empty", len(top), dtype=bool)
-    np.equal(top, bottom, out=empty)
-    np.copyto(top, 0, where=empty)
-    np.copyto(bottom, 0, where=empty)
 
 
 def _expand_reference(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
@@ -346,13 +287,14 @@ def _expand_rows(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
     # runs pre-pop, so top + 3 covers the deepest child slot.
     lens3 = ws.scratch("search.rows.lens", n)
     lens3.fill(3)
-    arena._ensure_capacity(pes, lens3)
+    arena.reserve(pes, lens3)
+    tiles, meta = arena.planes  # read after reserve: growth rebinds them
     goal_depths = ws.scratch("search.rows.goals", n)
-    parent = ws.scratch("search.rows.parent", arena.state_width, dtype=np.uint8)
+    parent = ws.scratch("search.rows.parent", tiles.shape[2], dtype=np.uint8)
     nb = wl.next_bound if wl.next_bound is not None else -1
     n_goals, nb = _expand_search_rows(
-        arena.tiles,
-        arena.meta,
+        tiles,
+        meta,
         arena.top,
         pes,
         wl._move_table,
@@ -369,7 +311,7 @@ def _expand_rows(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
         wl.goal_depths.extend(int(goal_depths[i]) for i in range(n_goals))
     if nb >= 0:
         wl.next_bound = int(nb)
-    _reset_windows(arena.bottom, arena.top, ws)
+    arena.reset_empty_windows()
     return n
 
 
@@ -377,7 +319,8 @@ def _expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
     """Dense band: scratch-backed gathers, ufunc ``out=`` math."""
     arena = wl._arena
     n = len(pes)
-    width = arena.state_width
+    tiles_plane, meta_plane = arena.planes
+    width = tiles_plane.shape[2]
     top = arena.top
 
     # -- pop: pointer update + two flat row gathers ------------------------
@@ -389,9 +332,9 @@ def _expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
     np.multiply(pes, arena.capacity, out=slots)
     np.add(slots, tops, out=slots)
     tiles = ws.scratch2d("search.tiles", n, width, dtype=np.uint8)
-    np.take(arena.tiles.reshape(-1, width), slots, axis=0, out=tiles)
+    np.take(tiles_plane.reshape(-1, width), slots, axis=0, out=tiles)
     meta = ws.scratch2d("search.meta", n, 4, dtype=np.int32)
-    np.take(arena.meta.reshape(-1, 4), slots, axis=0, out=meta)
+    np.take(meta_plane.reshape(-1, 4), slots, axis=0, out=meta)
     wl.expanded += n
 
     # -- goal test ---------------------------------------------------------
@@ -406,7 +349,7 @@ def _expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
         wl.goal_depths.extend(int(d) for d in meta[goal, G_COL])
         live = ~goal
         if not live.any():
-            _reset_windows(arena.bottom, arena.top, ws)
+            arena.reset_empty_windows()
             return n
         pes_l = pes[live]
         tiles_l = np.ascontiguousarray(tiles[live])
@@ -521,19 +464,7 @@ def _expand_dense(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
         flat_meta[:, H_COL] = ch_sel
         flat_meta[:, BLANK_COL] = dest_sel
         flat_meta[:, PREV_COL] = blank_sel
+        arena.push_segments(pes_l, lens, flat_tiles, flat_meta)
 
-        # -- push: segment-id scatter (capacity first — growth decisions
-        # match the reference band's push_segments ordering) --------------
-        arena._ensure_capacity(pes_l, lens)
-        tiles_plane = arena.tiles.reshape(-1, width)
-        meta_plane = arena.meta.reshape(-1, 4)
-        tops2 = ws.scratch("search.tops2", m)
-        np.take(arena.top, pes_l, out=tops2)
-        dest = _segment_slots(pes_l, tops2, lens, arena.capacity, ws)
-        tiles_plane[dest] = flat_tiles
-        meta_plane[dest] = flat_meta
-        np.add(tops2, lens, out=tops2)
-        arena.top[pes_l] = tops2
-
-    _reset_windows(arena.bottom, arena.top, ws)
+    arena.reset_empty_windows()
     return n

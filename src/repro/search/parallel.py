@@ -14,7 +14,8 @@ The workload picks its stack storage from the problem alone:
   answers ``supports_arena_backend()`` — a
   :class:`~repro.problems.npuzzle.SlidingPuzzle` with the Manhattan
   heuristic, any side — has all stacks packed into one
-  :class:`~repro.search.arena.SearchArena`; a cycle pops every non-empty
+  :class:`~repro.simd.arena.WindowArena` (a uint8 state plane and an
+  int32 ``g``/``h``/blank/previous-blank plane); a cycle pops every non-empty
   top, goal-tests, generates children from the precomputed move table,
   updates ``h`` incrementally via the Manhattan delta table (O(1) per
   move instead of an O(side^2) recompute), bound-prunes and pushes — all
@@ -55,12 +56,19 @@ from repro.obs import Observability
 from repro.obs.events import IterationEvent
 from repro.obs.profile import span
 from repro.obs.registry import record_run
-from repro.search.arena import BLANK_COL, G_COL, PREV_COL, SearchArena
-from repro.search.kernel import KernelWorkspace, expand_cycle
+from repro.search.kernel import (
+    BLANK_COL,
+    G_COL,
+    PREV_COL,
+    KernelWorkspace,
+    expand_cycle,
+)
 from repro.search.problem import SearchProblem
 from repro.search.stack import DFSStack, StackEntry
+from repro.simd.arena import WindowArena
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "SearchWorkload",
@@ -116,7 +124,7 @@ class SearchWorkload:
             raise ValueError(f"split must be 'bottom' or 'half', got {split!r}")
         self.problem = problem
         self.bound = int(bound)
-        self.n_pes = int(n_pes)
+        self.n_pes = check_positive_int(n_pes, "n_pes")
         self.split = split
         self.first_solution_only = first_solution_only
 
@@ -127,7 +135,7 @@ class SearchWorkload:
         self._cached_counts: np.ndarray | None = None
 
         self._stacks: list[DFSStack] | None = None
-        self._arena: SearchArena | None = None
+        self._arena: WindowArena | None = None
         root = problem.initial_state()
         h0 = problem.heuristic(root)
         root_in_bound = h0 <= self.bound
@@ -143,7 +151,8 @@ class SearchWorkload:
             self._move_table = problem.move_table()
             self._dist_table = problem.manhattan_table()
             self._goal_row = problem.goal_row()
-            self._arena = SearchArena(self.n_pes, problem.state_width)
+            rows = (((problem.state_width,), np.uint8), ((4,), np.int32))
+            self._arena = WindowArena(self.n_pes, rows, capacity=64)
             if root_in_bound:
                 tiles_row, blank, prev = problem.encode_state(root)
                 meta_row = np.array([0, h0, blank, prev], dtype=np.int32)
@@ -171,7 +180,7 @@ class SearchWorkload:
         problem = self.problem
         out = []
         for pe in range(self.n_pes):
-            tiles, meta = self._arena.entry_rows(pe)
+            tiles, meta = self._arena.window(pe)
             out.append(
                 [
                     StackEntry(
@@ -309,13 +318,15 @@ class SearchWorkload:
         if self.split == "bottom":
             arena.donate_bottoms(donors, receivers)
             return int(len(donors))
-        moved = 0
-        # The "half" ablation re-sorts each donated window by depth; that
-        # per-pair reshuffle stays a Python loop (it is not a paper path).
+        # The "half" ablation moves the bottom count // 2 entries and
+        # re-sorts them shallow-to-deep by g (stable), matching the
+        # DFSStack path's receiver rebuild; that per-pair reshuffle stays
+        # a Python loop (it is not a paper path).
         for d, r in zip(donors.tolist(), receivers.tolist()):
-            if arena.donate_half(d, r):
-                moved += 1
-        return moved
+            tiles, meta = arena.take_bottoms(d, int(counts[d]) // 2)
+            order = np.argsort(meta[:, G_COL], kind="stable")
+            arena.inject_window(r, tiles[order], meta[order])
+        return int(len(donors))
 
     def done(self) -> bool:
         # Goal detection happens at cycle boundaries — all PEs finish the

@@ -68,9 +68,9 @@ class DFSStack:
 
         This flat view is the stack's complete observable state:
         ``pop_next`` removes its tail, ``push_level`` appends to it, and
-        ``split_bottom`` removes its head — which is why the flat search
-        arena (:mod:`repro.search.arena`) can store stacks as plain
-        windows and stay bit-identical to this class.
+        ``split_bottom`` removes its head — which is why the arena
+        (:mod:`repro.simd.arena`) can store stacks as plain windows and
+        stay bit-identical to this class.
         """
         return [entry for level in self._levels for entry in level]
 

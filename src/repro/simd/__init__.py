@@ -11,6 +11,9 @@ Simulates the lock-step data-parallel machine the paper runs on (a CM-2):
 - :mod:`repro.simd.machine` — the time ledger of a lock-step run: every
   expansion cycle and load-balancing phase is charged here, yielding
   ``T_calc``, ``T_idle`` and ``T_lb`` exactly as defined in Section 3.1.
+- :mod:`repro.simd.arena` — ``WindowArena``, the per-PE windowed DFS
+  stacks both stack workloads store their entries in (private to them,
+  so not re-exported here).
 """
 
 from repro.simd.scan import (

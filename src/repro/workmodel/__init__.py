@@ -6,9 +6,9 @@
 - :mod:`repro.workmodel.stackmodel` — per-PE stacks of pending subtree
   sizes with stick-breaking expansion and bottom-of-stack donation; a
   mid-fidelity bridge between the divisible model and the real DFS engine.
-  All stacks sit in one flat array advanced by vectorized kernels.
-- :mod:`repro.workmodel.arena` — the flat-arena storage and the batched
-  stick-breaking sampler (``StackArena``, ``draw_children_batch``).
+  All stacks sit in one ``repro.simd.arena.WindowArena`` advanced by
+  vectorized kernels, and one cycle's children come from one batched
+  stick-breaking draw (``draw_children_batch``).
 - :mod:`repro.workmodel.mega` — many independent grid cells packed onto
   one flat PE axis (``MegaArena``) so full-width kernels advance every
   cell's lock-step cycle in a single call.

@@ -11,15 +11,14 @@ here depends on stack *composition*: a PE whose stack holds one huge
 subtree is not busy (cannot split) even though it has lots of work — the
 situation that makes D_P fail (Section 6.1, observation 2).
 
-All stacks live in one flat int64 array with top/bottom pointers
-(:class:`~repro.workmodel.arena.StackArena`), the data-parallel form of
-the paper's P lock-step PEs: a cycle pops, draws and pushes for every
+All stacks live in one int64 plane of a
+:class:`~repro.simd.arena.WindowArena`, the data-parallel form of the
+paper's P lock-step PEs: a cycle pops, draws and pushes for every
 expanding PE in a handful of full-width kernels, and all of a cycle's
-child sizes come from one
-:func:`~repro.workmodel.arena.draw_children_batch` call.  A
+child sizes come from one :func:`draw_children_batch` call.  A
 deque-per-PE reference on the same RNG stream lives test-side
-(``tests/oracles``); the identity suites diff this workload against
-it.
+(``tests/oracles``) and routes its draws through the same function; the
+identity suites diff this workload against it.
 
 Busy/idle/expanding masks derive from one cached per-PE entry count,
 invalidated on every mutation, so a scheduler cycle that reads all three
@@ -31,11 +30,68 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.profile import span
+from repro.simd.arena import WindowArena
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
-from repro.workmodel.arena import StackArena, draw_children_batch
 
-__all__ = ["StackWorkload"]
+__all__ = ["StackWorkload", "draw_children_batch"]
+
+
+def draw_children_batch(
+    rng: np.random.Generator,
+    sizes: np.ndarray,
+    max_branching: int,
+    leaf_probability: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw children for one cycle's popped subtree sizes, batched.
+
+    For every entry ``i`` the ``sizes[i] - 1`` nodes remaining below the
+    expanded root are partitioned into at most ``max_branching`` child
+    subtrees by stick-breaking: a Dirichlet weight vector followed by a
+    multinomial split (zero-sized parts are dropped).  With probability
+    ``leaf_probability`` an entry instead yields a single chain child.
+
+    The RNG call sequence is fixed and depends only on ``sizes`` and the
+    parameters — one uniform batch (if ``leaf_probability > 0``), one
+    branching-factor batch, then one Dirichlet + one multinomial batch
+    per branching-factor group in ascending order — so any two callers
+    with equal generator state and equal inputs consume identical
+    streams and produce identical children.
+
+    Returns
+    -------
+    (lens, flat):
+        ``lens[i]`` is entry ``i``'s child count; the children of entry
+        ``i`` are ``flat[lens[:i].sum() : lens[:i].sum() + lens[i]]`` in
+        push order (CSR layout, zeros already dropped).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = len(sizes)
+    rest = sizes - 1
+    parts = np.zeros((n, max_branching), dtype=np.int64)
+    active = np.flatnonzero(rest > 0)
+    if len(active):
+        if leaf_probability:
+            leaf = rng.random(len(active)) < leaf_probability
+        else:
+            leaf = np.zeros(len(active), dtype=bool)
+        chain = active[leaf]
+        parts[chain, 0] = rest[chain]
+        nonleaf = active[~leaf]
+        if len(nonleaf):
+            b = rng.integers(1, max_branching + 1, size=len(nonleaf))
+            b = np.minimum(b, rest[nonleaf])
+            single = nonleaf[b == 1]
+            parts[single, 0] = rest[single]
+            for bv in range(2, max_branching + 1):
+                idx = nonleaf[b == bv]
+                if len(idx) == 0:
+                    continue
+                weights = rng.dirichlet(np.ones(bv), size=len(idx))
+                parts[idx, :bv] = rng.multinomial(rest[idx], weights)
+    live = parts > 0
+    # Row-major boolean indexing keeps each entry's children in push order.
+    return live.sum(axis=1, dtype=np.int64), parts[live]
 
 
 class StackWorkload:
@@ -76,7 +132,7 @@ class StackWorkload:
         self.rng = as_generator(rng)
 
         # The root subtree (the whole tree) starts on PE 0.
-        self._arena = StackArena(n_pes)
+        self._arena = WindowArena(self.n_pes, (((), np.int64),), capacity=32)
         self._arena.push_root(0, total_work)
         self._expanded = 0
         self._cached_counts: np.ndarray | None = None
@@ -87,7 +143,7 @@ class StackWorkload:
     def stacks(self) -> list[list[int]]:
         """A plain-list *snapshot* of the per-PE stacks, bottom to top;
         mutating it does not touch the arena."""
-        return self._arena.to_lists()
+        return [self._arena.window(pe)[0].tolist() for pe in range(self.n_pes)]
 
     def invalidate_masks(self) -> None:
         """Drop the cached per-PE counts."""
@@ -126,7 +182,7 @@ class StackWorkload:
             return 0
         self._cached_counts = None
         self._expanded += n
-        sizes = arena.pop_tops(pes)
+        (sizes,) = arena.pop_tops(pes)
         lens, flat = draw_children_batch(
             self.rng, sizes, self.max_branching, self.leaf_probability
         )
@@ -162,7 +218,8 @@ class StackWorkload:
         """Quarantine PE ``pe``'s whole stack (bottom -> top order) as an
         immutable snapshot :meth:`inject_pe` accepts."""
         self._cached_counts = None
-        values = tuple(int(v) for v in self._arena.extract_window(pe))
+        (window,) = self._arena.extract_window(pe)
+        values = tuple(int(v) for v in window)
         return values, len(values)
 
     def inject_pe(self, pe: int, payload: tuple[int, ...]) -> int:
@@ -176,7 +233,11 @@ class StackWorkload:
     # -- Introspection -----------------------------------------------------
 
     def total_remaining(self) -> int:
-        return self._arena.total_pending()
+        """Sum of all pending subtree sizes (the conservation RHS)."""
+        arena = self._arena
+        slots = np.arange(arena.capacity, dtype=np.int64)
+        live = (slots >= arena.bottom[:, None]) & (slots < arena.top[:, None])
+        return int(arena.planes[0][live].sum())
 
     def check_conservation(self) -> bool:
         """Expanded + pending subtree sizes == W at all times."""

@@ -106,8 +106,23 @@ class TestR103MaskProvenance:
             "good_guarded",
             "good_full_slice",
             "good_documented",
+            "good_pe_axis_masked",
+            "good_loop_plane",
+            "good_loop_local",
         ):
             assert clean not in hit, clean
+
+    def test_pe_axis_is_judged_alone(self):
+        """A mask-derived slot index does not mask an unmasked PE axis."""
+        result = run_lint([str(FIXTURES)], rules=["R103"])
+        hit = flagged_functions(result, KERN / "mask_writes.py")
+        assert "bad_pe_axis_unmasked" in hit
+
+    def test_loop_variable_over_storage_is_storage(self):
+        """``for plane in self.planes: plane[pes] = ...`` writes the arena."""
+        result = run_lint([str(FIXTURES)], rules=["R103"])
+        hit = flagged_functions(result, KERN / "mask_writes.py")
+        assert "bad_loop_plane" in hit
 
     def test_interprocedural_mask_provenance(self):
         """push_masked is clean only because driver.py passes

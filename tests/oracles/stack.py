@@ -2,7 +2,7 @@
 
 Simple and transparent, which is the point — every step is a deque
 ``pop``/``extend``/``popleft``.  All of a cycle's child sizes come from
-one :func:`~repro.workmodel.arena.draw_children_batch` call, the same
+one :func:`~repro.workmodel.stackmodel.draw_children_batch` call, the same
 call sequence ``StackWorkload``'s kernels make, so the two consume one
 RNG stream and must agree exactly.
 """
@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from repro.util.rng import as_generator
-from repro.workmodel.arena import draw_children_batch
+from repro.workmodel.stackmodel import draw_children_batch
 
 __all__ = ["ListStackWorkload"]
 

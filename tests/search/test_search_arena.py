@@ -3,19 +3,29 @@
 The cross-scheme run-level equivalence lives in
 ``tests/integration/test_search_backend_equivalence.py``; here we test
 the building blocks — the puzzle's vectorizable codec and tables, the
-arena storage primitives, which problems get the arena, and cycle-by-cycle
+arena under the search payload (``tests/simd/test_arena.py`` fuzzes the
+same operations), which problems get the arena, and cycle-by-cycle
 lock-step identity between the two storages including donation.
 """
 
 import numpy as np
 import pytest
 
+from repro.problems.fifteen_puzzle import BENCH_INSTANCES
 from repro.problems.npuzzle import SlidingPuzzle, manhattan_distance
 from repro.problems.nqueens import NQueensProblem
-from repro.search.arena import G_COL, SearchArena
+from repro.search.kernel import G_COL
 from repro.search.parallel import SearchWorkload
 from repro.search.stack import DFSStack
+from repro.simd.arena import WindowArena
 from tests.oracles import opaque
+
+
+def _search_arena(n_pes, width, *, capacity=64):
+    """The search workload's arena: a uint8 state row plus int32 meta."""
+    return WindowArena(
+        n_pes, (((width,), np.uint8), ((4,), np.int32)), capacity=capacity
+    )
 
 
 class TestPuzzleCodec:
@@ -79,7 +89,7 @@ class TestSearchArena:
         return tiles, meta
 
     def test_push_pop_roundtrip(self):
-        arena = SearchArena(4, 9)
+        arena = _search_arena(4, 9)
         tiles, meta = self._roots(9)
         arena.push_root(1, tiles, meta)
         assert arena.counts().tolist() == [0, 1, 0, 0]
@@ -89,32 +99,32 @@ class TestSearchArena:
         assert arena.counts().sum() == 0
 
     def test_push_segments_csr_order(self):
-        arena = SearchArena(3, 4)
+        arena = _search_arena(3, 4)
         pes = np.array([0, 2])
         lens = np.array([2, 1])
         tiles_flat = np.arange(12, dtype=np.uint8).reshape(3, 4)
         meta_flat = np.arange(12, dtype=np.int32).reshape(3, 4)
         arena.push_segments(pes, lens, tiles_flat, meta_flat)
         assert arena.counts().tolist() == [2, 0, 1]
-        t0, m0 = arena.entry_rows(0)
+        t0, m0 = arena.window(0)
         assert np.array_equal(t0, tiles_flat[:2])
         assert np.array_equal(m0, meta_flat[:2])
-        t2, _ = arena.entry_rows(2)
+        t2, _ = arena.window(2)
         assert np.array_equal(t2, tiles_flat[2:])
 
     def test_donate_bottoms_moves_oldest_entry(self):
-        arena = SearchArena(2, 4)
+        arena = _search_arena(2, 4)
         for g in range(3):
             tiles = np.full(4, g, dtype=np.uint8)
             arena.push_root(0, tiles, np.array([g, 0, 0, 0], dtype=np.int32))
         arena.donate_bottoms(np.array([0]), np.array([1]))
         assert arena.counts().tolist() == [2, 1]
-        t1, m1 = arena.entry_rows(1)
+        t1, m1 = arena.window(1)
         assert t1[0].tolist() == [0, 0, 0, 0]
         assert m1[0, G_COL] == 0
 
     def test_capacity_growth_preserves_windows(self):
-        arena = SearchArena(2, 3, capacity=2)
+        arena = _search_arena(2, 3, capacity=2)
         for g in range(9):
             arena.push_segments(
                 np.array([0]),
@@ -123,11 +133,11 @@ class TestSearchArena:
                 np.array([[g, g, g, g]], dtype=np.int32),
             )
         assert arena.capacity >= 9
-        _, meta = arena.entry_rows(0)
+        _, meta = arena.window(0)
         assert meta[:, G_COL].tolist() == list(range(9))
 
     def test_compaction_reclaims_donated_slots(self):
-        arena = SearchArena(2, 3, capacity=4)
+        arena = _search_arena(2, 3, capacity=4)
         for g in range(4):
             arena.push_root(0, np.full(3, g, dtype=np.uint8),
                             np.array([g, 0, 0, 0], dtype=np.int32))
@@ -140,7 +150,7 @@ class TestSearchArena:
             np.full((1, 4), 9, dtype=np.int32),
         )
         assert arena.capacity == 4
-        _, meta = arena.entry_rows(0)
+        _, meta = arena.window(0)
         assert meta[:, G_COL].tolist() == [1, 2, 3, 9]
 
 
@@ -169,6 +179,16 @@ class TestArenaBackendValidation:
         )
         wl = SearchWorkload(p, 40, 4)
         assert wl._arena is None and _on_dfs_stacks(wl)
+
+
+@pytest.mark.parametrize("n_pes", [0, -2, 2.5])
+@pytest.mark.parametrize("storage", ["dfs-stacks", "arena"])
+def test_n_pes_is_validated_on_either_storage(storage, n_pes):
+    """The workload checks ``n_pes`` itself, so the error does not depend
+    on which storage the problem picks."""
+    problem = NQueensProblem(5) if storage == "dfs-stacks" else BENCH_INSTANCES["tiny"]
+    with pytest.raises(ValueError, match="n_pes"):
+        SearchWorkload(problem, 50, n_pes)
 
 
 def _flat_stacks(workload):

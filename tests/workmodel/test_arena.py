@@ -1,14 +1,30 @@
-"""Arena unit tests: storage kernels, the batched sampler, and a
-hypothesis fuzz pinning the arena to the deque-backed list oracle."""
+"""Stack-arena unit tests: the batched sampler, the arena under the
+stack payload, and a hypothesis fuzz pinning the workload to the
+deque-backed list oracle.
+
+``TestStackArena`` pins named growth/compaction scenarios of
+:class:`~repro.simd.arena.WindowArena` with one int64 row per entry;
+``tests/simd/test_arena.py`` fuzzes the same operations over both
+workloads' row shapes against a list-of-lists model.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simd.arena import WindowArena
 from repro.util.rng import spawn_child
-from repro.workmodel.arena import StackArena, draw_children_batch
-from repro.workmodel.stackmodel import StackWorkload
+from repro.workmodel.stackmodel import StackWorkload, draw_children_batch
 from tests.oracles import ListStackWorkload
+
+
+def _stack_arena(n_pes, *, capacity):
+    """The stack workload's arena: one int64 subtree size per entry."""
+    return WindowArena(n_pes, (((), np.int64),), capacity=capacity)
+
+
+def _lists(arena):
+    return [arena.window(pe)[0].tolist() for pe in range(arena.n_pes)]
 
 
 class TestDrawChildrenBatch:
@@ -39,47 +55,47 @@ class TestDrawChildrenBatch:
 
 class TestStackArena:
     def test_push_pop_roundtrip(self):
-        arena = StackArena(3, capacity=4)
+        arena = _stack_arena(3, capacity=4)
         arena.push_root(0, 10)
         arena.push_segments(
             np.array([0, 2]), np.array([2, 1]), np.array([7, 8, 9])
         )
-        assert arena.to_lists() == [[10, 7, 8], [], [9]]
+        assert _lists(arena) == [[10, 7, 8], [], [9]]
         assert np.array_equal(arena.counts(), [3, 0, 1])
-        tops = arena.pop_tops(np.array([0, 2]))
+        (tops,) = arena.pop_tops(np.array([0, 2]))
         assert np.array_equal(tops, [8, 9])
-        assert arena.to_lists() == [[10, 7], [], []]
+        assert _lists(arena) == [[10, 7], [], []]
 
     def test_donate_bottoms(self):
-        arena = StackArena(3, capacity=4)
+        arena = _stack_arena(3, capacity=4)
         arena.push_segments(
             np.array([0]), np.array([3]), np.array([40, 10, 5])
         )
-        values = arena.donate_bottoms(np.array([0]), np.array([2]))
-        assert np.array_equal(values, [40])
-        assert arena.to_lists() == [[10, 5], [], [40]]
+        arena.donate_bottoms(np.array([0]), np.array([2]))
+        assert _lists(arena) == [[10, 5], [], [40]]
 
     def test_growth_preserves_contents(self):
-        arena = StackArena(2, capacity=2)
+        arena = _stack_arena(2, capacity=2)
         arena.push_segments(np.array([0]), np.array([2]), np.array([1, 2]))
         # Overflow: the arena must compact + double, keeping the window.
         arena.push_segments(np.array([0]), np.array([3]), np.array([3, 4, 5]))
         assert arena.capacity >= 5
-        assert arena.to_lists() == [[1, 2, 3, 4, 5], []]
+        assert _lists(arena) == [[1, 2, 3, 4, 5], []]
 
     def test_growth_after_donations_compacts_dead_columns(self):
-        arena = StackArena(2, capacity=4)
+        arena = _stack_arena(2, capacity=4)
         arena.push_segments(np.array([0]), np.array([4]), np.array([1, 2, 3, 4]))
         arena.donate_bottoms(np.array([0]), np.array([1]))
+        arena.pop_tops(np.array([1]))
         arena.donate_bottoms(np.array([0]), np.array([1]))  # receiver refill
         # PE 0 window now sits at columns [2, 4); pushing 2 more entries
         # fits after compaction without any growth.
         arena.push_segments(np.array([0]), np.array([2]), np.array([5, 6]))
         assert arena.capacity == 4
-        assert arena.to_lists()[0] == [3, 4, 5, 6]
+        assert _lists(arena)[0] == [3, 4, 5, 6]
 
     def test_reset_empty_windows(self):
-        arena = StackArena(2, capacity=4)
+        arena = _stack_arena(2, capacity=4)
         arena.push_segments(np.array([0]), np.array([3]), np.array([1, 2, 3]))
         arena.donate_bottoms(np.array([0]), np.array([1]))
         arena.pop_tops(np.array([0]))
@@ -87,7 +103,7 @@ class TestStackArena:
         assert arena.bottom[0] == 1 and arena.top[0] == 1  # empty, offset window
         arena.reset_empty_windows()
         assert arena.bottom[0] == 0 and arena.top[0] == 0
-        assert arena.to_lists() == [[], [1]]
+        assert _lists(arena) == [[], [1]]
 
 
 def _paired(rng, busy, idle):
