@@ -18,7 +18,8 @@ Commands:
   ``P * T_par == T_calc + T_idle + T_lb + T_recovery`` it must encode.
 - ``trace`` — run one profiled stack-model workload and write a
   Chrome-trace / Perfetto ``trace.json`` of the kernel spans.
-- ``lint`` — the SIMD-discipline static checks (rules R001-R005).
+- ``lint`` — the SIMD-discipline static checks (rules R001, R002,
+  R003, R005 and R102).
 
 Every command prints plain text and exits non-zero on bad arguments, so
 the CLI scripts cleanly.
@@ -190,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
         help="diff two bench JSON reports instead of running benches; "
-        "exits 1 if any metric regressed past --tolerance",
+        "exits 1 if any metric regressed past --tolerance or if the "
+        "reports share no metric to compare",
     )
     bench.add_argument(
         "--tolerance", type=float, default=0.10,
@@ -242,36 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="SIMD-discipline static checks (R001-R005; --strict adds "
-        "the R100-R103 dataflow rules)",
+        help="SIMD-discipline static checks (R001, R002, R003, R005, R102)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to check (default: src)",
     )
     lint.add_argument(
-        "--format", dest="fmt", choices=["text", "json", "sarif"],
-        default="text",
+        "--format", dest="fmt", choices=["text", "json"], default="text",
     )
     lint.add_argument(
         "--rules", default=None,
-        help="comma-separated rule subset, e.g. R001,R103 (default: "
-        "R001-R005, plus R100-R103 under --strict)",
-    )
-    lint.add_argument(
-        "--strict", action="store_true",
-        help="run the dataflow rule family (R100-R103) too: call-graph "
-        "RNG provenance, kernel purity, mask-guarded writes",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="drop findings fingerprinted in this baseline file; only "
-        "non-baselined findings fail the run (the ratchet)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline (default .lint-baseline.json) with the "
-        "current findings and exit 0",
+        help="comma-separated rule subset, e.g. R001,R102 (default: all)",
     )
     lint.add_argument(
         "--out", default=None, metavar="PATH",
@@ -716,57 +700,31 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
-        Baseline,
         all_rules,
         exit_code,
         load_config,
         render_json,
-        render_sarif,
         render_text,
         run_lint,
     )
 
     if args.list_rules:
-        for rule in all_rules(include_dataflow=True):
-            gate = "" if rule.family == "basic" else "  (--strict)"
-            print(f"{rule.rule_id}  {rule.title}{gate}")
+        for rule in all_rules():
+            print(f"{rule.rule_id}  {rule.title}")
         return 0
     subset = (
         [token.strip() for token in args.rules.split(",") if token.strip()]
         if args.rules
         else None
     )
-    baseline_path = args.baseline
-    if args.update_baseline and baseline_path is None:
-        baseline_path = ".lint-baseline.json"
     try:
-        baseline = (
-            Baseline.load(baseline_path)
-            if baseline_path and not args.update_baseline
-            else None
-        )
-        result = run_lint(
-            args.paths,
-            rules=subset,
-            strict=args.strict,
-            config=load_config(),
-            baseline=baseline,
-        )
+        result = run_lint(args.paths, rules=subset, config=load_config())
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        path = Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"baseline with {len(result.findings)} finding(s) written to "
-            f"{path}"
-        )
-        return 0
-    renderers = {"text": render_text, "json": render_json, "sarif": render_sarif}
+    renderers = {"text": render_text, "json": render_json}
     report = renderers[args.fmt](result)
     if args.out:
-        from pathlib import Path
-
         Path(args.out).write_text(report + "\n", encoding="utf-8")
         print(render_text(result))
         print(f"{args.fmt} report written to {args.out}")

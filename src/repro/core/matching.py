@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# repro-lint: disable-file=R004 -- the matchers ARE the machine-level
-# implementation of the LB phase: every scan they perform is priced into the
-# ledger by the scheduler through Matcher.setup_scans, so calling the scan
-# primitives directly here does not bypass cost accounting.
+# The matchers ARE the machine-level implementation of the LB phase: every
+# scan they perform is priced into the ledger by the scheduler through
+# Matcher.setup_scans, so calling the scan primitives directly here does not
+# bypass cost accounting.
 from repro.simd.scan import enumerate_mask, rendezvous
 
 __all__ = ["MatchResult", "Matcher", "NGPMatcher", "GPMatcher"]

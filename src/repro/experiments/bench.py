@@ -22,7 +22,7 @@ covers the real 15-puzzle workload the same way:
 ``python -m repro bench --compare OLD.json NEW.json`` diffs two saved
 reports metric by metric (:func:`compare_bench`), prints per-section
 speedup deltas, and exits nonzero when any metric regressed past
-``--tolerance`` — the perf ratchet next to lint's baseline ratchet.
+``--tolerance`` or when the two reports share no metric at all.
 
 All wall-clock numbers are host measurements, so the JSON embeds the
 host fingerprint (platform, Python, numpy, CPU count); a grid speedup
@@ -483,7 +483,9 @@ def compare_bench(
     row carries the dotted section path, both values, the new/old ratio
     and a ``regression`` fraction — how much *worse* the new value is in
     the metric's bad direction (0.0 when equal or improved).  ``ok`` is
-    False when any regression exceeds ``tolerance``.  Sections present
+    False when any regression exceeds ``tolerance``, and when no metric
+    was compared at all — a gate that compares nothing must not pass.
+    Sections present
     in only one report (a retired or new variant) are listed, not
     compared — retiring a backend must not read as a regression.
 
@@ -534,7 +536,7 @@ def compare_bench(
         "added": sorted(".".join(p) for p in new_leaves.keys() - old_leaves.keys()),
         "worst_regression": worst,
         "tolerance": tolerance,
-        "ok": worst <= tolerance,
+        "ok": bool(rows) and worst <= tolerance,
     }
 
 
@@ -558,6 +560,12 @@ def render_compare(result: dict) -> str:
         lines.append(f"  {path:<{width}}  (dropped in new report)")
     for path in result["added"]:
         lines.append(f"  {path:<{width}}  (new in new report)")
+    if not result["rows"]:
+        lines.append(
+            "0 metric(s) compared -> NOTHING COMPARED: the reports share "
+            "no comparable metric, so the gate checks nothing"
+        )
+        return "\n".join(lines)
     verdict = "within tolerance" if result["ok"] else "REGRESSION"
     lines.append(
         f"{len(result['rows'])} metric(s) compared; worst regression "

@@ -1,16 +1,8 @@
-"""Lint configuration: the kernel-module registry and ``pyproject.toml``.
+"""Lint configuration: the ``[tool.repro.lint]`` table of ``pyproject.toml``.
 
-``[tool.repro.lint]`` supports:
-
-- ``exclude`` — list of path substrings; matching files are skipped
-  entirely (used for the seeded lint fixtures under ``tests/lint``);
-- ``kernel_modules`` — extra logical paths (or ``dir/`` prefixes) to
-  treat as kernel code for R101-R103, merged with
-  :data:`KERNEL_MODULES` and in-file ``# repro: kernel`` pragmas;
-- ``severity`` — per-rule overrides, e.g. ``R102 = "warning"``
-  (warnings are reported but never fail the run);
-- ``per_path`` — rules disabled under a path prefix, e.g.
-  ``"repro/baselines/" = ["R102", "R103"]``.
+Its one key is ``exclude`` — a list of path substrings; matching files
+are skipped entirely (used for the seeded lint fixtures under
+``tests/lint``).
 
 Parsing uses :mod:`tomllib` when available (Python >= 3.11) and falls
 back to a minimal TOML-subset reader on 3.10 — enough for the flat
@@ -24,22 +16,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["KERNEL_MODULES", "LintConfig", "load_config"]
-
-#: Logical paths whose code is *kernel* by construction: full-width numpy
-#: kernels whose discipline the arenas' bit-identity gates depend on.
-#: ``# repro: kernel`` pragmas extend this set file-locally (and mark
-#: individual functions inside mixed modules like search/parallel.py).
-KERNEL_MODULES: frozenset[str] = frozenset(
-    {
-        "repro/simd/arena.py",
-        "repro/simd/scan.py",
-        "repro/simd/reduce.py",
-        "repro/simd/router.py",
-        "repro/workmodel/mega.py",
-        "repro/search/kernel.py",
-    }
-)
+__all__ = ["LintConfig", "load_config"]
 
 
 @dataclass
@@ -47,24 +24,10 @@ class LintConfig:
     """Parsed ``[tool.repro.lint]`` settings (defaults when absent)."""
 
     exclude: list[str] = field(default_factory=list)
-    kernel_modules: set[str] = field(default_factory=set)
-    severity: dict[str, str] = field(default_factory=dict)
-    per_path: dict[str, list[str]] = field(default_factory=dict)
-
-    def all_kernel_modules(self) -> frozenset[str]:
-        return KERNEL_MODULES | frozenset(self.kernel_modules)
 
     def excluded(self, path: Path | str) -> bool:
         posix = Path(path).as_posix()
         return any(pat in posix for pat in self.exclude)
-
-    def disabled_for(self, logical: str) -> set[str]:
-        """Rules disabled for a logical path by ``per_path`` prefixes."""
-        out: set[str] = set()
-        for prefix, rules in self.per_path.items():
-            if logical.startswith(prefix):
-                out.update(r.upper() for r in rules)
-        return out
 
 
 def _parse_toml(text: str) -> dict:
@@ -187,16 +150,5 @@ def load_config(start: Path | str | None = None) -> LintConfig:
         section = data.get("tool", {}).get("repro", {}).get("lint", {})
         if not isinstance(section, dict):
             return LintConfig()
-        return LintConfig(
-            exclude=[str(x) for x in section.get("exclude", [])],
-            kernel_modules={str(x) for x in section.get("kernel_modules", [])},
-            severity={
-                str(k).upper(): str(v)
-                for k, v in section.get("severity", {}).items()
-            },
-            per_path={
-                str(k): [str(r) for r in v]
-                for k, v in section.get("per_path", {}).items()
-            },
-        )
+        return LintConfig(exclude=[str(x) for x in section.get("exclude", [])])
     return LintConfig()

@@ -5,30 +5,24 @@ Suppression syntax (mirrors the usual ``# noqa`` conventions):
 - ``# repro-lint: disable=R001`` on a line suppresses those rules *on
   that line* (comma-separate multiple ids; ``all`` suppresses every
   rule).
-- ``# repro-lint: disable-file=R004 -- justification`` anywhere in a
+- ``# repro-lint: disable-file=R001 -- justification`` anywhere in a
   file suppresses those rules for the whole file.  Put the reason after
   ``--`` so reviewers can audit it.
 
-The driver runs in two phases.  Phase one parses every file; when a
-project-aware rule (R100-R103) is active it also builds the
-cross-module :class:`~repro.lint.graph.ProjectIndex` and the
-:mod:`~repro.lint.dataflow` provenance facts.  Phase two runs the rules
-per module with that shared context, applies suppressions, per-path
-config, severity overrides, and finally the baseline ratchet.
+Inline suppressions are the only record of accepted findings.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.findings import Finding, Severity
-from repro.lint.rules import LintContext, Rule, all_rules
+from repro.lint.findings import Finding
+from repro.lint.rules import LintContext, all_rules
 
 __all__ = [
     "LintResult",
@@ -60,16 +54,11 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no *error*-severity finding survived suppression.
-
-        Warning findings (severity downgraded via config) are reported
-        but never fail the run.
-        """
-        return not any(f.severity is Severity.ERROR for f in self.findings)
+        """True when no finding survived suppression."""
+        return not self.findings
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -125,40 +114,22 @@ def parse_suppressions(source: str) -> tuple[set[str], dict[int, set[str]]]:
     return file_level, per_line
 
 
-def _annotate(finding: Finding, logical: str, lines: list[str]) -> Finding:
-    """Fill the logical path and source snippet used by baseline/SARIF."""
-    snippet = ""
-    if 1 <= finding.line <= len(lines):
-        snippet = lines[finding.line - 1].strip()
-    return dataclasses.replace(finding, logical=logical, snippet=snippet)
-
-
 def run_lint(
     paths: Sequence[str | Path],
     rules: Iterable[str] | None = None,
     *,
-    strict: bool = False,
     config: LintConfig | None = None,
-    baseline=None,
 ) -> LintResult:
     """Lint the given files/directories and return surviving findings.
 
-    ``rules`` optionally restricts the run to a subset of rule ids.
-    ``strict=True`` adds the dataflow family (R100-R103) to the default
-    set and builds the project index/call graph they need.  ``config``
-    carries ``[tool.repro.lint]`` settings (excludes, kernel modules,
-    severity overrides, per-path disables); ``baseline`` is a
-    :class:`~repro.lint.baseline.Baseline` whose fingerprints are
-    dropped from the result (counted in ``result.baselined``).
-    Unparseable files produce an ``R000`` parse-error finding instead of
-    aborting the run.
+    ``rules`` optionally restricts the run to a subset of rule ids;
+    ``config`` carries the ``[tool.repro.lint]`` excludes.  Unparseable
+    files produce an ``R000`` parse-error finding instead of aborting
+    the run.
     """
     cfg = config if config is not None else LintConfig()
-    rule_objs: list[Rule] = all_rules(rules, include_dataflow=strict)
+    rule_objs = all_rules(rules)
     result = LintResult()
-
-    # Phase 1: parse everything (project-aware rules need the full set).
-    entries: list[tuple[Path, str, str, ast.Module]] = []
     for path in iter_python_files(paths):
         if cfg.excluded(path):
             continue
@@ -167,68 +138,26 @@ def run_lint(
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            logical = logical_path(path)
             result.findings.append(
-                _annotate(
-                    Finding(
-                        rule="R000",
-                        path=str(path),
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        message=f"syntax error: {exc.msg}",
-                        severity=Severity.ERROR,
-                    ),
-                    logical,
-                    source.splitlines(),
+                Finding(
+                    rule="R000",
+                    path=str(path),
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    message=f"syntax error: {exc.msg}",
                 )
             )
             continue
-        entries.append((path, logical_path(path), source, tree))
-
-    project = None
-    facts = None
-    if any(rule.requires_project for rule in rule_objs):
-        from repro.lint.dataflow import compute_project_facts
-        from repro.lint.graph import build_project
-
-        project = build_project(
-            entries, kernel_modules=cfg.all_kernel_modules()
-        )
-        facts = compute_project_facts(project)
-
-    # Phase 2: per-module rule runs with the shared project context.
-    for path, logical, source, tree in entries:
         ctx = LintContext(
-            path=path,
-            logical=logical,
-            source=source,
-            tree=tree,
-            project=project,
-            dataflow=facts,
+            path=path, logical=logical_path(path), source=source, tree=tree
         )
         file_level, per_line = parse_suppressions(source)
-        disabled = cfg.disabled_for(logical)
-        lines = source.splitlines()
         for rule in rule_objs:
-            if rule.rule_id in disabled:
-                continue
             for finding in rule.check(ctx):
                 active = file_level | per_line.get(finding.line, set())
                 if "ALL" in active or finding.rule in active:
                     result.suppressed += 1
-                    continue
-                finding = _annotate(finding, logical, lines)
-                override = cfg.severity.get(finding.rule)
-                if override is not None:
-                    finding = dataclasses.replace(
-                        finding, severity=Severity(override)
-                    )
-                result.findings.append(finding)
+                else:
+                    result.findings.append(finding)
     result.findings.sort(key=Finding.sort_key)
-    if baseline is not None:
-        from repro.lint.baseline import apply_baseline
-
-        result.findings, result.baselined = apply_baseline(
-            result.findings, baseline
-        )
     return result

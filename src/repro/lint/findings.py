@@ -1,18 +1,10 @@
-"""Finding and severity types shared by the lint rules and reporters."""
+"""The finding type shared by the lint rules and reporters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import asdict, dataclass
 
-__all__ = ["Severity", "Finding"]
-
-
-class Severity(str, Enum):
-    """How bad a finding is; ERROR findings fail the lint run."""
-
-    ERROR = "error"
-    WARNING = "warning"
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -22,16 +14,13 @@ class Finding:
     Attributes
     ----------
     rule:
-        Rule identifier (``R001`` .. ``R004``; ``R000`` for parse errors).
+        Rule identifier (``R001`` .. ``R102``; ``R000`` for parse errors).
     path:
         The file as given on the command line.
     line / col:
         1-based line and 0-based column of the offending node.
     message:
         Human-readable explanation with the sanctioned alternative.
-    severity:
-        :class:`Severity`; every built-in rule emits ``ERROR`` unless a
-        ``[tool.repro.lint] severity`` override downgrades it.
     """
 
     rule: str
@@ -39,32 +28,12 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: Severity = Severity.ERROR
-    #: package-relative posix path (``repro/core/scheduler.py``) — filled
-    #: by the engine; used by the baseline fingerprint so baselines stay
-    #: valid when the checkout moves.
-    logical: str = ""
-    #: stripped source text of the flagged line — the line-insensitive
-    #: half of the baseline fingerprint.
-    snippet: str = ""
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity.value,
-            "logical": self.logical,
-            "snippet": self.snippet,
-        }
+        return asdict(self)
 
     def render(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity.value}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

@@ -13,12 +13,9 @@ def render_text(result: LintResult) -> str:
     """One ``path:line:col: RULE message`` line per finding plus a summary."""
     lines = [finding.render() for finding in result.findings]
     noun = "finding" if len(result.findings) == 1 else "findings"
-    baselined = (
-        f", {result.baselined} baselined" if result.baselined else ""
-    )
     lines.append(
         f"{len(result.findings)} {noun} in {result.files_checked} file(s) "
-        f"checked ({result.suppressed} suppressed{baselined})"
+        f"checked ({result.suppressed} suppressed)"
     )
     return "\n".join(lines)
 
@@ -29,12 +26,11 @@ def render_json(result: LintResult) -> str:
         "findings": [finding.to_dict() for finding in result.findings],
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "ok": result.ok,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def exit_code(result: LintResult) -> int:
-    """``0`` when clean, ``1`` when any error finding survived suppression."""
+    """``0`` when clean, ``1`` when any finding survived suppression."""
     return 0 if result.ok else 1

@@ -1,44 +1,51 @@
-"""The SIMD-discipline rule set (R001-R005) and the rule registry.
+"""The SIMD-discipline rule set and the rule registry.
 
 Each rule inspects one parsed module (:class:`LintContext`) and yields
 :class:`~repro.lint.findings.Finding` objects.  The rules encode the
-paper's lock-step contract:
+paper's lock-step contract, and each is the only gate that catches its
+hazard (``docs/lint.md`` has the audit):
 
 - **R001** — all randomness flows through ``repro.util.rng``; no direct
   ``random`` / ``numpy.random`` use anywhere else, so every run is a
   pure function of its integer seed.
-- **R002** — no wall-clock, entropy, or unordered-collection iteration
-  in ``core/``, ``simd/`` or ``search/``: scheme behaviour (trigger
-  decisions, GP rotation, D_K accounting) must not depend on when or
-  where the host Python runs.
+- **R002** — no wall-clock, entropy, environment, ``id()``-keyed or
+  unordered-collection nondeterminism in ``core/``, ``simd/``,
+  ``search/`` or ``workmodel/``: scheme behaviour (trigger decisions,
+  GP rotation, D_K accounting) must not depend on when or where the
+  host Python runs.
 - **R003** — public modules declare ``__all__``; functions that build
   ``pvar`` parallel variables either select PEs with an explicit
   ``where`` context or document themselves as full-width.
-- **R004** — scan/reduce/route collectives are only reached through
-  ``ParallelVM`` / ``SimdMachine`` so their cost can't silently escape
-  the time ledger.
 - **R005** — trace series are recorded through ``Trace.record_cycle`` /
   ``record_lb`` (or typed ``repro.obs`` events), never by appending to
   the series attributes directly: the series are bounded ring buffers
   whose accessors return list *copies*, so a direct append silently
   mutates a throwaway.
+- **R102** — kernel purity: kernel code has no Python loops over the PE
+  axis, no object dtypes, no float dtype drift and no I/O.  A PE loop
+  is correct but slow, so no identity suite notices it.
 
 Rules are module-scoped by *logical path* — the path suffix starting at
 the ``repro`` package directory — so fixtures placed under a
 ``repro/core/`` directory in a test tree are linted exactly like the
-real package.
+real package.  R102's kernel scope is :data:`KERNEL_MODULES` plus
+``# repro: kernel`` pragmas (:func:`parse_kernel_pragmas`).
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 __all__ = [
+    "KERNEL_MODULES",
     "LintContext",
     "Rule",
     "register",
@@ -46,7 +53,23 @@ __all__ = [
     "rule_ids",
     "collect_imports",
     "resolve_call",
+    "parse_kernel_pragmas",
 ]
+
+#: Logical paths whose code is *kernel* by construction: full-width numpy
+#: kernels whose discipline the arenas' bit-identity gates depend on.
+#: ``# repro: kernel`` pragmas extend this set file-locally (and mark
+#: individual functions inside mixed modules like search/parallel.py).
+KERNEL_MODULES: frozenset[str] = frozenset(
+    {
+        "repro/simd/arena.py",
+        "repro/simd/scan.py",
+        "repro/simd/reduce.py",
+        "repro/simd/router.py",
+        "repro/workmodel/mega.py",
+        "repro/search/kernel.py",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -55,18 +78,13 @@ class LintContext:
 
     ``logical`` is the package-relative posix path (e.g.
     ``repro/core/scheduler.py``) used for scoping and exemptions;
-    ``path`` is the on-disk path used in findings.  ``project`` and
-    ``dataflow`` are filled by the engine when a project-aware rule
-    (R100-R103) is active: the cross-module index/call graph and the
-    per-function provenance facts.
+    ``path`` is the on-disk path used in findings.
     """
 
     path: Path
     logical: str
     source: str
     tree: ast.Module
-    project: object | None = None
-    dataflow: dict | None = None
 
 
 def collect_imports(tree: ast.Module) -> dict[str, str]:
@@ -114,17 +132,110 @@ def resolve_call(func: ast.expr, bindings: dict[str, str]) -> str | None:
     return ".".join(reversed(parts))
 
 
+_PRAGMA_RE = re.compile(r"#\s*repro:\s*kernel\b")
+_DEF_RE = re.compile(r"^\s*(async\s+def|def|class)\s")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _pragma_comment_lines(source: str) -> list[int]:
+    """Line numbers of real ``# repro: kernel`` comment tokens.
+
+    Tokenizing (rather than grepping lines) keeps pragma *mentions*
+    inside docstrings — like the ones in this module — from marking
+    their module as kernel code.
+    """
+    if _PRAGMA_RE.search(source) is None:
+        return []
+    out: list[int] = []
+    try:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        for tok in tokens:
+            if tok.type == tokenize.COMMENT and _PRAGMA_RE.match(tok.string):
+                out.append(tok.start[0])
+    except (tokenize.TokenError, IndentationError):  # pragma: no cover
+        pass
+    return out
+
+
+def parse_kernel_pragmas(
+    source: str, tree: ast.Module
+) -> tuple[bool, set[int]]:
+    """Locate ``# repro: kernel`` pragmas in a module.
+
+    Returns ``(module_level, def_lines)`` where ``def_lines`` holds the
+    ``lineno`` of every ``def``/``class`` the pragma attaches to (the
+    pragma trails the definition line or sits on the line directly above
+    its first decorator).  Pragmas attached to no definition mark the
+    whole module.
+    """
+    pragma_lines = _pragma_comment_lines(source)
+    if not pragma_lines:
+        return False, set()
+    lines = source.splitlines()
+    # def lineno -> the line a leading pragma occupies: the line above
+    # the first decorator (or above the def itself).
+    def_start: dict[int, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFS):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            def_start[node.lineno] = first
+    module_level = False
+    attached: set[int] = set()
+    for pl in pragma_lines:
+        target = None
+        for def_line, first in def_start.items():
+            on_def_line = pl == def_line and _DEF_RE.match(lines[pl - 1] or "")
+            if on_def_line or pl == first - 1:
+                target = def_line
+                break
+        if target is None:
+            module_level = True
+        else:
+            attached.add(target)
+    return module_level, attached
+
+
+def _kernel_functions(
+    ctx: LintContext,
+) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Every function of the module that is kernel code.
+
+    A function is kernel when its module is in :data:`KERNEL_MODULES` or
+    carries a free-standing pragma, or when a pragma marks it or any
+    enclosing ``def``/``class``.
+    """
+    module_level, marked_defs = parse_kernel_pragmas(ctx.source, ctx.tree)
+    out: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
+
+    def visit(node: ast.AST, kernel: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            marked = kernel
+            if isinstance(child, _DEFS):
+                marked = kernel or child.lineno in marked_defs
+                if marked and not isinstance(child, ast.ClassDef):
+                    out.append(child)
+            visit(child, marked)
+
+    visit(ctx.tree, module_level or ctx.logical in KERNEL_MODULES)
+    return out
+
+
+def _walk_own(root: ast.AST) -> Iterator[ast.AST]:
+    """Walk one function body in source order, skipping nested defs."""
+    stack = list(ast.iter_child_nodes(root))[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _DEFS):
+            continue
+        stack.extend(list(ast.iter_child_nodes(node))[::-1])
+
+
 class Rule:
     """Base lint rule; subclasses register themselves with :func:`register`."""
 
     rule_id: str = "R000"
     title: str = "abstract"
-    severity: Severity = Severity.ERROR
-    #: ``"basic"`` rules (R001-R005) run always; ``"dataflow"`` rules
-    #: (R100-R103) run under ``--strict`` or when named explicitly.
-    family: str = "basic"
-    #: True when the rule consumes ``ctx.project`` / ``ctx.dataflow``.
-    requires_project: bool = False
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         """Yield findings for one module."""
@@ -137,7 +248,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=self.severity,
         )
 
 
@@ -150,37 +260,15 @@ def register(cls: type[Rule]) -> type[Rule]:
     return cls
 
 
-def _ensure_registered() -> None:
-    """Import the dataflow rule module so its rules join the registry.
-
-    Lazy to avoid a cycle: ``rules_dataflow`` imports this module's base
-    classes at load time.
-    """
-    from repro.lint import rules_dataflow  # noqa: F401
-
-
-def rule_ids(*, include_dataflow: bool = True) -> list[str]:
+def rule_ids() -> list[str]:
     """All registered rule identifiers, sorted."""
-    _ensure_registered()
-    return sorted(
-        rid
-        for rid, cls in _REGISTRY.items()
-        if include_dataflow or cls.family == "basic"
-    )
+    return sorted(_REGISTRY)
 
 
-def all_rules(
-    subset: Iterable[str] | None = None, *, include_dataflow: bool = False
-) -> list[Rule]:
-    """Instantiate the registered rules (optionally a named subset).
-
-    With no ``subset``, the basic family (R001-R005) is returned;
-    ``include_dataflow=True`` (the ``--strict`` path) adds R100-R103.
-    An explicit ``subset`` may name rules from either family.
-    """
-    _ensure_registered()
+def all_rules(subset: Iterable[str] | None = None) -> list[Rule]:
+    """Instantiate every registered rule, or the named ``subset``."""
     if subset is None:
-        ids = rule_ids(include_dataflow=include_dataflow)
+        ids = rule_ids()
     else:
         ids = list(dict.fromkeys(s.upper() for s in subset))
         unknown = [i for i in ids if i not in _REGISTRY]
@@ -250,12 +338,12 @@ class UnsanctionedRNG(Rule):
 
 @register
 class Nondeterminism(Rule):
-    """R002: no wall-clock / entropy / unordered iteration in hot subsystems."""
+    """R002: no host-dependent nondeterminism in the lock-step subsystems."""
 
     rule_id = "R002"
-    title = "nondeterminism in core/, simd/ or search/"
+    title = "nondeterminism in core/, simd/, search/ or workmodel/"
 
-    _SCOPES = ("repro/core/", "repro/simd/", "repro/search/")
+    _SCOPES = ("repro/core/", "repro/simd/", "repro/search/", "repro/workmodel/")
     _BANNED_CALLS = {
         "time.time": "wall-clock read",
         "time.time_ns": "wall-clock read",
@@ -266,6 +354,7 @@ class Nondeterminism(Rule):
         "time.clock_gettime": "wall-clock read",
         "os.urandom": "OS entropy",
         "os.getrandom": "OS entropy",
+        "os.getenv": "environment read",
         "uuid.uuid1": "entropy-derived identifier",
         "uuid.uuid4": "entropy-derived identifier",
         "datetime.datetime.now": "wall-clock read",
@@ -275,37 +364,83 @@ class Nondeterminism(Rule):
     }
     _BANNED_PREFIXES = ("secrets.",)
 
+    _ITER_MSG = (
+        "iteration over a set in a lock-step subsystem: ordering depends on "
+        "hash seeding and can leak into scheduling decisions; iterate a "
+        "sorted() or list view instead"
+    )
+    _ID_MSG = (
+        "id()-keyed map in a lock-step subsystem: object addresses are "
+        "not stable across runs; key on a value identity"
+    )
+
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if not ctx.logical.startswith(self._SCOPES):
             return
         bindings = collect_imports(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                dotted = resolve_call(node.func, bindings)
-                if dotted is None:
-                    continue
-                why = self._BANNED_CALLS.get(dotted)
-                if why is None and dotted.startswith(self._BANNED_PREFIXES):
-                    why = "OS entropy"
-                if why is not None:
+                yield from self._check_call(ctx, node, bindings)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                if self._is_unordered(node.iter):
+                    yield self.finding(ctx, node.iter, self._ITER_MSG)
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                if resolve_call(node, bindings) == "os.environ":
                     yield self.finding(
                         ctx, node,
-                        f"call to {dotted} ({why}) in a lock-step subsystem; "
-                        "simulated time lives on the SimdMachine ledger and "
-                        "randomness comes from repro.util.rng",
+                        "os.environ access in a lock-step subsystem; thread "
+                        "configuration in explicitly so runs do not depend "
+                        "on the host shell",
                     )
-            elif isinstance(node, ast.For):
-                if self._is_unordered(node.iter):
-                    yield self.finding(ctx, node.iter, self._ITER_MSG)
-            elif isinstance(node, ast.comprehension):
-                if self._is_unordered(node.iter):
-                    yield self.finding(ctx, node.iter, self._ITER_MSG)
+            elif isinstance(node, ast.Subscript):
+                if self._is_id_call(node.slice):
+                    yield self.finding(ctx, node, self._ID_MSG)
+            elif isinstance(node, ast.Dict):
+                for key in node.keys:
+                    if key is not None and self._is_id_call(key):
+                        yield self.finding(ctx, key, self._ID_MSG)
+            elif isinstance(node, ast.DictComp):
+                if self._is_id_call(node.key):
+                    yield self.finding(ctx, node.key, self._ID_MSG)
 
-    _ITER_MSG = (
-        "iteration over a set in a lock-step subsystem: ordering depends on "
-        "hash seeding and can leak into scheduling decisions; iterate a "
-        "sorted() or list view instead"
-    )
+    def _check_call(
+        self, ctx: LintContext, node: ast.Call, bindings: dict[str, str]
+    ) -> Iterator[Finding]:
+        dotted = resolve_call(node.func, bindings)
+        if dotted is not None:
+            why = self._BANNED_CALLS.get(dotted)
+            if why is None and dotted.startswith(self._BANNED_PREFIXES):
+                why = "OS entropy"
+            if why is not None:
+                yield self.finding(
+                    ctx, node,
+                    f"call to {dotted} ({why}) in a lock-step subsystem; "
+                    "simulated time lives on the SimdMachine ledger and "
+                    "randomness comes from repro.util.rng",
+                )
+        if (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "sorted"
+            and any(
+                kw.arg == "key"
+                and isinstance(kw.value, ast.Name)
+                and kw.value.id == "id"
+                for kw in node.keywords
+            )
+        ):
+            yield self.finding(
+                ctx, node,
+                "sorted(key=id) in a lock-step subsystem: object addresses "
+                "vary run to run; sort on a value key instead",
+            )
+
+    @staticmethod
+    def _is_id_call(node: ast.expr) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "id"
+        )
 
     @staticmethod
     def _is_unordered(node: ast.expr) -> bool:
@@ -344,7 +479,6 @@ class ModuleDiscipline(Rule):
                 col=0,
                 message="public module defines no __all__; declare its "
                 "exported surface explicitly",
-                severity=self.severity,
             )
         for fn in ast.walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -400,52 +534,6 @@ class ModuleDiscipline(Rule):
 
 
 @register
-class RawCollective(Rule):
-    """R004: collectives only through ``ParallelVM`` / ``SimdMachine``."""
-
-    rule_id = "R004"
-    title = "raw scan/reduce/route collective bypasses cost accounting"
-
-    _EXEMPT_PREFIXES = ("repro/simd/", "repro/lint/")
-    _MODULE_PREFIXES = (
-        "repro.simd.scan.",
-        "repro.simd.reduce.",
-        "repro.simd.router.",
-    )
-    _COLLECTIVE_NAMES = {
-        "sum_scan",
-        "segmented_sum_scan",
-        "enumerate_mask",
-        "rendezvous",
-        "reduce_array",
-        "route_permutation",
-        "ecube_path",
-    }
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.logical.startswith(self._EXEMPT_PREFIXES):
-            return
-        bindings = collect_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = resolve_call(node.func, bindings)
-            if dotted is None:
-                continue
-            is_raw = dotted.startswith(self._MODULE_PREFIXES) or (
-                dotted.startswith("repro.simd.")
-                and dotted.rsplit(".", 1)[-1] in self._COLLECTIVE_NAMES
-            )
-            if is_raw:
-                yield self.finding(
-                    ctx, node,
-                    f"raw collective call {dotted} bypasses ParallelVM/"
-                    "SimdMachine cost accounting; invoke it through the VM "
-                    "or charge the machine explicitly",
-                )
-
-
-@register
 class DirectTraceAppend(Rule):
     """R005: trace series are written via ``record_*``, never appended to."""
 
@@ -489,3 +577,117 @@ class DirectTraceAppend(Rule):
                 "throwaway; record through Trace.record_cycle/record_lb "
                 "or a typed repro.obs event sink",
             )
+
+
+@register
+class KernelPurity(Rule):
+    """R102: kernel functions stay vectorized, typed and I/O-free."""
+
+    rule_id = "R102"
+    title = "kernel purity violation (PE loop / dtype drift / I/O)"
+
+    _PE_AXIS_NAMES = frozenset({"n_pes", "num_pes", "n_processors"})
+    _FLOAT_DTYPES = frozenset(
+        {"float", "float16", "float32", "float64", "half", "single", "double"}
+    )
+    _IO_CALLS = ("json.dump", "json.dumps", "pickle.dump", "pickle.dumps")
+    _IO_METHODS = frozenset(
+        {"write_text", "write_bytes", "read_text", "read_bytes", "save",
+         "savetxt", "tofile"}
+    )
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        kernels = _kernel_functions(ctx)
+        if not kernels:
+            return
+        bindings = collect_imports(ctx.tree)
+        for fn in kernels:
+            for node in _walk_own(fn):
+                yield from self._check_node(ctx, bindings, fn, node)
+
+    def _check_node(self, ctx, bindings, fn, node) -> Iterator[Finding]:
+        if isinstance(node, (ast.For, ast.comprehension)):
+            if self._is_pe_axis_range(node.iter):
+                yield self.finding(
+                    ctx, node.iter,
+                    f"'{fn.name}' loops over the PE axis in Python; kernel "
+                    "code advances all PEs in one vectorized numpy call "
+                    "(hoist the loop into a full-width kernel or move this "
+                    "out of kernel scope)",
+                )
+        elif isinstance(node, ast.keyword) and node.arg == "dtype":
+            label = self._dtype_label(node.value, bindings)
+            if label == "object":
+                yield self.finding(
+                    ctx, node.value,
+                    f"object-dtype array in kernel '{fn.name}': boxes every "
+                    "element and defeats vectorized expansion; use a fixed-"
+                    "width integer dtype",
+                )
+            elif label in self._FLOAT_DTYPES:
+                yield self.finding(
+                    ctx, node.value,
+                    f"float dtype '{label}' in kernel '{fn.name}': the arena "
+                    "contract is integer (int64) storage — float drift "
+                    "breaks bit-identity with the list oracle",
+                )
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "astype":
+                for arg in node.args:
+                    label = self._dtype_label(arg, bindings)
+                    if label in self._FLOAT_DTYPES or label == "object":
+                        yield self.finding(
+                            ctx, node,
+                            f"astype({label}) in kernel '{fn.name}': dtype "
+                            "drift away from the int64 arena contract",
+                        )
+            if isinstance(func, ast.Name) and func.id in ("open", "print"):
+                yield self.finding(
+                    ctx, node,
+                    f"{func.id}() in kernel '{fn.name}': kernels must not do "
+                    "I/O; report through the ledger / repro.obs instead",
+                )
+            if isinstance(func, ast.Attribute) and func.attr in self._IO_METHODS:
+                yield self.finding(
+                    ctx, node,
+                    f".{func.attr}() in kernel '{fn.name}': kernels must not "
+                    "do I/O; report through the ledger / repro.obs instead",
+                )
+            dotted = resolve_call(func, bindings)
+            if dotted is not None and dotted.startswith(self._IO_CALLS):
+                yield self.finding(
+                    ctx, node,
+                    f"call to {dotted} in kernel '{fn.name}': kernels "
+                    "must not do I/O",
+                )
+
+    def _is_pe_axis_range(self, it: ast.expr) -> bool:
+        if not (
+            isinstance(it, ast.Call)
+            and isinstance(it.func, ast.Name)
+            and it.func.id == "range"
+        ):
+            return False
+        for arg in it.args:
+            for sub in ast.walk(arg):
+                if isinstance(sub, ast.Name) and sub.id in self._PE_AXIS_NAMES:
+                    return True
+                if isinstance(sub, ast.Attribute) and sub.attr in self._PE_AXIS_NAMES:
+                    return True
+        return False
+
+    @staticmethod
+    def _dtype_label(node: ast.expr, bindings: dict[str, str]) -> str | None:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.Name):
+            if node.id in ("object", "float"):
+                return node.id
+            return None
+        if isinstance(node, ast.Attribute):
+            dotted = resolve_call(node, bindings)  # reuse attr-chain walker
+            if dotted is not None and dotted.startswith("numpy."):
+                return dotted.split(".", 1)[1]
+            return node.attr
+        return None

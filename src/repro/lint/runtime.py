@@ -1,7 +1,7 @@
 """Runtime sanitizer: lock-step invariants asserted during execution.
 
-The static rules (R001-R004) catch discipline violations in the source;
-this module catches them in the *execution*.  Enable with
+The static rules (:mod:`repro.lint.rules`) catch discipline violations
+in the source; this module catches them in the *execution*.  Enable with
 ``ParallelVM(..., sanitize=True)``, ``SimdMachine(..., sanitize=True)``
 and ``Scheduler(..., sanitize=True)``; each then asserts the paper's
 invariants on every cycle:

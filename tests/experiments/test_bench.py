@@ -225,6 +225,29 @@ class TestCompareBench:
         result = compare_bench(old, new, tolerance=0.5, ratios_only=True)
         assert result["ok"] is False
 
+    def test_nothing_compared_fails(self):
+        """A gate whose reports share no metric checks nothing, so it must
+        not pass: ratios-only over a report with no speedup* leaf, and a
+        search report diffed against a kernels report."""
+        report = _report(100_000.0, 1.0)
+        ratios = compare_bench(report, report, tolerance=0.5, ratios_only=True)
+        kernels = {"schema": 1, "kernels": {"stack": {"nodes_per_s": 1.0}}}
+        disjoint = compare_bench(report, kernels)
+        for result in (ratios, disjoint):
+            assert result["rows"] == []
+            assert result["ok"] is False
+            assert "NOTHING COMPARED" in render_compare(result)
+
+    def test_nothing_compared_exits_nonzero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(_report(100_000.0, 1.0)))
+        new.write_text(json.dumps(_report(100_000.0, 1.0)))
+        argv = ["bench", "--compare", str(old), str(new), "--ratios-only"]
+        assert main(argv) == 1
+        assert "0 metric(s) compared" in capsys.readouterr().out
+
     def test_non_metric_prune_shields_colliding_names(self):
         """Even a metric-named leaf nested under a non-metric subtree
         (e.g. host.seconds) stays out of the comparison."""

@@ -1,7 +1,7 @@
 """Seeded violations of every lint rule — consumed by the lint tests only.
 
 This module is never imported; it lives under a ``repro/core/`` directory
-so the scoped rules (R002, R004) treat it like a real core module.  It
+so the scoped rule (R002) treats it like a real core module.  It
 deliberately omits ``__all__`` (R003).
 """
 
@@ -9,8 +9,6 @@ import random
 import time
 
 import numpy as np
-
-from repro.simd.scan import sum_scan
 
 
 def jitter():
@@ -27,6 +25,14 @@ def pick(options):
     return options
 
 
-def raw_scan(vm):
-    values = vm.pvar(1)
-    return sum_scan(values)
+def bare_pvar(vm):
+    return vm.pvar(1)
+
+
+def record(trace):
+    trace.busy_per_cycle.append(3)
+
+
+def sweep(machine, vals):  # repro: kernel
+    for pe in range(machine.n_pes):
+        vals[pe] += 1

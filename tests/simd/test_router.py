@@ -1,4 +1,3 @@
-# repro-lint: disable-file=R004 -- unit tests of the raw router kernels themselves; no VM in the loop
 import math
 
 import numpy as np

@@ -1,4 +1,3 @@
-# repro-lint: disable-file=R004 -- unit tests of the raw scan kernels themselves; no VM in the loop
 import numpy as np
 import pytest
 from hypothesis import given, settings
