@@ -137,9 +137,10 @@ class MegaGridExecutor:
         Shared across cells exactly as ``run_grid`` shares them.
     sanitize:
         Assert per-cycle invariants on the packed state: work
-        conservation across every cell, non-negative counts, and each
-        finished cell's ledger identity.  Cheap (vectorized over cells)
-        but on by default only in tests.
+        conservation across every cell, non-negative counts, each
+        transfer round's pairing (busy donors, idle receivers, no PE
+        twice, GP pointer in ``[0, P)``) and each finished cell's ledger
+        identity.  On by default only in tests.
     on_cell_done:
         Called as ``on_cell_done(plan, metrics)`` the cycle each cell
         finishes — the write-ahead journal's hook, so an in-process
@@ -339,12 +340,20 @@ class MegaGridExecutor:
 
     def _balance(self, c: int) -> bool:
         """One LB phase on cell ``c``'s arena slice — the serial scheduler's
-        ``_maybe_balance`` with the workload inlined (fault-free path)."""
+        ``_maybe_balance`` with ``DivisibleWorkload.transfer`` inlined
+        (fault-free path).
+
+        The matcher pairs index arrays directly.  Its donors are busy by
+        construction, so the workload's defensive re-validation is a no-op
+        here and is left out; the sanitizer asserts the pairing instead.
+        Every donation is still one ``splitter.donation`` draw per round
+        from the cell's own stream, in the oracle's order.
+        """
         run = self.runs[c]
         work = self.arena.cell(c)
-        busy = work >= 2
-        idle = work == 0
-        if not busy.any() or not idle.any():
+        busy = (work >= 2).nonzero()[0]
+        idle = (work == 0).nonzero()[0]
+        if not len(busy) or not len(idle):
             self._reset_trigger_phase(c)
             return False
         matcher = run.matcher
@@ -353,16 +362,21 @@ class MegaGridExecutor:
         transfers = 0
         max_rounds = _MAX_ROUNDS_FACTOR * n_pes
         with span("mega.lb_phase", cat="grid"):
-            while busy.any() and idle.any() and rounds < max_rounds:
-                result = matcher.match(busy, idle)
-                if len(result) == 0:
-                    break
-                transfers += self._transfer(run, work, result.donors, result.receivers)
+            while True:
+                donors, receivers = matcher.pair(busy, idle)
+                if self.sanitize:
+                    self._sanity_pairs(c, work, donors, receivers)
+                give = self.splitter.donation(work[donors], run.rng)
+                work[donors] -= give
+                work[receivers] += give
+                transfers += len(donors)
                 rounds += 1
-                if not run.multiple_transfers:
+                if not run.multiple_transfers or rounds >= max_rounds:
                     break
-                busy = work >= 2
-                idle = work == 0
+                busy = (work >= 2).nonzero()[0]
+                idle = (work == 0).nonzero()[0]
+                if not len(busy) or not len(idle):
+                    break
         dt = self.cost.lb_phase_time(
             n_pes, transfer_rounds=rounds, setup_scans=matcher.setup_scans
         )
@@ -375,28 +389,6 @@ class MegaGridExecutor:
         self.lb_cost_est_p[c] = dt * n_pes
         self._reset_trigger_phase(c)
         return True
-
-    def _transfer(
-        self,
-        run: _CellRun,
-        work: np.ndarray,
-        donors: np.ndarray,
-        receivers: np.ndarray,
-    ) -> int:
-        """``DivisibleWorkload.transfer`` on the cell's slice, verbatim —
-        including the defensive re-validation, so the RNG consumption and
-        integer arithmetic match the oracle draw for draw."""
-        if len(donors) == 0:
-            return 0
-        valid = work[donors] >= 2
-        donors = donors[valid]
-        receivers = receivers[valid]
-        if len(donors) == 0:
-            return 0
-        give = self.splitter.donation(work[donors], run.rng)
-        work[donors] -= give
-        work[receivers] += give
-        return int(len(donors))
 
     def _finalize(self, c: int) -> None:
         """Snapshot cell ``c``'s RunMetrics the cycle it completes."""
@@ -445,6 +437,29 @@ class MegaGridExecutor:
             "mega-conservation",
             "expanded + remaining != W for some packed cell",
         )
+
+    def _sanity_pairs(
+        self, c: int, work: np.ndarray, donors: np.ndarray, receivers: np.ndarray
+    ) -> None:
+        """What ``Matcher.match`` would validate, on one round of ``pair``:
+        busy donors, idle receivers, no PE twice, a GP pointer in range."""
+        from repro.lint.runtime import SchedulerSanitizer, require
+
+        index = self.runs[c].plan.index
+        require(
+            len(donors) == len(receivers) > 0
+            and bool((work[donors] >= 2).all())
+            and bool((work[receivers] == 0).all()),
+            "lb-pairing",
+            f"cell {index}: a matched donor is not busy or a receiver not idle",
+        )
+        require(
+            len(np.unique(donors)) == len(donors)
+            and len(np.unique(receivers)) == len(receivers),
+            "lb-pairing",
+            f"cell {index}: a PE appears twice in one transfer round",
+        )
+        SchedulerSanitizer(len(work)).check_pointer(self.runs[c].matcher)
 
     def _sanity_finalize(self, c: int, metrics: RunMetrics) -> None:
         from repro.lint.runtime import require

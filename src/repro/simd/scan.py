@@ -136,49 +136,27 @@ def enumerate_mask(mask: np.ndarray, *, method: str = "cumsum") -> np.ndarray:
 
 
 def rendezvous(
-    requesters: np.ndarray,
-    grantors: np.ndarray,
-    *,
-    grantor_order: np.ndarray | None = None,
+    requesters: np.ndarray, grantors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair requesters with grantors by enumeration rank (Hillis [12]).
 
     Parameters
     ----------
     requesters:
-        Boolean mask of processors asking for work (idle).
+        Indices of the processors asking for work (idle), in rank order.
     grantors:
-        Boolean mask of processors able to give work (busy).
-    grantor_order:
-        Optional explicit ordering of grantor indices (e.g. the rotated
-        order produced by the GP global pointer).  When given, it must be a
-        permutation of ``np.flatnonzero(grantors)``.
+        Indices of the processors able to give work (busy), in rank order
+        — ascending for a plain enumeration, rotated for the GP global
+        pointer.  The two sets are disjoint; that is not checked here.
 
     Returns
     -------
     (donor_indices, receiver_indices):
-        Equal-length arrays; pair ``r`` matches the rank-``r`` grantor to
-        the rank-``r`` requester.  Length is ``min(#grantors, #requesters)``
-        — when there are more idle than busy processors, the surplus idle
-        processors receive nothing (Section 2.1).
+        Equal-length arrays (views of the inputs); pair ``r`` matches the
+        rank-``r`` grantor to the rank-``r`` requester.  Length is
+        ``min(#grantors, #requesters)`` — when there are more idle than
+        busy processors, the surplus idle processors receive nothing
+        (Section 2.1).
     """
-    requesters = np.asarray(requesters, dtype=bool)
-    grantors = np.asarray(grantors, dtype=bool)
-    if requesters.shape != grantors.shape:
-        raise ValueError("requesters and grantors must have the same shape")
-    if np.any(requesters & grantors):
-        raise ValueError("a processor cannot be both requester and grantor")
-
-    receiver_indices = np.flatnonzero(requesters)
-    if grantor_order is not None:
-        donor_indices = np.asarray(grantor_order, dtype=np.int64)
-        expected = np.flatnonzero(grantors)
-        if len(donor_indices) != len(expected) or not np.array_equal(
-            np.sort(donor_indices), expected
-        ):
-            raise ValueError("grantor_order must be a permutation of the grantor set")
-    else:
-        donor_indices = np.flatnonzero(grantors)
-
-    k = min(len(donor_indices), len(receiver_indices))
-    return donor_indices[:k].copy(), receiver_indices[:k].copy()
+    k = min(len(grantors), len(requesters))
+    return grantors[:k], requesters[:k]

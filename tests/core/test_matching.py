@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.matching import GPMatcher, NGPMatcher
+from tests.oracles import RendezvousGPMatcher, RendezvousNGPMatcher
 
 
 def masks(n=st.integers(2, 128)):
@@ -65,6 +66,12 @@ class TestNGPMatcher:
         both = np.array([True, False])
         with pytest.raises(ValueError):
             NGPMatcher().match(both, both)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            NGPMatcher().match(np.array([True]), np.array([False, False]))
+        with pytest.raises(ValueError, match="1-D"):
+            NGPMatcher().match(np.zeros((2, 2), bool), np.zeros((2, 2), bool))
 
     @given(masks())
     @settings(max_examples=60, deadline=None)
@@ -136,3 +143,71 @@ class TestGPMatcher:
         for _ in range(phases_needed):
             seen.update(m.match(busy, idle).donors.tolist())
         assert seen == set(np.flatnonzero(busy).tolist())
+
+
+#: (product factory, oracle factory) per scheme; GP takes a start pointer.
+SCHEMES = {
+    "nGP": (lambda p: NGPMatcher(), lambda p: RendezvousNGPMatcher()),
+    **{
+        f"GP[{a}]": (
+            lambda p, a=a: GPMatcher(pointer=p, advance=a),
+            lambda p, a=a: RendezvousGPMatcher(pointer=p, advance=a),
+        )
+        for a in ("last_donor", "first_donor", "frozen")
+    },
+}
+
+
+@st.composite
+def match_sequences(draw):
+    """A start pointer (``None`` or any PE, so also past the last busy
+    one) and 1-8 rounds of disjoint busy/idle masks of one width."""
+    n = draw(st.integers(1, 40))
+    pointer = draw(st.none() | st.integers(0, n - 1))
+    rounds = draw(st.lists(masks(st.just(n)), min_size=1, max_size=8))
+    return pointer, rounds
+
+
+class TestOracleEquivalence:
+    """``pair`` and ``match`` against the mask/rendezvous reference in
+    ``tests/oracles``: same donors, receivers and pointer after every call."""
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @given(seq=match_sequences())
+    @settings(max_examples=80, deadline=None)
+    def test_pair_sequences_equal_oracle(self, scheme, seq):
+        pointer, rounds = seq
+        make, make_oracle = SCHEMES[scheme]
+        m, oracle = make(pointer), make_oracle(pointer)
+        for busy, idle in rounds:
+            donors, receivers = m.pair(np.flatnonzero(busy), np.flatnonzero(idle))
+            want = oracle.match(busy, idle)
+            assert np.array_equal(donors, want.donors)
+            assert np.array_equal(receivers, want.receivers)
+            assert getattr(m, "pointer", None) == getattr(oracle, "pointer", None)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @given(seq=match_sequences())
+    @settings(max_examples=80, deadline=None)
+    def test_match_sequences_equal_oracle(self, scheme, seq):
+        pointer, rounds = seq
+        make, make_oracle = SCHEMES[scheme]
+        m, oracle = make(pointer), make_oracle(pointer)
+        for busy, idle in rounds:
+            got, want = m.match(busy, idle), oracle.match(busy, idle)
+            assert np.array_equal(got.donors, want.donors)
+            assert np.array_equal(got.receivers, want.receivers)
+            assert np.array_equal(got.busy_ranks, want.busy_ranks)
+            assert np.array_equal(got.idle_ranks, want.idle_ranks)
+            assert getattr(m, "pointer", None) == getattr(oracle, "pointer", None)
+
+    @pytest.mark.parametrize("advance", ["last_donor", "first_donor", "frozen"])
+    def test_pointer_past_last_busy_wraps_like_oracle(self, advance):
+        busy = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=bool)
+        idle = np.array([1, 0, 0, 1, 0, 1, 0, 1], dtype=bool)
+        m = GPMatcher(pointer=6, advance=advance)
+        oracle = RendezvousGPMatcher(pointer=6, advance=advance)
+        for _ in range(4):
+            donors, _ = m.pair(np.flatnonzero(busy), np.flatnonzero(idle))
+            assert np.array_equal(donors, oracle.match(busy, idle).donors)
+            assert m.pointer == oracle.pointer

@@ -7,9 +7,14 @@ schemes, with the runtime sanitizer asserting the lock-step invariants
 on the batched side as it goes.
 """
 
+from dataclasses import replace
+from functools import partial
+
+import numpy as np
 import pytest
 
-from repro.core.config import PAPER_SCHEMES, make_scheme
+from repro.core.config import PAPER_SCHEMES, Scheme, make_scheme
+from repro.core.matching import GPMatcher
 from repro.errors import ConfigError
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
 from repro.experiments.runner import (
@@ -19,6 +24,7 @@ from repro.experiments.runner import (
     run_divisible,
     run_grid,
 )
+from repro.lint.runtime import SanitizerError
 
 SCHEMES = list(PAPER_SCHEMES)
 WORKS = [400, 1700]
@@ -86,6 +92,76 @@ class TestRecordIdentity:
         ser = run_grid(SCHEMES[:2], [50], [1], base_seed=9, executor="serial")
         bat = run_grid(SCHEMES[:2], [50], [1], base_seed=9, executor="batched")
         assert bat == ser
+
+
+def gp_variant(spec: str, advance: str, matcher=GPMatcher) -> Scheme:
+    """``make_scheme(spec)`` with its GP pointer advancing per ``advance``."""
+    return replace(
+        make_scheme(spec),
+        name=f"GP[{advance}]{spec[2:]}",
+        matcher_factory=partial(matcher, advance=advance),
+    )
+
+
+GP_SPECS = ("GP-S0.75", "GP-DP", "GP-DK")
+
+
+class TestNonDefaultGPAdvance:
+    """``is_batchable`` accepts any ``GPMatcher``; the ablation policies
+    must run through the batched executor as they do serially."""
+
+    @pytest.mark.parametrize("advance", ["first_donor", "frozen"])
+    def test_batched_matches_serial(self, advance):
+        schemes = [gp_variant(s, advance) for s in GP_SPECS]
+        assert all(is_batchable(s) for s in schemes)
+        args = (schemes, WORKS, PES)
+        ser = run_grid(*args, base_seed=13, executor="serial", sanitize=True)
+        bat = run_grid(*args, base_seed=13, executor="batched", sanitize=True)
+        assert bat == ser
+        # The policy is really exercised: it changes some record.
+        default = run_grid(list(GP_SPECS), WORKS, PES, base_seed=13, executor="serial")
+        assert [r.metrics.n_transfers for r in bat] != [
+            r.metrics.n_transfers for r in default
+        ]
+
+
+class _OffByOneRotation(GPMatcher):
+    """Seeded defect: the wrapped half of the rotation repeats its first
+    busy PE, so a round with more idle PEs than busy ones after the
+    pointer pairs that PE twice."""
+
+    def _pair(self, busy_idx, start, idle_idx):
+        if start:
+            busy_idx = np.concatenate((busy_idx[start:], busy_idx[: start + 1]))
+        return super()._pair(busy_idx, 0, idle_idx)
+
+
+class _PointerBeforeDonor(GPMatcher):
+    """Seeded defect: the pointer lands one before the last donor — at
+    -1 once PE 0 donates, as it does first (the root starts there)."""
+
+    def _advance(self, donors):
+        self.pointer = int(donors[-1]) - 1
+
+
+class TestBatchedSanitizer:
+    def _run(self, matcher):
+        scheme = gp_variant("GP-DK", "last_donor", matcher)
+        plans = plan_grid([scheme], [900], [32], base_seed=5)
+        return run_batched_cells(plans, sanitize=True)
+
+    def test_clean_matcher_passes(self):
+        assert len(self._run(GPMatcher)) == 1
+
+    def test_off_by_one_rotation_trips_pairing_check(self):
+        with pytest.raises(SanitizerError) as err:
+            self._run(_OffByOneRotation)
+        assert err.value.invariant == "lb-pairing"
+
+    def test_pointer_out_of_range_trips_range_check(self):
+        with pytest.raises(SanitizerError) as err:
+            self._run(_PointerBeforeDonor)
+        assert err.value.invariant == "gp-pointer-range"
 
 
 class TestPlanGrid:

@@ -10,9 +10,19 @@ lives here, where no caller can select it by accident:
   ``SearchProblem`` methods show.  ``SearchWorkload`` then cannot see the
   arena protocol and runs its per-PE ``DFSStack`` path, which is how the
   suites put a puzzle on the reference path.
+- :class:`RendezvousNGPMatcher` / :class:`RendezvousGPMatcher` — the
+  mask-validated matchers with a full rotated busy order and a
+  permutation-checked rendezvous, moved out of ``repro.core.matching``
+  when it went to one index-array ``Matcher.pair``.
 """
 
+from tests.oracles.matching import RendezvousGPMatcher, RendezvousNGPMatcher
 from tests.oracles.problem import opaque
 from tests.oracles.stack import ListStackWorkload
 
-__all__ = ["ListStackWorkload", "opaque"]
+__all__ = [
+    "ListStackWorkload",
+    "RendezvousGPMatcher",
+    "RendezvousNGPMatcher",
+    "opaque",
+]

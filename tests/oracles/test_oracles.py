@@ -4,11 +4,18 @@ or that quietly runs the product path, proves nothing."""
 from collections import deque
 
 import numpy as np
+import pytest
 
 from repro.problems.npuzzle import SlidingPuzzle
 from repro.search.parallel import _ARENA_PROTOCOL, SearchWorkload
 from repro.search.stack import DFSStack
-from tests.oracles import ListStackWorkload, opaque
+from tests.oracles import (
+    ListStackWorkload,
+    RendezvousGPMatcher,
+    RendezvousNGPMatcher,
+    opaque,
+)
+from tests.oracles.matching import mask_rendezvous
 
 
 class TestListStackWorkload:
@@ -46,6 +53,25 @@ class TestListStackWorkload:
             assert wl.expand_cycle() > 0
             assert wl.check_conservation()
         assert wl.total_expanded() == 700 and wl.expand_cycle() == 0
+
+
+class TestRendezvousMatchers:
+    BUSY = np.array([1, 1, 1, 1, 1, 0, 0, 1], dtype=bool)
+
+    def test_figure2_gp_example(self):
+        m = RendezvousGPMatcher(pointer=4)
+        r = m.match(self.BUSY, ~self.BUSY)
+        assert r.donors.tolist() == [7, 0] and r.receivers.tolist() == [5, 6]
+        assert r.busy_ranks.tolist() == [1, 2, 3, 4, 5, -1, -1, 0]
+        assert m.pointer == 0
+
+    def test_figure2_ngp_example(self):
+        r = RendezvousNGPMatcher().match(self.BUSY, ~self.BUSY)
+        assert r.donors.tolist() == [0, 1] and r.receivers.tolist() == [5, 6]
+
+    def test_rendezvous_checks_the_rotation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            mask_rendezvous(~self.BUSY, self.BUSY, grantor_order=np.array([0, 0]))
 
 
 class TestOpaque:

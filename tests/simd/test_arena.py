@@ -60,6 +60,23 @@ def _draw_lens(data, n, most):
 
 
 @pytest.mark.parametrize("rows", [STACK_ROWS, SEARCH_ROWS], ids=["stack", "search"])
+def test_donation_writes_only_its_receivers(rows):
+    """Receivers above a non-empty PE whose window starts at slot 0: a
+    donation that wrote PEs ``0..k-1`` (data or pointers) instead of its
+    receivers would overwrite or truncate PE 0's window.  The random
+    interleaving above need not set that up; this case always does."""
+    model = [[0, 1], [2, 3, 4], [], [5, 6], []]
+    arena = WindowArena(len(model), rows, capacity=4)
+    for pe, ids in enumerate(model):
+        if ids:
+            arena.push_segments(_pes([pe]), _pes([len(ids)]), *_encode(rows, ids))
+    arena.donate_bottoms(_pes([1, 3]), _pes([4, 2]))
+    model = [[0, 1], [3, 4], [5], [6], [2]]
+    _check(arena, rows, model, 4)
+    assert arena.bottom.tolist() == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("rows", [STACK_ROWS, SEARCH_ROWS], ids=["stack", "search"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_arena_matches_list_model(rows, data):
