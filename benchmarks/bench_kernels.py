@@ -28,12 +28,6 @@ def test_sum_scan_cumsum(benchmark):
     assert len(out) == P
 
 
-def test_sum_scan_blelloch(benchmark):
-    values = np.random.default_rng(0).integers(0, 100, P)
-    out = benchmark(lambda: sum_scan(values, method="blelloch"))
-    assert np.array_equal(out, sum_scan(values))
-
-
 def _masks():
     rng = np.random.default_rng(1)
     busy = rng.random(P) < 0.6

@@ -12,7 +12,8 @@ kept) so a long ``run_grid`` cell cannot balloon host memory; pass
 ``maxlen=None`` as the explicit escape hatch when a full-length series
 is worth the bytes, or attach a streaming
 :class:`~repro.obs.events.JsonlSink` to keep every sample at O(1)
-memory.  ``dropped_cycles`` always tells whether the window is complete.
+memory.  The window is complete while ``n_cycles_recorded`` equals the
+length of ``busy_per_cycle``.
 """
 
 from __future__ import annotations
@@ -95,18 +96,6 @@ class Trace:
         self._lb.append(cycle_index)
         self.n_lb_recorded += 1
 
-    # -- ring status -------------------------------------------------------
-
-    @property
-    def dropped_cycles(self) -> int:
-        """Cycles evicted by the ring (0 means the series is complete)."""
-        return self.n_cycles_recorded - len(self._busy)
-
-    @property
-    def dropped_lb(self) -> int:
-        """LB indices evicted by the ring."""
-        return self.n_lb_recorded - len(self._lb)
-
     # -- series views (list copies, oldest retained first) -----------------
 
     @property
@@ -148,7 +137,7 @@ class Trace:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Trace(cycles={self.n_cycles_recorded}, lb={self.n_lb_recorded}, "
-            f"maxlen={self.maxlen}, dropped={self.dropped_cycles})"
+            f"maxlen={self.maxlen}, retained={len(self._busy)})"
         )
 
 

@@ -90,12 +90,6 @@ class Scheduler:
         attach a streaming event sink.
     max_cycles:
         Safety cap on expansion cycles; ``None`` means run to exhaustion.
-    charge_collectives:
-        If true, charge one sum-scan per expansion cycle for the global
-        busy-count reduction the trigger reads.  The paper folds this
-        into its measured 30 ms cycle (scans are nearly free on the
-        CM-2); on a mesh or hypercube the per-cycle collective is a real
-        cost, and this switch prices it (ablation).
     sanitize:
         If true, assert the lock-step invariants on every cycle and
         transfer round (disjoint/exhaustive masks, strict idle decrease
@@ -130,7 +124,6 @@ class Scheduler:
     init_threshold: float | None = None
     trace: bool | Trace = False
     max_cycles: int | None = None
-    charge_collectives: bool = False
     sanitize: bool = False
     faults: FaultPlan | FaultRuntime | None = None
     checkpoint: CheckpointConfig | None = None
@@ -323,10 +316,6 @@ class Scheduler:
         )
         expanding = self.workload.expand_cycle()
         dt = self.machine.charge_expansion_cycle(expanding, slowdown=slowdown)
-        if self.charge_collectives:
-            dt += self.machine.charge_collective(
-                self.machine.cost.scan_time(self.machine.n_pes)
-            )
         busy = int(self.workload.busy_mask().sum())
         return TriggerState(
             busy=busy, expanding=expanding, n_pes=self.machine.n_pes, dt=dt

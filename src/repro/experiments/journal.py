@@ -194,7 +194,7 @@ def replay_journal(
         try:
             key = entry["key"]
             record = record_from_dict(entry["record"])
-        except (KeyError, TypeError, RecordStoreError) as exc:
+        except (KeyError, RecordStoreError) as exc:
             raise JournalCorruptError(
                 f"{path} has a malformed cell frame: {exc}"
             ) from exc
@@ -279,7 +279,7 @@ class CellJournal:
             entry = {
                 "key": key,
                 "index": index,
-                "record": record_to_dict(record, traces=False),
+                "record": record_to_dict(record),
             }
             blob = json.dumps(entry, sort_keys=True).encode("utf-8")
             with open(self.path, "ab") as fh:

@@ -23,11 +23,11 @@ Two durability guarantees:
   subclasses ``ValueError``) on unreadable, corrupt, or
   version-mismatched payloads, never a bare ``json.JSONDecodeError``
   (nor a bare ``ValueError``/``AttributeError`` from a structurally
-  valid payload holding malformed values).
+  valid payload holding malformed values: :func:`record_from_dict`
+  types those itself, for every reader of the schema).
 
-Traces are dropped by default (a full per-cycle series dwarfs the
-record it annotates); pass ``traces=True`` to persist each record's
-ring-buffer contents and get them back from :func:`load_records`.
+Traces are not persisted (a full per-cycle series dwarfs the record it
+annotates); a ``"trace"`` key in an older file is ignored on load.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 from collections.abc import Iterable
 from pathlib import Path
 
-from repro.core.metrics import RunMetrics, Trace
+from repro.core.metrics import RunMetrics
 from repro.errors import RecordStoreError
 from repro.experiments.runner import GridRecord
 from repro.simd.machine import TimeLedger
@@ -51,50 +51,18 @@ __all__ = [
     "to_triples",
 ]
 
-#: Written by :func:`save_records`.  v2 added ``t_recovery``,
-#: ``n_recovery`` and optional per-record traces.  Public because the
-#: write-ahead cell journal folds it into its content-addressed
-#: ``code_version`` (a record-schema bump must invalidate cached cells).
+#: Written by :func:`save_records`.  v2 added ``t_recovery`` and
+#: ``n_recovery``.  Public because the write-ahead cell journal folds it
+#: into its content-addressed ``code_version`` (a record-schema bump must
+#: invalidate cached cells).
 SCHEMA_VERSION = 2
-_SCHEMA_VERSION = SCHEMA_VERSION  # historical alias
 
 #: Accepted by :func:`load_records` (v1 files predate the recovery
-#: ledger line and never carry traces).
+#: ledger line).
 _SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
-def _trace_to_dict(trace: Trace) -> dict:
-    return {
-        "maxlen": trace.maxlen,
-        "busy_per_cycle": trace.busy_per_cycle,
-        "expanding_per_cycle": trace.expanding_per_cycle,
-        "trigger_r1": trace.trigger_r1,
-        "trigger_r2": trace.trigger_r2,
-        "lb_cycle_indices": trace.lb_cycle_indices,
-        "n_cycles_recorded": trace.n_cycles_recorded,
-        "n_lb_recorded": trace.n_lb_recorded,
-    }
-
-
-def _trace_from_dict(data: dict) -> Trace:
-    trace = Trace(maxlen=data["maxlen"])
-    for busy, expanding, r1, r2 in zip(
-        data["busy_per_cycle"],
-        data["expanding_per_cycle"],
-        data["trigger_r1"],
-        data["trigger_r2"],
-    ):
-        trace.record_cycle(busy, expanding, r1, r2)
-    for index in data["lb_cycle_indices"]:
-        trace.record_lb(index)
-    # Rebuild the dropped-count bookkeeping: the file holds only the
-    # retained window, but the recorded totals survive verbatim.
-    trace.n_cycles_recorded = data["n_cycles_recorded"]
-    trace.n_lb_recorded = data["n_lb_recorded"]
-    return trace
-
-
-def record_to_dict(record: GridRecord, *, traces: bool = False) -> dict:
+def record_to_dict(record: GridRecord) -> dict:
     """One record as its stable JSON-schema dict (shared with the journal).
 
     The dict round-trips **bit-identically** through
@@ -104,7 +72,7 @@ def record_to_dict(record: GridRecord, *, traces: bool = False) -> dict:
     resume-identity guarantee rests on.
     """
     m = record.metrics
-    out = {
+    return {
         "scheme": record.scheme,
         "n_pes": record.n_pes,
         "total_work": record.total_work,
@@ -121,58 +89,60 @@ def record_to_dict(record: GridRecord, *, traces: bool = False) -> dict:
             "elapsed": m.ledger.elapsed,
         },
     }
-    if traces and m.trace is not None:
-        out["trace"] = _trace_to_dict(m.trace)
-    return out
 
 
 def record_from_dict(data: dict) -> GridRecord:
-    """Rebuild a :class:`GridRecord` written by :func:`record_to_dict`."""
-    ledger_data = dict(data["ledger"])
-    ledger_data.setdefault("t_recovery", 0.0)  # absent in v1 files
-    ledger = TimeLedger(**ledger_data)
-    trace_data = data.get("trace")
-    metrics = RunMetrics(
-        scheme=data["scheme"],
-        n_pes=data["n_pes"],
-        total_work=data["total_work"],
-        n_expand=data["n_expand"],
-        n_lb=data["n_lb"],
-        n_transfers=data["n_transfers"],
-        n_init_lb=data["n_init_lb"],
-        ledger=ledger,
-        trace=_trace_from_dict(trace_data) if trace_data is not None else None,
-        n_recovery=data.get("n_recovery", 0),
-    )
+    """Rebuild a :class:`GridRecord` written by :func:`record_to_dict`.
+
+    Raises
+    ------
+    RecordStoreError
+        When ``data`` is missing a field or holds a malformed value (a
+        ledger that is not a mapping of the five ledger lines, say).
+        Every reader of the schema — the offline store, the journal and
+        the serve store — gets this one typed error.
+    """
+    try:
+        ledger_data = dict(data["ledger"])
+        ledger_data.setdefault("t_recovery", 0.0)  # absent in v1 files
+        metrics = RunMetrics(
+            scheme=data["scheme"],
+            n_pes=data["n_pes"],
+            total_work=data["total_work"],
+            n_expand=data["n_expand"],
+            n_lb=data["n_lb"],
+            n_transfers=data["n_transfers"],
+            n_init_lb=data["n_init_lb"],
+            ledger=TimeLedger(**ledger_data),
+            n_recovery=data.get("n_recovery", 0),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A structurally valid payload can still hold malformed values:
+        # a ledger serialized as a string raises ValueError from dict().
+        raise RecordStoreError(f"malformed record: {exc!r}") from exc
     return GridRecord(
-        scheme=data["scheme"],
-        n_pes=data["n_pes"],
-        total_work=data["total_work"],
+        scheme=metrics.scheme,
+        n_pes=metrics.n_pes,
+        total_work=metrics.total_work,
         metrics=metrics,
     )
 
 
-def save_records(
-    records: Iterable[GridRecord],
-    path: str | Path,
-    *,
-    traces: bool = False,
-) -> Path:
+def save_records(records: Iterable[GridRecord], path: str | Path) -> Path:
     """Write records to ``path`` as versioned JSON, atomically.
 
-    Traces are dropped unless ``traces=True`` (each record then carries
-    its ring-buffer window; evicted cycles stay evicted).  The payload
-    is staged in a *unique* fsynced temp file and moved into place with
-    ``os.replace`` (parent directory fsynced after), so an interrupted
-    save never clobbers ``path``, a crash never loses the replace, and
-    concurrent savers to the same path are safe — see
+    Traces are dropped.  The payload is staged in a *unique* fsynced
+    temp file and moved into place with ``os.replace`` (parent directory
+    fsynced after), so an interrupted save never clobbers ``path``, a
+    crash never loses the replace, and concurrent savers to the same
+    path are safe — see
     :func:`repro.util.atomic.atomic_write_bytes`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "records": [record_to_dict(r, traces=traces) for r in records],
+        "records": [record_to_dict(r) for r in records],
     }
     return atomic_write_text(path, json.dumps(payload, indent=1))
 
@@ -184,7 +154,8 @@ def load_records(path: str | Path) -> list[GridRecord]:
     ------
     RecordStoreError
         When the file is unreadable, not valid JSON, structurally not a
-        record payload, or carries an unsupported schema version.
+        record payload, carries an unsupported schema version, or holds
+        a malformed record.
     """
     path = Path(path)
     try:
@@ -202,15 +173,7 @@ def load_records(path: str | Path) -> list[GridRecord]:
             f"unsupported record schema version {version!r} "
             f"(expected one of {supported})"
         )
-    try:
-        return [record_from_dict(d) for d in payload["records"]]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # The broad catch is deliberate: a structurally valid payload can
-        # still hold malformed *values* (a ledger serialized as a string
-        # raises ValueError from dict(); a trace with maxlen 0 raises
-        # ValueError from Trace), and those must surface as the same
-        # typed RecordStoreError as any other corruption.
-        raise RecordStoreError(f"{path} has malformed records: {exc}") from exc
+    return [record_from_dict(d) for d in payload["records"]]
 
 
 def to_triples(records: Iterable[GridRecord]) -> list[tuple[int, float, float]]:

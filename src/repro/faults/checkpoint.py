@@ -62,8 +62,9 @@ MAGIC = b"REPROCKPT1\n"
 #: (u64 LE).  Shared by checkpoints (one frame per file) and the
 #: write-ahead cell journal (many frames per file).
 FRAME_HEADER = struct.Struct("<IQ")
-_HEADER = FRAME_HEADER  # historical alias
-_VERSION = 1
+#: v2 dropped the ``charge_collectives`` scheduler keyword; a v1 file
+#: would carry it in ``kwargs`` and fail to rebuild its scheduler.
+_VERSION = 2
 
 
 def frame_payload(blob: bytes) -> bytes:
@@ -150,7 +151,6 @@ def write_checkpoint(scheduler: "Scheduler", path: str | Path) -> None:
             "init_threshold": scheduler.init_threshold,
             "trace": scheduler.trace,
             "max_cycles": scheduler.max_cycles,
-            "charge_collectives": scheduler.charge_collectives,
             "sanitize": scheduler.sanitize,
         },
     }

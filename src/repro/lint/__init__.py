@@ -9,9 +9,7 @@ is one rule set, and each rule is the only gate that catches its hazard
 - **R002** no wall-clock / entropy / ``os.environ`` / set-iteration /
   ``id()``-keyed nondeterminism in ``core/``, ``simd/``, ``search/`` or
   ``workmodel/``;
-- **R003** ``repro`` package modules declare ``__all__``; ``pvar``
-  builders use an explicit ``where`` context or document themselves
-  full-width;
+- **R003** ``repro`` package modules declare ``__all__``;
 - **R005** trace series written via ``record_*``, never appended to;
 - **R102** kernel purity: no Python PE-axis loops, object dtypes, float
   dtype drift or I/O in kernel code.

@@ -13,9 +13,7 @@ hazard (``docs/lint.md`` has the audit):
   ``search/`` or ``workmodel/``: scheme behaviour (trigger decisions,
   GP rotation, D_K accounting) must not depend on when or where the
   host Python runs.
-- **R003** — public modules declare ``__all__``; functions that build
-  ``pvar`` parallel variables either select PEs with an explicit
-  ``where`` context or document themselves as full-width.
+- **R003** — public modules declare ``__all__``.
 - **R005** — trace series are recorded through ``Trace.record_cycle`` /
   ``record_lb`` (or typed ``repro.obs`` events), never by appending to
   the series attributes directly: the series are bounded ring buffers
@@ -64,7 +62,6 @@ KERNEL_MODULES: frozenset[str] = frozenset(
     {
         "repro/simd/arena.py",
         "repro/simd/scan.py",
-        "repro/simd/reduce.py",
         "repro/simd/router.py",
         "repro/workmodel/mega.py",
         "repro/search/kernel.py",
@@ -455,10 +452,10 @@ class Nondeterminism(Rule):
 
 @register
 class ModuleDiscipline(Rule):
-    """R003: public modules declare ``__all__``; pvar builders use ``where``."""
+    """R003: public modules declare ``__all__``."""
 
     rule_id = "R003"
-    title = "missing __all__ / pvar built outside a where context"
+    title = "missing __all__"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         basename = Path(ctx.logical).name
@@ -480,20 +477,6 @@ class ModuleDiscipline(Rule):
                 message="public module defines no __all__; declare its "
                 "exported surface explicitly",
             )
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not self._calls_pvar(fn):
-                continue
-            doc = (ast.get_docstring(fn) or "").lower()
-            if "full-width" in doc or self._has_where(fn):
-                continue
-            yield self.finding(
-                ctx, fn,
-                f"function '{fn.name}' builds pvar parallel variables but "
-                "never opens a where() context; select PEs explicitly or "
-                "document the function as full-width in its docstring",
-            )
 
     @staticmethod
     def _defines_all(tree: ast.Module) -> bool:
@@ -505,30 +488,6 @@ class ModuleDiscipline(Rule):
                 targets = [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and target.id == "__all__":
-                    return True
-        return False
-
-    @staticmethod
-    def _calls_pvar(fn: ast.AST) -> bool:
-        return any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "pvar"
-            for node in ast.walk(fn)
-        )
-
-    @staticmethod
-    def _has_where(fn: ast.AST) -> bool:
-        for node in ast.walk(fn):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            for item in node.items:
-                expr = item.context_expr
-                if (
-                    isinstance(expr, ast.Call)
-                    and isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr == "where"
-                ):
                     return True
         return False
 

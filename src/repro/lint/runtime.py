@@ -1,9 +1,9 @@
 """Runtime sanitizer: lock-step invariants asserted during execution.
 
 The static rules (:mod:`repro.lint.rules`) catch discipline violations
-in the source; this module catches them in the *execution*.  Enable with
-``ParallelVM(..., sanitize=True)``, ``SimdMachine(..., sanitize=True)``
-and ``Scheduler(..., sanitize=True)``; each then asserts the paper's
+in the source; this module catches them in the *execution*.  Enable
+with ``SimdMachine(..., sanitize=True)`` and
+``Scheduler(..., sanitize=True)``; each then asserts the paper's
 invariants on every cycle:
 
 - busy and idle masks are disjoint, and together with the expanding
@@ -13,7 +13,6 @@ invariants on every cycle:
 - the GP global pointer stays in ``[0, P)`` whenever it is set;
 - at a D_K trigger firing, accumulated idle exceeds ``L*P`` by at most
   one cycle's worth of idle time (Equation 4 fires at first crossing);
-- ``where`` context push/pop balance on the VM;
 - the ledger identity ``P * T_par == T_calc + T_idle + T_lb +
   T_recovery`` holds.
 

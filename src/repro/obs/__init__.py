@@ -42,9 +42,7 @@ from repro.obs.events import (
 )
 from repro.obs.profile import (
     Profiler,
-    activate,
     active_profiler,
-    deactivate,
     profiled,
     span,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "Profiler",
     "span",
     "profiled",
-    "activate",
-    "deactivate",
     "active_profiler",
 ]
 
@@ -110,8 +106,3 @@ class Observability:
         """Forward one event to the sink, if any."""
         if self.events is not None:
             self.events.emit(event)
-
-    def close(self) -> None:
-        """Flush the event sink (streaming backends buffer)."""
-        if self.events is not None:
-            self.events.close()

@@ -40,8 +40,6 @@ __all__ = [
     "SpanRecord",
     "span",
     "profiled",
-    "activate",
-    "deactivate",
     "active_profiler",
 ]
 
@@ -223,18 +221,6 @@ _ACTIVE: Profiler | None = None
 def active_profiler() -> Profiler | None:
     """The currently active profiler, if any."""
     return _ACTIVE
-
-
-def activate(profiler: Profiler) -> None:
-    """Make ``profiler`` the destination of :func:`span` timings."""
-    global _ACTIVE
-    _ACTIVE = profiler
-
-
-def deactivate() -> None:
-    """Disable :func:`span` collection."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextmanager

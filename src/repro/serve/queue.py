@@ -139,12 +139,6 @@ class JobQueue:
     def new_id(self) -> str:
         return f"job-{next(self._ids):06d}"
 
-    @property
-    def active(self) -> int:
-        """Jobs currently queued or running."""
-        with self._lock:
-            return self._active
-
     def register(self, job: Job) -> Job:
         """Track a job that never enters the pool (a whole-job cache hit)."""
         with self._lock:

@@ -86,7 +86,7 @@ class RecordStore:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "key": key,
-            "record": record_to_dict(record, traces=False),
+            "record": record_to_dict(record),
         }
         atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
         if not existed:
@@ -132,12 +132,7 @@ class RecordStore:
         payload = self.get_payload(key)
         if payload is None:
             return None
-        try:
-            return record_from_dict(payload["record"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise RecordStoreError(
-                f"{self.path_for(key)} has a malformed record: {exc}"
-            ) from exc
+        return record_from_dict(payload["record"])
 
     def keys(self) -> list[str]:
         """Every key currently in the store, sorted."""

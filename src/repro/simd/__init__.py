@@ -2,7 +2,7 @@
 
 Simulates the lock-step data-parallel machine the paper runs on (a CM-2):
 
-- :mod:`repro.simd.scan` — Blelloch sum-scans, mask enumeration and the
+- :mod:`repro.simd.scan` — exclusive sum-scans, mask enumeration and the
   rendezvous allocation used to pair idle with busy processors.
 - :mod:`repro.simd.topology` — interconnect cost models (CM-2 constant-cost,
   hypercube, mesh) from Section 3.3 of the paper.
@@ -16,15 +16,8 @@ Simulates the lock-step data-parallel machine the paper runs on (a CM-2):
   so not re-exported here).
 """
 
-from repro.simd.scan import (
-    sum_scan,
-    segmented_sum_scan,
-    enumerate_mask,
-    rendezvous,
-)
-from repro.simd.reduce import reduce_array, REDUCE_OPS
+from repro.simd.scan import sum_scan, enumerate_mask, rendezvous
 from repro.simd.router import RouteResult, route_permutation, ecube_path
-from repro.simd.dataparallel import ParallelVM, gp_match_on_vm
 from repro.simd.topology import (
     Topology,
     CM2Topology,
@@ -36,16 +29,11 @@ from repro.simd.machine import SimdMachine, TimeLedger
 
 __all__ = [
     "sum_scan",
-    "segmented_sum_scan",
     "enumerate_mask",
     "rendezvous",
-    "reduce_array",
-    "REDUCE_OPS",
     "RouteResult",
     "route_permutation",
     "ecube_path",
-    "ParallelVM",
-    "gp_match_on_vm",
     "Topology",
     "CM2Topology",
     "HypercubeTopology",

@@ -65,16 +65,6 @@ class TimeLedger:
             return float(n_pes)
         return self.t_calc / self.elapsed
 
-    def as_dict(self) -> dict[str, float]:
-        """The five ledger lines as a plain JSON-ready dict."""
-        return {
-            "t_calc": self.t_calc,
-            "t_idle": self.t_idle,
-            "t_lb": self.t_lb,
-            "t_recovery": self.t_recovery,
-            "t_par": self.elapsed,
-        }
-
 
 @dataclass
 class SimdMachine:
@@ -181,21 +171,6 @@ class SimdMachine:
         self._sanitize_check()
         return dt
 
-    def charge_collective(self, dt: float) -> float:
-        """Account one per-cycle collective (e.g. the trigger's global
-        busy-count reduction) of duration ``dt``.
-
-        Unlike :meth:`charge_lb_phase`, this does not count as a
-        load-balancing phase; the processor-seconds go to ``T_lb`` as
-        communication overhead.
-        """
-        if dt < 0:
-            raise ValueError(f"dt must be >= 0, got {dt}")
-        self.ledger.elapsed += dt
-        self.ledger.t_lb += self.n_pes * dt
-        self._sanitize_check()
-        return dt
-
     def charge_custom_phase(self, dt: float, *, n_transfers: int = 0) -> float:
         """Account a communication phase of explicit duration ``dt``.
 
@@ -211,10 +186,6 @@ class SimdMachine:
         self.n_transfers += n_transfers
         self._sanitize_check()
         return dt
-
-    def efficiency(self) -> float:
-        """Efficiency of the run so far."""
-        return self.ledger.efficiency()
 
     def check_time_identity(self, *, rel_tol: float = 1e-9) -> bool:
         """Verify ``P * T_par == T_calc + T_idle + T_lb + T_recovery``."""

@@ -184,10 +184,18 @@ class TestCorruption:
         header = json.dumps(
             {"schema": SCHEMA_VERSION, "code_version": "x"}
         ).encode()
-        bogus = json.dumps({"key": "k", "record": {"nope": 1}}).encode()
-        path.write_bytes(MAGIC + frame_payload(header) + frame_payload(bogus))
-        with pytest.raises(JournalCorruptError, match="malformed"):
-            CellJournal(path)
+        fields = {"scheme": "GP-S0.90", "n_pes": 8, "total_work": 300}
+        counts = {"n_expand": 1, "n_lb": 0, "n_transfers": 0, "n_init_lb": 0}
+        bad_records = [
+            {"nope": 1},  # missing fields: KeyError
+            # CRC-valid, but dict("xy") raises ValueError, not KeyError.
+            {**fields, **counts, "ledger": "xy"},
+        ]
+        for record in bad_records:
+            bogus = json.dumps({"key": "k", "record": record}).encode()
+            path.write_bytes(MAGIC + frame_payload(header) + frame_payload(bogus))
+            with pytest.raises(JournalCorruptError, match="malformed"):
+                CellJournal(path)
 
     def test_journal_error_is_checkpoint_family(self):
         # Callers guarding resume paths with CheckpointCorruptError

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.isoefficiency import isoefficiency_points
 from repro.errors import RecordStoreError, ReproError
-from repro.experiments.runner import GridRecord, run_divisible, run_grid
+from repro.experiments.runner import run_grid
 from repro.experiments.store import load_records, save_records, to_triples
 
 
@@ -39,6 +39,12 @@ class TestRoundTrip:
 
     def test_traces_dropped(self, records, tmp_path):
         path = save_records(records, tmp_path / "grid.json")
+        assert all(r.metrics.trace is None for r in load_records(path))
+        # A file written when traces could be persisted still loads; its
+        # "trace" key is ignored.
+        data = json.loads(path.read_text())
+        data["records"][0]["trace"] = {"maxlen": 0}
+        path.write_text(json.dumps(data))
         assert all(r.metrics.trace is None for r in load_records(path))
 
 
@@ -117,8 +123,8 @@ class TestCorruptValueGoldens:
 
     These escape a ``(KeyError, TypeError)``-only catch: the defects
     below raise ``ValueError`` from inside ``record_from_dict`` (ledger
-    coercion, trace reconstruction), which used to propagate untyped to
-    every ``load_records`` caller.  Each must surface as the typed
+    coercion), which used to propagate untyped to every
+    ``load_records`` caller.  Each must surface as the typed
     ``RecordStoreError`` instead.
     """
 
@@ -146,19 +152,6 @@ class TestCorruptValueGoldens:
         with pytest.raises(RecordStoreError, match="malformed"):
             load_records(path)
 
-    def test_trace_with_zero_maxlen(self, tmp_path):
-        # Trace(maxlen=0) -> "trace maxlen must be >= 1" ValueError.
-        metrics = run_divisible("GP-DK", 2_000, 16, seed=2, trace=True)
-        record = GridRecord(
-            scheme="GP-DK", n_pes=16, total_work=2_000, metrics=metrics
-        )
-        path = save_records([record], tmp_path / "grid.json", traces=True)
-        data = json.loads(path.read_text())
-        data["records"][0]["trace"]["maxlen"] = 0
-        path.write_text(json.dumps(data))
-        with pytest.raises(RecordStoreError, match="malformed"):
-            load_records(path)
-
     def test_original_cause_is_chained(self, records, tmp_path):
         path = self._corrupted(
             records, tmp_path, lambda r: r.update(ledger="abc")
@@ -166,19 +159,3 @@ class TestCorruptValueGoldens:
         with pytest.raises(RecordStoreError) as excinfo:
             load_records(path)
         assert isinstance(excinfo.value.__cause__, ValueError)
-
-
-class TestTracePersistence:
-    def test_opt_in_round_trip(self, tmp_path):
-        metrics = run_divisible("GP-DK", 3_000, 16, seed=2, trace=True)
-        record = GridRecord(
-            scheme="GP-DK", n_pes=16, total_work=3_000, metrics=metrics
-        )
-        assert record.metrics.trace is not None
-        path = save_records([record], tmp_path / "grid.json", traces=True)
-        loaded = load_records(path)
-        original = record.metrics.trace
-        restored = loaded[0].metrics.trace
-        assert restored == original
-        assert restored.n_cycles_recorded == original.n_cycles_recorded
-        assert restored.lb_cycle_indices == original.lb_cycle_indices

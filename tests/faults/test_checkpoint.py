@@ -121,12 +121,19 @@ def test_unsupported_version_rejected(tmp_path):
     import struct
     import zlib
 
-    blob = pickle.dumps({"version": 999})
-    framed = MAGIC + struct.pack("<IQ", zlib.crc32(blob), len(blob)) + blob
-    path = tmp_path / "future.ckpt"
-    path.write_bytes(framed)
-    with pytest.raises(CheckpointCorruptError, match="version"):
-        load_checkpoint(path)
+    payloads = [
+        {"version": 999},
+        # v1 kwargs carry the retired charge_collectives keyword: refused
+        # as a version mismatch, not a TypeError from Scheduler(...).
+        {"version": 1, "kwargs": {"charge_collectives": False}},
+    ]
+    for payload in payloads:
+        blob = pickle.dumps(payload)
+        framed = MAGIC + struct.pack("<IQ", zlib.crc32(blob), len(blob)) + blob
+        path = tmp_path / "other.ckpt"
+        path.write_bytes(framed)
+        with pytest.raises(CheckpointCorruptError, match="version"):
+            resume_run(path)
 
 
 def test_checkpoint_write_is_atomic(tmp_path):

@@ -25,10 +25,6 @@ def pick(options):
     return options
 
 
-def bare_pvar(vm):
-    return vm.pvar(1)
-
-
 def record(trace):
     trace.busy_per_cycle.append(3)
 

@@ -42,8 +42,8 @@ class TestFixtureModule:
         assert len(by_rule["R001"]) == 3
         # R002: time.time() and the set-literal iteration.
         assert len(by_rule["R002"]) == 2
-        # R003: missing __all__ (line 1) and bare_pvar's pvar.
-        assert 1 in by_rule["R003"]
+        # R003: missing __all__ (line 1).
+        assert by_rule["R003"] == [1]
         # R005: the direct append in record().
         [r005_line] = by_rule["R005"]
         assert "busy_per_cycle.append" in source_lines[r005_line - 1]

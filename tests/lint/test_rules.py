@@ -198,32 +198,6 @@ class TestR003:
         )
         assert not result.findings
 
-    def test_pvar_without_where_flagged(self, tmp_path):
-        source = (
-            CLEAN_HEADER + "def f(vm):\n"
-            '    """Make a counter."""\n'
-            "    return vm.pvar(1)\n"
-        )
-        hits = rule_hits(lint_source(tmp_path, source, rules=["R003"]), "R003")
-        assert len(hits) == 1
-        assert "'f'" in hits[0].message
-
-    def test_pvar_under_where_allowed(self, tmp_path):
-        source = (
-            CLEAN_HEADER + "def f(vm, mask):\n"
-            "    with vm.where(mask):\n"
-            "        return vm.pvar(1)\n"
-        )
-        assert not lint_source(tmp_path, source, rules=["R003"]).findings
-
-    def test_pvar_documented_full_width_allowed(self, tmp_path):
-        source = (
-            CLEAN_HEADER + "def f(vm):\n"
-            '    """Build a counter, full-width on purpose."""\n'
-            "    return vm.pvar(1)\n"
-        )
-        assert not lint_source(tmp_path, source, rules=["R003"]).findings
-
 
 class TestSuppression:
     def test_inline_disable(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.config import PAPER_SCHEMES
 from repro.core.scheduler import Scheduler
 from repro.lint.runtime import SanitizerError, SchedulerSanitizer, require
-from repro.simd.dataparallel import ParallelVM
 from repro.simd.machine import SimdMachine
 from repro.workmodel.divisible import DivisibleWorkload
 from repro.workmodel.stackmodel import StackWorkload
@@ -155,48 +154,11 @@ class TestSchedulerSanitizerUnits:
         assert isinstance(excinfo.value, AssertionError)
 
 
-class TestParallelVMSanitize:
-    def test_balanced_where_is_clean(self):
-        vm = ParallelVM(8, sanitize=True)
-        mask = np.arange(8) < 4
-        with vm.where(mask):
-            with vm.where(~mask):
-                assert vm.context_depth == 2
-        assert vm.context_depth == 0
-        vm.assert_balanced()
-
-    def test_extra_push_inside_where_caught(self):
-        vm = ParallelVM(8, sanitize=True)
-        with pytest.raises(SanitizerError, match="context-balance"):
-            with vm.where(np.ones(8, dtype=bool)):
-                vm._context.append(np.ones(8, dtype=bool))
-
-    def test_rogue_pop_inside_where_caught(self):
-        vm = ParallelVM(8, sanitize=True)
-        with pytest.raises(SanitizerError, match="context-balance"):
-            with vm.where(np.ones(8, dtype=bool)):
-                vm._context.pop()
-
-    def test_assert_balanced_reports_open_frames(self):
-        vm = ParallelVM(4, sanitize=True)
-        vm._context.append(np.ones(4, dtype=bool))
-        with pytest.raises(SanitizerError, match="context-balance"):
-            vm.assert_balanced()
-
-    def test_unsanitized_vm_keeps_old_behaviour(self):
-        vm = ParallelVM(8)
-        with vm.where(np.ones(8, dtype=bool)):
-            vm._context.append(np.ones(8, dtype=bool))
-            vm._context.pop()
-        assert vm.context_depth == 0
-
-
 class TestMachineSanitize:
     def test_clean_charges_pass(self):
         machine = SimdMachine(8, sanitize=True)
         machine.charge_expansion_cycle(5)
         machine.charge_lb_phase(transfer_rounds=1, n_transfers=3)
-        machine.charge_collective(0.001)
         assert machine.check_time_identity()
 
     def test_corrupted_ledger_caught_on_next_charge(self):

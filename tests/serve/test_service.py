@@ -90,7 +90,7 @@ class TestSolveCaching:
 
         metrics = run_divisible("GP-DK", 300, 4, seed=1)
         direct = GridRecord(metrics.scheme, 4, 300, metrics)
-        assert stored == record_to_dict(direct, traces=False)
+        assert stored == record_to_dict(direct)
 
 
 class TestGridCaching:
@@ -123,7 +123,7 @@ class TestGridCaching:
         direct = run_grid(["GP-DK", "nGP-DP"], [200], [2, 4], base_seed=5)
         for key, record in zip(view["keys"], direct):
             stored = service.record(key)["record"]
-            assert stored == record_to_dict(record, traces=False)
+            assert stored == record_to_dict(record)
 
     def test_grid_and_solve_share_the_store(self, service):
         """A grid cell and a solve of the same (scheme, W, P, seed) have
@@ -292,9 +292,7 @@ class TestRecordStore:
         assert len(store) == 1
         assert store.keys() == [key]
         loaded = store.get(key)
-        assert record_to_dict(loaded, traces=False) == record_to_dict(
-            record, traces=False
-        )
+        assert record_to_dict(loaded) == record_to_dict(record)
 
     def test_miss_returns_none(self, tmp_path):
         store = RecordStore(tmp_path / "cells")

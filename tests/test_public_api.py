@@ -25,9 +25,11 @@ SUBPACKAGES = [
 
 #: Knobs retired with the storage-backend matrix (which storage holds
 #: the stacks is private to ``workmodel.stackmodel`` / ``search.parallel``)
-#: and with the kernel tiers (each kernel has one implementation).
+#: with the kernel tiers (each kernel has one implementation) and with the
+#: per-cycle collective charge (the paper folds it into the cycle time).
 RETIRED_KNOBS = {
     "backend", "sampler", "h_memo", "heuristic_memo", "kernel_backend", "workspace",
+    "charge_collectives",
 }
 
 
