@@ -63,8 +63,10 @@ MAGIC = b"REPROCKPT1\n"
 #: write-ahead cell journal (many frames per file).
 FRAME_HEADER = struct.Struct("<IQ")
 #: v2 dropped the ``charge_collectives`` scheduler keyword; a v1 file
-#: would carry it in ``kwargs`` and fail to rebuild its scheduler.
-_VERSION = 2
+#: would carry it in ``kwargs`` and fail to rebuild its scheduler.  v3
+#: packs each search stack entry into two int64 words; a v2 search
+#: workload's planes and kernel fields no longer match the kernel.
+_VERSION = 3
 
 
 def frame_payload(blob: bytes) -> bytes:

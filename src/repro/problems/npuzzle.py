@@ -9,29 +9,39 @@ The state carries the previous blank position so the successor generator
 can refuse to undo the last move — the standard pruning that removes the
 trivial 2-cycles of the naive tree.  Goal testing ignores that component.
 
-Besides the per-node ``SearchProblem`` interface, the puzzle exposes a
-*vectorizable* view consumed by the arena search kernel
-(:mod:`repro.search.kernel`): states encode to fixed-width ``uint8`` rows
-(:meth:`SlidingPuzzle.encode_state` / :meth:`~SlidingPuzzle.decode_state`)
-and three precomputed tables drive batched expansion —
-:meth:`~SlidingPuzzle.move_table` (blank destinations per position, in
-generation order), :meth:`~SlidingPuzzle.manhattan_table` (per
-tile-position Manhattan contributions, the delta table for O(1)
-incremental ``h`` updates), and :meth:`~SlidingPuzzle.goal_row`.
+Besides the per-node ``SearchProblem`` interface, a board of up to 16
+cells exposes a *packed* view consumed by the arena search kernel
+(:mod:`repro.search.kernel`): :meth:`SlidingPuzzle.encode_state` packs
+a state into one signed 64-bit ``word`` (4 bits a cell) plus a small
+``key`` naming its blank and previous blank, and
+:meth:`~SlidingPuzzle.packed_moves` holds the per-key tables that turn
+a parent entry into its children with two additions each.  They are
+built from :meth:`~SlidingPuzzle.move_table` (blank destinations per
+position, in generation order) and :meth:`~SlidingPuzzle.manhattan_table`
+(per tile-position Manhattan contributions, the delta table for O(1)
+incremental ``h`` updates).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.search.kernel import G_SHIFT, H_SHIFT, INVALID_STEP
 from repro.search.problem import SearchProblem
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
 
-__all__ = ["PuzzleState", "SlidingPuzzle", "manhattan_distance", "linear_conflicts"]
+__all__ = [
+    "PackedMoves",
+    "PuzzleState",
+    "SlidingPuzzle",
+    "manhattan_distance",
+    "linear_conflicts",
+]
 
 
 class PuzzleState(NamedTuple):
@@ -51,6 +61,82 @@ class PuzzleState(NamedTuple):
     tiles: tuple[int, ...]
     blank: int
     prev_blank: int
+
+
+class PackedMoves(NamedTuple):
+    """Per-key move tables of the packed search kernel.
+
+    Rows are keys (``blank * (n + 1) + prev + 1`` for ``n`` cells);
+    the 4 columns are the blank's moves in *push* order — reversed
+    generation order, ``-1`` pads first — so a PE's children land on its
+    stack with the first-generated child on top.  ``(key, column,
+    tile)`` triples index the flat ``f_step`` / ``info_step`` tables at
+    ``base[key, column] + tile``.
+
+    Attributes
+    ----------
+    goal_word:
+        The goal layout's packed word.
+    shift:
+        ``(keys, 4)`` int64: ``4 * dest``, the bit offset of the tile
+        that moves (``moved = word >> shift & 15``).
+    lift:
+        ``(keys, 4)`` int64: ``(1 << 4 * blank) - (1 << 4 * dest)``; the
+        child word is ``word + moved * lift`` (wrapping mod 2^64).
+    base:
+        ``(keys, 4)`` int64: ``(key * 4 + column) * 16``.
+    f_step:
+        Flat int64: the child's ``f`` minus the parent's, ``1 +
+        D[tile, blank] - D[tile, dest]``; ``INVALID_STEP`` for a column
+        that is no move (a ``-1`` pad or the move undoing the last one),
+        which holds the null move (destination = blank) in every table.
+    info_step:
+        Flat int64: the child's ``info`` minus the parent's — ``g`` up
+        one, the Manhattan delta on ``h``, the child's key for the
+        parent's.
+    """
+
+    goal_word: int
+    shift: np.ndarray
+    lift: np.ndarray
+    base: np.ndarray
+    f_step: np.ndarray
+    info_step: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_moves(side: int) -> PackedMoves:
+    """Build :class:`PackedMoves` for one board side (vectorized over keys)."""
+    n = side * side
+    if n > 16:
+        raise ValueError(f"a {side}x{side} board does not fit one packed word")
+    puzzle = SlidingPuzzle(list(range(1, n)) + [0])
+    keys = np.arange(n * (n + 1), dtype=np.int64)
+    blank, prev = np.divmod(keys, n + 1)
+    prev -= 1
+    dest = puzzle.move_table()[blank][:, ::-1].astype(np.int64)
+    valid = (dest >= 0) & (dest != prev[:, None])
+    b = blank[:, None]
+    dest = np.where(valid, dest, b)
+    dist = np.zeros((16, n), dtype=np.int64)
+    dist[:n] = puzzle.manhattan_table()
+    dh = (dist[:, b] - dist[:, dest]).transpose(1, 2, 0)  # (keys, 4, tile)
+    child_key = dest * (n + 1) + b + 1
+    info_step = (
+        (1 << G_SHIFT) - keys[:, None, None] + child_key[:, :, None] + (dh << H_SHIFT)
+    )
+    goal_word, _ = puzzle.encode_state(puzzle.initial_state())
+    tables = PackedMoves(
+        goal_word=goal_word,
+        shift=4 * dest,
+        lift=(1 << 4 * b) - (1 << 4 * dest),
+        base=(keys[:, None] * 4 + np.arange(4)) * 16,
+        f_step=np.where(valid[:, :, None], 1 + dh, INVALID_STEP).reshape(-1),
+        info_step=info_step.reshape(-1),
+    )
+    for table in tables[1:]:
+        table.setflags(write=False)
+    return tables
 
 
 def _neighbor_table(side: int) -> tuple[tuple[int, ...], ...]:
@@ -228,23 +314,17 @@ class SlidingPuzzle(SearchProblem):
             total += linear_conflicts(tiles, self.side)
         return total
 
-    # -- vectorizable view (consumed by repro.search.kernel) ----------------
+    # -- packed view (consumed by repro.search.kernel) ----------------------
     #
     # The arena backend recognizes problems by these methods (duck typing:
-    # no import cycle between problems/ and search/).  All tables are
+    # problems/ imports search/, never the reverse).  All tables are
     # cached, read-only numpy arrays.
 
-    @property
-    def state_width(self) -> int:
-        """Cells per encoded state row (``side ** 2``); rows are uint8,
-        so only boards up to ``side = 16`` (tile values < 256) encode."""
-        return self.side * self.side
-
     def supports_arena_backend(self) -> bool:
-        """True when the vectorized expansion kernel is exact for this
-        instance: the incremental delta table covers Manhattan only, and
-        tile values must fit the uint8 codec."""
-        return self.heuristic_name == "manhattan" and self.state_width <= 256
+        """True when the packed kernel is exact for this instance: its
+        incremental delta covers Manhattan only, and a board must fit one
+        64-bit word at 4 bits a cell (``side^2 <= 16``)."""
+        return self.heuristic_name == "manhattan" and self.side * self.side <= 16
 
     def move_table(self) -> np.ndarray:
         """``(side^2, 4)`` int32: blank destinations per blank position,
@@ -252,7 +332,7 @@ class SlidingPuzzle(SearchProblem):
         :meth:`expand` emits children) so batched and per-node expansion
         visit identical trees."""
         if not hasattr(self, "_move_table"):
-            n = self.state_width
+            n = self.side * self.side
             table = np.full((n, 4), -1, dtype=np.int32)
             for pos, moves in enumerate(self._neighbors):
                 table[pos, : len(moves)] = moves
@@ -265,34 +345,37 @@ class SlidingPuzzle(SearchProblem):
         Manhattan contribution when sitting at ``pos`` (row 0, the blank,
         is all zeros).  Moving tile ``t`` from ``src`` into the blank at
         ``dst`` changes ``h`` by ``D[t, dst] - D[t, src]`` — the O(1)
-        incremental update the arena kernel applies per child."""
+        incremental update the packed move tables carry."""
         if not hasattr(self, "_manhattan_table"):
             table = np.asarray(self._dist, dtype=np.int32)
             table.setflags(write=False)
             self._manhattan_table = table
         return self._manhattan_table
 
-    def goal_row(self) -> np.ndarray:
-        """The goal layout as an encoded uint8 row (vector goal tests)."""
-        if not hasattr(self, "_goal_row"):
-            row = np.asarray(self.goal_tiles, dtype=np.uint8)
-            row.setflags(write=False)
-            self._goal_row = row
-        return self._goal_row
+    def encode_state(self, state: PuzzleState) -> tuple[int, int]:
+        """Pack a :class:`PuzzleState` as ``(word, key)``: the tile at
+        cell ``i`` in bits ``4i .. 4i+3`` of a signed 64-bit ``word``, and
+        ``key = blank * (side^2 + 1) + prev_blank + 1``."""
+        word = 0
+        for i, tile in enumerate(state.tiles):
+            word |= tile << (4 * i)
+        if word >= 1 << 63:
+            word -= 1 << 64
+        return word, state.blank * (len(state.tiles) + 1) + state.prev_blank + 1
 
-    def encode_state(self, state: PuzzleState) -> tuple[np.ndarray, int, int]:
-        """Encode a :class:`PuzzleState` as ``(tiles_row, blank, prev)``
-        with ``tiles_row`` a ``(side^2,)`` uint8 array."""
-        return np.asarray(state.tiles, dtype=np.uint8), state.blank, state.prev_blank
-
-    def decode_state(
-        self, tiles_row: np.ndarray, blank: int, prev_blank: int
-    ) -> PuzzleState:
+    def decode_state(self, word: int, key: int) -> PuzzleState:
         """Inverse of :meth:`encode_state` (arena snapshots back to the
         hashable per-node representation)."""
-        return PuzzleState(
-            tuple(int(t) for t in tiles_row), int(blank), int(prev_blank)
-        )
+        n = self.side * self.side
+        blank, prev = divmod(int(key), n + 1)
+        tiles = tuple((int(word) >> (4 * i)) & 15 for i in range(n))
+        return PuzzleState(tiles, blank, prev - 1)
+
+    def packed_moves(self) -> PackedMoves:
+        """The per-key move tables of the packed kernel (see
+        :class:`PackedMoves`).  They depend on the side alone, so every
+        board of one side shares a single read-only copy."""
+        return _packed_moves(self.side)
 
     # -- instance utilities --------------------------------------------------
 

@@ -10,25 +10,25 @@ reported efficiency covers the whole run.
 
 The workload picks its stack storage from the problem alone:
 
-- a problem that exposes the vectorizable view (``_ARENA_PROTOCOL``) and
+- a problem that exposes the packed view (``_ARENA_PROTOCOL``) and
   answers ``supports_arena_backend()`` — a
   :class:`~repro.problems.npuzzle.SlidingPuzzle` with the Manhattan
-  heuristic, any side — has all stacks packed into one
-  :class:`~repro.simd.arena.WindowArena` (a uint8 state plane and an
-  int32 ``g``/``h``/blank/previous-blank plane); a cycle pops every non-empty
-  top, goal-tests, generates children from the precomputed move table,
-  updates ``h`` incrementally via the Manhattan delta table (O(1) per
-  move instead of an O(side^2) recompute), bound-prunes and pushes — all
-  in a handful of full-width kernels (:mod:`repro.search.kernel`);
+  heuristic and at most 16 cells — has all stacks packed into one
+  :class:`~repro.simd.arena.WindowArena` of two int64 planes (the board
+  ``word`` and the ``g``/``h``/key ``info``, :mod:`repro.search.kernel`);
+  a cycle pops every non-empty top, goal-tests, generates children from
+  the puzzle's per-key move tables, updates ``h`` incrementally (O(1)
+  per move instead of an O(side^2) recompute), bound-prunes and
+  pushes — all in a few dozen 1-D numpy calls;
 - any other :class:`~repro.search.problem.SearchProblem` (n-queens,
-  colouring, a linear-conflict puzzle) gets one
+  colouring, a linear-conflict puzzle, a 5x5 board) gets one
   :class:`~repro.search.stack.DFSStack` per PE, expanded in a per-PE
   Python loop.
 
 Both storages expand the *same* deterministic tree, so full runs are
 expansion-count- and solution-identical — asserted scheme by scheme in
 the integration suite, which reaches the ``DFSStack`` path on a puzzle by
-hiding its vectorizable view (``tests/oracles.opaque``).
+hiding its packed view (``tests/oracles.opaque``).
 
 Because each iteration runs its bound to exhaustion (all solutions up to
 the bound are collected), the number of nodes expanded is *identical* to
@@ -56,13 +56,7 @@ from repro.obs import Observability
 from repro.obs.events import IterationEvent
 from repro.obs.profile import span
 from repro.obs.registry import record_run
-from repro.search.kernel import (
-    BLANK_COL,
-    G_COL,
-    PREV_COL,
-    KernelWorkspace,
-    expand_cycle,
-)
+from repro.search.kernel import G_SHIFT, H_SHIFT, KEY_MASK, expand_cycle
 from repro.search.problem import SearchProblem
 from repro.search.stack import DFSStack, StackEntry
 from repro.simd.arena import WindowArena
@@ -77,14 +71,11 @@ __all__ = [
     "parallel_depth_bounded",
 ]
 
-#: What a problem must expose to be stored in the vectorized arena
+#: What a problem must expose to be stored in the packed arena
 #: (duck-typed so problems/ and search/ stay import-cycle-free).
 _ARENA_PROTOCOL = (
     "supports_arena_backend",
-    "state_width",
-    "move_table",
-    "manhattan_table",
-    "goal_row",
+    "packed_moves",
     "encode_state",
     "decode_state",
 )
@@ -147,16 +138,11 @@ class SearchWorkload:
             all(hasattr(problem, name) for name in _ARENA_PROTOCOL)
             and problem.supports_arena_backend()
         ):
-            self._kernel_ws = KernelWorkspace()
-            self._move_table = problem.move_table()
-            self._dist_table = problem.manhattan_table()
-            self._goal_row = problem.goal_row()
-            rows = (((problem.state_width,), np.uint8), ((4,), np.int32))
+            rows = (((), np.int64), ((), np.int64))
             self._arena = WindowArena(self.n_pes, rows, capacity=64)
             if root_in_bound:
-                tiles_row, blank, prev = problem.encode_state(root)
-                meta_row = np.array([0, h0, blank, prev], dtype=np.int32)
-                self._arena.push_root(0, tiles_row, meta_row)
+                word, key = problem.encode_state(root)
+                self._arena.push_root(0, word, h0 << H_SHIFT | key)
         else:
             self._stacks = [DFSStack() for _ in range(self.n_pes)]
             if root_in_bound:
@@ -180,16 +166,13 @@ class SearchWorkload:
         problem = self.problem
         out = []
         for pe in range(self.n_pes):
-            tiles, meta = self._arena.window(pe)
+            words, infos = self._arena.window(pe)
             out.append(
                 [
                     StackEntry(
-                        problem.decode_state(
-                            tiles[i], meta[i, BLANK_COL], meta[i, PREV_COL]
-                        ),
-                        int(meta[i, G_COL]),
+                        problem.decode_state(word, info & KEY_MASK), info >> G_SHIFT
                     )
-                    for i in range(len(meta))
+                    for word, info in zip(words.tolist(), infos.tolist())
                 ]
             )
         return out
@@ -269,7 +252,7 @@ class SearchWorkload:
             return self._expand_cycle_arena_inner()
 
     def _expand_cycle_arena_inner(self) -> int:  # repro: kernel
-        return expand_cycle(self, self._kernel_ws)
+        return expand_cycle(self)
 
     def transfer(self, donors: np.ndarray, receivers: np.ndarray) -> int:
         donors = np.asarray(donors, dtype=np.int64)
@@ -323,9 +306,9 @@ class SearchWorkload:
         # DFSStack path's receiver rebuild; that per-pair reshuffle stays
         # a Python loop (it is not a paper path).
         for d, r in zip(donors.tolist(), receivers.tolist()):
-            tiles, meta = arena.take_bottoms(d, int(counts[d]) // 2)
-            order = np.argsort(meta[:, G_COL], kind="stable")
-            arena.inject_window(r, tiles[order], meta[order])
+            words, infos = arena.take_bottoms(d, int(counts[d]) // 2)
+            order = np.argsort(infos >> G_SHIFT, kind="stable")
+            arena.inject_window(r, words[order], infos[order])
         return int(len(donors))
 
     def done(self) -> bool:
@@ -342,13 +325,13 @@ class SearchWorkload:
         """Quarantine PE ``pe``'s whole DFS stack.
 
         ``DFSStack`` storage: the :class:`DFSStack` object itself (levels
-        intact).  Arena storage: the ``(tiles, meta)`` window, bottom to
+        intact).  Arena storage: the ``(words, infos)`` window, bottom to
         top.
         """
         self._cached_counts = None
         if self._arena is not None:
-            tiles, meta = self._arena.extract_window(pe)
-            return (tiles, meta), int(len(meta))
+            words, infos = self._arena.extract_window(pe)
+            return (words, infos), int(len(words))
         stacks = self._stacks
         assert stacks is not None
         stack = stacks[pe]
@@ -359,8 +342,8 @@ class SearchWorkload:
         """Append a quarantined frontier onto PE ``pe``'s stack."""
         self._cached_counts = None
         if self._arena is not None:
-            tiles, meta = payload
-            return self._arena.inject_window(pe, tiles, meta)
+            words, infos = payload
+            return self._arena.inject_window(pe, words, infos)
         stacks = self._stacks
         assert stacks is not None
         return stacks[pe].absorb(payload)

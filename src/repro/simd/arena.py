@@ -7,8 +7,9 @@ data structure, so :class:`WindowArena` is the one storage both stack
 workloads hold.  They differ only in the per-entry rows they declare:
 
 - ``StackWorkload``: ``(((), int64),)`` — one subtree size per entry;
-- ``SearchWorkload``: ``(((side^2,), uint8), ((4,), int32))`` — an
-  encoded puzzle state plus its ``g``/``h``/blank/previous-blank meta.
+- ``SearchWorkload``: ``(((), int64), ((), int64))`` — a puzzle board
+  packed 4 bits a cell plus its ``g``/``h``/move-key ``info`` word
+  (:mod:`repro.search.kernel`).
 
 Each row gets one *plane* shaped ``(n_pes, capacity, *shape)``; the
 ``bottom``/``top`` pointers are shared, and the live stack of PE ``p`` is

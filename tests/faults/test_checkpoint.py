@@ -13,7 +13,10 @@ from repro.faults import (
     load_checkpoint,
     resume_run,
 )
-from repro.faults.checkpoint import MAGIC
+from repro.faults.checkpoint import MAGIC, load_scheduler
+from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
+from repro.search.ida_star import ida_star
+from repro.search.parallel import SearchWorkload
 from repro.simd.machine import SimdMachine
 from repro.workmodel.divisible import DivisibleWorkload
 from repro.workmodel.stackmodel import StackWorkload
@@ -53,6 +56,34 @@ def test_resume_equals_straight_through(tmp_path, make_workload):
     # exactly the same metrics, ledger, and trace.
     resumed = resume_run(ck)
     assert resumed == straight
+
+
+def test_search_resume_equals_straight_through(tmp_path):
+    """A puzzle search checkpointed every 10 cycles resumes to the same
+    expansions, next bound, goal depths and metrics as the straight run."""
+    problem = scrambled_fifteen_puzzle(30, rng=2)
+    bound = ida_star(problem).solution_cost + 2
+
+    def scheduler(checkpoint=None):
+        workload = SearchWorkload(problem, bound, 64)
+        return Scheduler(
+            workload, SimdMachine(64), "GP-S0.75", init_threshold=0.85,
+            checkpoint=checkpoint, trace=True,
+        )
+
+    ck = tmp_path / "search.ckpt"
+    straight = scheduler(CheckpointConfig(ck, every=10))
+    straight_metrics = straight.run()
+    resumed = load_scheduler(ck)
+    assert resumed.machine.n_cycles < straight.machine.n_cycles
+    resumed_metrics = resumed.run()
+
+    def outcome(wl):
+        return wl.expanded, wl.next_bound, wl.goal_depths
+
+    assert straight.workload.goal_depths
+    assert outcome(resumed.workload) == outcome(straight.workload)
+    assert resumed_metrics == straight_metrics
 
 
 def test_resume_with_faults_equals_straight_through(tmp_path):
@@ -126,6 +157,9 @@ def test_unsupported_version_rejected(tmp_path):
         # v1 kwargs carry the retired charge_collectives keyword: refused
         # as a version mismatch, not a TypeError from Scheduler(...).
         {"version": 1, "kwargs": {"charge_collectives": False}},
+        # v2 search workloads carry the retired uint8/int32 planes and
+        # the old kernel workspace: refused up front, not mid-run in expand_cycle.
+        {"version": 2, "workload": None},
     ]
     for payload in payloads:
         blob = pickle.dumps(payload)

@@ -13,19 +13,17 @@ Each operation has one shipped kernel; the ``tier`` axis names the two
 array formulations of it that remain in the tree:
 
 - ``"numpy"`` — the allocating full-width formulation: the search
-  kernel's reference body at *every* width, and ``MegaArena`` reductions
-  returning fresh arrays.
-- ``"fused"`` — the scratch-backed formulation: the banded search kernel
-  as ``SearchWorkload`` runs it, and ``MegaArena`` reductions handed out
+  kernel's vector body at *every* width (no row band), and
+  ``MegaArena`` reductions returning fresh arrays.
+- ``"fused"`` — the shipped formulation: the banded search kernel as
+  ``SearchWorkload`` runs it, and ``MegaArena`` reductions handed out
   as one reused buffer per kernel (the executor must consume each count
   vector within its cycle).
 
 The stack cycle has a single formulation — ``StackWorkload`` as shipped,
-on the same ``WindowArena`` push and reset every search band uses — so
-it runs under ``"numpy"`` only.
+on the same ``WindowArena`` the search kernel uses — so it runs under
+``"numpy"`` only.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -104,9 +102,8 @@ class TestSearchTierIdentity:
             _search_oracle[spec] = _search_run(opaque(BENCH_INSTANCES["tiny"]), spec)
         oracle = _search_oracle[spec]
         if tier == "numpy":
-            # Neither width band fires: every cycle runs the reference body.
+            # The row band never fires: every cycle runs the vector body.
             monkeypatch.setattr(kernel, "SPARSE_THRESHOLD", 0)
-            monkeypatch.setattr(kernel, "DENSE_THRESHOLD", sys.maxsize)
         result = _search_run(BENCH_INSTANCES["tiny"], spec)
         assert result.total_expanded == oracle.total_expanded
         assert result.bounds == oracle.bounds

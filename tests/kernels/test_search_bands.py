@@ -1,13 +1,14 @@
-"""Every width band of the search kernel against the ``DFSStack`` oracle.
+"""Both width bands of the search kernel against the ``DFSStack`` oracle.
 
-:func:`repro.search.kernel.expand_cycle` runs one of three bodies by the
-number of expanding PEs: the scalar row loop (<= ``SPARSE_THRESHOLD``),
-the allocating reference (mid-width) and the scratch-backed dense path
-(>= ``DENSE_THRESHOLD``).  The full-run identity suites use P = 64, which
-never reaches the dense band, so this module drives a machine-wide
-frontier (P = 1024) in lock-step against the per-PE ``DFSStack`` storage
-and spies on the bands to prove each one ran.
+:func:`repro.search.kernel.expand_cycle` runs one of two bodies by the
+number of expanding PEs: the scalar row loop (<= ``SPARSE_THRESHOLD``)
+and the vector body above it.  This module drives a machine-wide
+frontier (P = 1024) in lock-step against the per-PE ``DFSStack``
+storage and spies on the bands to prove each one ran, a goal pop in the
+vector body included.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from repro.search.ida_star import ida_star
 from repro.search.parallel import SearchWorkload
 from tests.oracles import opaque
 
-BANDS = ("_expand_rows", "_expand_reference", "_expand_dense")
+BANDS = ("_expand_rows", "_expand_vector")
 
 
 @pytest.fixture
@@ -28,12 +29,11 @@ def band_calls(monkeypatch):
     for name in BANDS:
         real = getattr(kernel, name)
 
-        def spy(wl, pes, ws, _real=real, _name=name):
+        def spy(wl, pes, _real=real, _name=name):
             before = wl.solutions
-            out = _real(wl, pes, ws)
+            _real(wl, pes)
             calls[_name][0] += 1
             calls[_name][1] += wl.solutions > before
-            return out
 
         monkeypatch.setattr(kernel, name, spy)
     return calls
@@ -42,7 +42,7 @@ def band_calls(monkeypatch):
 def test_every_band_tracks_dfs_stacks_at_machine_width(band_calls):
     """Expand + donate in lock-step at P = 1024: per-PE counts, masks,
     next bound and goal depths agree after every cycle, and the bound
-    sits above the optimum so goals pop inside the dense band too."""
+    sits above the optimum so goals pop inside the vector body too."""
     problem = scrambled_fifteen_puzzle(40, rng=5)
     bound = ida_star(problem).solution_cost + 2
     n_pes = 1024
@@ -66,31 +66,36 @@ def test_every_band_tracks_dfs_stacks_at_machine_width(band_calls):
     assert arena.expanded == dfs.expanded and arena.solutions == dfs.solutions > 0
     for name in BANDS:
         assert band_calls[name][0] >= 1, name
-    assert band_calls["_expand_dense"][1] >= 1  # the dense goal branch ran
+    assert band_calls["_expand_vector"][1] >= 1  # the vector goal branch ran
 
 
-def test_row_loop_alone_matches_the_banded_kernel():
-    """The sparse band's row loop is a complete kernel on its own: run it
-    at every width and it reproduces the banded kernel's state."""
+def test_row_loop_alone_matches_the_banded_kernel(monkeypatch):
+    """The sparse band's row loop is a complete kernel on its own: run at
+    every width, with donations spreading the frontier, it reproduces the
+    vector body's state."""
     problem = BENCH_INSTANCES["tiny"]
     bound = problem.heuristic(problem.initial_state()) + 10
-    reference = SearchWorkload(problem, bound, 16)
-    subject = SearchWorkload(problem, bound, 16)
-    for _ in range(24):
-        if reference.done():
-            break
-        reference.expand_cycle()
-        pes = np.flatnonzero(subject._counts() > 0)
-        subject._cached_counts = None
-        kernel._expand_rows(subject, pes, subject._kernel_ws)
 
-    def state(wl):
+    def run():
+        wl = SearchWorkload(problem, bound, 16)
+        stacks = []
+        while not wl.done():
+            wl.expand_cycle()
+            stacks.append(wl.stacks)
+            busy = np.flatnonzero(wl.busy_mask())
+            idle = np.flatnonzero(wl.idle_mask())
+            k = min(len(busy), len(idle))
+            wl.transfer(busy[:k], idle[:k])
         return (
             wl.total_expanded(),
             wl.next_bound,
             wl.solutions,
-            sorted(wl.goal_depths),
-            wl._counts().tolist(),
+            wl.goal_depths,
+            stacks,
         )
 
-    assert state(subject) == state(reference)
+    monkeypatch.setattr(kernel, "SPARSE_THRESHOLD", 0)
+    reference = run()
+    assert reference[2] > 0  # goals popped
+    monkeypatch.setattr(kernel, "SPARSE_THRESHOLD", sys.maxsize)
+    assert run() == reference

@@ -27,6 +27,6 @@ class _Opaque(SearchProblem):
 
 
 def opaque(problem: SearchProblem) -> SearchProblem:
-    """``problem``'s tree with no vectorizable view: same states, same
+    """``problem``'s tree with no packed view: same states, same
     order, same heuristic, so a search over it expands the same nodes."""
     return _Opaque(problem)

@@ -2,42 +2,73 @@
 
 The cross-scheme run-level equivalence lives in
 ``tests/integration/test_search_backend_equivalence.py``; here we test
-the building blocks — the puzzle's vectorizable codec and tables, the
-arena under the search payload (``tests/simd/test_arena.py`` fuzzes the
-same operations), which problems get the arena, and cycle-by-cycle
-lock-step identity between the two storages including donation.
+the building blocks — the puzzle's packed codec and move tables, the
+vector body's children against per-node expansion, the arena under the
+search payload (``tests/simd/test_arena.py`` fuzzes the same
+operations), which problems get the arena, and cycle-by-cycle lock-step
+identity between the two storages including donation and growth.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
-from repro.problems.npuzzle import SlidingPuzzle, manhattan_distance
+from repro.problems.npuzzle import PuzzleState, SlidingPuzzle, manhattan_distance
 from repro.problems.nqueens import NQueensProblem
-from repro.search.kernel import G_COL
-from repro.search.parallel import SearchWorkload
+from repro.search import kernel
+from repro.search.ida_star import ida_star
+from repro.search.kernel import G_SHIFT, H_SHIFT
+from repro.search.parallel import ParallelIDAStar, SearchWorkload
 from repro.search.stack import DFSStack
 from repro.simd.arena import WindowArena
 from tests.oracles import opaque
 
 
-def _search_arena(n_pes, width, *, capacity=64):
-    """The search workload's arena: a uint8 state row plus int32 meta."""
-    return WindowArena(
-        n_pes, (((width,), np.uint8), ((4,), np.int32)), capacity=capacity
-    )
+def _search_arena(n_pes, *, capacity=64):
+    """The search workload's arena: a board word plus an info word."""
+    return WindowArena(n_pes, (((), np.int64), ((), np.int64)), capacity=capacity)
+
+
+@st.composite
+def _states(draw, sides=(2, 3, 4)):
+    """A random board (any permutation) with any legal previous blank."""
+    side = draw(st.sampled_from(sides))
+    tiles = tuple(draw(st.permutations(range(side * side))))
+    problem = SlidingPuzzle(tiles)
+    blank = tiles.index(0)
+    prev = draw(st.sampled_from((-1, *problem._neighbors[blank])))
+    return problem, PuzzleState(tiles, blank, prev)
 
 
 class TestPuzzleCodec:
-    @pytest.mark.parametrize("side", [3, 4, 5])
+    @pytest.mark.parametrize("side", [2, 3, 4])
     def test_encode_decode_roundtrip(self, side):
         p = SlidingPuzzle.scrambled(side, 30, rng=7)
         state = p.initial_state()
         for _ in range(5):
-            tiles_row, blank, prev = p.encode_state(state)
-            assert tiles_row.dtype == np.uint8
-            assert p.decode_state(tiles_row, blank, prev) == state
+            word, key = p.encode_state(state)
+            assert -(1 << 63) <= word < 1 << 63
+            assert p.decode_state(word, key) == state
             state = p.expand(state)[0]
+
+    @given(_states())
+    @example(
+        (
+            SlidingPuzzle(range(15, -1, -1)),
+            PuzzleState(tuple(range(15, -1, -1)), 15, 14),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_codec_roundtrips_any_permutation(self, case):
+        """Any board at side 2-4 round-trips; a tile >= 8 in cell 15 sets
+        the sign bit of the word."""
+        p, state = case
+        word, key = p.encode_state(state)
+        assert (word < 0) == (p.side == 4 and state.tiles[15] >= 8)
+        assert p.decode_state(word, key) == state
+        assert np.array([word], dtype=np.int64)[0] == word  # fits an int64
 
     @pytest.mark.parametrize("side", [3, 4])
     def test_move_table_matches_neighbor_table(self, side):
@@ -49,8 +80,10 @@ class TestPuzzleCodec:
             assert (table[pos, len(moves) :] == -1).all()
 
     def test_goal_row_is_goal_layout(self):
+        """The packed goal word decodes to the goal layout."""
         p = SlidingPuzzle.scrambled(4, 10, rng=1)
-        assert p.goal_row().tolist() == list(p.goal_tiles)
+        goal = p.decode_state(p.packed_moves().goal_word, 0)
+        assert goal.tiles == p.goal_tiles
 
     @pytest.mark.parametrize("side", [3, 4])
     def test_delta_table_tracks_manhattan_incrementally(self, side):
@@ -69,7 +102,8 @@ class TestPuzzleCodec:
 
     def test_tables_are_read_only(self):
         p = SlidingPuzzle.scrambled(3, 5, rng=0)
-        for table in (p.move_table(), p.manhattan_table(), p.goal_row()):
+        tables = (p.move_table(), p.manhattan_table(), *p.packed_moves()[1:])
+        for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -81,77 +115,112 @@ class TestPuzzleCodec:
         )
         assert not lc.supports_arena_backend()
 
+    def test_side_five_runs_on_dfs_stacks(self):
+        """25 cells do not fit one word: the puzzle declines the arena and
+        still expands serial IDA*'s tree, node for node."""
+        p = SlidingPuzzle.scrambled(5, 14, rng=4)
+        assert not p.supports_arena_backend()
+        assert SearchWorkload(p, 30, 4)._arena is None
+        parallel = ParallelIDAStar(p, 16, "GP-S0.75").run()
+        serial = ida_star(p)
+        assert parallel.total_expanded == serial.total_expanded
+        assert parallel.bounds == serial.bounds
+        assert parallel.solution_cost == serial.solution_cost
+        assert parallel.solutions == serial.solutions
+
+
+class TestVectorBody:
+    @given(_states(), st.integers(0, 200))
+    @settings(max_examples=150, deadline=None)
+    def test_children_are_the_packed_expansion(self, case, g):
+        """One popped entry's children, as the vector body writes them,
+        are ``problem.expand(state)`` packed, in push order (reversed
+        generation order) — or nothing, with ``g`` recorded, at a goal."""
+        p, state = case
+        wl = SearchWorkload(p, 1 << 30, 1)
+        word, key = p.encode_state(state)
+        h = p.heuristic(state)
+        wl._arena.planes[1][0, 0] = g << G_SHIFT | h << H_SHIFT | key
+        wl._arena.planes[0][0, 0] = word
+        kernel._expand_vector(wl, np.array([0]))
+        words, infos = wl._arena.window(0)
+        if state.tiles == p.goal_tiles:
+            assert wl.goal_depths == [g] and len(words) == 0
+            return
+        want = []
+        for child in reversed(p.expand(state)):
+            child_word, child_key = p.encode_state(child)
+            child_info = (g + 1) << G_SHIFT | p.heuristic(child) << H_SHIFT | child_key
+            want.append((child_word, child_info))
+        assert list(zip(words.tolist(), infos.tolist())) == want
+
 
 class TestSearchArena:
-    def _roots(self, width):
-        tiles = np.arange(width, dtype=np.uint8)
-        meta = np.array([0, 5, 2, -1], dtype=np.int32)
-        return tiles, meta
+    @staticmethod
+    def _entries(gs):
+        """Board and info words for entries of depth ``gs``; the words
+        are negative, so a lost sign bit shows."""
+        gs = np.asarray(gs, dtype=np.int64)
+        return -(gs + 1) * 0x0123456789ABCDEF, gs << G_SHIFT | 5 << H_SHIFT | 7
 
     def test_push_pop_roundtrip(self):
-        arena = _search_arena(4, 9)
-        tiles, meta = self._roots(9)
-        arena.push_root(1, tiles, meta)
+        arena = _search_arena(4)
+        word, info = self._entries([3])
+        arena.push_root(1, word[0], info[0])
         assert arena.counts().tolist() == [0, 1, 0, 0]
-        out_tiles, out_meta = arena.pop_tops(np.array([1]))
-        assert np.array_equal(out_tiles[0], tiles)
-        assert np.array_equal(out_meta[0], meta)
+        out_words, out_infos = arena.pop_tops(np.array([1]))
+        assert out_words.tolist() == word.tolist()
+        assert out_infos.tolist() == info.tolist()
         assert arena.counts().sum() == 0
 
     def test_push_segments_csr_order(self):
-        arena = _search_arena(3, 4)
+        arena = _search_arena(3)
         pes = np.array([0, 2])
         lens = np.array([2, 1])
-        tiles_flat = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        meta_flat = np.arange(12, dtype=np.int32).reshape(3, 4)
-        arena.push_segments(pes, lens, tiles_flat, meta_flat)
+        words, infos = self._entries([0, 1, 2])
+        arena.push_segments(pes, lens, words, infos)
         assert arena.counts().tolist() == [2, 0, 1]
-        t0, m0 = arena.window(0)
-        assert np.array_equal(t0, tiles_flat[:2])
-        assert np.array_equal(m0, meta_flat[:2])
-        t2, _ = arena.window(2)
-        assert np.array_equal(t2, tiles_flat[2:])
+        w0, i0 = arena.window(0)
+        assert np.array_equal(w0, words[:2])
+        assert np.array_equal(i0, infos[:2])
+        w2, _ = arena.window(2)
+        assert np.array_equal(w2, words[2:])
 
     def test_donate_bottoms_moves_oldest_entry(self):
-        arena = _search_arena(2, 4)
-        for g in range(3):
-            tiles = np.full(4, g, dtype=np.uint8)
-            arena.push_root(0, tiles, np.array([g, 0, 0, 0], dtype=np.int32))
+        arena = _search_arena(2)
+        words, infos = self._entries(range(3))
+        for word, info in zip(words, infos):
+            arena.push_root(0, word, info)
         arena.donate_bottoms(np.array([0]), np.array([1]))
         assert arena.counts().tolist() == [2, 1]
-        t1, m1 = arena.window(1)
-        assert t1[0].tolist() == [0, 0, 0, 0]
-        assert m1[0, G_COL] == 0
+        w1, i1 = arena.window(1)
+        assert w1.tolist() == words[:1].tolist()
+        assert i1[0] >> G_SHIFT == 0
 
     def test_capacity_growth_preserves_windows(self):
-        arena = _search_arena(2, 3, capacity=2)
+        arena = _search_arena(2, capacity=2)
+        words, infos = self._entries(range(9))
         for g in range(9):
             arena.push_segments(
-                np.array([0]),
-                np.array([1]),
-                np.full((1, 3), g, dtype=np.uint8),
-                np.array([[g, g, g, g]], dtype=np.int32),
+                np.array([0]), np.array([1]), words[g : g + 1], infos[g : g + 1]
             )
         assert arena.capacity >= 9
-        _, meta = arena.window(0)
-        assert meta[:, G_COL].tolist() == list(range(9))
+        got_words, got_infos = arena.window(0)
+        assert (got_infos >> G_SHIFT).tolist() == list(range(9))
+        assert np.array_equal(got_words, words)
 
     def test_compaction_reclaims_donated_slots(self):
-        arena = _search_arena(2, 3, capacity=4)
-        for g in range(4):
-            arena.push_root(0, np.full(3, g, dtype=np.uint8),
-                            np.array([g, 0, 0, 0], dtype=np.int32))
+        arena = _search_arena(2, capacity=4)
+        words, infos = self._entries([0, 1, 2, 3, 9])
+        for word, info in zip(words[:4], infos[:4]):
+            arena.push_root(0, word, info)
         arena.donate_bottoms(np.array([0]), np.array([1]))
         # PE 0 holds 3 live entries in slots [1, 4); one more push must
         # compact into the donated slot rather than grow.
-        arena.push_segments(
-            np.array([0]), np.array([1]),
-            np.full((1, 3), 9, dtype=np.uint8),
-            np.full((1, 4), 9, dtype=np.int32),
-        )
+        arena.push_segments(np.array([0]), np.array([1]), words[4:], infos[4:])
         assert arena.capacity == 4
-        _, meta = arena.window(0)
-        assert meta[:, G_COL].tolist() == [1, 2, 3, 9]
+        _, got = arena.window(0)
+        assert (got >> G_SHIFT).tolist() == [1, 2, 3, 9]
 
 
 def _on_dfs_stacks(workload) -> bool:
@@ -225,6 +294,44 @@ def test_lockstep_cycle_and_transfer_identity(side, scramble, bound, split):
     assert wl_list.expanded == wl_arena.expanded
     assert wl_list.solutions == wl_arena.solutions
     assert wl_list.goal_depths == wl_arena.goal_depths
+    assert wl_list.next_bound == wl_arena.next_bound
+
+
+def test_vector_body_grows_the_arena_mid_cycle(monkeypatch):
+    """An arena started at 4 slots per PE overflows inside the vector
+    body: it reserves (compacting donated slots, then doubling) and
+    rewrites the children, still in lock-step with ``DFSStack``s."""
+    monkeypatch.setattr(kernel, "SPARSE_THRESHOLD", 0)
+    p = SlidingPuzzle.scrambled(4, 30, rng=5)
+    bound = ida_star(p).solution_cost
+    wl_list = SearchWorkload(opaque(p), bound, 16)
+    wl_arena = SearchWorkload(p, bound, 16)
+    small = _search_arena(16, capacity=4)
+    small.push_root(0, *(plane[0, 0] for plane in wl_arena._arena.planes))
+    wl_arena._arena = small
+    reserves = []
+    real_reserve = small.reserve
+
+    def reserve(pes, lens):
+        reserves.append(len(pes))
+        real_reserve(pes, lens)
+
+    monkeypatch.setattr(small, "reserve", reserve)
+    cycle = 0
+    while not wl_list.done():
+        assert wl_list.expand_cycle() == wl_arena.expand_cycle()
+        assert _flat_stacks(wl_list) == _flat_stacks(wl_arena), cycle
+        busy = np.flatnonzero(wl_list.busy_mask())
+        idle = np.flatnonzero(wl_list.idle_mask())
+        pairs = min(len(busy), len(idle))
+        assert wl_list.transfer(busy[:pairs], idle[:pairs]) == wl_arena.transfer(
+            busy[:pairs], idle[:pairs]
+        )
+        cycle += 1
+    assert wl_arena.done()
+    assert reserves and small.capacity > 4
+    assert wl_list.expanded == wl_arena.expanded
+    assert wl_list.goal_depths == wl_arena.goal_depths != []
     assert wl_list.next_bound == wl_arena.next_bound
 
 

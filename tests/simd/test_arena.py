@@ -1,9 +1,10 @@
 """Hypothesis fuzz: ``WindowArena`` against a list-of-lists model.
 
 Both workloads' row shapes — the stack model's one int64 per entry and
-the search's uint8 state row plus int32 meta — run random interleavings
-of every arena operation, including empty push segments.  Arenas start at
-capacity 1-2, so compaction after donations and doubling both fire.
+the search's two (a packed board word plus its info word) — run random
+interleavings of every arena operation, including empty push segments.
+Arenas start at capacity 1-2, so compaction after donations and
+doubling both fire.
 After every step each PE's window must equal the model's list, entry for
 entry on every plane.
 """
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro.simd.arena import WindowArena
 
 STACK_ROWS = (((), np.int64),)
-SEARCH_ROWS = (((5,), np.uint8), ((4,), np.int32))
+SEARCH_ROWS = (((), np.int64), ((), np.int64))
 
 OPS = ("push", "pop", "donate", "take", "move_window", "reset", "reserve")
 
