@@ -134,16 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--seed", type=int, default=0)
     grid.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for the grid cells (default: serial)",
+        help="worker processes for the grid cells, >= 1 (default: auto "
+        "decides; 1 keeps the grid in this process)",
     )
     grid.add_argument(
         # Mirrors runner.GRID_EXECUTORS; kept literal so building the
         # parser stays import-light (locked by a CLI test).
         "--executor", default="auto",
-        choices=["auto", "serial", "process", "batched"],
+        choices=["auto", "serial", "batched"],
         help="grid execution strategy: batched packs all cells into one "
-        "mega-arena; process is the per-cell pool; auto picks batched "
-        "when every cell supports it (default: auto)",
+        "mega-arena; serial runs one cell at a time; auto is batched and "
+        "shards a large grid over one worker per CPU (default: auto)",
     )
     grid.add_argument(
         "--stats", default=None, metavar="PATH",
@@ -173,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine width for the kernel benches (default: 4096, smoke: 256)",
     )
     bench.add_argument(
-        "--jobs", type=int, default=4, help="worker processes for the grid bench"
+        "--jobs", type=int, default=None,
+        help="n_jobs for the grid bench's auto row (default: auto decides)",
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(

@@ -22,7 +22,9 @@ executor split that fixes it:
 Only the *infrequent* events drop to per-cell Python: an LB phase runs
 the cell's own matcher/splitter on its arena slice exactly as the serial
 scheduler would, and a finished cell snapshots its
-:class:`~repro.core.metrics.RunMetrics`.
+:class:`~repro.core.metrics.RunMetrics` and then leaves the arena and
+every lane in the same cycle, so a grid whose cells finish at different
+cycles only scans the cells still running.
 
 **Record identity is the contract.**  Every float accumulation, RNG
 draw, matcher decision and ledger charge happens in the same per-cell
@@ -58,8 +60,15 @@ __all__ = ["CellPlan", "is_batchable", "MegaGridExecutor", "run_batched_cells"]
 #: Mirrors the scheduler's hard safety cap on transfer rounds per phase.
 _MAX_ROUNDS_FACTOR = 4
 
-#: Trigger kinds on the vectorized cell axis.
-_KIND_STATIC, _KIND_DP, _KIND_DK = 0, 1, 2
+#: Every per-cell vector of :class:`MegaGridExecutor`, one entry per
+#: cell still running; ``_drop_finished`` filters them all by one mask.
+_LANES = (
+    "pes", "pes_dt", "pes_f", "totals", "remaining", "in_main",
+    "is_static", "is_dp", "is_dk", "static_xp", "lb_cost_est", "lb_cost_est_p",
+    "elapsed", "t_calc", "t_idle", "t_lb",
+    "n_lb", "n_transfers", "n_init_lb",
+    "acc_work", "acc_elapsed", "acc_idle",
+)
 
 
 @dataclass(frozen=True)
@@ -169,13 +178,21 @@ class MegaGridExecutor:
         self.pes = np.array([c.n_pes for c in cells], dtype=np.int64)
         self.totals = np.array([c.total_work for c in cells], dtype=np.int64)
         self.arena = MegaArena(self.pes.tolist(), roots=self.totals.tolist())
+        # Each cell's slice of the arena, taken once per arena layout.
+        self.views = self.arena.views()
+        # lb_phase_time by (P, rounds, setup scans): a phase's simulated
+        # price depends on nothing else, and a grid pays thousands.
+        self._phase_times: dict[tuple[int, int, int], float] = {}
 
         # Per-cell Python state and vectorized trigger parameters.  The
         # trigger objects built by the scheme are only probed for their
         # type and constants; their per-cycle arithmetic is replicated
         # on the cell axis below, operand-for-operand.
         self.runs: list[_CellRun] = []
-        self.kind = np.zeros(n, dtype=np.int64)
+        # Trigger kind per cell: S^x, D_P or D_K.
+        self.is_static = np.zeros(n, dtype=bool)
+        self.is_dp = np.zeros(n, dtype=bool)
+        self.is_dk = np.zeros(n, dtype=bool)
         self.static_xp = np.zeros(n, dtype=np.float64)  # x * P per static cell
         self.lb_cost_est = np.zeros(n, dtype=np.float64)  # L
         self.lb_cost_est_p = np.zeros(n, dtype=np.float64)  # L * P
@@ -192,23 +209,22 @@ class MegaGridExecutor:
                 )
             self.runs.append(_CellRun(plan, matcher, plan.scheme.multiple_transfers))
             if isinstance(trigger, StaticTrigger):
-                self.kind[i] = _KIND_STATIC
+                self.is_static[i] = True
                 self.static_xp[i] = trigger.x * plan.n_pes
             else:
-                self.kind[i] = (
-                    _KIND_DP if isinstance(trigger, DPTrigger) else _KIND_DK
-                )
+                self.is_dp[i] = isinstance(trigger, DPTrigger)
+                self.is_dk[i] = not self.is_dp[i]
                 self.lb_cost_est[i] = initial_lb_cost
                 self.lb_cost_est_p[i] = initial_lb_cost * plan.n_pes
 
-        # Ledger lines and counters, one lane per cell.  A finished cell
-        # snapshots its metrics the cycle it completes; its lanes may
-        # keep accumulating afterwards (they are never read again).
+        # Ledger lines and counters, one lane per running cell.  Every
+        # cell starts at cycle 0 and expands each cycle until it leaves,
+        # so one counter is every running cell's cycle count.
+        self.cycles = 0
         self.elapsed = np.zeros(n, dtype=np.float64)
         self.t_calc = np.zeros(n, dtype=np.float64)
         self.t_idle = np.zeros(n, dtype=np.float64)
         self.t_lb = np.zeros(n, dtype=np.float64)
-        self.n_cycles = np.zeros(n, dtype=np.int64)
         self.n_lb = np.zeros(n, dtype=np.int64)
         self.n_transfers = np.zeros(n, dtype=np.int64)
         self.n_init_lb = np.zeros(n, dtype=np.int64)
@@ -222,27 +238,32 @@ class MegaGridExecutor:
         self.acc_elapsed = np.zeros(n, dtype=np.float64)
         self.acc_idle = np.zeros(n, dtype=np.float64)
 
+        # charge_expansion_cycle computes dt = u_calc * slowdown with
+        # slowdown 1.0; replicate the multiply so the float is the same.
+        self.dt = self.cost.u_calc * 1.0
+        self.pes_dt = self.pes * self.dt
+        self.pes_f = self.pes.astype(np.float64)
         self.remaining = self.totals.copy()
-        self.live = np.ones(n, dtype=bool)
         self.in_main = np.array([not r.in_init for r in self.runs], dtype=bool)
         self.results: dict[int, RunMetrics] = {}
 
     # -- the lock-step loop ----------------------------------------------
 
     def run(self) -> dict[int, RunMetrics]:
-        """Drive every cell to exhaustion; return metrics by grid index."""
-        u = self.cost.u_calc
-        # charge_expansion_cycle computes dt = u_calc * slowdown with
-        # slowdown 1.0; replicate the multiply so the float is the same.
-        dt = u * 1.0
-        pes_dt = self.pes * dt
-        pes_f = self.pes.astype(np.float64)
-        has_init = any(r.in_init for r in self.runs)
-        has_dp = bool(np.any(self.kind == _KIND_DP))
-        has_dk = bool(np.any(self.kind == _KIND_DK))
-        has_static = bool(np.any(self.kind == _KIND_STATIC))
+        """Drive every cell to exhaustion; return metrics by grid index.
 
-        while self.live.any():
+        Every lane and the arena hold only the cells still running: a
+        cell that finishes is snapshotted and dropped in the same cycle,
+        so the rest of the grid stops paying for its rows.
+        """
+        u = self.cost.u_calc
+        dt = self.dt
+        has_init = any(r.in_init for r in self.runs)
+        has_dp = bool(self.is_dp.any())
+        has_dk = bool(self.is_dk.any())
+        has_static = bool(self.is_static.any())
+
+        while True:
             with span("mega.expand_cycle", cat="grid"):
                 counts = self.arena.expand_all()
                 busy = self.arena.busy_counts()
@@ -252,8 +273,8 @@ class MegaGridExecutor:
             calc = counts * u
             self.elapsed += dt
             self.t_calc += calc
-            self.t_idle += pes_dt - calc
-            self.n_cycles += 1
+            self.t_idle += self.pes_dt - calc
+            self.cycles += 1
             self.remaining -= counts
 
             # Trigger accumulators advance before the fire decision,
@@ -262,16 +283,20 @@ class MegaGridExecutor:
                 self.acc_work += counts * dt
                 self.acc_elapsed += dt
             if has_dk:
-                self.acc_idle += (pes_f - counts) * dt
+                self.acc_idle += (self.pes_f - counts) * dt
 
             if self.sanitize:
                 self._sanity_step(counts)
 
             # Cells whose final node expanded this cycle finish *before*
             # the trigger is consulted (the serial loop breaks first).
-            if np.any((self.remaining == 0) & self.live):
-                for c in np.flatnonzero((self.remaining == 0) & self.live):
+            done = self.remaining == 0
+            if done.any():
+                for c in np.flatnonzero(done):
                     self._finalize(int(c))
+                if done.all():
+                    break
+                busy = self._drop_finished(~done, busy)
 
             # Trigger decisions for cells in the main loop.
             fired = self._fired(busy, has_static, has_dp, has_dk)
@@ -289,23 +314,23 @@ class MegaGridExecutor:
     def _fired(
         self, busy: np.ndarray, has_static: bool, has_dp: bool, has_dk: bool
     ) -> np.ndarray:
-        """Indices of live main-loop cells whose trigger fired this cycle."""
-        eligible = self.live & self.in_main
+        """Indices of main-loop cells whose trigger fired this cycle."""
+        eligible = self.in_main
         if not eligible.any():
             return np.empty(0, dtype=np.int64)
-        fire = np.zeros(len(self.live), dtype=bool)
+        fire = np.zeros(len(eligible), dtype=bool)
         if has_static:
-            fire |= (self.kind == _KIND_STATIC) & (busy <= self.static_xp)
+            fire |= self.is_static & (busy <= self.static_xp)
         if has_dp:
             r1 = self.acc_work - busy * self.acc_elapsed
             r2 = busy * self.lb_cost_est
-            fire |= (self.kind == _KIND_DP) & (r1 >= r2)
+            fire |= self.is_dp & (r1 >= r2)
         if has_dk:
-            fire |= (self.kind == _KIND_DK) & (self.acc_idle >= self.lb_cost_est_p)
+            fire |= self.is_dk & (self.acc_idle >= self.lb_cost_est_p)
         return np.flatnonzero(fire & eligible)
 
     def _step_init_cells(self) -> bool:
-        """Advance every live cell still in its init-distribution phase.
+        """Advance every cell still in its init-distribution phase.
 
         Returns whether any cell remains in init mode.
         """
@@ -314,11 +339,8 @@ class MegaGridExecutor:
         for c, run in enumerate(self.runs):
             if not run.in_init:
                 continue
-            if not self.live[c]:
-                run.in_init = False
-                continue
-            # Serial order: the done-check already ran (finalized cells
-            # are not live); next the threshold check, then a balance.
+            # Serial order: the done-check already ran (finished cells
+            # are gone); next the threshold check, then a balance.
             assert run.init_target is not None
             if nonzero[c] >= run.init_target:
                 run.in_init = False
@@ -329,6 +351,17 @@ class MegaGridExecutor:
                 self.n_init_lb[c] += 1
             any_left = True
         return any_left
+
+    def _drop_finished(self, keep: np.ndarray, busy: np.ndarray) -> np.ndarray:
+        """Drop the cells ``_finalize`` just snapshotted from the arena,
+        every lane and ``runs``; return this cycle's ``busy`` re-indexed
+        to the survivors."""
+        self.arena.keep(keep)
+        self.views = self.arena.views()
+        for name in _LANES:
+            setattr(self, name, getattr(self, name)[keep])
+        self.runs = [run for run, k in zip(self.runs, keep) if k]
+        return busy[keep]
 
     # -- per-cell slow paths ----------------------------------------------
 
@@ -350,7 +383,7 @@ class MegaGridExecutor:
         from the cell's own stream, in the oracle's order.
         """
         run = self.runs[c]
-        work = self.arena.cell(c)
+        work = self.views[c]
         busy = (work >= 2).nonzero()[0]
         idle = (work == 0).nonzero()[0]
         if not len(busy) or not len(idle):
@@ -377,9 +410,12 @@ class MegaGridExecutor:
                 idle = (work == 0).nonzero()[0]
                 if not len(busy) or not len(idle):
                     break
-        dt = self.cost.lb_phase_time(
-            n_pes, transfer_rounds=rounds, setup_scans=matcher.setup_scans
-        )
+        key = (n_pes, rounds, matcher.setup_scans)
+        dt = self._phase_times.get(key)
+        if dt is None:
+            dt = self._phase_times[key] = self.cost.lb_phase_time(
+                n_pes, transfer_rounds=rounds, setup_scans=matcher.setup_scans
+            )
         self.elapsed[c] += dt
         self.t_lb[c] += n_pes * dt
         self.n_lb[c] += 1
@@ -404,7 +440,7 @@ class MegaGridExecutor:
             scheme=run.plan.scheme.name,
             n_pes=run.plan.n_pes,
             total_work=int(self.arena.expanded()[c]),
-            n_expand=int(self.n_cycles[c]),
+            n_expand=self.cycles,
             n_lb=int(self.n_lb[c]),
             n_transfers=int(self.n_transfers[c]),
             n_init_lb=int(self.n_init_lb[c]),
@@ -418,9 +454,6 @@ class MegaGridExecutor:
         self.results[run.plan.index] = metrics
         if self.on_cell_done is not None:
             self.on_cell_done(run.plan, metrics)
-        self.live[c] = False
-        self.in_main[c] = False
-        run.in_init = False
 
     # -- sanitize mode -----------------------------------------------------
 

@@ -8,8 +8,9 @@ numbers:
   ``expand_cycle`` at machine width, measured in a warmed (work-spread)
   state.
 - **grid** — a small static-trigger isoefficiency grid (Figure 4's
-  shape) executed serially and with ``run_grid(n_jobs=...)``, plus a
-  record-identity check between the two.
+  shape) executed serially, in one in-process arena and with the
+  default ``executor="auto"``, plus a record-identity check between
+  the three.
 
 The *search* section (written separately as ``BENCH_search.json``)
 covers the real 15-puzzle workload the same way:
@@ -156,29 +157,30 @@ def bench_stack_kernel(
 
 def bench_grid(
     *,
-    n_jobs: int = 4,
+    n_jobs: int | None = None,
     schemes: tuple[str, ...] = ("GP-S0.90", "nGP-S0.80"),
     works: tuple[int, ...] = (58_866, 190_948, 379_601),
     pes: tuple[int, ...] = (512,),
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
-    """A small Figure-4-style grid: serial vs batched vs process-parallel.
+    """A small Figure-4-style grid: serial vs batched vs auto.
 
     The defaults take SMALL_SCALE's machine width and its smaller Table 2
     work sizes.  The headline ``speedup`` is the in-process mega-arena
     executor against the per-cell serial oracle — it does not need free
     cores, so it must beat 1.0 even on a 1-core CI host.
-    ``speedup_process`` is the per-cell pool, which *does* need
-    ``n_jobs`` free cores (the host block records ``cpu_count`` for
-    exactly that reason).  All paths report best-of-``repeats`` (repeat
-    0 untimed warmup); the grids themselves are deterministic, so every
-    repeat computes the same records.
+    ``speedup_auto`` is the default executor with ``n_jobs`` (None:
+    it decides whether to pool, see ``POOL_THRESHOLD``), which only
+    pools where free cores exist (the host block records ``cpu_count``
+    for exactly that reason).  All paths report best-of-``repeats``
+    (repeat 0 untimed warmup); the grids themselves are deterministic,
+    so every repeat computes the same records.
     """
     _check_repeats(repeats)
     grid_args = (list(schemes), list(works), list(pes))
     timings: dict[str, float | None] = {
-        "serial": None, "batched": None, "process": None,
+        "serial": None, "batched": None, "auto": None,
     }
     records: dict[str, list] = {}
 
@@ -193,12 +195,12 @@ def bench_grid(
     for rep in range(repeats + 1):
         time_one("serial", rep, executor="serial")
         time_one("batched", rep, executor="batched")
-        time_one("process", rep, executor="process", n_jobs=n_jobs)
-    serial_s, batched_s, process_s = (
-        timings["serial"], timings["batched"], timings["process"],
+        time_one("auto", rep, executor="auto", n_jobs=n_jobs)
+    serial_s, batched_s, auto_s = (
+        timings["serial"], timings["batched"], timings["auto"],
     )
     assert serial_s is not None and batched_s is not None
-    assert process_s is not None
+    assert auto_s is not None
     return {
         "schemes": list(schemes),
         "works": list(works),
@@ -208,11 +210,11 @@ def bench_grid(
         "repeats": repeats,
         "serial_s": serial_s,
         "batched_s": batched_s,
-        "process_s": process_s,
+        "auto_s": auto_s,
         "speedup": serial_s / batched_s,
-        "speedup_process": serial_s / process_s,
+        "speedup_auto": serial_s / auto_s,
         "records_identical": (
-            records["serial"] == records["batched"] == records["process"]
+            records["serial"] == records["batched"] == records["auto"]
         ),
     }
 
@@ -345,7 +347,7 @@ def run_bench(
     *,
     smoke: bool = False,
     n_pes: int | None = None,
-    n_jobs: int = 4,
+    n_jobs: int | None = None,
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
     out: str | Path = BENCH_PATH,
@@ -365,11 +367,9 @@ def run_bench(
         if smoke
         else {}
     )
-    grid_kwargs = (
-        {"works": (2_000, 4_000), "pes": (32,), "n_jobs": min(n_jobs, 2)}
-        if smoke
-        else {"n_jobs": n_jobs}
-    )
+    grid_kwargs: dict = {"n_jobs": n_jobs}
+    if smoke:
+        grid_kwargs.update(works=(2_000, 4_000), pes=(32,))
     report = {
         "schema": 1,
         "generated_unix": time.time(),
@@ -402,8 +402,8 @@ def render_bench(report: dict) -> str:
         f"({stack['ms_per_cycle']:.3f} ms/cycle)",
         f"grid {grid['cells']} cells, n_jobs={grid['n_jobs']}: "
         f"serial {grid['serial_s']:.2f}s, batched {grid['batched_s']:.2f}s "
-        f"({grid['speedup']:.2f}x), process {grid['process_s']:.2f}s "
-        f"({grid['speedup_process']:.2f}x on {report['host']['cpu_count']} "
+        f"({grid['speedup']:.2f}x), auto {grid['auto_s']:.2f}s "
+        f"({grid['speedup_auto']:.2f}x on {report['host']['cpu_count']} "
         f"CPUs); record-identical: {grid['records_identical']}",
     ]
     return "\n".join(lines)
@@ -436,7 +436,7 @@ _COMPARE_DIRECTIONS = {
     "serial_s": "lower",
     "parallel_s": "lower",
     "batched_s": "lower",
-    "process_s": "lower",
+    "auto_s": "lower",
     "seconds": "lower",
 }
 

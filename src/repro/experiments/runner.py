@@ -6,6 +6,12 @@ the paper's Table 2.  ``PAPER_SCALE`` is the CM-2 configuration verbatim
 workload); ``SMALL_SCALE`` divides both by 16 for quick test runs, and
 ``TINY_SCALE`` is for unit tests.
 
+``run_grid`` runs a grid's cells in one in-process
+:class:`~repro.workmodel.mega.MegaArena`, or, when the grid is large
+enough to pay for a pool (:data:`POOL_THRESHOLD`) or ``n_jobs`` asks
+for one, as shards of near-equal predicted cost (sum of W/P) on a
+per-call fork pool, one worker per usable CPU.
+
 Grid execution is durable and hardened (see ``docs/durability.md``):
 
 - ``run_grid(journal=path)`` records each completed cell into a
@@ -22,7 +28,10 @@ Grid execution is durable and hardened (see ``docs/durability.md``):
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import signal
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -30,6 +39,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro.core.config import Scheme, make_scheme, parse_scheme_spec
 from repro.core.metrics import RunMetrics
@@ -71,11 +82,22 @@ __all__ = [
 ]
 
 #: Accepted ``run_grid(executor=...)`` values.  ``"auto"`` is
-#: ``"batched"``: hardening (``timeout``/``chaos``) routes the cells
-#: through the worker pool, and cells whose scheme the batched executor
-#: cannot replicate run serially in the parent, announced with
-#: :class:`~repro.errors.ExecutorFallbackWarning` plus registry metadata.
-GRID_EXECUTORS = ("auto", "serial", "process", "batched")
+#: ``"batched"`` that may also decide to shard a large grid over a fork
+#: pool (see :data:`POOL_THRESHOLD`); hardening (``timeout``/``chaos``)
+#: routes the cells through the worker pool, and cells whose scheme the
+#: batched executor cannot replicate run serially in the parent,
+#: announced with :class:`~repro.errors.ExecutorFallbackWarning` plus
+#: registry metadata.
+GRID_EXECUTORS = ("auto", "serial", "batched")
+
+#: Predicted grid cost (sum of W/P over the batched cells, roughly the
+#: lock-step cycles they run) from which ``run_grid(executor="auto")``
+#: shards the cells over a fork pool instead of one in-process arena.
+#: Set at the crossover measured by ``benchmarks/pool_crossover.py``
+#: (table in ``docs/performance.md``, "Pooled grids"), below which
+#: starting and stopping the pool costs more than the second core saves.
+#: Move it for a measurement from a script, never from an env var.
+POOL_THRESHOLD = 5_000
 
 
 @dataclass(frozen=True)
@@ -287,8 +309,8 @@ def plan_grid(
     Cells come back in scheme-major order with their deterministic
     :func:`cell_seed` and the init threshold already resolved (the
     ``"auto"`` convention applied per scheme), so every executor —
-    serial, process-pooled, batched, sharded — starts from the same
-    plan and cannot disagree about seeds or thresholds.
+    serial, batched in-process or sharded over the pool — starts from
+    the same plan and cannot disagree about seeds or thresholds.
     """
     grid_schemes = [make_scheme(s) if isinstance(s, str) else s for s in schemes]
     plans: list[CellPlan] = []
@@ -322,7 +344,7 @@ def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
     and do not pickle) and are rebuilt with ``make_scheme`` here; the
     cost model and splitter pickle as-is.  A one-cell unit runs
     :func:`run_divisible`; a larger one packs its cells into one
-    MegaArena (:func:`run_batched_cells`), so spawn and rebuild cost is
+    MegaArena (:func:`run_batched_cells`), so the scheme rebuild is
     paid per unit, not per cell.
 
     ``timeout`` arms a single ``SIGALRM`` watchdog of ``timeout *
@@ -376,21 +398,111 @@ def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
 def _resolve_executor(
     executor: str, n_jobs: int | None, hardened: bool
 ) -> str:
-    """Validate ``executor`` against the other arguments; ``"auto"`` is
-    ``"batched"``."""
+    """Validate ``executor`` and ``n_jobs`` against the other arguments;
+    ``"auto"`` is ``"batched"``."""
     if executor not in GRID_EXECUTORS:
         raise ConfigError(
             f"executor must be one of {GRID_EXECUTORS}, got {executor!r}"
         )
-    if executor == "process" and not (n_jobs is not None and n_jobs > 1):
-        raise ConfigError("executor='process' requires n_jobs > 1")
+    if n_jobs is not None and (
+        isinstance(n_jobs, bool)
+        or not isinstance(n_jobs, (int, np.integer))
+        or n_jobs < 1
+    ):
+        raise ConfigError(
+            f"n_jobs must be None (decide) or an int >= 1, got {n_jobs!r}"
+        )
     if executor == "serial" and hardened:
         raise ConfigError(
             "executor='serial' runs cells in the calling process, where "
             "timeout=/chaos= cannot be enforced; use executor='auto' (or "
-            "'batched'/'process') to run them under the worker watchdog"
+            "'batched') to run them under the worker watchdog"
         )
     return "batched" if executor == "auto" else executor
+
+
+def _predicted_cost(cells: list[CellPlan]) -> float:
+    """Sum of W/P over ``cells``: about the lock-step cycles they run."""
+    return sum(p.total_work / p.n_pes for p in cells)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+def _pool_workers(
+    executor: str,
+    n_jobs: int | None,
+    cells: list[CellPlan],
+    *,
+    hardened: bool,
+    journaled: bool,
+) -> int:
+    """How many pool workers run the batched ``cells``; 0 keeps them in
+    one arena in this process.  The one worker policy.
+
+    An explicit ``n_jobs`` wins, and a hardened grid always goes through
+    the pool.  Otherwise only ``executor="auto"`` pools, one worker per
+    usable CPU, and only when every condition holds:
+
+    - at least two usable CPUs;
+    - this process can fork safely: ``os.fork`` exists and no other
+      thread is alive (forking a threaded process can deadlock; serve
+      workers run a liveness thread, so they stay in-process);
+    - no journal is attached, so a journaled grid stays durable cell by
+      cell through ``on_cell_done``;
+    - the :func:`_predicted_cost` clears :data:`POOL_THRESHOLD`;
+    - every scheme rebuilds from its name, as a pool worker must.
+    """
+    if not cells:
+        return 0
+    if n_jobs is not None:
+        workers = n_jobs
+    elif (
+        executor == "auto"
+        and not journaled
+        and _can_fork()
+        and _predicted_cost(cells) >= POOL_THRESHOLD
+        and not _unnamed_schemes(cells)
+    ):
+        workers = _usable_cpus()
+    else:
+        workers = 1
+    workers = min(workers, len(cells))
+    if workers > 1 or hardened:
+        return workers
+    return 0
+
+
+def _unnamed_schemes(cells: list[CellPlan]) -> list[str]:
+    """Names of the schemes in ``cells`` that ``make_scheme`` cannot
+    rebuild — a pool worker receives each scheme as its name."""
+    unnamed = []
+    for name in sorted({p.scheme.name for p in cells}):
+        try:
+            make_scheme(name)
+        except ValueError:
+            unnamed.append(name)
+    return unnamed
+
+
+def _can_fork() -> bool:
+    """``os.fork`` exists and no other thread is alive: forking a
+    threaded process can deadlock the child."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """``fork`` where :func:`_can_fork`, else ``spawn``.  A spawned
+    worker re-imports the package before its first cell, the start-up
+    cost :data:`POOL_THRESHOLD` is measured without, so ``auto`` only
+    pools where it can fork; an explicit ``n_jobs`` or a hardened grid
+    in a threaded caller pays it rather than risk a deadlocked child."""
+    return multiprocessing.get_context("fork" if _can_fork() else "spawn")
 
 
 #: One-per-process latch for the off-POSIX timeout warning.
@@ -497,20 +609,28 @@ def run_grid(
 
     - ``"batched"`` packs every compatible cell into one
       :class:`~repro.workmodel.mega.MegaArena` and advances all of them
-      with single full-width kernel calls, in this process.  With
-      ``n_jobs > 1`` the cells become ``n_jobs`` contiguous shards, one
-      pool worker each; with ``timeout``/``chaos`` they always go
-      through the pool (a single shard without ``n_jobs``), so an
-      injected ``os._exit`` kills a worker, never the caller.  Cells
-      whose scheme the arena cannot replicate (opaque factories, e.g.
-      FESS) run serially in the calling process, unhardened.
-    - ``"process"`` (needs ``n_jobs > 1``) makes every cell its own
-      unit on the pool.
+      with single full-width kernel calls, in this process; a cell
+      leaves the arena the cycle it finishes.  With ``n_jobs > 1`` the
+      cells become at most ``n_jobs`` shards of near-equal predicted
+      cost (sum of W/P, longest cells first), one fork-pool worker
+      each; with ``timeout``/``chaos`` they always go through the pool
+      (a single shard without ``n_jobs``), so an injected ``os._exit``
+      kills a worker, never the caller.  Cells whose scheme the arena
+      cannot replicate (opaque factories, e.g. FESS) run serially in
+      the calling process, unhardened.
     - ``"serial"`` is the one-cell-at-a-time oracle in the calling
       process; it cannot enforce ``timeout``/``chaos`` and rejects them.
-    - ``"auto"`` (default) is ``"batched"``, and warns
-      :class:`~repro.errors.ExecutorFallbackWarning` naming any scheme
-      it has to run serially.
+    - ``"auto"`` (default) is ``"batched"`` that decides the worker
+      count itself when ``n_jobs`` is None: one shard per usable CPU
+      when the grid's predicted cost clears :data:`POOL_THRESHOLD`, the
+      host has two or more CPUs, the caller has no other live thread
+      and no ``journal`` is attached; one in-process arena otherwise.
+      It warns :class:`~repro.errors.ExecutorFallbackWarning` naming
+      any scheme it has to run serially.
+
+    ``n_jobs`` is None (decide) or an int >= 1; ``n_jobs=1`` keeps an
+    unhardened grid in this process.  Pool workers are forked, or
+    spawned when the caller has another live thread.
 
     Pooled units need every scheme's name to round-trip through
     ``make_scheme`` (all Table 1 schemes do).
@@ -555,9 +675,13 @@ def run_grid(
     :class:`~repro.obs.registry.MetricsRegistry` (plus ``grid.*``
     operational counters: cells total, retried cell attempts, resumed
     and quarantined cells, the resolved executor path and any
-    auto-fallback reason, and whether a requested timeout is enforced).
-    Recording happens in the parent process in cell-index order on every
-    execution path, so all executors produce identical snapshots.
+    auto-fallback reason, whether a requested timeout is enforced, the
+    ``grid.workers`` gauge — 0 when no pool ran — and the parent-side
+    ``grid.shard_s`` histogram of each pooled unit's submit-to-result
+    seconds).
+    Cell metrics are recorded in the parent process in cell-index order
+    on every execution path, so all executors fold identical run
+    metrics.
 
     ``sanitize`` turns on the runtime invariant checks in every cell on
     every path; sanitized records are bit-identical to unsanitized ones.
@@ -631,20 +755,23 @@ def run_grid(
         if registry is not None:
             registry.gauge("grid.timeout_enforced").set(float(enforced))
 
-    # Cut the work: pooled units, one in-process arena, serial leftovers.
-    n_workers = n_jobs if n_jobs is not None and n_jobs > 1 else 1
+    # Cut the work: pooled shards, one in-process arena, serial leftovers.
     units: list[list[CellPlan]] = []
     arena: list[CellPlan] = []
     serial: list[CellPlan] = []
+    workers = 0
     if resolved == "serial":
         serial = todo
-    elif resolved == "process":
-        units = [[p] for p in todo]
     else:
         arena = [p for p in todo if p.index not in stay_behind]
         serial = [p for p in todo if p.index in stay_behind]
-        if arena and (hardened or (n_workers > 1 and len(arena) > 1)):
-            units, arena = _shard_plans(arena, n_workers), []
+        workers = _pool_workers(
+            executor, n_jobs, arena, hardened=hardened, journaled=journal is not None
+        )
+        if workers:
+            units, arena = _cost_shards(arena, workers), []
+    if registry is not None:
+        registry.gauge("grid.workers").set(float(workers))
 
     retries = 0
     if units:
@@ -654,7 +781,7 @@ def run_grid(
             results,
             on_done,
             worker_args=(cost_model, splitter, sanitize, timeout, chaos),
-            max_workers=n_workers,
+            max_workers=workers,
             retry=retry,
             registry=registry,
             journal=cell_journal,
@@ -700,17 +827,31 @@ def _run_cell(
     )
 
 
-def _shard_plans(plans: list[CellPlan], n_shards: int) -> list[list[CellPlan]]:
-    """Split plans into at most ``n_shards`` contiguous, near-equal chunks."""
-    n_shards = max(1, min(n_shards, len(plans)))
-    size, rem = divmod(len(plans), n_shards)
-    shards: list[list[CellPlan]] = []
-    start = 0
-    for s in range(n_shards):
-        stop = start + size + (1 if s < rem else 0)
-        shards.append(plans[start:stop])
-        start = stop
-    return shards
+def _cost_shards(plans: list[CellPlan], n_shards: int) -> list[list[CellPlan]]:
+    """Cut plans into at most ``n_shards`` shards of near-equal predicted
+    cost: sort by W/P, longest first (ties in index order), and cut the
+    sorted run where its running cost is nearest each ``k/n`` of the
+    total.  A shard's wall time is set by its longest cell, so the long
+    cells share a shard instead of holding every shard open."""
+    order = sorted(plans, key=lambda p: (-p.total_work / p.n_pes, p.index))
+    n_shards = max(1, min(n_shards, len(order)))
+    prefix = np.concatenate(
+        ([0.0], np.cumsum([p.total_work / p.n_pes for p in order]))
+    )
+    cuts = [0]
+    for k in range(1, n_shards):
+        target = prefix[-1] * k / n_shards
+        i = int(np.searchsorted(prefix, target))
+        if target - prefix[i - 1] < prefix[i] - target:
+            i -= 1
+        # Every shard keeps at least one cell.
+        cuts.append(min(max(i, cuts[-1] + 1), len(order) - (n_shards - k)))
+    cuts.append(len(order))
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+#: ``grid.shard_s`` buckets, seconds from submitting a unit to its result.
+_SHARD_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 60.0)
 
 
 def _execute_pooled(
@@ -737,15 +878,13 @@ def _execute_pooled(
     cell ran out of budget.
     """
     by_index = {p.index: p for unit in units for p in unit}
-    for name in sorted({p.scheme.name for p in by_index.values()}):
-        try:
-            make_scheme(name)
-        except ValueError:
-            raise ConfigError(
-                f"scheme {name!r} cannot be rebuilt from its spec; pooled "
-                "grid execution supports spec-named schemes only — use "
-                "the serial path"
-            ) from None
+    unnamed = _unnamed_schemes(list(by_index.values()))
+    if unnamed:
+        raise ConfigError(
+            f"scheme {unnamed[0]!r} cannot be rebuilt from its spec; pooled "
+            "grid execution supports spec-named schemes only — use "
+            "the serial path"
+        )
     attempts = dict.fromkeys(by_index, 0)
 
     def payload(unit: list[CellPlan]) -> tuple:
@@ -763,12 +902,20 @@ def _execute_pooled(
         ]
         return (rows, *worker_args)
 
+    shard_s = (
+        registry.histogram("grid.shard_s", buckets=_SHARD_BUCKETS)
+        if registry is not None
+        else None
+    )
     failures: list[GridFailure] = []
     pool: ProcessPoolExecutor | None = None
     try:
         while units:
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
+                pool = ProcessPoolExecutor(
+                    max_workers=max_workers, mp_context=_pool_context()
+                )
+            submitted = time.perf_counter()
             in_flight = {pool.submit(_run_unit, payload(u)): u for u in units}
             units = []
             delays: list[float] = []
@@ -786,6 +933,8 @@ def _execute_pooled(
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                 else:
+                    if shard_s is not None:
+                        shard_s.observe(time.perf_counter() - submitted)
                     for index, metrics in done:
                         results[index] = metrics
                         on_done(by_index[index], metrics)
@@ -816,9 +965,14 @@ def _execute_pooled(
                 # One sleep per resubmission round — the *decision* (how
                 # long) came from RetryPolicy.delay, which is pure.
                 time.sleep(max(delays))
-    finally:
+    except BaseException:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    if pool is not None:
+        # Join the workers and the pool's manager thread, so the next
+        # grid finds no thread of this one when it decides to fork.
+        pool.shutdown(wait=True)
     if failures:
         _raise_quarantine(
             plans, results, failures, retry.max_retries, registry, journal

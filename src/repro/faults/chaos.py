@@ -8,12 +8,13 @@ are exactly reproducible and the retried attempt is guaranteed clean,
 which is what lets the hardened grid assert that a retried cell's record
 equals the serial oracle's.
 
-Both pooled executors honor it through the one pool worker: under the
+Every pooled unit honors it through the one pool worker: under the
 armed watchdog and before any simulation starts, it calls
-:meth:`GridChaos.maybe_trigger` for every cell the unit carries (one
-cell on ``"process"``, a shard on ``"batched"``) with that cell's own
-attempt number — so the same ``GridChaos(index=...)`` crashes the same
-logical work on either executor, and the retried cell runs clean.
+:meth:`GridChaos.maybe_trigger` for every cell the unit carries (a
+cost-cut shard, or one cell when a failed shard's cells are retried)
+with that cell's own attempt number — so the same
+``GridChaos(index=...)`` crashes the same logical work however the grid
+is cut, and the retried cell runs clean.
 
 Kinds:
 

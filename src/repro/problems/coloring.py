@@ -14,12 +14,16 @@ truth for tests is brute-force enumeration on small graphs.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.search.problem import SearchProblem
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["GraphColoringProblem"]
 
@@ -78,6 +82,10 @@ class GraphColoringProblem(SearchProblem):
         symmetry_break: bool = False,
     ) -> "GraphColoringProblem":
         """A seeded Erdos-Renyi instance."""
+        # Imported here: networkx takes longer to import than the rest
+        # of the package, and nothing else needs it.
+        import networkx as nx
+
         check_positive_int(n_vertices, "n_vertices")
         gen = as_generator(rng)
         seed = int(gen.integers(0, 2**31 - 1))

@@ -18,6 +18,10 @@ segment counts, bit-identical per cell to what
 :class:`~repro.workmodel.divisible.DivisibleWorkload` computes on its
 own private vector.
 
+A cell that finishes leaves the arena (:meth:`keep`), so a grid whose
+cells finish at different cycles stops paying for the rows of the ones
+already done: every kernel call scans only the cells still running.
+
 Cross-cell isolation is structural: every write is either full-width
 elementwise (``where``-masked on each row's own state, so row ``i`` only
 ever depends on row ``i``) or goes through :meth:`cell`, a slice view
@@ -108,6 +112,11 @@ class MegaArena:
             raise IndexError(f"cell {c} out of range [0, {self.n_cells})")
         return self.work[int(self.offsets[c]) : int(self.offsets[c + 1])]
 
+    def views(self) -> list[np.ndarray]:
+        """Every cell's ``work`` rows as slice views, in cell order, as
+        :meth:`cell` returns them; valid until the next :meth:`keep`."""
+        return np.split(self.work, self.offsets[1:-1])
+
     def expanded(self) -> np.ndarray:
         """Per-cell cumulative expansion counts (copy)."""
         return self._expanded.copy()
@@ -115,6 +124,29 @@ class MegaArena:
     def unpack(self) -> list[np.ndarray]:
         """Each cell's work vector as an independent copy."""
         return [self.cell(c).copy() for c in range(self.n_cells)]
+
+    def keep(self, mask: Sequence[bool] | np.ndarray) -> None:
+        """Drop every cell whose ``mask`` entry is False, in place.
+
+        The survivors keep their order, their rows and their expansion
+        counts; cell indices renumber to ``0..n_kept-1``.  The flat axis
+        shrinks to the survivors' widths, so the full-width kernels stop
+        scanning rows of cells that are gone.  Views from :meth:`cell`
+        taken before the call no longer alias the arena.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self._expanded.shape:
+            raise ValueError(
+                f"got a mask of {mask.shape[0]} entries for {self.n_cells} cells"
+            )
+        if not mask.any():
+            raise ValueError("MegaArena needs at least one cell")
+        widths = self.widths()
+        self.work = self.work[np.repeat(mask, widths)]
+        self._expanded = self._expanded[mask]
+        self.offsets = np.zeros(len(self._expanded) + 1, dtype=np.int64)
+        np.cumsum(widths[mask], out=self.offsets[1:])
+        self._starts = self.offsets[:-1]
 
     # -- full-width kernels ----------------------------------------------
 

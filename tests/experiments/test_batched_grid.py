@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import PAPER_SCHEMES, Scheme, make_scheme
 from repro.core.matching import GPMatcher
 from repro.errors import ConfigError
+from repro.experiments import runner as runner_mod
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
 from repro.experiments.runner import (
     GRID_EXECUTORS,
@@ -25,6 +26,7 @@ from repro.experiments.runner import (
     run_grid,
 )
 from repro.lint.runtime import SanitizerError
+from repro.obs import MetricsRegistry
 
 SCHEMES = list(PAPER_SCHEMES)
 WORKS = [400, 1700]
@@ -67,11 +69,18 @@ class TestRecordIdentity:
         auto = run_grid(SCHEMES, WORKS, PES, base_seed=11)
         assert auto == oracle
 
-    def test_per_cell_pool_matches_oracle(self, oracle):
+    def test_pooled_auto_matches_oracle(self, oracle, monkeypatch):
+        """The default executor, made to pool this small grid, shards its
+        mixed-W/P cells (they finish at different cycles and leave their
+        shard's arena one by one) and still equals the serial oracle."""
+        monkeypatch.setattr(runner_mod, "POOL_THRESHOLD", 0)
+        monkeypatch.setattr(runner_mod, "_usable_cpus", lambda: 2)
+        registry = MetricsRegistry()
         pooled = run_grid(
-            SCHEMES, WORKS, PES, base_seed=11, executor="process", n_jobs=2,
-            sanitize=True,
+            SCHEMES, WORKS, PES, base_seed=11, sanitize=True, registry=registry
         )
+        assert registry.gauge("grid.workers").value == 2
+        assert registry.histogram("grid.shard_s").count == 2
         assert pooled == oracle
 
     def test_auto_under_a_timeout_matches_oracle(self, oracle):
@@ -186,7 +195,7 @@ class TestPlanGrid:
 
 class TestExecutorSelection:
     def test_executor_registry(self):
-        assert GRID_EXECUTORS == ("auto", "serial", "process", "batched")
+        assert GRID_EXECUTORS == ("auto", "serial", "batched")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigError, match="executor"):
@@ -200,9 +209,11 @@ class TestExecutorSelection:
         )
         assert hardened == oracle
 
-    def test_process_requires_jobs(self):
+    @pytest.mark.parametrize("n_jobs", [0, -1, 2.0, True])
+    def test_n_jobs_must_be_none_or_positive_int(self, n_jobs):
+        """``0`` and joblib's ``-1`` used to run one worker silently."""
         with pytest.raises(ConfigError, match="n_jobs"):
-            run_grid(SCHEMES[:1], [100], [4], executor="process")
+            run_grid(SCHEMES[:1], [100], [4], n_jobs=n_jobs)
 
     def test_paper_schemes_are_batchable(self):
         for name in SCHEMES:

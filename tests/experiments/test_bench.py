@@ -33,9 +33,12 @@ class TestGridBench:
         assert report["records_identical"] is True
         assert report["serial_s"] > 0
         assert report["batched_s"] > 0
-        assert report["process_s"] > 0
+        assert report["auto_s"] > 0
         assert report["speedup"] == pytest.approx(
             report["serial_s"] / report["batched_s"]
+        )
+        assert report["speedup_auto"] == pytest.approx(
+            report["serial_s"] / report["auto_s"]
         )
 
 

@@ -3,8 +3,8 @@
 The ISSUE 9 gate: a grid interrupted at an arbitrary cell and resumed
 from its write-ahead journal must yield records **bit-identical** to the
 uninterrupted serial oracle, for all six paper schemes, with the runtime
-sanitizer on, under both the per-cell process pool and the sharded
-batched executor.  Interruption is exercised two ways: deterministically
+sanitizer on, with every cell its own pool shard and with multi-cell
+shards.  Interruption is exercised two ways: deterministically
 (a poison cell quarantines the sweep mid-way) and for real (a separate
 process is SIGKILLed mid-sweep and the journal replayed, torn tail and
 all).  Recovery *within* one sweep (raise / exit / hang, with and
@@ -84,12 +84,14 @@ class TestQuarantineResumeIdentity:
     """Deterministic interruption: a poison cell quarantines the sweep;
     resuming without the poison completes bit-identically."""
 
-    def test_process_executor(self, tmp_path, oracle):
+    def test_one_cell_shards(self, tmp_path, oracle):
+        """``n_jobs`` = the cell count cuts one shard per cell, so the
+        poison cell fails alone even without a retry budget."""
         path = tmp_path / "grid.journal"
         with pytest.raises(GridCellError) as excinfo:
             _grid(
-                executor="process",
-                n_jobs=2,
+                executor="batched",
+                n_jobs=len(SCHEMES),
                 journal=path,
                 retry=NO_RETRY,
                 chaos=GridChaos(index=2, kind="raise", attempts=(0,)),
@@ -104,8 +106,8 @@ class TestQuarantineResumeIdentity:
 
         registry = MetricsRegistry()
         resumed = _grid(
-            executor="process",
-            n_jobs=2,
+            executor="batched",
+            n_jobs=len(SCHEMES),
             journal=path,
             resume=True,
             registry=registry,

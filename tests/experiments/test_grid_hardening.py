@@ -5,11 +5,13 @@ exercising each failure path; in every recoverable case the final
 records must be **identical** to an undisturbed serial grid, because
 retries rerun the cell with the same ``cell_seed``.
 
-Both pooled shapes — ``"process"`` (every unit is one cell) and
-``"batched"`` (contiguous shards) — share one worker and one
-retry/quarantine loop, so the recovery suite is parametrised over the
-executor instead of being written once per shape.  Journal replay after
-a quarantine and the real SIGKILL harness live in ``test_durability.py``.
+Both pooled shapes — ``"batched"`` with ``n_jobs=2`` (two cost-cut
+shards) and ``"auto"`` without ``n_jobs`` (a hardened grid below
+``POOL_THRESHOLD``: one shard holding every cell) — share one worker
+and one retry/quarantine loop, so the recovery suite is parametrised
+over the shape instead of being written once per shape.  Journal replay
+after a quarantine and the real SIGKILL harness live in
+``test_durability.py``.
 """
 
 import signal
@@ -45,7 +47,8 @@ PES = [16]
 FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.001, max_delay=0.002)
 ONE_RETRY = RetryPolicy(max_retries=1, base_delay=0.001, max_delay=0.002)
 
-POOLED = ("process", "batched")
+#: The pooled shapes, by executor: two shards, or one shard of every cell.
+POOLED = {"auto": {"executor": "auto"}, "batched": {"executor": "batched", "n_jobs": 2}}
 
 
 def _six(**kwargs):
@@ -62,7 +65,7 @@ def oracle():
 
 @pytest.mark.parametrize("journaled", [False, True], ids=["nojournal", "journal"])
 @pytest.mark.parametrize("kind", ["raise", "exit", "hang"])
-@pytest.mark.parametrize("executor", POOLED)
+@pytest.mark.parametrize("executor", sorted(POOLED))
 def test_chaos_recovery_equals_oracle(executor, kind, journaled, tmp_path, oracle):
     """One sabotaged attempt — an exception, a hard worker death
     (``BrokenProcessPool`` -> respawn -> requeue) or a hang the watchdog
@@ -73,8 +76,7 @@ def test_chaos_recovery_equals_oracle(executor, kind, journaled, tmp_path, oracl
     path = tmp_path / "grid.journal" if journaled else None
     registry = MetricsRegistry()
     records = _six(
-        executor=executor,
-        n_jobs=2,
+        **POOLED[executor],
         timeout=0.3 if kind == "hang" else None,
         retry=FAST_RETRY,
         chaos=GridChaos(index=2, kind=kind, attempts=(0,)),
@@ -82,17 +84,17 @@ def test_chaos_recovery_equals_oracle(executor, kind, journaled, tmp_path, oracl
         registry=registry,
     )
     assert records == oracle
-    # Attempts are charged per cell: the failed unit is cell 2 alone on
-    # "process" and the shard (0, 1, 2) on "batched"; a dead pool also
-    # charges whatever else was still in flight.
-    charged = 1 if executor == "process" else 3
+    # Attempts are charged per cell: the failed unit is the shard
+    # (0, 1, 2) on "batched" and the one shard of all six cells on
+    # "auto"; a dead pool also charges whatever else was still in flight.
+    charged = 6 if executor == "auto" else 3
     retries = registry.counter("grid.retries_total").value
     assert retries >= charged if kind == "exit" else retries == charged
     if path is not None:
         assert len(CellJournal(path)) == len(oracle)
 
 
-@pytest.mark.parametrize("executor", POOLED)
+@pytest.mark.parametrize("executor", sorted(POOLED))
 def test_poison_cell_is_quarantined_alone(executor):
     """A failed multi-cell unit is requeued as one-cell units, so with
     budget left the poison cell's shard-mates finish and only it is
@@ -103,8 +105,7 @@ def test_poison_cell_is_quarantined_alone(executor):
             WORKS,
             PES,
             base_seed=7,
-            n_jobs=2,
-            executor=executor,
+            **POOLED[executor],
             retry=ONE_RETRY,
             chaos=GridChaos(index=0, kind="raise", attempts=(0, 1)),
         )
@@ -124,7 +125,7 @@ def test_persistent_failure_raises_structured_report():
             PES,
             base_seed=7,
             n_jobs=2,
-            executor="process",
+            executor="batched",
             registry=registry,
             retry=ONE_RETRY,
             chaos=GridChaos(index=0, kind="raise", attempts=(0, 1)),
@@ -212,7 +213,8 @@ class TestRetryPolicy:
     def test_round_backoff_is_max_of_requeued_cell_delays(self, monkeypatch):
         """The sleep before a retry round is the max of the pure
         per-cell delays of the cells being requeued — here the whole
-        failed shard (0, 1), each at attempt 0."""
+        failed shard (0, 2), each at attempt 0: the cost cut pairs the
+        two W = 3000 cells and the two W = 1500 cells."""
         slept = []
         monkeypatch.setattr(runner_mod.time, "sleep", slept.append)
         policy = RetryPolicy(max_retries=1, base_delay=0.004, max_delay=0.01)
@@ -226,7 +228,7 @@ class TestRetryPolicy:
             retry=policy,
             chaos=GridChaos(index=0, kind="raise", attempts=(0,)),
         )
-        seeds = [runner_mod.cell_seed(7, index) for index in (0, 1)]
+        seeds = [runner_mod.cell_seed(7, index) for index in (0, 2)]
         assert slept == [max(policy.delay(seed, 0) for seed in seeds)]
 
 

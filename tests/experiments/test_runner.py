@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.fess_fegs import fess_scheme
@@ -11,6 +13,11 @@ from repro.experiments.runner import (
     run_divisible,
     run_grid,
 )
+
+
+def _renamed(spec: str):
+    """``make_scheme(spec)`` under a name ``make_scheme`` cannot parse."""
+    return replace(make_scheme(spec), name=f"custom[{spec}]")
 
 
 class TestScales:
@@ -112,10 +119,10 @@ class TestRunGridParallel:
         assert a == b
 
     def test_unroundtrippable_scheme_rejected(self):
-        # Asked for by name, the per-cell pool cannot pickle FESS; the
-        # default executor falls back instead (test_grid_hardening.py).
+        # A batchable scheme whose name make_scheme cannot rebuild cannot
+        # reach a pool worker; asked for by n_jobs, the pool refuses it.
         with pytest.raises(ValueError, match="serial"):
-            run_grid([fess_scheme()], [2_000], [16], n_jobs=2, executor="process")
+            run_grid([_renamed("GP-S0.75")], [2_000, 4_000], [16], n_jobs=2)
 
     def test_unroundtrippable_scheme_fine_serially(self):
         from repro.errors import ExecutorFallbackWarning

@@ -115,11 +115,15 @@ class TestSearchTierIdentity:
 
 def _borrowed(method):
     """Wrap a ``MegaArena`` reduction so every call on an arena returns
-    the same buffer, overwritten in place."""
+    the same buffer, overwritten in place.  The buffer is reallocated
+    only when the cell count changes (finished cells leave the arena)."""
 
     def reduction(self):
         fresh = method(self)
-        buf = self.__dict__.setdefault(f"_borrowed_{method.__name__}", np.empty_like(fresh))
+        key = f"_borrowed_{method.__name__}"
+        buf = self.__dict__.get(key)
+        if buf is None or buf.shape != fresh.shape:
+            buf = self.__dict__[key] = np.empty_like(fresh)
         buf[...] = fresh
         return buf
 

@@ -136,6 +136,15 @@ class TestGridIsoeff:
         assert main(["grid", str(parallel), *args, "--jobs", "2"]) == 0
         assert serial.read_text() == parallel.read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_grid_rejects_bad_jobs(self, tmp_path, capsys, jobs):
+        """``--jobs 0`` and ``-1`` used to run one worker silently."""
+        out = tmp_path / "g.json"
+        args = ["--works", "1000", "--pes", "8", "--jobs", jobs]
+        assert main(["grid", str(out), *args]) == 2
+        assert "n_jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_executor_flag(self, tmp_path, capsys):
         """Every --executor choice writes identical records, and the flag
         choices mirror runner.GRID_EXECUTORS (kept literal in the parser

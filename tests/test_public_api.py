@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +96,13 @@ class TestPublicAPI:
         # The README's first snippet, verbatim semantics at small scale.
         metrics = repro.run_divisible("GP-S0.90", total_work=50_000, n_pes=128, seed=42)
         assert 0 < metrics.efficiency <= 1
+
+    def test_import_leaves_networkx_out(self):
+        """networkx takes longer to import than the rest of the package;
+        only ``GraphColoringProblem.random`` needs it, and imports it
+        there."""
+        code = "import sys, repro; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

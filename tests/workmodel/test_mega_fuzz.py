@@ -1,13 +1,16 @@
 """Hypothesis lock-step fuzz of MegaArena cell packing/unpacking.
 
-Two invariants the batched grid executor leans on, driven over random
+Three invariants the batched grid executor leans on, driven over random
 cell shapes and interleaved full-width / per-cell mutations:
 
 - **conservation** — per cell, ``expanded + remaining == W`` after every
   lock-step cycle, no matter how transfers shuffle work inside a cell;
 - **no cross-cell writes** — mutating one cell (through its slice view
   or via full-width kernels whose rows self-mask) never changes another
-  cell's bytes.
+  cell's bytes;
+- **compaction keeps survivors whole** — dropping any subset of cells
+  with ``keep`` leaves every surviving cell's rows and expansion count
+  as they were, in order.
 """
 
 import numpy as np
@@ -104,6 +107,77 @@ class TestPacking:
         assert np.all(arena.cell(drained) == 0)
         assert arena.busy_counts()[drained] == 0
         assert arena.nonzero_counts()[drained] == 0
+
+
+class TestKeep:
+    def test_keep_drops_cells_in_order(self):
+        arena = MegaArena([2, 3, 1], roots=[5, 7, 4])
+        arena.expand_all()
+        arena.cell(1)[2] = 3  # a donation inside cell 1
+        arena.cell(1)[0] -= 3
+        arena.keep([True, False, True])
+        assert arena.n_cells == 2
+        assert list(arena.offsets) == [0, 2, 3]
+        assert arena.work.tolist() == [4, 0, 3]
+        assert arena.expanded().tolist() == [1, 1]
+        assert arena.busy_counts().tolist() == [1, 1]
+        assert arena.check_conservation([5, 4])
+
+    def test_keep_everything_is_a_no_op(self):
+        arena = MegaArena([3, 2], roots=[4, 9])
+        arena.expand_all()
+        before = arena.work.copy(), arena.expanded(), arena.offsets.copy()
+        arena.keep([True, True])
+        after = arena.work, arena.expanded(), arena.offsets
+        assert all(map(np.array_equal, before, after))
+
+    def test_views_are_the_cells_after_each_keep(self):
+        arena = MegaArena([2, 3, 1], roots=[5, 7, 4])
+        for keep in ([True, True, True], [False, True, True], [True, False]):
+            arena.keep(keep)
+            views = arena.views()
+            assert len(views) == arena.n_cells
+            for c, view in enumerate(views):
+                assert np.shares_memory(view, arena.work)
+                assert np.array_equal(view, arena.cell(c))
+            views[-1][0] += 1  # writes through, like cell()
+            assert arena.cell(arena.n_cells - 1)[0] == views[-1][0]
+
+    def test_keep_rejects_bad_masks(self):
+        arena = MegaArena([3, 2], roots=[4, 9])
+        with pytest.raises(ValueError, match="mask"):
+            arena.keep([True])
+        with pytest.raises(ValueError, match="at least one"):
+            arena.keep([False, False])
+
+    @given(cells_st, st.integers(1, 12), st.integers(1, 60), st.integers(0, 20), seed_st)
+    @settings(max_examples=60, deadline=None)
+    def test_dropping_random_subsets_keeps_survivors(
+        self, n_cells, max_p, max_w, cycles, seed
+    ):
+        """Drop random subsets between lock-step cycles: the survivors'
+        bytes, expansion counts and conservation are untouched, and the
+        kernels keep advancing them as if nothing had left."""
+        rng = as_generator(seed)
+        arena, pes, roots = _random_arena(rng, n_cells, max_p, max_w)
+        ids = np.arange(n_cells)  # original cell id of each arena cell
+        roots = np.asarray(roots)
+        for _ in range(cycles):
+            arena.expand_all()
+            keep = rng.random(arena.n_cells) < 0.7
+            if not keep.any():
+                keep[int(rng.integers(0, arena.n_cells))] = True
+            rows = [arena.cell(c).copy() for c in range(arena.n_cells)]
+            expanded = arena.expanded()
+            arena.keep(keep)
+            ids, roots = ids[keep], roots[keep]
+            kept = np.flatnonzero(keep)
+            assert arena.n_cells == len(kept)
+            assert arena.total_width == sum(pes[i] for i in ids)
+            for new, old in enumerate(kept):
+                assert np.array_equal(arena.cell(new), rows[old])
+            assert np.array_equal(arena.expanded(), expanded[keep])
+            assert arena.check_conservation(roots)
 
 
 class TestValidation:
