@@ -10,8 +10,8 @@ typed answer on every backend.
 
 Validation reuses the library's own authorities instead of duplicating
 them: scheme specs are checked by actually building the scheme
-(:func:`~repro.core.config.make_scheme`), so anything ``run_grid``
-would accept is accepted here and nothing else.
+(:func:`~repro.core.config.make_scheme`, once per spelling), so
+anything ``run_grid`` would accept is accepted here and nothing else.
 
 :class:`JobEvent` is the serve layer's lifecycle record (queued /
 started / finished / cache events), a registered
@@ -22,6 +22,7 @@ round-trip through :func:`~repro.obs.events.read_jsonl_events`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 from repro.errors import BadRequestError, ConfigError
@@ -72,12 +73,20 @@ def _as_int(value: object, what: str) -> int:
     return value
 
 
-def _check_scheme(spec: object) -> str:
-    _require(isinstance(spec, str), f"scheme must be a string, got {spec!r}")
+@functools.lru_cache(maxsize=256)
+def _build_scheme(spec: str) -> None:
+    """Build ``spec``'s scheme and drop it.  ``make_scheme`` is pure, so
+    a spelling that built once always builds: successes are memoised,
+    and a spec that raises is tried (and refused) afresh every time."""
     from repro.core.config import make_scheme
 
+    make_scheme(spec)
+
+
+def _check_scheme(spec: object) -> str:
+    _require(isinstance(spec, str), f"scheme must be a string, got {spec!r}")
     try:
-        make_scheme(spec)
+        _build_scheme(spec)
     except (ConfigError, ValueError) as exc:
         raise BadRequestError(f"unknown scheme spec {spec!r}: {exc}") from exc
     return spec

@@ -6,9 +6,15 @@ Its cache discipline, end to end:
 1. A submission is expanded to its cells with the *same* planning code
    an offline sweep uses (:func:`~repro.experiments.runner.plan_grid`,
    :func:`~repro.experiments.runner.cell_seed`), and every cell gets its
-   content-addressed :func:`~repro.experiments.journal.cell_key`.
+   content-addressed :func:`~repro.experiments.journal.cell_key`.  A
+   grid request's keys are a pure function of the request and of the
+   process's ``code_version()``, so they are planned once and memoised
+   (:data:`MAX_MEMO_CELLS` keys held in all, least recently used out
+   first); a resubmitted grid costs one ``stat`` per cell.
 2. Cells already in the shared :class:`~repro.serve.store.RecordStore`
-   are cache **hits**; a job whose cells all hit completes immediately
+   are cache **hits** — checked on disk at every submission, never
+   memoised, so a record another process publishes or deletes changes
+   the very next answer; a job whose cells all hit completes immediately
    — ``cache_hit`` true, nothing queued, nothing recomputed.
 3. Anything else enters the bounded queue.  A grid job with *partial*
    hits pre-seeds a per-job write-ahead journal with the cached records
@@ -50,6 +56,7 @@ import multiprocessing
 import os
 import signal
 import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -64,6 +71,12 @@ from repro.serve.schemas import GridRequest, JobEvent, SolveRequest
 from repro.serve.store import RecordStore
 
 __all__ = ["ExperimentService"]
+
+#: How many cell keys the grid-request memo holds across all its
+#: entries.  Bounded by cells, not requests, because one request may
+#: carry up to ``MAX_CELLS_PER_GRID`` keys: 8 192 64-char keys are
+#: ~1 MiB.
+MAX_MEMO_CELLS = 8192
 
 
 # -- what runs in a worker process -------------------------------------------
@@ -121,21 +134,16 @@ def _grid_cells(
     """One grid job's compute: resume from the cached cells, run the
     rest, publish them.  Returns ``(cached, computed, registry)``."""
     store = RecordStore(store_root)
-    plans = plan_grid(
-        request["schemes"],
-        request["works"],
-        request["pes"],
-        base_seed=request["base_seed"],
-    )
     journal = CellJournal(journal_path)
     # Pre-seed the job's write-ahead journal with every cached cell;
     # run_grid(resume=True) then skips exactly those — cached cells
-    # are never recomputed, even inside a partially cached job.
+    # are never recomputed, even inside a partially cached job.  A
+    # cell's grid index is its position in the scheme-major ``keys``.
     seeded = 0
-    for plan, key in zip(plans, keys):
+    for index, key in enumerate(keys):
         record = store.get(key)
         if record is not None and key not in journal:
-            journal.append(key, plan.index, record)
+            journal.append(key, index, record)
             seeded += 1
     registry = MetricsRegistry()
     records = run_grid(
@@ -151,6 +159,58 @@ def _grid_cells(
         if key not in store:
             store.put(key, record)
     return seeded, len(records) - seeded, registry
+
+
+def _plan_keys(request: GridRequest) -> tuple[str, ...]:
+    """Every cell key of ``request``, scheme-major — what ``run_grid``
+    would journal the same cells under."""
+    plans = plan_grid(
+        list(request.schemes),
+        list(request.works),
+        list(request.pes),
+        base_seed=request.base_seed,
+    )
+    return tuple(
+        cell_key(p.scheme.name, p.total_work, p.n_pes, p.seed) for p in plans
+    )
+
+
+class _KeyMemo:
+    """``GridRequest -> cell keys``, holding at most
+    :data:`MAX_MEMO_CELLS` keys in all, least recently used out first.
+
+    An entry never goes stale: its keys depend on nothing but the
+    request and ``code_version()``.  It holds no store state at all.
+    Handler threads share one memo, so every access takes its lock.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[GridRequest, tuple[str, ...]] = OrderedDict()
+        self._lock = threading.Lock()
+        #: Keys held across all entries.
+        self.cells = 0
+
+    def get(self, request: GridRequest) -> tuple[str, ...] | None:
+        with self._lock:
+            keys = self._entries.get(request)
+            if keys is not None:
+                self._entries.move_to_end(request)
+            return keys
+
+    def put(self, request: GridRequest, keys: tuple[str, ...]) -> None:
+        """Hold ``keys`` for ``request``, evicting the least recently
+        used entries until the budget holds; a grid larger than the
+        whole budget is not held."""
+        if len(keys) > MAX_MEMO_CELLS:
+            return
+        with self._lock:
+            if request in self._entries:  # another thread planned it too
+                return
+            self._entries[request] = keys
+            self.cells += len(keys)
+            while self.cells > MAX_MEMO_CELLS:
+                _, evicted = self._entries.popitem(last=False)
+                self.cells -= len(evicted)
 
 
 # -- the service --------------------------------------------------------------
@@ -185,6 +245,7 @@ class ExperimentService:
         self.queue = JobQueue(workers=workers, max_pending=max_pending)
         self.registry = MetricsRegistry()
         self._registry_lock = threading.Lock()
+        self._keys = _KeyMemo()
         self._alive: tuple[int, ...] = os.pipe()
         self._pool_lock = threading.Lock()
         self._pool = self._start_pool()
@@ -356,15 +417,14 @@ class ExperimentService:
     def submit_grid(self, request: GridRequest) -> dict:
         """Run (or serve from cache) a ``schemes x works x pes`` grid."""
         self._count("serve.requests", {"endpoint": "grid"})
-        plans = plan_grid(
-            list(request.schemes),
-            list(request.works),
-            list(request.pes),
-            base_seed=request.base_seed,
-        )
-        keys = [
-            cell_key(p.scheme.name, p.total_work, p.n_pes, p.seed) for p in plans
-        ]
+        memoised = self._keys.get(request)
+        if memoised is None:
+            memoised = _plan_keys(request)
+            self._keys.put(request, memoised)
+            self._count("serve.plan_memo", {"result": "miss"})
+        else:
+            self._count("serve.plan_memo", {"result": "hit"})
+        keys = list(memoised)
         hits = sum(1 for key in keys if key in self.store)
         misses = len(keys) - hits
         if misses == 0:

@@ -26,6 +26,7 @@ key is simply a cache miss (``get`` returns ``None``).
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -65,6 +66,9 @@ class RecordStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # Membership is the warm path's per-cell cost: one ``stat`` of a
+        # string path, with no ``Path`` object built per key.
+        self._prefix = os.path.join(os.fspath(self.root), "")
 
     def path_for(self, key: str) -> Path:
         """Where ``key``'s record lives (whether or not it exists yet)."""
@@ -139,7 +143,8 @@ class RecordStore:
         return sorted(p.stem for p in self.root.glob("??/*.json"))
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        _check_key(key)
+        return os.path.isfile(f"{self._prefix}{key[:2]}{os.sep}{key}.json")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("??/*.json"))

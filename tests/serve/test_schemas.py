@@ -121,6 +121,16 @@ class TestGridParsing:
                 {"schemes": ["GP-DK", "ZZZ"], "works": [100], "pes": [4]}
             )
 
+    @pytest.mark.parametrize("spec", ["ZZZ", "GP-S1.5", "GP-Sx"])
+    def test_bad_scheme_is_refused_every_time(self, spec):
+        """Valid spellings are memoised; a refusal never is."""
+        payload = {"schemes": ["GP-DK", spec], "works": [100], "pes": [4]}
+        for _ in range(2):
+            with pytest.raises(BadRequestError, match="unknown scheme spec"):
+                parse_grid_request(payload)
+            with pytest.raises(BadRequestError, match="unknown scheme spec"):
+                parse_solve_request({"scheme": spec, "total_work": 1, "n_pes": 1})
+
     def test_round_trips_to_dict(self):
         payload = {
             "schemes": ["GP-DK"],

@@ -8,9 +8,12 @@ direct :func:`~repro.experiments.runner.run_grid` call.
 """
 
 import json
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     BadRequestError,
@@ -19,11 +22,13 @@ from repro.errors import (
     RecordNotFoundError,
     RecordStoreError,
 )
-from repro.experiments.journal import cell_key
-from repro.experiments.runner import run_divisible, run_grid, GridRecord
+from repro.experiments.journal import MAGIC, cell_key
+from repro.experiments.runner import plan_grid, run_divisible, run_grid, GridRecord
 from repro.experiments.store import record_to_dict
+from repro.faults.checkpoint import try_parse_frame
 from repro.obs.events import read_jsonl_events
 from repro.serve import ExperimentService, RecordStore
+from repro.serve import service as service_module
 from repro.serve.queue import Job, JobQueue
 from repro.serve.schemas import parse_grid_request, parse_solve_request
 
@@ -138,6 +143,187 @@ class TestGridCaching:
         )
         assert solve_view["cache_hit"] is True
         assert solve_view["keys"] == grid_view["keys"]
+
+
+def _reference_keys(request):
+    plans = plan_grid(
+        list(request.schemes),
+        list(request.works),
+        list(request.pes),
+        base_seed=request.base_seed,
+    )
+    return [cell_key(p.scheme.name, p.total_work, p.n_pes, p.seed) for p in plans]
+
+
+def _journal_indices(path):
+    """``key -> index`` of every cell frame in a job's journal."""
+    raw = path.read_bytes()
+    offset, frames = len(MAGIC), []
+    while offset < len(raw):
+        status, payload, offset = try_parse_frame(raw, offset)
+        assert status == "ok"
+        frames.append(json.loads(payload))
+    return {frame["key"]: frame["index"] for frame in frames[1:]}
+
+
+def _memo_counts(service):
+    counters = service.metrics()["counters"]
+    return (
+        counters.get("serve.plan_memo{result=hit}", 0.0),
+        counters.get("serve.plan_memo{result=miss}", 0.0),
+    )
+
+
+#: Two spellings of one static scheme: ``make_scheme`` names both
+#: ``GP-S0.50``, so their cells share keys.
+_SPELLING = {"GP-S0.5": "GP-S0.50", "GP-S0.50": "GP-S0.5"}
+
+
+class TestPlanMemo:
+    def test_memoised_keys_equal_planned_keys(self, tmp_path):
+        """Whichever request an entry was planned for, a grid's keys
+        are what ``plan_grid`` + ``cell_key`` give — also for the other
+        spelling of a scheme, and also once LRU order has been shuffled
+        by earlier examples on the same service."""
+        svc = ExperimentService(tmp_path / "serve", workers=1, max_pending=4)
+
+        @settings(max_examples=15, deadline=None)
+        @given(
+            schemes=st.lists(
+                st.sampled_from(["GP-S0.5", "GP-S0.50", "nGP-DK", "GP-DP"]),
+                min_size=1,
+                max_size=3,
+            ),
+            works=st.lists(st.integers(1, 60), min_size=1, max_size=2),
+            pes=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+            base_seed=st.integers(0, 3),
+        )
+        def check(schemes, works, pes, base_seed):
+            body = {"schemes": schemes, "works": works, "pes": pes}
+            request = parse_grid_request({**body, "base_seed": base_seed})
+            other = parse_grid_request(
+                {
+                    **body,
+                    "schemes": [_SPELLING.get(s, s) for s in schemes],
+                    "base_seed": base_seed,
+                }
+            )
+            expected = _reference_keys(request)
+            assert _reference_keys(other) == expected
+            first = svc.submit_grid(request)
+            assert first["keys"] == expected
+            svc.wait(first["id"], timeout=60)
+            for resubmitted in (other, request):
+                view = svc.submit_grid(resubmitted)
+                assert view["keys"] == expected
+                assert view["cache_hit"] is True
+
+        try:
+            check()
+        finally:
+            svc.close()
+
+    def test_membership_stays_live(self, tmp_path):
+        """The memo holds keys, never "present": a record deleted under
+        a memoised grid is recomputed on the next submission, and one
+        another service publishes is a hit on the next."""
+        root = tmp_path / "serve"
+        svc = ExperimentService(root, workers=1, max_pending=4)
+        try:
+            request = _grid(schemes=("GP-DK", "nGP-DP"))
+            keys = svc.wait(svc.submit_grid(request)["id"], timeout=60)["keys"]
+            assert svc.submit_grid(request)["cache_hit"] is True
+
+            svc.store.path_for(keys[2]).unlink()
+            view = svc.submit_grid(request)
+            assert view["cache_hit"] is False
+            done = svc.wait(view["id"], timeout=60)
+            assert (done["cached_cells"], done["computed_cells"]) == (3, 1)
+            assert keys[2] in svc.store
+            # Seeded and computed frames carry each cell's grid index.
+            journal = svc.jobs_dir / view["id"] / "journal.jrnl"
+            assert _journal_indices(journal) == {k: i for i, k in enumerate(keys)}
+            assert svc.submit_grid(request)["cache_hit"] is True
+
+            svc.store.path_for(keys[0]).unlink()
+            other = ExperimentService(root, workers=1, max_pending=4)
+            try:
+                published = other.submit_grid(request)
+                assert other.wait(published["id"], timeout=60)["computed_cells"] == 1
+            finally:
+                other.close()
+            view = svc.submit_grid(request)
+            assert view["cache_hit"] is True
+            assert view["cached_cells"] == 4
+            # One plan for every submission on ``svc``.
+            assert _memo_counts(svc) == (4.0, 1.0)
+        finally:
+            svc.close()
+
+    def test_budget_bounds_cells_held(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_MEMO_CELLS", 4)
+        svc = ExperimentService(tmp_path / "serve", workers=1, max_pending=4)
+        try:
+            small = [_grid(base_seed=seed) for seed in range(4)]  # 2 cells each
+            for request in small:
+                svc.wait(svc.submit_grid(request)["id"], timeout=60)
+                assert svc._keys.cells <= 4
+            assert svc._keys.cells == 4
+            # The two most recent grids are held, the older two evicted.
+            before = _memo_counts(svc)
+            for request in small[2:]:
+                svc.submit_grid(request)
+            assert _memo_counts(svc) == (before[0] + 2, before[1])
+            svc.submit_grid(small[0])
+            assert _memo_counts(svc) == (before[0] + 2, before[1] + 1)
+            assert svc._keys.cells == 4
+
+            # A grid larger than the whole budget is planned every time
+            # and evicts nothing.
+            big = _grid(pes=(1, 2, 3, 4, 5))
+            svc.wait(svc.submit_grid(big)["id"], timeout=60)
+            hits, misses = _memo_counts(svc)
+            assert svc.submit_grid(big)["cache_hit"] is True
+            assert _memo_counts(svc) == (hits, misses + 1)
+            assert svc._keys.cells == 4
+            svc.submit_grid(small[0])
+            assert _memo_counts(svc) == (hits + 1, misses + 1)
+        finally:
+            svc.close()
+
+    def test_concurrent_puts_keep_the_count(self, monkeypatch):
+        """Handler threads share one memo: under a tiny switch interval
+        and more threads than cores, the cell count still equals what
+        the entries hold and never exceeds the budget."""
+        monkeypatch.setattr(service_module, "MAX_MEMO_CELLS", 12)
+        memo = service_module._KeyMemo()
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(300):
+                    request = _grid(base_seed=(worker * 7 + i) % 23)
+                    if memo.get(request) is None:
+                        memo.put(request, tuple("k" * 64 for _ in range(1 + i % 5)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert memo.cells == sum(len(keys) for keys in memo._entries.values())
+        assert memo.cells <= 12
 
 
 class TestJobEvents:
@@ -319,6 +505,18 @@ class TestRecordStore:
         target.write_text(payload.read_text())  # wrong key inside
         with pytest.raises(RecordStoreError, match="not a record payload"):
             store.get(other)
+
+    def test_contains_refuses_malformed_keys(self, tmp_path):
+        store = RecordStore(tmp_path / "cells")
+        for bad in ("../" + "ab" * 31, "AB" * 32, "ab" * 31, 7):
+            with pytest.raises(BadRequestError, match="hex digest"):
+                bad in store
+
+    def test_directory_at_record_path_is_not_a_record(self, tmp_path):
+        store = RecordStore(tmp_path / "cells")
+        key = "ab" * 32
+        store.path_for(key).mkdir(parents=True)
+        assert key not in store
 
     def test_sharded_layout(self, tmp_path):
         store = RecordStore(tmp_path / "cells")

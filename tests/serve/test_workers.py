@@ -101,6 +101,7 @@ def _thread_side_snapshot(tmp_path, solves: list[dict], grid: dict) -> dict:
     hits, n = len(published), len(records)
     service.counter("serve.requests", {"endpoint": "solve"}).inc(len(solves))
     service.counter("serve.requests", {"endpoint": "grid"}).inc()
+    service.counter("serve.plan_memo", {"result": "miss"}).inc()
     service.counter("serve.cache", {"result": "miss"}).inc(len(solves) + n - hits)
     service.counter("serve.cache", {"result": "hit"}).inc(hits)
     return service.snapshot()
