@@ -76,13 +76,11 @@ from repro.experiments.runner import (
     RetryPolicy,
     QuarantineReport,
 )
-from repro.experiments.journal import CellJournal
 from repro.errors import (
     ReproError,
     ConfigError,
     FaultInjectionError,
     CheckpointCorruptError,
-    JournalCorruptError,
     GridCellError,
     ExecutorFallbackWarning,
     TimeoutUnenforcedWarning,
@@ -157,12 +155,10 @@ __all__ = [
     "SMALL_SCALE",
     "RetryPolicy",
     "QuarantineReport",
-    "CellJournal",
     "ReproError",
     "ConfigError",
     "FaultInjectionError",
     "CheckpointCorruptError",
-    "JournalCorruptError",
     "GridCellError",
     "ExecutorFallbackWarning",
     "TimeoutUnenforcedWarning",

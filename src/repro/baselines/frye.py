@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import Scheme
+from repro.core.config import Scheme, threshold_text
 from repro.core.interfaces import Workload
 from repro.core.matching import NGPMatcher
 from repro.core.metrics import RunMetrics
@@ -41,7 +41,7 @@ def frye_give_one_scheme(*, x: float = 0.75) -> Scheme:
     the workload's splitter.
     """
     return Scheme(
-        name=f"Frye1-S{x:.2f}",
+        name=f"Frye1-S{threshold_text(x)}",
         matcher_factory=NGPMatcher,
         trigger_factory=lambda initial_lb_cost: StaticTrigger(x=x),
         multiple_transfers=True,

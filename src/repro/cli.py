@@ -151,14 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a metrics-registry snapshot here (view with 'repro stats')",
     )
     grid.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="write-ahead cell journal: each completed cell is durably "
-        "recorded here the moment it finishes",
-    )
-    grid.add_argument(
-        "--resume", action="store_true",
-        help="skip cells already recorded in --journal (bit-identical to "
-        "an uninterrupted run)",
+        "--store", default=None, metavar="DIR",
+        help="content-addressed record store: cells already in it are "
+        "taken from it (bit-identical to an uninterrupted run), each "
+        "computed cell is published to it the moment it finishes",
     )
 
     bench = sub.add_parser(
@@ -524,16 +520,20 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_grid
     from repro.experiments.store import save_records
 
-    registry = None
+    registry = store = None
     if args.stats:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
+    if args.store:
+        from repro.serve.store import RecordStore
+
+        store = RecordStore(args.store)
     try:
         records = run_grid(
             args.schemes, args.works, args.pes, base_seed=args.seed,
             n_jobs=args.jobs, registry=registry, executor=args.executor,
-            journal=args.journal, resume=args.resume,
+            store=store,
         )
     except ConfigError as exc:
         print(f"repro grid: error: {exc}", file=sys.stderr)
@@ -543,9 +543,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         print(f"repro grid: error: {exc}", file=sys.stderr)
         if report is not None:
             hint = (
-                f" (rerun with --journal {args.journal} --resume to retry "
-                "only the quarantined cells)"
-                if args.journal
+                f" (rerun with --store {args.store} to retry only the "
+                "quarantined cells)"
+                if args.store
                 else ""
             )
             print(

@@ -18,7 +18,13 @@ from typing import Callable
 from repro.core.matching import GPMatcher, Matcher, NGPMatcher
 from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger, Trigger
 
-__all__ = ["Scheme", "parse_scheme_spec", "make_scheme", "PAPER_SCHEMES"]
+__all__ = [
+    "Scheme",
+    "parse_scheme_spec",
+    "threshold_text",
+    "make_scheme",
+    "PAPER_SCHEMES",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,18 @@ def parse_scheme_spec(spec: str) -> tuple[str, str, float | None]:
     raise ValueError(f"unknown trigger {trig!r} in scheme spec {spec!r}")
 
 
+def threshold_text(x: float) -> str:
+    """A static threshold as it appears in a scheme name: two decimals
+    when they read back as ``x`` exactly, else the shortest ``repr``.
+
+    A scheme's name is its identity — pool workers rebuild the scheme
+    from it and cell keys hash it — so it must parse back to the very
+    threshold it was built with (``0.745`` is not ``0.74``).
+    """
+    text = f"{x:.2f}"
+    return text if float(text) == x else repr(x)
+
+
 def make_scheme(spec: str) -> Scheme:
     """Build a :class:`Scheme` from a spec string like ``"nGP-DP"``."""
     matching, trig, x = parse_scheme_spec(spec)
@@ -74,7 +92,7 @@ def make_scheme(spec: str) -> Scheme:
         def trigger_factory(initial_lb_cost: float, _x: float = threshold) -> Trigger:
             return StaticTrigger(x=_x)
 
-        name = f"{matching}-S{threshold:.2f}"
+        name = f"{matching}-S{threshold_text(threshold)}"
         multiple = False
     elif trig == "DP":
 

@@ -14,10 +14,6 @@ failure categories:
   time (e.g. every PE dead while unexpanded work remains);
 - :class:`CheckpointCorruptError` — a checkpoint file failed its
   magic/length/CRC validation and must not be restored;
-- :class:`JournalCorruptError` — a write-ahead cell journal
-  (:mod:`repro.experiments.journal`) is corrupt beyond its recoverable
-  torn tail; subclasses :class:`CheckpointCorruptError` so callers that
-  already guard resume paths catch both;
 - :class:`GridCellError` — one or more ``run_grid`` cells failed
   permanently after the bounded retry budget; carries the structured
   per-cell report, every *completed* record, and a typed quarantine
@@ -49,7 +45,6 @@ __all__ = [
     "ConfigError",
     "FaultInjectionError",
     "CheckpointCorruptError",
-    "JournalCorruptError",
     "GridCellError",
     "RecordStoreError",
     "ServeError",
@@ -82,16 +77,6 @@ class CheckpointCorruptError(ReproError):
     """A checkpoint file failed integrity validation on load."""
 
 
-class JournalCorruptError(CheckpointCorruptError):
-    """A write-ahead cell journal is corrupt beyond recovery.
-
-    A *torn tail* (a crash mid-append leaving a prefix of the final
-    frame) is recoverable by design and never raises; this error means
-    an interior frame failed its CRC, the header is unreadable, or the
-    schema version is unsupported — the file must not be replayed.
-    """
-
-
 class RecordStoreError(ReproError, ValueError):
     """A record file or metrics snapshot is corrupt or version-mismatched.
 
@@ -112,7 +97,7 @@ class GridCellError(ReproError):
     attaches ``completed`` — every :class:`~repro.experiments.runner.
     GridRecord` that *did* finish, in scheme-major order — and
     ``quarantine``, a typed :class:`~repro.experiments.runner.
-    QuarantineReport`.  Together with the write-ahead journal this makes
+    QuarantineReport`.  Together with ``run_grid(store=...)`` this makes
     a failed sweep resumable instead of lost.
     """
 

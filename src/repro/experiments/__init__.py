@@ -2,8 +2,8 @@
 
 - :mod:`repro.experiments.runner` — single runs and (scheme, W, P) grids
   over the divisible workload at paper or reduced scale.
-- :mod:`repro.experiments.journal` — write-ahead cell journal behind
-  ``run_grid(journal=..., resume=...)`` (crash-bit-identical resume).
+- :mod:`repro.experiments.journal` — the content-addressed cell key
+  ``run_grid(store=...)`` publishes and resumes records under.
 - :mod:`repro.experiments.tables` — Tables 1-6 generators.
 - :mod:`repro.experiments.figures` — Figures 1, 3-8 series generators.
 - :mod:`repro.experiments.report` — result containers and text rendering.
@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     RetryPolicy,
     QuarantineReport,
 )
-from repro.experiments.journal import CellJournal, cell_key, code_version
+from repro.experiments.journal import cell_key, code_version
 from repro.experiments.store import save_records, load_records, to_triples
 from repro.experiments import tables, figures
 
@@ -49,7 +49,6 @@ __all__ = [
     "GRID_EXECUTORS",
     "RetryPolicy",
     "QuarantineReport",
-    "CellJournal",
     "cell_key",
     "code_version",
     "CellPlan",

@@ -152,8 +152,9 @@ class MegaGridExecutor:
         identity.  On by default only in tests.
     on_cell_done:
         Called as ``on_cell_done(plan, metrics)`` the cycle each cell
-        finishes — the write-ahead journal's hook, so an in-process
-        batched grid is durable cell-by-cell, not only at the end.
+        finishes — where ``run_grid(store=...)`` publishes, so an
+        in-process batched grid is durable cell-by-cell, not only at
+        the end.
         Strictly observational: the callback receives the finalized
         metrics and must not mutate them.
     """

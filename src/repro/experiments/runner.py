@@ -14,9 +14,9 @@ per-call fork pool, one worker per usable CPU.
 
 Grid execution is durable and hardened (see ``docs/durability.md``):
 
-- ``run_grid(journal=path)`` records each completed cell into a
-  write-ahead :class:`~repro.experiments.journal.CellJournal`, and
-  ``resume=True`` skips journaled cells, bit-identically;
+- ``run_grid(store=...)`` publishes each completed cell to a
+  content-addressed :class:`~repro.serve.store.RecordStore` and takes
+  every cell already stored from it instead, bit-identically;
 - transient cell failures retry under a deterministic
   :class:`RetryPolicy` (exponential backoff whose jitter is a pure
   function of the cell seed — replayable, never wall-clock-derived);
@@ -37,7 +37,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -62,7 +61,7 @@ from repro.util.rng import spawn_child
 from repro.workmodel.divisible import DivisibleWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from repro.experiments.journal import CellJournal
+    from repro.serve.store import RecordStore
 
 __all__ = [
     "Scale",
@@ -440,7 +439,7 @@ def _pool_workers(
     cells: list[CellPlan],
     *,
     hardened: bool,
-    journaled: bool,
+    stored: bool,
 ) -> int:
     """How many pool workers run the batched ``cells``; 0 keeps them in
     one arena in this process.  The one worker policy.
@@ -453,8 +452,8 @@ def _pool_workers(
     - this process can fork safely: ``os.fork`` exists and no other
       thread is alive (forking a threaded process can deadlock; serve
       workers run a liveness thread, so they stay in-process);
-    - no journal is attached, so a journaled grid stays durable cell by
-      cell through ``on_cell_done``;
+    - no store is attached, so a stored grid publishes cell by cell
+      through ``on_cell_done``;
     - the :func:`_predicted_cost` clears :data:`POOL_THRESHOLD`;
     - every scheme rebuilds from its name, as a pool worker must.
     """
@@ -464,7 +463,7 @@ def _pool_workers(
         workers = n_jobs
     elif (
         executor == "auto"
-        and not journaled
+        and not stored
         and _can_fork()
         and _predicted_cost(cells) >= POOL_THRESHOLD
         and not _unnamed_schemes(cells)
@@ -530,7 +529,7 @@ def _raise_quarantine(
     failures: list[GridFailure],
     max_retries: int,
     registry: MetricsRegistry | None,
-    journal: "CellJournal | None",
+    stored: bool,
 ) -> None:
     """Quarantine the poison cells: raise one :class:`GridCellError`
     carrying the structured failures, every completed record (scheme-
@@ -563,10 +562,10 @@ def _raise_quarantine(
         f"quarantined {len(failures)} poison cell(s); "
         f"{len(completed)} completed record(s) attached on .completed"
     )
-    if journal is not None:
+    if stored:
         lines.append(
-            f"completed cells are journaled in {journal.path}; rerun with "
-            "resume=True to retry only the quarantined cells"
+            "completed cells are in the store; rerun with the same store "
+            "to retry only the quarantined cells"
         )
     raise GridCellError(
         "\n".join(lines),
@@ -592,8 +591,7 @@ def run_grid(
     registry: MetricsRegistry | None = None,
     executor: str = "auto",
     sanitize: bool = False,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
+    store: "RecordStore | None" = None,
 ) -> list[GridRecord]:
     """The full cross product of schemes x W x P (Figure 4/7 grids).
 
@@ -624,7 +622,7 @@ def run_grid(
       count itself when ``n_jobs`` is None: one shard per usable CPU
       when the grid's predicted cost clears :data:`POOL_THRESHOLD`, the
       host has two or more CPUs, the caller has no other live thread
-      and no ``journal`` is attached; one in-process arena otherwise.
+      and no ``store`` is attached; one in-process arena otherwise.
       It warns :class:`~repro.errors.ExecutorFallbackWarning` naming
       any scheme it has to run serially.
 
@@ -635,14 +633,17 @@ def run_grid(
     Pooled units need every scheme's name to round-trip through
     ``make_scheme`` (all Table 1 schemes do).
 
-    **Durability** — ``journal`` names a write-ahead
-    :class:`~repro.experiments.journal.CellJournal` file: every
-    completed cell is CRC-framed and fsynced into it the moment it
-    finishes, keyed by ``(spec, W, P, cell_seed, code_version)``.
-    ``resume=True`` replays the journal first and skips every cell it
-    already holds; because cells are pure functions of their key and
-    the journal round-trips records exactly, a killed-and-resumed grid
-    returns records **bit-identical** to an uninterrupted run.
+    **Durability** — ``store`` is a content-addressed
+    :class:`~repro.serve.store.RecordStore` keyed by
+    :func:`~repro.experiments.journal.cell_key` ``(spec, W, P,
+    cell_seed, code_version)``.  A cell already stored is taken from it
+    (counted in ``grid.resumed_cells``) and not recomputed; every other
+    cell is published with an atomic ``put`` the moment it finishes
+    (by the in-process arena as it leaves, by the parent as a pooled
+    shard lands).  Because cells are pure functions of their key and the
+    store round-trips records exactly, a killed grid rerun on the same
+    store returns records **bit-identical** to an uninterrupted run.  A
+    fresh run wants a fresh store.
 
     **Hardening** — one loop serves every pooled unit:
 
@@ -664,9 +665,9 @@ def run_grid(
       :class:`~repro.errors.GridCellError` carries the structured
       :class:`GridFailure` list, every completed :class:`GridRecord`
       (``.completed``), and a typed :class:`QuarantineReport`
-      (``.quarantine``) — with a journal attached the finished cells
-      are already durable and a ``resume=True`` rerun retries only the
-      poison cells.
+      (``.quarantine``) — with a store attached the finished cells
+      are already durable and a rerun on the same store retries only
+      the poison cells.
 
     ``chaos`` injects deterministic worker crashes (exit/raise/hang) for
     testing this machinery; see :class:`repro.faults.chaos.GridChaos`.
@@ -690,8 +691,6 @@ def run_grid(
         retry = RetryPolicy()
     if timeout is not None and timeout <= 0:
         raise ConfigError(f"timeout must be positive, got {timeout}")
-    if resume and journal is None:
-        raise ConfigError("run_grid(resume=True) requires journal=<path>")
     plans = plan_grid(
         schemes, works, pes, base_seed=base_seed, init_threshold=init_threshold
     )
@@ -705,27 +704,27 @@ def run_grid(
         else set()
     )
 
-    cell_journal: "CellJournal | None" = None
-    if journal is not None:
+    results: dict[int, RunMetrics] = {}
+    keys: dict[int, str] = {}
+    if store is not None:
         # Imported lazily: journal.py imports store.py, which imports
         # this module back for GridRecord.
-        from repro.experiments.journal import CellJournal
+        from repro.experiments.journal import plan_key
 
-        cell_journal = CellJournal(journal)
-
-    results: dict[int, RunMetrics] = {}
-    resumed = 0
-    if cell_journal is not None and resume:
         for plan in plans:
-            record = cell_journal.lookup(plan)
+            keys[plan.index] = plan_key(plan)
+            record = store.get(keys[plan.index])
             if record is not None:
                 results[plan.index] = record.metrics
-                resumed += 1
+    resumed = len(results)
     todo = [p for p in plans if p.index not in results]
 
     def on_done(plan: CellPlan, metrics: RunMetrics) -> None:
-        if cell_journal is not None:
-            cell_journal.record_cell(plan, metrics)
+        if store is not None:
+            store.put(
+                keys[plan.index],
+                GridRecord(plan.scheme.name, plan.n_pes, plan.total_work, metrics),
+            )
 
     fell_back = executor == "auto" and bool(stay_behind)
     if fell_back:
@@ -766,7 +765,7 @@ def run_grid(
         arena = [p for p in todo if p.index not in stay_behind]
         serial = [p for p in todo if p.index in stay_behind]
         workers = _pool_workers(
-            executor, n_jobs, arena, hardened=hardened, journaled=journal is not None
+            executor, n_jobs, arena, hardened=hardened, stored=store is not None
         )
         if workers:
             units, arena = _cost_shards(arena, workers), []
@@ -784,7 +783,7 @@ def run_grid(
             max_workers=workers,
             retry=retry,
             registry=registry,
-            journal=cell_journal,
+            stored=store is not None,
         )
     if arena:
         results.update(
@@ -864,18 +863,18 @@ def _execute_pooled(
     max_workers: int,
     retry: RetryPolicy,
     registry: MetricsRegistry | None,
-    journal: "CellJournal | None",
+    stored: bool,
 ) -> int:
     """Run ``units`` on a process pool: the one retry/quarantine loop.
 
     Each round submits every pending unit to :func:`_run_unit` and
-    journals results as they land.  A unit that fails — raised, timed
-    out, or its pool broke — charges one attempt to each cell it
-    carried; cells with budget left are requeued as one-cell units (so
-    a poison cell is isolated from its shard-mates), the rest become
-    :class:`GridFailure` entries.  Returns the total cell attempts charged;
-    raises the quarantine :class:`~repro.errors.GridCellError` if any
-    cell ran out of budget.
+    hands results to ``on_done`` as they land.  A unit that fails —
+    raised, timed out, or its pool broke — charges one attempt to each
+    cell it carried; cells with budget left are requeued as one-cell
+    units (so a poison cell is isolated from its shard-mates), the rest
+    become :class:`GridFailure` entries.  Returns the total cell
+    attempts charged; raises the quarantine
+    :class:`~repro.errors.GridCellError` if any cell ran out of budget.
     """
     by_index = {p.index: p for unit in units for p in unit}
     unnamed = _unnamed_schemes(list(by_index.values()))
@@ -975,7 +974,7 @@ def _execute_pooled(
         pool.shutdown(wait=True)
     if failures:
         _raise_quarantine(
-            plans, results, failures, retry.max_retries, registry, journal
+            plans, results, failures, retry.max_retries, registry, stored
         )
     return sum(attempts.values())
 

@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 #: Written by :func:`save_records`.  v2 added ``t_recovery`` and
-#: ``n_recovery``.  Public because the write-ahead cell journal folds it
-#: into its content-addressed ``code_version`` (a record-schema bump must
+#: ``n_recovery``.  Public because the cell key folds it into its
+#: content-addressed ``code_version`` (a record-schema bump must
 #: invalidate cached cells).
 SCHEMA_VERSION = 2
 
@@ -63,12 +63,12 @@ _SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
 def record_to_dict(record: GridRecord) -> dict:
-    """One record as its stable JSON-schema dict (shared with the journal).
+    """One record as its stable JSON-schema dict (shared with the record store).
 
     The dict round-trips **bit-identically** through
     :func:`record_from_dict`: ints are exact and floats serialize via
     ``repr`` (shortest round-trip), so a reloaded ledger equals the
-    original float-for-float — the property the journal's
+    original float-for-float — the property ``run_grid(store=...)``'s
     resume-identity guarantee rests on.
     """
     m = record.metrics
@@ -99,8 +99,8 @@ def record_from_dict(data: dict) -> GridRecord:
     RecordStoreError
         When ``data`` is missing a field or holds a malformed value (a
         ledger that is not a mapping of the five ledger lines, say).
-        Every reader of the schema — the offline store, the journal and
-        the serve store — gets this one typed error.
+        Every reader of the schema — the offline store and the record
+        store — gets this one typed error.
     """
     try:
         ledger_data = dict(data["ledger"])

@@ -22,7 +22,9 @@ fsync — so a crash mid-write can never clobber the previous good
 checkpoint, and a crash right after the write cannot lose the new one
 either.  Any framing or CRC mismatch on
 load raises :class:`~repro.errors.CheckpointCorruptError` — a torn or
-truncated file is refused, never half-restored.
+truncated file is refused, never half-restored.  This is the
+repository's one framed file format; grid cells persist as JSON records
+in the content-addressed :class:`~repro.serve.store.RecordStore`.
 
 This module must not import :mod:`repro.core` at module level (the
 scheduler imports us for :class:`CheckpointConfig`); the loader imports
@@ -47,10 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CheckpointConfig",
-    "FRAME_HEADER",
-    "frame_payload",
-    "try_parse_frame",
-    "parse_frame",
     "write_checkpoint",
     "load_checkpoint",
     "load_scheduler",
@@ -58,10 +56,9 @@ __all__ = [
 ]
 
 MAGIC = b"REPROCKPT1\n"
-#: One CRC frame header: crc32 of the payload (u32 LE), payload length
-#: (u64 LE).  Shared by checkpoints (one frame per file) and the
-#: write-ahead cell journal (many frames per file).
-FRAME_HEADER = struct.Struct("<IQ")
+#: The frame header after :data:`MAGIC`: crc32 of the payload (u32 LE),
+#: payload length (u64 LE).
+_FRAME = struct.Struct("<IQ")
 #: v2 dropped the ``charge_collectives`` scheduler keyword; a v1 file
 #: would carry it in ``kwargs`` and fail to rebuild its scheduler.  v3
 #: packs each search stack entry into two int64 words; a v2 search
@@ -69,54 +66,36 @@ FRAME_HEADER = struct.Struct("<IQ")
 _VERSION = 3
 
 
-def frame_payload(blob: bytes) -> bytes:
-    """CRC-frame one payload: ``crc32 | length | payload`` bytes."""
-    return FRAME_HEADER.pack(zlib.crc32(blob), len(blob)) + blob
+def _frame(blob: bytes) -> bytes:
+    """A checkpoint file's bytes: ``MAGIC | crc32 | length | blob``."""
+    return MAGIC + _FRAME.pack(zlib.crc32(blob), len(blob)) + blob
 
 
-def try_parse_frame(raw: bytes, offset: int) -> tuple[str, bytes | None, int]:
-    """Parse one CRC frame at ``offset`` without raising.
-
-    Returns ``(status, payload, next_offset)`` where status is:
-
-    - ``"ok"`` — intact frame; ``payload`` is its bytes and
-      ``next_offset`` the first byte after it;
-    - ``"short"`` — the buffer ends before the frame does (a torn tail:
-      the only artifact an interrupted append can leave);
-    - ``"crc"`` — the frame is complete but its payload fails the CRC
-      (bit rot or an interleaved writer — never a clean crash).
-
-    On non-``"ok"`` statuses ``payload`` is ``None`` and ``next_offset``
-    echoes ``offset`` (the last known-good boundary).
-    """
-    header_end = offset + FRAME_HEADER.size
-    if header_end > len(raw):
-        return "short", None, offset
-    crc, length = FRAME_HEADER.unpack_from(raw, offset)
-    payload_end = header_end + length
-    if payload_end > len(raw):
-        return "short", None, offset
-    payload = raw[header_end:payload_end]
-    if zlib.crc32(payload) != crc:
-        return "crc", None, offset
-    return "ok", payload, payload_end
-
-
-def parse_frame(
-    raw: bytes,
-    offset: int,
-    *,
-    where: str,
-    error: type[CheckpointCorruptError] = CheckpointCorruptError,
-) -> tuple[bytes, int]:
-    """Like :func:`try_parse_frame` but raising ``error`` on any defect."""
-    status, payload, next_offset = try_parse_frame(raw, offset)
-    if status == "short":
-        raise error(f"{where} is truncated (incomplete frame at byte {offset})")
-    if status == "crc":
-        raise error(f"{where} failed its CRC check (frame at byte {offset})")
-    assert payload is not None
-    return payload, next_offset
+def _unframe(raw: bytes, path: Path) -> bytes:
+    """The payload of a checkpoint file's one frame: the magic, the
+    exact length (nothing missing, nothing trailing) and the CRC must
+    all hold, else :class:`~repro.errors.CheckpointCorruptError`."""
+    if not raw.startswith(MAGIC):
+        raise CheckpointCorruptError(
+            f"{path} is not a checkpoint file (bad magic)"
+        )
+    start = len(MAGIC) + _FRAME.size
+    if len(raw) < start:
+        raise CheckpointCorruptError(f"{path} is truncated (no frame header)")
+    crc, length = _FRAME.unpack_from(raw, len(MAGIC))
+    end = start + length
+    if len(raw) < end:
+        raise CheckpointCorruptError(
+            f"{path} is truncated ({len(raw) - start} of {length} payload bytes)"
+        )
+    if len(raw) > end:
+        raise CheckpointCorruptError(
+            f"{path} has {len(raw) - end} trailing bytes after its frame"
+        )
+    blob = raw[start:end]
+    if zlib.crc32(blob) != crc:
+        raise CheckpointCorruptError(f"{path} failed its CRC check")
+    return blob
 
 
 @dataclass(frozen=True)
@@ -156,8 +135,7 @@ def write_checkpoint(scheduler: "Scheduler", path: str | Path) -> None:
             "sanitize": scheduler.sanitize,
         },
     }
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    framed = MAGIC + frame_payload(blob)
+    framed = _frame(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     atomic_write_bytes(Path(path), framed)
     # Observability is optional and strictly observational; getattr keeps
     # this callable for scheduler-like objects without an obs field.
@@ -177,15 +155,7 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
         raise CheckpointCorruptError(
             f"cannot read checkpoint {path}: {exc}"
         ) from exc
-    if not raw.startswith(MAGIC):
-        raise CheckpointCorruptError(
-            f"{path} is not a checkpoint file (bad magic)"
-        )
-    blob, end = parse_frame(raw, len(MAGIC), where=str(path))
-    if end != len(raw):
-        raise CheckpointCorruptError(
-            f"{path} has {len(raw) - end} trailing bytes after its frame"
-        )
+    blob = _unframe(raw, path)
     try:
         payload = pickle.loads(blob)
     except Exception as exc:

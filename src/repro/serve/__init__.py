@@ -7,7 +7,7 @@ records under that key serves traffic that scales with *distinct*
 experiments, not with requests.  Identical re-submissions are answered
 from the shared :class:`~repro.serve.store.RecordStore` — bit-identical
 to a direct :func:`~repro.experiments.runner.run_grid` run, by the same
-repr-float round-trip identity the write-ahead journal's resume
+repr-float round-trip identity ``run_grid(store=...)``'s resume
 guarantee rests on — and never enter the worker queue.
 
 Layers (each usable on its own):

@@ -11,7 +11,9 @@ typed answer on every backend.
 Validation reuses the library's own authorities instead of duplicating
 them: scheme specs are checked by actually building the scheme
 (:func:`~repro.core.config.make_scheme`, once per spelling), so
-anything ``run_grid`` would accept is accepted here and nothing else.
+anything ``run_grid`` would accept is accepted here and nothing else —
+and a request carries the built scheme's canonical name, not the
+client's spelling, so ``GP-S0.5`` and ``GP-S0.50`` key the same cells.
 
 :class:`JobEvent` is the serve layer's lifecycle record (queued /
 started / finished / cache events), a registered
@@ -74,22 +76,22 @@ def _as_int(value: object, what: str) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _build_scheme(spec: str) -> None:
-    """Build ``spec``'s scheme and drop it.  ``make_scheme`` is pure, so
-    a spelling that built once always builds: successes are memoised,
-    and a spec that raises is tried (and refused) afresh every time."""
+def _build_scheme(spec: str) -> str:
+    """Build ``spec``'s scheme and return its canonical name.
+    ``make_scheme`` is pure, so a spelling that built once always
+    builds: successes are memoised, and a spec that raises is tried
+    (and refused) afresh every time."""
     from repro.core.config import make_scheme
 
-    make_scheme(spec)
+    return make_scheme(spec).name
 
 
 def _check_scheme(spec: object) -> str:
     _require(isinstance(spec, str), f"scheme must be a string, got {spec!r}")
     try:
-        _build_scheme(spec)
+        return _build_scheme(spec)
     except (ConfigError, ValueError) as exc:
         raise BadRequestError(f"unknown scheme spec {spec!r}: {exc}") from exc
-    return spec
 
 
 def _check_cell(total_work: int, n_pes: int) -> None:

@@ -6,7 +6,8 @@ Its cache discipline, end to end:
 1. A submission is expanded to its cells with the *same* planning code
    an offline sweep uses (:func:`~repro.experiments.runner.plan_grid`,
    :func:`~repro.experiments.runner.cell_seed`), and every cell gets its
-   content-addressed :func:`~repro.experiments.journal.cell_key`.  A
+   content-addressed :func:`~repro.experiments.journal.plan_key` — the
+   key ``run_grid(store=...)`` itself reads and publishes it under.  A
    grid request's keys are a pure function of the request and of the
    process's ``code_version()``, so they are planned once and memoised
    (:data:`MAX_MEMO_CELLS` keys held in all, least recently used out
@@ -16,15 +17,14 @@ Its cache discipline, end to end:
    memoised, so a record another process publishes or deletes changes
    the very next answer; a job whose cells all hit completes immediately
    — ``cache_hit`` true, nothing queued, nothing recomputed.
-3. Anything else enters the bounded queue.  A grid job with *partial*
-   hits pre-seeds a per-job write-ahead journal with the cached records
-   and runs ``run_grid(journal=..., resume=True)`` — the existing
-   resume machinery skips every seeded cell, so cached cells are never
-   recomputed even inside a mixed job (the ``grid.resumed_cells``
-   counter proves it).
-4. Completed cells are published back to the store, so the next
-   identical submission — from any worker of any service process
-   sharing the directory — hits.
+3. Anything else enters the bounded queue.  A grid job runs
+   ``run_grid(store=...)`` on the shared store: the grid takes every
+   cell already there and publishes each cell it computes the moment it
+   finishes, so cached cells are never recomputed even inside a mixed
+   job (the ``grid.resumed_cells`` counter proves it, and is where the
+   job's cached/computed split comes from), and the next identical
+   submission — from any worker of any service process sharing the
+   directory — hits.
 
 Every hit/miss increments ``serve.cache{result=...}`` on the
 service-wide :class:`~repro.obs.registry.MetricsRegistry` (per *cell*,
@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import JobNotFoundError, QueueFullError, RecordNotFoundError
-from repro.experiments.journal import CellJournal, cell_key
+from repro.experiments.journal import cell_key, plan_key
 from repro.experiments.runner import GridRecord, plan_grid, run_divisible, run_grid
 from repro.obs import JsonlSink, MetricsRegistry, Observability
 from repro.serve.queue import Job, JobQueue
@@ -129,50 +129,34 @@ def _solve_cell(
 
 
 def _grid_cells(
-    request: dict, journal_path: Path, store_root: Path, keys: list[str]
+    request: dict, store_root: Path
 ) -> tuple[int, int, MetricsRegistry]:
-    """One grid job's compute: resume from the cached cells, run the
-    rest, publish them.  Returns ``(cached, computed, registry)``."""
-    store = RecordStore(store_root)
-    journal = CellJournal(journal_path)
-    # Pre-seed the job's write-ahead journal with every cached cell;
-    # run_grid(resume=True) then skips exactly those — cached cells
-    # are never recomputed, even inside a partially cached job.  A
-    # cell's grid index is its position in the scheme-major ``keys``.
-    seeded = 0
-    for index, key in enumerate(keys):
-        record = store.get(key)
-        if record is not None and key not in journal:
-            journal.append(key, index, record)
-            seeded += 1
+    """One grid job's compute: ``run_grid`` on the shared store takes
+    the cached cells from it and publishes the rest as they finish.
+    Returns ``(cached, computed, registry)``."""
     registry = MetricsRegistry()
     records = run_grid(
         request["schemes"],
         request["works"],
         request["pes"],
         base_seed=request["base_seed"],
-        journal=journal_path,
-        resume=True,
+        store=RecordStore(store_root),
         registry=registry,
     )
-    for key, record in zip(keys, records):
-        if key not in store:
-            store.put(key, record)
-    return seeded, len(records) - seeded, registry
+    cached = int(registry.snapshot()["counters"].get("grid.resumed_cells", 0))
+    return cached, len(records) - cached, registry
 
 
 def _plan_keys(request: GridRequest) -> tuple[str, ...]:
     """Every cell key of ``request``, scheme-major — what ``run_grid``
-    would journal the same cells under."""
+    stores the same cells under."""
     plans = plan_grid(
         list(request.schemes),
         list(request.works),
         list(request.pes),
         base_seed=request.base_seed,
     )
-    return tuple(
-        cell_key(p.scheme.name, p.total_work, p.n_pes, p.seed) for p in plans
-    )
+    return tuple(plan_key(p) for p in plans)
 
 
 class _KeyMemo:
@@ -220,8 +204,8 @@ class ExperimentService:
     """Submit experiments, cache by content address, serve records.
 
     ``root`` holds everything the service persists: the shared record
-    store under ``root/cells`` and per-job artifacts (event stream,
-    write-ahead journal) under ``root/jobs/<job-id>``.  Several service
+    store under ``root/cells`` and each queued job's event stream under
+    ``root/jobs/<job-id>``.  Several service
     processes may share one ``root`` — the store is concurrency-safe by
     construction.
 
@@ -318,7 +302,7 @@ class ExperimentService:
         share ``root``, so an id is taken only once ``mkdir`` proves
         nobody — an earlier incarnation or a concurrent one — owns
         ``jobs/<id>``: a job never appends to another job's event
-        stream or reopens its journal.
+        stream.
         """
         while True:
             job_id = self.queue.new_id()
@@ -452,11 +436,7 @@ class ExperimentService:
         # The child re-reads the store, so a cell some other service
         # published since submission is resumed too, not recomputed.
         job.cached_cells, job.computed_cells, registry = self._compute(
-            _grid_cells,
-            job.request,
-            job.events_path.with_name("journal.jrnl"),
-            self.store.root,
-            job.keys,
+            _grid_cells, job.request, self.store.root
         )
         self._fold(registry)
         self._emit(

@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.config import PAPER_SCHEMES, Scheme, make_scheme, parse_scheme_spec
+from repro.baselines.frye import frye_give_one_scheme
+from repro.core.config import (
+    PAPER_SCHEMES,
+    Scheme,
+    make_scheme,
+    parse_scheme_spec,
+    threshold_text,
+)
 from repro.core.matching import GPMatcher, NGPMatcher
 from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger
 
@@ -47,6 +56,20 @@ class TestMakeScheme:
         _, trigger = s.build(0.2)
         assert isinstance(trigger, DKTrigger)
         assert trigger.initial_lb_cost == 0.2
+
+    @given(x=st.floats(min_value=0.0, max_value=1.0))
+    def test_static_name_round_trips_its_threshold(self, x):
+        """A pool worker rebuilds a scheme from its name and cell keys
+        hash it, so the name must carry the exact threshold."""
+        scheme = make_scheme(f"nGP-S{x!r}")
+        assert parse_scheme_spec(scheme.name) == ("nGP", "S", x)
+        assert make_scheme(scheme.name).name == scheme.name
+
+    def test_two_decimals_when_they_are_exact(self):
+        assert make_scheme("GP-S0.5").name == "GP-S0.50"
+        assert make_scheme("GP-S0.745").name == "GP-S0.745"
+        assert threshold_text(1.0) == "1.00"
+        assert frye_give_one_scheme(x=0.745).name == "Frye1-S0.745"
 
     def test_build_returns_fresh_instances(self):
         s = make_scheme("GP-S0.8")

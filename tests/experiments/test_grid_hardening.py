@@ -9,7 +9,7 @@ Both pooled shapes — ``"batched"`` with ``n_jobs=2`` (two cost-cut
 shards) and ``"auto"`` without ``n_jobs`` (a hardened grid below
 ``POOL_THRESHOLD``: one shard holding every cell) — share one worker
 and one retry/quarantine loop, so the recovery suite is parametrised
-over the shape instead of being written once per shape.  Journal replay
+over the shape instead of being written once per shape.  Store resume
 after a quarantine and the real SIGKILL harness live in
 ``test_durability.py``.
 """
@@ -28,7 +28,6 @@ from repro.errors import (
     TimeoutUnenforcedWarning,
 )
 from repro.experiments import runner as runner_mod
-from repro.experiments.journal import CellJournal
 from repro.experiments.runner import (
     GridFailure,
     QuarantineReport,
@@ -37,6 +36,7 @@ from repro.experiments.runner import (
 )
 from repro.faults import GridChaos
 from repro.obs import MetricsRegistry
+from repro.serve.store import RecordStore
 
 #: The four-cell grid of the quarantine tests (two shards of two).
 SCHEMES = ["nGP-S0.75", "GP-DP"]
@@ -63,24 +63,24 @@ def oracle():
     return _six(executor="serial")
 
 
-@pytest.mark.parametrize("journaled", [False, True], ids=["nojournal", "journal"])
+@pytest.mark.parametrize("stored", [False, True], ids=["nostore", "store"])
 @pytest.mark.parametrize("kind", ["raise", "exit", "hang"])
 @pytest.mark.parametrize("executor", sorted(POOLED))
-def test_chaos_recovery_equals_oracle(executor, kind, journaled, tmp_path, oracle):
+def test_chaos_recovery_equals_oracle(executor, kind, stored, tmp_path, oracle):
     """One sabotaged attempt — an exception, a hard worker death
     (``BrokenProcessPool`` -> respawn -> requeue) or a hang the watchdog
     has to cut short — and the grid still equals the serial oracle, with
-    every cell journaled exactly once."""
+    every cell stored and each stored record equal to the oracle's."""
     if kind == "hang" and not hasattr(signal, "SIGALRM"):
         pytest.skip("watchdog needs SIGALRM")
-    path = tmp_path / "grid.journal" if journaled else None
+    store = RecordStore(tmp_path / "cells") if stored else None
     registry = MetricsRegistry()
     records = _six(
         **POOLED[executor],
         timeout=0.3 if kind == "hang" else None,
         retry=FAST_RETRY,
         chaos=GridChaos(index=2, kind=kind, attempts=(0,)),
-        journal=path,
+        store=store,
         registry=registry,
     )
     assert records == oracle
@@ -90,8 +90,9 @@ def test_chaos_recovery_equals_oracle(executor, kind, journaled, tmp_path, oracl
     charged = 6 if executor == "auto" else 3
     retries = registry.counter("grid.retries_total").value
     assert retries >= charged if kind == "exit" else retries == charged
-    if path is not None:
-        assert len(CellJournal(path)) == len(oracle)
+    if store is not None:
+        assert len(store) == len(oracle)
+        assert _six(executor="serial", store=store) == oracle
 
 
 @pytest.mark.parametrize("executor", sorted(POOLED))

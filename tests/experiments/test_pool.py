@@ -27,6 +27,7 @@ from repro.experiments.runner import (
     run_grid,
 )
 from repro.obs import MetricsRegistry
+from repro.serve.store import RecordStore
 
 SCHEMES = ["GP-S0.90", "nGP-DK"]
 WORKS = [300, 900]
@@ -55,8 +56,8 @@ class TestPoolPolicy:
         big_enough.setattr(runner_mod, "_usable_cpus", lambda: 1)
         assert _workers() == 0
 
-    def test_journal_stays_in_process(self, big_enough, tmp_path):
-        assert _workers(journal=tmp_path / "grid.journal") == 0
+    def test_store_stays_in_process(self, big_enough, tmp_path):
+        assert _workers(store=RecordStore(tmp_path / "cells")) == 0
 
     def test_another_live_thread_stays_in_process(self, big_enough):
         release = threading.Event()
@@ -108,6 +109,16 @@ class TestPoolPolicy:
             thread.join()
         assert registry.gauge("grid.workers").value == 2
         assert pooled == run_grid(SCHEMES, WORKS, PES, executor="serial")
+
+
+def test_pooled_cells_keep_an_unrounded_threshold():
+    """A pool worker rebuilds each scheme from its name: ``GP-S0.745``
+    used to travel as ``GP-S0.74`` and compute that scheme's records."""
+    args = (["GP-S0.745"], [30_000, 30_001], [1000])
+    serial = run_grid(*args, base_seed=7, executor="serial", sanitize=True)
+    pooled = run_grid(*args, base_seed=7, n_jobs=2, sanitize=True)
+    assert pooled == serial
+    assert [r.scheme for r in serial] == ["GP-S0.745"] * 2
 
 
 def _plan(index: int, work: int, pes: int) -> CellPlan:

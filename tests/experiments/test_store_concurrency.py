@@ -1,4 +1,4 @@
-"""Concurrent-writer hammers for the record store and cell journal.
+"""Concurrent-writer hammers for saved record lists and the record store.
 
 These are the regression tests for the fixed-name ``.tmp`` race: before
 the :mod:`repro.util.atomic` helper, every ``save_records`` call staged
@@ -19,9 +19,10 @@ import multiprocessing
 
 import pytest
 
-from repro.experiments.journal import CellJournal, cell_key, replay_journal
+from repro.experiments.journal import cell_key
 from repro.experiments.runner import run_divisible, GridRecord
-from repro.experiments.store import load_records, save_records
+from repro.experiments.store import load_records, record_to_dict, save_records
+from repro.serve.store import RecordStore
 
 N_PROCS = 8
 N_ITERS = 10
@@ -43,15 +44,14 @@ def _store_writer(path, barrier, failures):
             failures.put(f"{type(exc).__name__}: {exc}")
 
 
-def _journal_writer(path, barrier, failures):
-    """One hammer process: create-or-validate the same journal, append."""
+def _record_store_writer(path, barrier, failures):
+    """One hammer process: open the same record store, put one key."""
     record = _make_record()
     key = cell_key("GP-DK", 200, 4, 3)
     barrier.wait()
     for _ in range(N_ITERS):
         try:
-            journal = CellJournal(path)
-            journal.append(key, 0, record)
+            RecordStore(path).put(key, record)
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             failures.put(f"{type(exc).__name__}: {exc}")
 
@@ -106,16 +106,18 @@ class TestConcurrentSaveRecords:
 
 
 @pytest.mark.slow
-class TestConcurrentJournalCreate:
-    def test_parallel_journal_creation(self, tmp_path):
-        """8 processes racing to create-or-open one journal and append
-        the same cell: no failures, and the journal replays cleanly."""
-        path = tmp_path / "cells.jrnl"
-        failures = _hammer(_journal_writer, path)
+class TestConcurrentStorePut:
+    def test_parallel_puts_one_key(self, tmp_path):
+        """8 processes racing to create one store and put the same cell
+        (the shard directory included): no failures, one complete
+        record, no staging debris."""
+        root = tmp_path / "cells"
+        failures = _hammer(_record_store_writer, root)
         assert failures == []
-        # Appends of an already-journaled key are idempotent no-ops, so
-        # every process saw either "absent -> write" or "present -> skip";
-        # replay must parse every surviving frame and yield the one cell.
-        _, records, _, torn = replay_journal(path, recover=False)
-        assert not torn
-        assert set(records) == {cell_key("GP-DK", 200, 4, 3)}
+        store = RecordStore(root)
+        key = cell_key("GP-DK", 200, 4, 3)
+        assert store.keys() == [key]
+        assert record_to_dict(store.get(key)) == record_to_dict(_make_record())
+        assert [p.name for p in store.path_for(key).parent.iterdir()] == [
+            f"{key}.json"
+        ]

@@ -148,6 +148,17 @@ def test_bitflip_fails_crc(tmp_path):
         load_checkpoint(ck)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    ck = tmp_path / "run.ckpt"
+    _scheduler(
+        DivisibleWorkload(WORK, N_PES, rng=0),
+        checkpoint=CheckpointConfig(ck, every=10),
+    ).run()
+    ck.write_bytes(ck.read_bytes() + b"\x00" * 3)
+    with pytest.raises(CheckpointCorruptError, match="3 trailing bytes"):
+        load_checkpoint(ck)
+
+
 def test_unsupported_version_rejected(tmp_path):
     import struct
     import zlib

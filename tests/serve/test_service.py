@@ -22,10 +22,9 @@ from repro.errors import (
     RecordNotFoundError,
     RecordStoreError,
 )
-from repro.experiments.journal import MAGIC, cell_key
+from repro.experiments.journal import cell_key
 from repro.experiments.runner import plan_grid, run_divisible, run_grid, GridRecord
 from repro.experiments.store import record_to_dict
-from repro.faults.checkpoint import try_parse_frame
 from repro.obs.events import read_jsonl_events
 from repro.serve import ExperimentService, RecordStore
 from repro.serve import service as service_module
@@ -118,7 +117,7 @@ class TestGridCaching:
         assert done["cached_cells"] == 2
         assert done["computed_cells"] == 1
         # run_grid's own resume counter is the recompute-free proof:
-        # seeded cells were skipped by the journal, not re-run.
+        # cached cells were taken from the store, not re-run.
         counters = service.metrics()["counters"]
         assert counters["grid.resumed_cells"] == 2.0
 
@@ -144,6 +143,19 @@ class TestGridCaching:
         assert solve_view["cache_hit"] is True
         assert solve_view["keys"] == grid_view["keys"]
 
+    def test_spellings_of_one_scheme_share_the_store(self, service):
+        """A request carries the scheme's canonical name, so a ``GP-S0.5``
+        solve primes the ``GP-S0.50`` grid cell of the same seed."""
+        from repro.experiments.runner import cell_seed
+
+        solve = _solve("GP-S0.5", total_work=200, n_pes=4, seed=cell_seed(5, 0))
+        assert solve.scheme == "GP-S0.50"
+        service.wait(service.submit_solve(solve)["id"])
+        view = service.submit_grid(_grid(schemes=("GP-S0.50",), pes=(4, 8)))
+        done = service.wait(view["id"])
+        assert (done["cached_cells"], done["computed_cells"]) == (1, 1)
+        assert done["keys"][0] == service.submit_solve(solve)["keys"][0]
+
 
 def _reference_keys(request):
     plans = plan_grid(
@@ -153,17 +165,6 @@ def _reference_keys(request):
         base_seed=request.base_seed,
     )
     return [cell_key(p.scheme.name, p.total_work, p.n_pes, p.seed) for p in plans]
-
-
-def _journal_indices(path):
-    """``key -> index`` of every cell frame in a job's journal."""
-    raw = path.read_bytes()
-    offset, frames = len(MAGIC), []
-    while offset < len(raw):
-        status, payload, offset = try_parse_frame(raw, offset)
-        assert status == "ok"
-        frames.append(json.loads(payload))
-    return {frame["key"]: frame["index"] for frame in frames[1:]}
 
 
 def _memo_counts(service):
@@ -240,9 +241,9 @@ class TestPlanMemo:
             done = svc.wait(view["id"], timeout=60)
             assert (done["cached_cells"], done["computed_cells"]) == (3, 1)
             assert keys[2] in svc.store
-            # Seeded and computed frames carry each cell's grid index.
-            journal = svc.jobs_dir / view["id"] / "journal.jrnl"
-            assert _journal_indices(journal) == {k: i for i, k in enumerate(keys)}
+            # The job's directory holds its event stream and nothing else.
+            job_dir = svc.jobs_dir / view["id"]
+            assert [p.name for p in job_dir.iterdir()] == ["events.jsonl"]
             assert svc.submit_grid(request)["cache_hit"] is True
 
             svc.store.path_for(keys[0]).unlink()
@@ -359,8 +360,7 @@ class TestJobEvents:
 def test_restarted_service_never_reuses_a_job_directory(tmp_path):
     """Job ids restart with the process, job artifacts do not: a second
     service over the same root used to hand out ``job-000001`` again,
-    append to the first incarnation's event stream and reopen its stale
-    journal."""
+    append to the first incarnation's event stream."""
     root = tmp_path / "serve"
     views = []
     for seed in (1, 2):  # two distinct misses, one per incarnation
@@ -505,6 +505,16 @@ class TestRecordStore:
         target.write_text(payload.read_text())  # wrong key inside
         with pytest.raises(RecordStoreError, match="not a record payload"):
             store.get(other)
+
+    def test_schema_version_mismatch_is_typed(self, tmp_path):
+        store = RecordStore(tmp_path / "cells")
+        metrics = run_divisible("GP-DK", 100, 2, seed=0)
+        key = cell_key("GP-DK", 100, 2, 0)
+        path = store.put(key, GridRecord("GP-DK", 2, 100, metrics))
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "schema_version": 99}))
+        with pytest.raises(RecordStoreError, match="schema version 99"):
+            store.get(key)
 
     def test_contains_refuses_malformed_keys(self, tmp_path):
         store = RecordStore(tmp_path / "cells")

@@ -19,16 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.journal import CellJournal, cell_key
+from repro.experiments.journal import cell_key
 from repro.experiments.runner import (
     GridRecord,
     cell_seed,
-    plan_grid,
     run_divisible,
     run_grid,
 )
 from repro.obs import MetricsRegistry, Observability
-from repro.serve import ExperimentService, create_server
+from repro.serve import ExperimentService, RecordStore, create_server
 from repro.serve.schemas import parse_grid_request, parse_solve_request
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,8 +69,8 @@ def _gone_within(pids: list[int], seconds: float) -> bool:
 def _thread_side_snapshot(tmp_path, solves: list[dict], grid: dict) -> dict:
     """The registry snapshot of a service that ran ``solves`` then
     ``grid`` *in its own process*: each job's private registry folded
-    into the service's, the grid resumed from a journal pre-seeded with
-    the cells the solves had published."""
+    into the service's, the grid resumed from a store holding the cells
+    the solves had published."""
     service = MetricsRegistry()
     published = {}
     for body in solves:
@@ -86,16 +85,12 @@ def _thread_side_snapshot(tmp_path, solves: list[dict], grid: dict) -> dict:
         )
         service.fold(job)
     args = (grid["schemes"], grid["works"], grid["pes"])
-    journal_path = tmp_path / "oracle.jrnl"
-    journal = CellJournal(journal_path)
-    for plan in plan_grid(*args, base_seed=grid["base_seed"]):
-        key = cell_key(plan.scheme.name, plan.total_work, plan.n_pes, plan.seed)
-        if key in published:
-            journal.append(key, plan.index, published[key])
+    store = RecordStore(tmp_path / "oracle")
+    for key, record in published.items():
+        store.put(key, record)
     job = MetricsRegistry()
     records = run_grid(
-        *args, base_seed=grid["base_seed"], journal=journal_path, resume=True,
-        registry=job,
+        *args, base_seed=grid["base_seed"], store=store, registry=job
     )
     service.fold(job)
     hits, n = len(published), len(records)
