@@ -41,7 +41,6 @@ def test_theory_vs_measurement(benchmark, scale, results_dir):
                     sc.n_pes,
                     splitter=AlphaSplitter(alpha_min=ALPHA),
                     seed=6,
-                    trace=True,
                 )
                 # Measured mean active fraction during search cycles.
                 active_frac = m.avg_busy_fraction

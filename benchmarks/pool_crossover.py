@@ -5,7 +5,7 @@ Times ``run_grid`` over the reference grid shape (the six Table 1
 schemes x 3 W x P in {256, 512}) with every W scaled by one factor, so
 the predicted cost (sum of W/P) sweeps from a few hundred to the full
 grid's 22 128.  Each point runs the cells in one in-process arena
-(``executor="batched"``) and as cost-cut shards on a fork pool of one
+(``n_jobs=1``) and as cost-cut shards on a fork pool of one
 worker per usable CPU, alternating which goes first, and prints the
 median wall time of each::
 
@@ -50,12 +50,12 @@ def main() -> int:
         cost = _predicted_cost(plan_grid(SCHEMES, works, PES))
         inproc, pooled = [], []
         for rep in range(args.reps + 1):  # rep 0 is an untimed warm-up
-            runs = [("inproc", {}), ("pooled", {"n_jobs": workers})]
+            runs = [("inproc", {"n_jobs": 1}), ("pooled", {"n_jobs": workers})]
             if rep % 2:
                 runs.reverse()
             out = {}
             for name, kwargs in runs:
-                dt, out[name] = _time(works, rep, executor="batched", **kwargs)
+                dt, out[name] = _time(works, rep, **kwargs)
                 if rep:
                     (inproc if name == "inproc" else pooled).append(dt)
             assert out["inproc"] == out["pooled"], "pooled records differ"

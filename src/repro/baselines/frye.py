@@ -112,5 +112,4 @@ class NearestNeighborScheduler:
             n_transfers=machine.n_transfers,
             n_init_lb=0,
             ledger=machine.ledger,
-            trace=None,
         )

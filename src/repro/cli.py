@@ -19,7 +19,7 @@ Commands:
 - ``trace`` — run one profiled stack-model workload and write a
   Chrome-trace / Perfetto ``trace.json`` of the kernel spans.
 - ``lint`` — the SIMD-discipline static checks (rules R001, R002,
-  R003, R005 and R102).
+  R003 and R102).
 
 Every command prints plain text and exits non-zero on bad arguments, so
 the CLI scripts cleanly.
@@ -141,10 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
         # Mirrors runner.GRID_EXECUTORS; kept literal so building the
         # parser stays import-light (locked by a CLI test).
         "--executor", default="auto",
-        choices=["auto", "serial", "batched"],
-        help="grid execution strategy: batched packs all cells into one "
-        "mega-arena; serial runs one cell at a time; auto is batched and "
-        "shards a large grid over one worker per CPU (default: auto)",
+        choices=["auto", "serial"],
+        help="grid execution strategy: auto packs all cells into one "
+        "mega-arena and shards a large grid over one worker per CPU "
+        "(--jobs 1 keeps it in this process); serial runs one cell at a "
+        "time (default: auto)",
     )
     grid.add_argument(
         "--stats", default=None, metavar="PATH",
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="SIMD-discipline static checks (R001, R002, R003, R005, R102)",
+        help="SIMD-discipline static checks (R001, R002, R003, R102)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],

@@ -8,8 +8,7 @@
   :class:`~repro.simd.machine.SimdMachine`.
 - :mod:`repro.core.config` — the Table 1 scheme registry and the
   ``"GP-S0.90"`` / ``"nGP-DP"`` / ``"GP-DK"`` spec parser.
-- :mod:`repro.core.metrics` — run metrics (N_expand, N_lb, transfers, E)
-  and per-cycle traces (Figure 8).
+- :mod:`repro.core.metrics` — run metrics (N_expand, N_lb, transfers, E).
 """
 
 from repro.core.interfaces import Workload
@@ -28,7 +27,7 @@ from repro.core.triggering import (
     DPTrigger,
     DKTrigger,
 )
-from repro.core.metrics import RunMetrics, Trace
+from repro.core.metrics import RunMetrics
 from repro.core.config import Scheme, make_scheme, parse_scheme_spec, PAPER_SCHEMES
 from repro.core.scheduler import Scheduler
 
@@ -49,7 +48,6 @@ __all__ = [
     "DPTrigger",
     "DKTrigger",
     "RunMetrics",
-    "Trace",
     "Scheme",
     "make_scheme",
     "parse_scheme_spec",

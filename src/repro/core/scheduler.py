@@ -47,7 +47,7 @@ import numpy as np
 from repro.core.config import Scheme, make_scheme
 from repro.core.interfaces import Workload
 from repro.core.matching import Matcher
-from repro.core.metrics import RunMetrics, Trace
+from repro.core.metrics import RunMetrics
 from repro.core.triggering import DKTrigger, Trigger, TriggerState
 from repro.errors import ConfigError, FaultInjectionError
 from repro.faults.checkpoint import CheckpointConfig, write_checkpoint
@@ -83,11 +83,6 @@ class Scheduler:
         If set (e.g. ``0.85`` as in Section 7), run the initial
         distribution phase until this fraction of PEs is non-idle before
         handing control to the trigger.
-    trace:
-        Record per-cycle busy counts and LB positions (Figure 8 data).
-        ``True`` builds a default ring-buffered :class:`Trace`; pass a
-        pre-built :class:`Trace` instance to control the ring size or
-        attach a streaming event sink.
     max_cycles:
         Safety cap on expansion cycles; ``None`` means run to exhaustion.
     sanitize:
@@ -111,18 +106,19 @@ class Scheduler:
     obs:
         An :class:`~repro.obs.Observability` bundle.  Typed events
         (cycles, LB phases, recovery, faults) go to ``obs.events`` on
-        the machine's *cumulative* cycle axis; per-phase histograms go
-        to ``obs.metrics``; kernel spans report to the active profiler.
-        Observation is pure — it never changes what the run computes —
-        and the bundle is not checkpointed (a resumed run re-attaches
-        fresh observers via ``load_scheduler``).
+        the machine's *cumulative* cycle axis — the run's only
+        per-cycle record (busy and expanding PEs, the Figure 1 areas,
+        every LB phase); per-phase histograms go to ``obs.metrics``;
+        kernel spans report to the active profiler.  Observation is
+        pure — it never changes what the run computes — and the bundle
+        is not checkpointed: a resumed run takes fresh observers by
+        setting ``obs`` on the scheduler ``load_scheduler`` returns.
     """
 
     workload: Workload
     machine: SimdMachine
     scheme: Scheme | str
     init_threshold: float | None = None
-    trace: bool | Trace = False
     max_cycles: int | None = None
     sanitize: bool = False
     faults: FaultPlan | FaultRuntime | None = None
@@ -152,12 +148,6 @@ class Scheduler:
             )
         else:
             self._faults = self.faults
-        if (
-            self._faults is not None
-            and self.obs is not None
-            and self.obs.events is not None
-        ):
-            self._faults.observer = self.obs.events
         if self.checkpoint is not None:
             try:
                 make_scheme(self.scheme.name)
@@ -167,7 +157,6 @@ class Scheduler:
                     "through its spec string, so a checkpoint of this run "
                     "could not be restored; use a parseable scheme spec"
                 ) from None
-        self._trace_obj: Trace | None = None
         self._n_init_lb = 0
         self._resumed = False
         self._last_checkpoint_cycle = -1
@@ -176,6 +165,14 @@ class Scheduler:
 
     def run(self) -> RunMetrics:
         """Execute the full run (or continue a resumed one); return metrics."""
+        if (
+            self._faults is not None
+            and self.obs is not None
+            and self.obs.events is not None
+        ):
+            # Bound here, not at construction, so observers attached to
+            # a loaded checkpoint's scheduler see its fault events too.
+            self._faults.observer = self.obs.events
         if not self._resumed:
             self._start()
         return self._loop()
@@ -187,15 +184,8 @@ class Scheduler:
         initial_lb_cost = self.machine.cost.lb_phase_time(self.machine.n_pes)
         matcher, trigger = scheme.build(initial_lb_cost)
         self.matcher, self.trigger = matcher, trigger
-        if isinstance(self.trace, Trace):
-            self._trace_obj = self.trace
-        else:
-            self._trace_obj = Trace() if self.trace else None
-
         if self.init_threshold is not None:
-            self._n_init_lb = self._initial_distribution(
-                matcher, trigger, self._trace_obj
-            )
+            self._n_init_lb = self._initial_distribution(matcher, trigger)
         trigger.start_phase()
 
     def _loop(self) -> RunMetrics:
@@ -203,7 +193,6 @@ class Scheduler:
         assert isinstance(scheme, Scheme)
         matcher, trigger = self.matcher, self.trigger
         assert matcher is not None and trigger is not None
-        trace = self._trace_obj
 
         while True:
             self._apply_deaths()
@@ -212,15 +201,15 @@ class Scheduler:
             state = self._expand_and_observe()
             self._sanity_cycle(matcher)
             if self._done():
-                self._record_cycle(trace, state, trigger)
+                self._record_cycle(state, trigger)
                 self._maybe_checkpoint()
                 break
             fire = trigger.after_cycle(state)
-            self._record_cycle(trace, state, trigger)
+            self._record_cycle(state, trigger)
             if fire:
                 if self._sanitizer is not None and isinstance(trigger, DKTrigger):
                     self._sanitizer.check_dk_fire(trigger, state)
-                self._maybe_balance(matcher, trigger, trace)
+                self._maybe_balance(matcher, trigger)
             self._maybe_checkpoint()
 
         if self._faults is not None:
@@ -235,7 +224,6 @@ class Scheduler:
             n_transfers=self.machine.n_transfers,
             n_init_lb=self._n_init_lb,
             ledger=self.machine.ledger,
-            trace=trace,
             n_recovery=self.machine.n_recovery_phases,
             faults=self._faults.report() if self._faults is not None else None,
         )
@@ -321,17 +309,11 @@ class Scheduler:
             busy=busy, expanding=expanding, n_pes=self.machine.n_pes, dt=dt
         )
 
-    def _record_cycle(
-        self, trace: Trace | None, state: TriggerState, trigger: Trigger
-    ) -> None:
-        if trace is not None:
-            trace.record_cycle(
-                state.busy, state.expanding, trigger.last_r1, trigger.last_r2
-            )
+    def _record_cycle(self, state: TriggerState, trigger: Trigger) -> None:
         obs = self.obs
         if obs is not None and obs.events is not None:
             # The cumulative machine axis keeps IDA* iterations monotone
-            # in one event stream (a per-iteration Trace restarts at 0).
+            # in one event stream.
             obs.events.emit(
                 CycleEvent(
                     cycle=self.machine.n_cycles - 1,
@@ -405,7 +387,7 @@ class Scheduler:
                     obs.metrics.counter("recovery.frontiers_redonated").inc(moved)
         return rounds > 0
 
-    def _maybe_balance(self, matcher: Matcher, trigger: Trigger, trace: Trace | None) -> bool:
+    def _maybe_balance(self, matcher: Matcher, trigger: Trigger) -> bool:
         """Run an LB phase if a useful transfer is possible.
 
         When no busy/idle pair exists (e.g. every PE holds exactly one
@@ -470,8 +452,6 @@ class Scheduler:
             self.machine.charge_recovery_phase(
                 transfer_rounds=faulty_rounds, n_transfers=0, setup_scans=0
             )
-        if trace is not None:
-            trace.record_lb(self.machine.n_cycles - 1)
         obs = self.obs
         if obs is not None:
             obs.emit(
@@ -489,9 +469,7 @@ class Scheduler:
         trigger.start_phase()
         return True
 
-    def _initial_distribution(
-        self, matcher: Matcher, trigger: Trigger, trace: Trace | None
-    ) -> int:
+    def _initial_distribution(self, matcher: Matcher, trigger: Trigger) -> int:
         """Section 7's initialization: balance after every cycle until the
         active fraction reaches ``init_threshold`` (or work runs out)."""
         assert self.init_threshold is not None
@@ -501,12 +479,12 @@ class Scheduler:
             self._apply_deaths()
             state = self._expand_and_observe()
             self._sanity_cycle(matcher)
-            self._record_cycle(trace, state, trigger)
+            self._record_cycle(state, trigger)
             if self._done():
                 break
             non_idle = self.machine.n_pes - int(self.workload.idle_mask().sum())
             if non_idle >= target:
                 break
-            if self._maybe_balance(matcher, trigger, trace):
+            if self._maybe_balance(matcher, trigger):
                 phases += 1
         return phases

@@ -32,7 +32,7 @@ order with the same operands as the serial oracle, so the returned
 ``RunMetrics`` are bit-for-bit equal to ``run_divisible`` on the same
 ``cell_seed`` — the regression suite asserts this across all six paper
 schemes.  The executor therefore supports exactly the feature set the
-grid uses (no faults, checkpoints, traces or cycle caps) and refuses
+grid uses (no faults, checkpoints, event sinks or cycle caps) and refuses
 anything else loudly.
 """
 
@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.config import Scheme
 from repro.core.matching import GPMatcher, Matcher, NGPMatcher
 from repro.core.metrics import RunMetrics
+from repro.core.scheduler import _MAX_ROUNDS_FACTOR
 from repro.core.splitting import AlphaSplitter, WorkSplitter
 from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger
 from repro.errors import ConfigError
@@ -56,9 +57,6 @@ from repro.util.rng import as_generator
 from repro.workmodel.mega import MegaArena
 
 __all__ = ["CellPlan", "is_batchable", "MegaGridExecutor", "run_batched_cells"]
-
-#: Mirrors the scheduler's hard safety cap on transfer rounds per phase.
-_MAX_ROUNDS_FACTOR = 4
 
 #: Every per-cell vector of :class:`MegaGridExecutor`, one entry per
 #: cell still running; ``_drop_finished`` filters them all by one mask.
@@ -446,7 +444,6 @@ class MegaGridExecutor:
             n_transfers=int(self.n_transfers[c]),
             n_init_lb=int(self.n_init_lb[c]),
             ledger=ledger,
-            trace=None,
             n_recovery=0,
             faults=None,
         )

@@ -168,7 +168,8 @@ def bench_grid(
 
     The defaults take SMALL_SCALE's machine width and its smaller Table 2
     work sizes.  The headline ``speedup`` is the in-process mega-arena
-    executor against the per-cell serial oracle — it does not need free
+    (the default executor with ``n_jobs=1``, reported as ``batched``)
+    against the per-cell serial oracle — it does not need free
     cores, so it must beat 1.0 even on a 1-core CI host.
     ``speedup_auto`` is the default executor with ``n_jobs`` (None:
     it decides whether to pool, see ``POOL_THRESHOLD``), which only
@@ -194,7 +195,7 @@ def bench_grid(
 
     for rep in range(repeats + 1):
         time_one("serial", rep, executor="serial")
-        time_one("batched", rep, executor="batched")
+        time_one("batched", rep, n_jobs=1)
         time_one("auto", rep, executor="auto", n_jobs=n_jobs)
     serial_s, batched_s, auto_s = (
         timings["serial"], timings["batched"], timings["auto"],

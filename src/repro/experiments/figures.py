@@ -15,15 +15,25 @@ import numpy as np
 from repro.analysis.bounds import dk_overhead_within_bound
 from repro.analysis.isoefficiency import growth_exponent, isoefficiency_points
 from repro.analysis.optimal_trigger import optimal_static_trigger
+from repro.core.metrics import RunMetrics
 from repro.core.splitting import AlphaSplitter
 from repro.core.triggering import DKTrigger, DPTrigger
 from repro.experiments.report import SeriesResult
 from repro.experiments.runner import Scale, run_divisible, run_grid
 from repro.experiments.tables import TABLE2_THRESHOLDS, _scale
+from repro.obs import Observability, RingBufferSink
 from repro.simd.cost import CostModel
 from repro.workmodel.profiles import cliff_profile, gradual_profile, trigger_fire_cycle
 
 __all__ = ["fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]
+
+
+def _traced_run(spec: str, *args, **kwargs) -> tuple[RunMetrics, list, list]:
+    """One :func:`run_divisible` traced through a ring-buffer event
+    sink: its metrics, cycle events and LB-phase events."""
+    sink = RingBufferSink()
+    m = run_divisible(spec, *args, obs=Observability(events=sink), **kwargs)
+    return m, sink.events("cycle"), sink.events("lb")
 
 
 def fig1(*, scale: str | Scale = "tiny", seed: int = 0) -> SeriesResult:
@@ -37,16 +47,11 @@ def fig1(*, scale: str | Scale = "tiny", seed: int = 0) -> SeriesResult:
     sc = _scale(scale)
     series: dict[str, list[tuple[float, float]]] = {}
     for spec in ("GP-DP", "GP-DK"):
-        m = run_divisible(
-            spec, sc.works[0], sc.n_pes, seed=seed, init_threshold=0.85, trace=True
+        _, cycles, _ = _traced_run(
+            spec, sc.works[0], sc.n_pes, seed=seed, init_threshold=0.85
         )
-        assert m.trace is not None
-        series[f"{spec} R1"] = [
-            (float(i), r1) for i, r1 in enumerate(m.trace.trigger_r1)
-        ]
-        series[f"{spec} R2"] = [
-            (float(i), r2) for i, r2 in enumerate(m.trace.trigger_r2)
-        ]
+        series[f"{spec} R1"] = [(float(e.cycle), e.r1) for e in cycles]
+        series[f"{spec} R2"] = [(float(e.cycle), e.r2) for e in cycles]
     return SeriesResult(
         exp_id="fig1",
         title="Dynamic triggering conditions: R1 vs R2 per cycle",
@@ -292,18 +297,19 @@ def fig8(
     for mult, tag in ((1.0, "actual"), (high_multiplier, f"{int(high_multiplier)}x")):
         cost = CostModel().with_lb_multiplier(mult)
         for spec in ("GP-DP", "GP-DK"):
-            m = run_divisible(
+            m, cycles, lbs = _traced_run(
                 spec, work, sc.n_pes, cost_model=cost, seed=seed,
-                init_threshold=0.85, trace=True, splitter=splitter,
+                init_threshold=0.85, splitter=splitter,
             )
-            assert m.trace is not None
-            prof = m.trace.expanding_per_cycle
-            step = max(1, len(prof) // 100)
+            step = max(1, len(cycles) // 100)
             series[f"{spec} ({tag})"] = [
-                (float(i), float(a)) for i, a in enumerate(prof) if i % step == 0
+                (float(e.cycle), float(e.expanding))
+                for e in cycles
+                if e.cycle % step == 0
             ]
-            if m.trace.lb_cycle_indices:
-                low = min(m.trace.busy_per_cycle[k] for k in m.trace.lb_cycle_indices)
+            if lbs:
+                busy = {e.cycle: e.busy for e in cycles}
+                low = min(busy[e.cycle] for e in lbs)
                 notes.append(
                     f"{spec} ({tag}): {m.n_lb} phases, lowest busy count at a "
                     f"trigger = {low}, E = {m.efficiency:.2f}"

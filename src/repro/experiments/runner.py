@@ -80,14 +80,15 @@ __all__ = [
     "default_init_threshold",
 ]
 
-#: Accepted ``run_grid(executor=...)`` values.  ``"auto"`` is
-#: ``"batched"`` that may also decide to shard a large grid over a fork
-#: pool (see :data:`POOL_THRESHOLD`); hardening (``timeout``/``chaos``)
-#: routes the cells through the worker pool, and cells whose scheme the
-#: batched executor cannot replicate run serially in the parent,
-#: announced with :class:`~repro.errors.ExecutorFallbackWarning` plus
-#: registry metadata.
-GRID_EXECUTORS = ("auto", "serial", "batched")
+#: Accepted ``run_grid(executor=...)`` values.  ``"auto"`` batches the
+#: cells in one in-process arena or, for a large grid (see
+#: :data:`POOL_THRESHOLD`) or an explicit ``n_jobs``, shards them over a
+#: fork pool; hardening (``timeout``/``chaos``) routes the cells through
+#: the worker pool, and cells whose scheme the batched executor cannot
+#: replicate run serially in the parent, announced with
+#: :class:`~repro.errors.ExecutorFallbackWarning` plus registry
+#: metadata.  ``"serial"`` is the one-cell-at-a-time oracle.
+GRID_EXECUTORS = ("auto", "serial")
 
 #: Predicted grid cost (sum of W/P over the batched cells, roughly the
 #: lock-step cycles they run) from which ``run_grid(executor="auto")``
@@ -164,7 +165,6 @@ def run_divisible(
     seed: int = 0,
     init_threshold: float | None | str = "auto",
     initial: str = "root",
-    trace: bool = False,
     max_cycles: int | None = None,
     faults: "FaultPlan | None" = None,
     checkpoint: "CheckpointConfig | None" = None,
@@ -193,7 +193,6 @@ def run_divisible(
         machine,
         scheme,
         init_threshold=init_threshold,
-        trace=trace,
         max_cycles=max_cycles,
         faults=faults,
         checkpoint=checkpoint,
@@ -398,7 +397,7 @@ def _resolve_executor(
     executor: str, n_jobs: int | None, hardened: bool
 ) -> str:
     """Validate ``executor`` and ``n_jobs`` against the other arguments;
-    ``"auto"`` is ``"batched"``."""
+    return the ``grid.executor`` path label, ``"batched"`` for ``"auto"``."""
     if executor not in GRID_EXECUTORS:
         raise ConfigError(
             f"executor must be one of {GRID_EXECUTORS}, got {executor!r}"
@@ -414,8 +413,8 @@ def _resolve_executor(
     if executor == "serial" and hardened:
         raise ConfigError(
             "executor='serial' runs cells in the calling process, where "
-            "timeout=/chaos= cannot be enforced; use executor='auto' (or "
-            "'batched') to run them under the worker watchdog"
+            "timeout=/chaos= cannot be enforced; use executor='auto' to "
+            "run them under the worker watchdog"
         )
     return "batched" if executor == "auto" else executor
 
@@ -434,37 +433,31 @@ def _usable_cpus() -> int:
 
 
 def _pool_workers(
-    executor: str,
-    n_jobs: int | None,
-    cells: list[CellPlan],
-    *,
-    hardened: bool,
-    stored: bool,
+    n_jobs: int | None, cells: list[CellPlan], *, hardened: bool
 ) -> int:
     """How many pool workers run the batched ``cells``; 0 keeps them in
     one arena in this process.  The one worker policy.
 
     An explicit ``n_jobs`` wins, and a hardened grid always goes through
-    the pool.  Otherwise only ``executor="auto"`` pools, one worker per
-    usable CPU, and only when every condition holds:
+    the pool.  Otherwise the grid pools, one worker per usable CPU, only
+    when every condition holds:
 
     - at least two usable CPUs;
     - this process can fork safely: ``os.fork`` exists and no other
       thread is alive (forking a threaded process can deadlock; serve
       workers run a liveness thread, so they stay in-process);
-    - no store is attached, so a stored grid publishes cell by cell
-      through ``on_cell_done``;
     - the :func:`_predicted_cost` clears :data:`POOL_THRESHOLD`;
     - every scheme rebuilds from its name, as a pool worker must.
+
+    A store does not keep a grid in-process: the parent publishes each
+    pooled cell to it as the cell's shard lands.
     """
     if not cells:
         return 0
     if n_jobs is not None:
         workers = n_jobs
     elif (
-        executor == "auto"
-        and not stored
-        and _can_fork()
+        _can_fork()
         and _predicted_cost(cells) >= POOL_THRESHOLD
         and not _unnamed_schemes(cells)
     ):
@@ -605,26 +598,24 @@ def run_grid(
     **Execution** — the planned cells are cut into *units* (lists of
     cells) and ``executor`` (:data:`GRID_EXECUTORS`) picks the cut:
 
-    - ``"batched"`` packs every compatible cell into one
+    - ``"auto"`` (default) packs every compatible cell into one
       :class:`~repro.workmodel.mega.MegaArena` and advances all of them
-      with single full-width kernel calls, in this process; a cell
-      leaves the arena the cycle it finishes.  With ``n_jobs > 1`` the
-      cells become at most ``n_jobs`` shards of near-equal predicted
-      cost (sum of W/P, longest cells first), one fork-pool worker
-      each; with ``timeout``/``chaos`` they always go through the pool
-      (a single shard without ``n_jobs``), so an injected ``os._exit``
-      kills a worker, never the caller.  Cells whose scheme the arena
-      cannot replicate (opaque factories, e.g. FESS) run serially in
-      the calling process, unhardened.
+      with single full-width kernel calls; a cell leaves the arena the
+      cycle it finishes.  The arena runs in this process, or the cells
+      become shards of near-equal predicted cost (sum of W/P, longest
+      cells first), one fork-pool worker each: at most ``n_jobs``
+      shards when ``n_jobs > 1``, and with ``n_jobs`` None one per
+      usable CPU when the grid's predicted cost clears
+      :data:`POOL_THRESHOLD`, the host has two or more CPUs and the
+      caller has no other live thread.  With ``timeout``/``chaos`` the
+      cells always go through the pool (a single shard without
+      ``n_jobs``), so an injected ``os._exit`` kills a worker, never
+      the caller.  Cells whose scheme the arena cannot replicate
+      (opaque factories, e.g. FESS) run serially in the calling
+      process, unhardened, announced with
+      :class:`~repro.errors.ExecutorFallbackWarning`.
     - ``"serial"`` is the one-cell-at-a-time oracle in the calling
       process; it cannot enforce ``timeout``/``chaos`` and rejects them.
-    - ``"auto"`` (default) is ``"batched"`` that decides the worker
-      count itself when ``n_jobs`` is None: one shard per usable CPU
-      when the grid's predicted cost clears :data:`POOL_THRESHOLD`, the
-      host has two or more CPUs, the caller has no other live thread
-      and no ``store`` is attached; one in-process arena otherwise.
-      It warns :class:`~repro.errors.ExecutorFallbackWarning` naming
-      any scheme it has to run serially.
 
     ``n_jobs`` is None (decide) or an int >= 1; ``n_jobs=1`` keeps an
     unhardened grid in this process.  Pool workers are forked, or
@@ -726,7 +717,7 @@ def run_grid(
                 GridRecord(plan.scheme.name, plan.n_pes, plan.total_work, metrics),
             )
 
-    fell_back = executor == "auto" and bool(stay_behind)
+    fell_back = bool(stay_behind)
     if fell_back:
         names = sorted({p.scheme.name for p in plans if p.index in stay_behind})
         warnings.warn(
@@ -764,9 +755,7 @@ def run_grid(
     else:
         arena = [p for p in todo if p.index not in stay_behind]
         serial = [p for p in todo if p.index in stay_behind]
-        workers = _pool_workers(
-            executor, n_jobs, arena, hardened=hardened, stored=store is not None
-        )
+        workers = _pool_workers(n_jobs, arena, hardened=hardened)
         if workers:
             units, arena = _cost_shards(arena, workers), []
     if registry is not None:

@@ -2,11 +2,12 @@
 
 A checkpoint is the *complete* state of a run at a cycle boundary:
 workload arrays (stacks, arena windows, RNG streams), machine ledger and
-counters, the matcher (GP pointer included), the trigger's accumulators,
-the trace so far, and the live fault runtime (alive mask, quarantine,
-drop/dup RNG).  Restoring it and continuing the loop is bit-identical to
-never having stopped — the resume-vs-straight-through equivalence the
-test suite asserts.
+counters, the matcher (GP pointer included), the trigger's accumulators
+and the live fault runtime (alive mask, quarantine, drop/dup RNG).
+Restoring it and continuing the loop is bit-identical to never having
+stopped — the resume-vs-straight-through equivalence the test suite
+asserts.  Observers are not part of it: a resumed run's events start at
+the checkpointed cycle, in whatever sink the caller attaches.
 
 On-disk format::
 
@@ -62,8 +63,10 @@ _FRAME = struct.Struct("<IQ")
 #: v2 dropped the ``charge_collectives`` scheduler keyword; a v1 file
 #: would carry it in ``kwargs`` and fail to rebuild its scheduler.  v3
 #: packs each search stack entry into two int64 words; a v2 search
-#: workload's planes and kernel fields no longer match the kernel.
-_VERSION = 3
+#: workload's planes and kernel fields no longer match the kernel.  v4
+#: drops the scheduler's ``Trace`` recorder (``trace_obj`` and the
+#: ``trace`` keyword); a v3 file's kwargs would not rebuild a scheduler.
+_VERSION = 4
 
 
 def _frame(blob: bytes) -> bytes:
@@ -125,12 +128,10 @@ def write_checkpoint(scheduler: "Scheduler", path: str | Path) -> None:
         "machine": scheduler.machine,
         "matcher": scheduler.matcher,
         "trigger": scheduler.trigger,
-        "trace_obj": scheduler._trace_obj,
         "n_init_lb": scheduler._n_init_lb,
         "fault_runtime": scheduler._faults,
         "kwargs": {
             "init_threshold": scheduler.init_threshold,
-            "trace": scheduler.trace,
             "max_cycles": scheduler.max_cycles,
             "sanitize": scheduler.sanitize,
         },
@@ -177,7 +178,8 @@ def load_scheduler(
 
     The returned scheduler's :meth:`run` continues the loop from the
     checkpointed cycle.  Pass ``checkpoint`` to keep checkpointing the
-    resumed run (defaults to off).
+    resumed run (defaults to off); set ``obs`` on it before ``run`` to
+    observe the rest of the run.
     """
     from repro.core.scheduler import Scheduler
 
@@ -192,7 +194,6 @@ def load_scheduler(
     )
     scheduler.matcher = payload["matcher"]
     scheduler.trigger = payload["trigger"]
-    scheduler._trace_obj = payload["trace_obj"]
     scheduler._n_init_lb = payload["n_init_lb"]
     scheduler._resumed = True
     scheduler._last_checkpoint_cycle = payload["machine"].n_cycles

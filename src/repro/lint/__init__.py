@@ -10,7 +10,6 @@ is one rule set, and each rule is the only gate that catches its hazard
   ``id()``-keyed nondeterminism in ``core/``, ``simd/``, ``search/`` or
   ``workmodel/``;
 - **R003** ``repro`` package modules declare ``__all__``;
-- **R005** trace series written via ``record_*``, never appended to;
 - **R102** kernel purity: no Python PE-axis loops, object dtypes, float
   dtype drift or I/O in kernel code.
 

@@ -14,11 +14,6 @@ hazard (``docs/lint.md`` has the audit):
   GP rotation, D_K accounting) must not depend on when or where the
   host Python runs.
 - **R003** — public modules declare ``__all__``.
-- **R005** — trace series are recorded through ``Trace.record_cycle`` /
-  ``record_lb`` (or typed ``repro.obs`` events), never by appending to
-  the series attributes directly: the series are bounded ring buffers
-  whose accessors return list *copies*, so a direct append silently
-  mutates a throwaway.
 - **R102** — kernel purity: kernel code has no Python loops over the PE
   axis, no object dtypes, no float dtype drift and no I/O.  A PE loop
   is correct but slow, so no identity suite notices it.
@@ -490,52 +485,6 @@ class ModuleDiscipline(Rule):
                 if isinstance(target, ast.Name) and target.id == "__all__":
                     return True
         return False
-
-
-@register
-class DirectTraceAppend(Rule):
-    """R005: trace series are written via ``record_*``, never appended to."""
-
-    rule_id = "R005"
-    title = "direct append to a Trace series outside repro.obs"
-
-    _EXEMPT_PREFIXES = ("repro/obs/",)
-    _EXEMPT_FILES = ("repro/core/metrics.py",)
-    _SERIES = frozenset(
-        {
-            "busy_per_cycle",
-            "expanding_per_cycle",
-            "lb_cycle_indices",
-            "trigger_r1",
-            "trigger_r2",
-        }
-    )
-    _MUTATORS = frozenset({"append", "extend", "insert"})
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.logical.startswith(self._EXEMPT_PREFIXES):
-            return
-        if ctx.logical in self._EXEMPT_FILES:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in self._MUTATORS
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr in self._SERIES
-            ):
-                continue
-            yield self.finding(
-                ctx, node,
-                f"direct .{func.attr}() on trace series "
-                f"'{func.value.attr}': the series accessors return list "
-                "copies of a bounded ring buffer, so this mutates a "
-                "throwaway; record through Trace.record_cycle/record_lb "
-                "or a typed repro.obs event sink",
-            )
 
 
 @register

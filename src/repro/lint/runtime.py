@@ -206,11 +206,3 @@ def check_observation_purity(bare, observed) -> None:
             f"ledger.{name} differs with instrumentation attached: "
             f"{a!r} (bare) != {b!r} (observed)",
         )
-    bare_trace = getattr(bare, "trace", None)
-    observed_trace = getattr(observed, "trace", None)
-    if bare_trace is not None and observed_trace is not None:
-        require(
-            bare_trace == observed_trace,
-            "observation-purity",
-            "recorded Trace series differ with instrumentation attached",
-        )

@@ -358,7 +358,6 @@ def parallel_depth_bounded(
     cost_model: CostModel | None = None,
     init_threshold: float | None = None,
     split: str = "bottom",
-    trace: bool = False,
     first_solution_only: bool = False,
     sanitize: bool = False,
 ) -> tuple[SearchWorkload, RunMetrics]:
@@ -384,7 +383,6 @@ def parallel_depth_bounded(
         machine,
         scheme,
         init_threshold=init_threshold,
-        trace=trace,
         sanitize=sanitize,
     ).run()
     return workload, metrics
@@ -566,7 +564,6 @@ class ParallelIDAStar:
             n_transfers=machine.n_transfers,
             n_init_lb=last.n_init_lb,
             ledger=machine.ledger,
-            trace=None,
             n_recovery=machine.n_recovery_phases,
             faults=fault_runtime.report() if fault_runtime is not None else None,
         )

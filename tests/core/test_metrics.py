@@ -1,6 +1,6 @@
 import pytest
 
-from repro.core.metrics import RunMetrics, Trace
+from repro.core.metrics import RunMetrics
 from repro.simd.machine import TimeLedger
 
 
@@ -28,35 +28,8 @@ class TestRunMetrics:
         m = make_metrics()
         assert m.speedup == pytest.approx(48.0)
 
-    def test_summary_row(self):
-        m = make_metrics()
-        scheme, n_expand, n_lb, transfers, eff = m.summary_row()
-        assert scheme == "GP-S0.90"
-        assert (n_expand, n_lb, transfers) == (20, 5, 40)
-        assert eff == pytest.approx(0.75)
-
-    def test_avg_busy_fraction_requires_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            make_metrics().avg_busy_fraction
-
     def test_avg_busy_fraction(self):
-        trace = Trace()
-        trace.record_cycle(busy=10, expanding=32, r1=0, r2=0)
-        trace.record_cycle(busy=10, expanding=64, r1=0, r2=0)
-        m = make_metrics(trace=trace)
-        assert m.avg_busy_fraction == pytest.approx((32 + 64) / (2 * 64))
-
-
-class TestTrace:
-    def test_record_cycle_appends_all_series(self):
-        t = Trace()
-        t.record_cycle(3, 5, 1.0, 2.0)
-        assert t.busy_per_cycle == [3]
-        assert t.expanding_per_cycle == [5]
-        assert t.trigger_r1 == [1.0]
-        assert t.trigger_r2 == [2.0]
-
-    def test_record_lb(self):
-        t = Trace()
-        t.record_lb(7)
-        assert t.lb_cycle_indices == [7]
+        # 1000 nodes over 20 cycles of 64 PEs: each expanding PE pops
+        # one node per cycle.
+        m = make_metrics()
+        assert m.avg_busy_fraction == 1000 / (20 * 64)

@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.scheduler import Scheduler
 from repro.core.splitting import AlphaSplitter
+from repro.obs import Observability, RingBufferSink
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
 from repro.workmodel.divisible import DivisibleWorkload
@@ -79,23 +80,40 @@ class TestInitialDistribution:
         assert metrics.n_lb >= metrics.n_init_lb
 
 
+def traced(spec, **kwargs):
+    """A run traced through a ring-buffer event sink: (metrics, sink)."""
+    sink = RingBufferSink()
+    _, _, metrics = run(spec, obs=Observability(events=sink), **kwargs)
+    return metrics, sink
+
+
 class TestTrace:
     def test_trace_lengths_consistent(self):
-        _, machine, metrics = run("GP-DK", trace=True, init_threshold=0.85)
-        trace = metrics.trace
-        assert trace is not None
-        assert len(trace.busy_per_cycle) == metrics.n_expand
-        assert len(trace.expanding_per_cycle) == metrics.n_expand
-        assert len(trace.lb_cycle_indices) == metrics.n_lb
-        assert all(0 <= k < metrics.n_expand for k in trace.lb_cycle_indices)
+        metrics, sink = traced("GP-DK", init_threshold=0.85)
+        cycles, lbs = sink.events("cycle"), sink.events("lb")
+        assert [e.cycle for e in cycles] == list(range(metrics.n_expand))
+        assert len(lbs) == metrics.n_lb
+        assert all(0 <= e.cycle < metrics.n_expand for e in lbs)
+        assert sink.dropped == 0
 
     def test_no_trace_by_default(self):
-        _, _, metrics = run("GP-S0.5")
-        assert metrics.trace is None
+        scheduler = Scheduler(
+            DivisibleWorkload(2_000, 16), SimdMachine(16, CostModel()), "GP-S0.5"
+        )
+        metrics = scheduler.run()
+        assert scheduler.obs is None
+        assert not hasattr(metrics, "trace")
 
     def test_total_expansions_sum_to_work(self):
-        _, _, metrics = run("GP-S0.8", trace=True)
-        assert sum(metrics.trace.expanding_per_cycle) == 20_000
+        metrics, sink = traced("GP-S0.8")
+        assert sum(e.expanding for e in sink.events("cycle")) == 20_000
+
+    def test_avg_busy_fraction_matches_the_cycle_events(self):
+        metrics, sink = traced("GP-DP", init_threshold=0.85)
+        expanding = [e.expanding for e in sink.events("cycle")]
+        assert metrics.avg_busy_fraction == sum(expanding) / (
+            len(expanding) * metrics.n_pes
+        )
 
 
 class TestStaticTriggerBehaviour:

@@ -1,6 +1,7 @@
 """Batched grid executor: record-identity to the serial oracle.
 
-The ISSUE 7 gate: ``executor="batched"`` must reproduce the serial
+The gate: the in-process mega-arena (``run_grid(..., n_jobs=1)``) and
+its pooled shards must reproduce the serial
 ``run_grid`` records **bit-for-bit** — same ``cell_seed`` streams, same
 float accumulation order, same ledger lines — across all six paper
 schemes, with the runtime sanitizer asserting the lock-step invariants
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.config import PAPER_SCHEMES, Scheme, make_scheme
 from repro.core.matching import GPMatcher
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecutorFallbackWarning
 from repro.experiments import runner as runner_mod
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
 from repro.experiments.runner import (
@@ -40,7 +41,7 @@ def oracle():
 
 class TestRecordIdentity:
     def test_all_paper_schemes_bit_identical(self, oracle):
-        batched = run_grid(SCHEMES, WORKS, PES, base_seed=11, executor="batched")
+        batched = run_grid(SCHEMES, WORKS, PES, base_seed=11, n_jobs=1)
         assert len(batched) == len(oracle)
         for ser, bat in zip(oracle, batched):
             assert bat == ser  # RunMetrics eq covers every ledger float
@@ -60,9 +61,7 @@ class TestRecordIdentity:
             assert results[plan.index] == direct
 
     def test_sharded_processes_match_oracle(self, oracle):
-        sharded = run_grid(
-            SCHEMES, WORKS, PES, base_seed=11, executor="batched", n_jobs=2
-        )
+        sharded = run_grid(SCHEMES, WORKS, PES, base_seed=11, n_jobs=2)
         assert sharded == oracle
 
     def test_auto_resolves_to_batched_records(self, oracle):
@@ -93,13 +92,13 @@ class TestRecordIdentity:
 
     def test_single_cell_grid(self):
         ser = run_grid(["GP-DP"], [600], [16], base_seed=3, executor="serial")
-        bat = run_grid(["GP-DP"], [600], [16], base_seed=3, executor="batched")
+        bat = run_grid(["GP-DP"], [600], [16], base_seed=3, n_jobs=1)
         assert bat == ser
 
     def test_trivial_one_pe_cells(self):
         """P=1 cells never balance; pure expansion must still agree."""
         ser = run_grid(SCHEMES[:2], [50], [1], base_seed=9, executor="serial")
-        bat = run_grid(SCHEMES[:2], [50], [1], base_seed=9, executor="batched")
+        bat = run_grid(SCHEMES[:2], [50], [1], base_seed=9, n_jobs=1)
         assert bat == ser
 
 
@@ -125,7 +124,7 @@ class TestNonDefaultGPAdvance:
         assert all(is_batchable(s) for s in schemes)
         args = (schemes, WORKS, PES)
         ser = run_grid(*args, base_seed=13, executor="serial", sanitize=True)
-        bat = run_grid(*args, base_seed=13, executor="batched", sanitize=True)
+        bat = run_grid(*args, base_seed=13, n_jobs=1, sanitize=True)
         assert bat == ser
         # The policy is really exercised: it changes some record.
         default = run_grid(list(GP_SPECS), WORKS, PES, base_seed=13, executor="serial")
@@ -195,17 +194,20 @@ class TestPlanGrid:
 
 class TestExecutorSelection:
     def test_executor_registry(self):
-        assert GRID_EXECUTORS == ("auto", "serial", "batched")
+        assert GRID_EXECUTORS == ("auto", "serial")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigError, match="executor"):
             run_grid(SCHEMES[:1], [100], [4], executor="vector")
+        # No "batched" value: the in-process arena is n_jobs=1.
+        with pytest.raises(ConfigError, match="executor"):
+            run_grid(SCHEMES[:1], [100], [4], executor="batched")
 
     def test_batched_accepts_timeout_without_fallback(self, oracle):
-        """Hardening no longer forces the slow path: explicit batched with
-        a timeout runs the shard pool and stays record-identical."""
+        """Hardening does not force the slow path: the in-process arena
+        with a timeout runs the shard pool and stays record-identical."""
         hardened = run_grid(
-            SCHEMES, WORKS, PES, base_seed=11, executor="batched", timeout=60.0
+            SCHEMES, WORKS, PES, base_seed=11, n_jobs=1, timeout=60.0
         )
         assert hardened == oracle
 
@@ -229,7 +231,8 @@ class TestExecutorSelection:
             pytest.skip("fess became batchable; update this test")
         mixed = [SCHEMES[0], fess]
         ser = run_grid(mixed, [300], [8], base_seed=2, executor="serial")
-        bat = run_grid(mixed, [300], [8], base_seed=2, executor="batched")
+        with pytest.warns(ExecutorFallbackWarning, match="FESS"):
+            bat = run_grid(mixed, [300], [8], base_seed=2, n_jobs=1)
         assert bat == ser
 
 

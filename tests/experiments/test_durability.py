@@ -58,7 +58,7 @@ def test_store_records_serial_grid(tmp_path, oracle):
 def test_store_records_inprocess_batched_grid(tmp_path, oracle):
     """The mega-arena path publishes each cell the cycle it finalizes."""
     store = RecordStore(tmp_path / "cells")
-    records = _grid(executor="batched", store=store)
+    records = _grid(n_jobs=1, store=store)
     assert records == oracle
     assert len(store) == len(oracle)
 
@@ -83,7 +83,6 @@ class TestQuarantineResumeIdentity:
         store = RecordStore(tmp_path / "cells")
         with pytest.raises(GridCellError) as excinfo:
             _grid(
-                executor="batched",
                 n_jobs=len(SCHEMES),
                 store=store,
                 retry=NO_RETRY,
@@ -99,7 +98,6 @@ class TestQuarantineResumeIdentity:
 
         registry = MetricsRegistry()
         resumed = _grid(
-            executor="batched",
             n_jobs=len(SCHEMES),
             store=store,
             registry=registry,
@@ -112,7 +110,6 @@ class TestQuarantineResumeIdentity:
         store = RecordStore(tmp_path / "cells")
         with pytest.raises(GridCellError) as excinfo:
             _grid(
-                executor="batched",
                 n_jobs=2,
                 store=store,
                 retry=NO_RETRY,
@@ -127,7 +124,6 @@ class TestQuarantineResumeIdentity:
 
         registry = MetricsRegistry()
         resumed = _grid(
-            executor="batched",
             n_jobs=2,
             store=store,
             registry=registry,
@@ -140,13 +136,14 @@ class TestQuarantineResumeIdentity:
 
 
 class TestBatchedHardening:
-    """executor="batched" accepts timeout/chaos instead of refusing."""
+    """The in-process arena (``n_jobs=1``) accepts timeout/chaos instead
+    of refusing."""
 
     def test_hardened_single_process_shard(self, oracle):
-        # No n_jobs: hardening still routes through one pooled shard, so
+        # n_jobs=1: hardening still routes through one pooled shard, so
         # an injected exit kills a worker, never the test process.
         records = _grid(
-            executor="batched",
+            n_jobs=1,
             retry=FAST_RETRY,
             chaos=GridChaos(index=3, kind="exit", attempts=(0,)),
         )

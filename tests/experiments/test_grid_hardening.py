@@ -5,9 +5,9 @@ exercising each failure path; in every recoverable case the final
 records must be **identical** to an undisturbed serial grid, because
 retries rerun the cell with the same ``cell_seed``.
 
-Both pooled shapes — ``"batched"`` with ``n_jobs=2`` (two cost-cut
-shards) and ``"auto"`` without ``n_jobs`` (a hardened grid below
-``POOL_THRESHOLD``: one shard holding every cell) — share one worker
+Both pooled shapes of the batched cells — ``n_jobs=2`` (id ``batched``:
+two cost-cut shards) and no ``n_jobs`` (id ``auto``: a hardened grid
+below ``POOL_THRESHOLD``, one shard holding every cell) — share one worker
 and one retry/quarantine loop, so the recovery suite is parametrised
 over the shape instead of being written once per shape.  Store resume
 after a quarantine and the real SIGKILL harness live in
@@ -47,8 +47,8 @@ PES = [16]
 FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.001, max_delay=0.002)
 ONE_RETRY = RetryPolicy(max_retries=1, base_delay=0.001, max_delay=0.002)
 
-#: The pooled shapes, by executor: two shards, or one shard of every cell.
-POOLED = {"auto": {"executor": "auto"}, "batched": {"executor": "batched", "n_jobs": 2}}
+#: The pooled shapes: one shard of every cell, or two shards.
+POOLED = {"auto": {}, "batched": {"n_jobs": 2}}
 
 
 def _six(**kwargs):
@@ -65,8 +65,8 @@ def oracle():
 
 @pytest.mark.parametrize("stored", [False, True], ids=["nostore", "store"])
 @pytest.mark.parametrize("kind", ["raise", "exit", "hang"])
-@pytest.mark.parametrize("executor", sorted(POOLED))
-def test_chaos_recovery_equals_oracle(executor, kind, stored, tmp_path, oracle):
+@pytest.mark.parametrize("shape", sorted(POOLED))
+def test_chaos_recovery_equals_oracle(shape, kind, stored, tmp_path, oracle):
     """One sabotaged attempt — an exception, a hard worker death
     (``BrokenProcessPool`` -> respawn -> requeue) or a hang the watchdog
     has to cut short — and the grid still equals the serial oracle, with
@@ -76,7 +76,7 @@ def test_chaos_recovery_equals_oracle(executor, kind, stored, tmp_path, oracle):
     store = RecordStore(tmp_path / "cells") if stored else None
     registry = MetricsRegistry()
     records = _six(
-        **POOLED[executor],
+        **POOLED[shape],
         timeout=0.3 if kind == "hang" else None,
         retry=FAST_RETRY,
         chaos=GridChaos(index=2, kind=kind, attempts=(0,)),
@@ -87,7 +87,7 @@ def test_chaos_recovery_equals_oracle(executor, kind, stored, tmp_path, oracle):
     # Attempts are charged per cell: the failed unit is the shard
     # (0, 1, 2) on "batched" and the one shard of all six cells on
     # "auto"; a dead pool also charges whatever else was still in flight.
-    charged = 6 if executor == "auto" else 3
+    charged = 6 if shape == "auto" else 3
     retries = registry.counter("grid.retries_total").value
     assert retries >= charged if kind == "exit" else retries == charged
     if store is not None:
@@ -95,8 +95,8 @@ def test_chaos_recovery_equals_oracle(executor, kind, stored, tmp_path, oracle):
         assert _six(executor="serial", store=store) == oracle
 
 
-@pytest.mark.parametrize("executor", sorted(POOLED))
-def test_poison_cell_is_quarantined_alone(executor):
+@pytest.mark.parametrize("shape", sorted(POOLED))
+def test_poison_cell_is_quarantined_alone(shape):
     """A failed multi-cell unit is requeued as one-cell units, so with
     budget left the poison cell's shard-mates finish and only it is
     quarantined — from the same loop on both pooled shapes."""
@@ -106,7 +106,7 @@ def test_poison_cell_is_quarantined_alone(executor):
             WORKS,
             PES,
             base_seed=7,
-            **POOLED[executor],
+            **POOLED[shape],
             retry=ONE_RETRY,
             chaos=GridChaos(index=0, kind="raise", attempts=(0, 1)),
         )
@@ -126,7 +126,6 @@ def test_persistent_failure_raises_structured_report():
             PES,
             base_seed=7,
             n_jobs=2,
-            executor="batched",
             registry=registry,
             retry=ONE_RETRY,
             chaos=GridChaos(index=0, kind="raise", attempts=(0, 1)),
@@ -225,7 +224,6 @@ class TestRetryPolicy:
             PES,
             base_seed=7,
             n_jobs=2,
-            executor="batched",
             retry=policy,
             chaos=GridChaos(index=0, kind="raise", attempts=(0,)),
         )

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.config import PAPER_SCHEMES, make_scheme
 from repro.experiments import runner as runner_mod
 from repro.experiments.batched import CellPlan
+from repro.experiments.journal import plan_key
 from repro.experiments.runner import (
     SMALL_SCALE,
     _cost_shards,
@@ -56,8 +57,18 @@ class TestPoolPolicy:
         big_enough.setattr(runner_mod, "_usable_cpus", lambda: 1)
         assert _workers() == 0
 
-    def test_store_stays_in_process(self, big_enough, tmp_path):
-        assert _workers(store=RecordStore(tmp_path / "cells")) == 0
+    def test_stored_grid_pools(self, big_enough, tmp_path):
+        """A store does not keep the grid in this process: the parent
+        publishes each pooled cell as its shard lands."""
+        store = RecordStore(tmp_path / "cells")
+        registry = MetricsRegistry()
+        records = run_grid(
+            SCHEMES, WORKS, PES, base_seed=3, registry=registry, store=store
+        )
+        assert registry.gauge("grid.workers").value == 2
+        assert records == run_grid(SCHEMES, WORKS, PES, base_seed=3, executor="serial")
+        plans = plan_grid(SCHEMES, WORKS, PES, base_seed=3)
+        assert [store.get(plan_key(p)) for p in plans] == records
 
     def test_another_live_thread_stays_in_process(self, big_enough):
         release = threading.Event()
@@ -79,10 +90,6 @@ class TestPoolPolicy:
         assert _workers() == 0
         big_enough.setattr(runner_mod, "POOL_THRESHOLD", _predicted_cost(plans))
         assert _workers() == 2
-
-    def test_batched_never_decides(self, big_enough):
-        assert _workers(executor="batched") == 0
-        assert _workers(executor="batched", n_jobs=2) == 2
 
     def test_explicit_n_jobs_wins(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_usable_cpus", lambda: 1)

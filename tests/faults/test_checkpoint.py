@@ -14,6 +14,7 @@ from repro.faults import (
     resume_run,
 )
 from repro.faults.checkpoint import MAGIC, load_scheduler
+from repro.obs import Observability, RingBufferSink
 from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
 from repro.search.ida_star import ida_star
 from repro.search.parallel import SearchWorkload
@@ -50,29 +51,28 @@ def _scheduler(workload, *, checkpoint=None, faults=None, **kwargs):
 def test_resume_equals_straight_through(tmp_path, make_workload):
     ck = tmp_path / "run.ckpt"
     cfg = CheckpointConfig(ck, every=20)
-    straight = _scheduler(make_workload(), checkpoint=cfg, trace=True).run()
+    straight = _scheduler(make_workload(), checkpoint=cfg).run()
     assert ck.exists()
     # The final checkpoint is from mid-run; resuming it must land on
-    # exactly the same metrics, ledger, and trace.
+    # exactly the same metrics and ledger.
     resumed = resume_run(ck)
     assert resumed == straight
+
+
+def _search_scheduler(*, checkpoint=None, obs=None):
+    problem = scrambled_fifteen_puzzle(30, rng=2)
+    bound = ida_star(problem).solution_cost + 2
+    return Scheduler(
+        SearchWorkload(problem, bound, 64), SimdMachine(64), "GP-S0.75",
+        init_threshold=0.85, checkpoint=checkpoint, obs=obs,
+    )
 
 
 def test_search_resume_equals_straight_through(tmp_path):
     """A puzzle search checkpointed every 10 cycles resumes to the same
     expansions, next bound, goal depths and metrics as the straight run."""
-    problem = scrambled_fifteen_puzzle(30, rng=2)
-    bound = ida_star(problem).solution_cost + 2
-
-    def scheduler(checkpoint=None):
-        workload = SearchWorkload(problem, bound, 64)
-        return Scheduler(
-            workload, SimdMachine(64), "GP-S0.75", init_threshold=0.85,
-            checkpoint=checkpoint, trace=True,
-        )
-
     ck = tmp_path / "search.ckpt"
-    straight = scheduler(CheckpointConfig(ck, every=10))
+    straight = _search_scheduler(checkpoint=CheckpointConfig(ck, every=10))
     straight_metrics = straight.run()
     resumed = load_scheduler(ck)
     assert resumed.machine.n_cycles < straight.machine.n_cycles
@@ -99,11 +99,49 @@ def test_resume_with_faults_equals_straight_through(tmp_path):
         checkpoint=cfg,
         faults=plan,
         sanitize=True,
-        trace=True,
     ).run()
     resumed = resume_run(ck)
     assert resumed == straight
     assert resumed.faults == straight.faults
+
+
+RESUME_CASES = {
+    "divisible": lambda **kw: _scheduler(DivisibleWorkload(WORK, N_PES, rng=3), **kw),
+    "stack-faults": lambda **kw: _scheduler(
+        StackWorkload(WORK, N_PES, rng=1),
+        faults=FaultPlan(
+            failures=(PEFailure(10, 2), PEFailure(30, 7)),
+            drop_probability=0.1,
+            seed=5,
+        ),
+        sanitize=True,
+        **kw,
+    ),
+    "search": _search_scheduler,
+}
+
+
+@pytest.mark.parametrize("case", list(RESUME_CASES))
+def test_resumed_run_emits_the_straight_runs_events(tmp_path, case):
+    """A resumed run with a fresh sink attached emits exactly the
+    straight run's events from the checkpointed cycle on: the event
+    stream, not the checkpoint, is the per-cycle record."""
+    ck = tmp_path / "run.ckpt"
+    straight = RingBufferSink()
+    metrics = RESUME_CASES[case](
+        checkpoint=CheckpointConfig(ck, every=15),
+        obs=Observability(events=straight),
+    ).run()
+    resumed = load_scheduler(ck)
+    cycle = resumed.machine.n_cycles
+    assert 0 < cycle < metrics.n_expand
+    tail = RingBufferSink()
+    resumed.obs = Observability(events=tail)
+    assert resumed.run() == metrics
+    assert tail.events() == [e for e in straight.events() if e.cycle >= cycle]
+    assert tail.events("cycle")[0].cycle == cycle
+    if case == "stack-faults":
+        assert tail.events("fault")
 
 
 def test_checkpoint_every_validated():
@@ -171,6 +209,8 @@ def test_unsupported_version_rejected(tmp_path):
         # v2 search workloads carry the retired uint8/int32 planes and
         # the old kernel workspace: refused up front, not mid-run in expand_cycle.
         {"version": 2, "workload": None},
+        # v3 carries the retired Trace recorder and trace keyword.
+        {"version": 3, "trace_obj": None, "kwargs": {"trace": False}},
     ]
     for payload in payloads:
         blob = pickle.dumps(payload)

@@ -100,7 +100,7 @@ def test_duplicated_transfers_counted():
 def test_dead_pe_never_busy_after_death():
     wl = DivisibleWorkload(WORK, N_PES, rng=0)
     plan = FaultPlan(failures=(PEFailure(0, 5),))
-    _run(wl, plan, trace=True)
+    _run(wl, plan)
     # After the run the dead PE holds no work.
     assert wl.expanding_mask()[5] == np.False_
 

@@ -4,7 +4,7 @@ The acceptance gate for the kernel layer: across all six paper schemes
 (GP/nGP x S^x/D_P/D_K), with the runtime sanitizer asserting the
 lock-step invariants, every implementation of a hot step produces
 *exactly* the run the test-side oracles (``tests/oracles``) produce:
-same RunMetrics, same traces, same stacks, same RNG stream position.
+same RunMetrics, same event streams, same stacks, same RNG stream position.
 Covers all three workload families the kernels back: the synthetic
 stack model, the real 15-puzzle search, and the mega-arena grid
 executor.
@@ -31,6 +31,7 @@ import pytest
 from repro.core.config import PAPER_SCHEMES
 from repro.core.scheduler import Scheduler
 from repro.experiments.runner import default_init_threshold, run_grid
+from repro.obs import Observability, RingBufferSink
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
 from repro.search import kernel
 from repro.search.parallel import ParallelIDAStar
@@ -49,22 +50,24 @@ _search_oracle: dict[str, object] = {}
 
 
 def _stack_run(spec: str, tier: str | None):
-    """One sanitized traced run; ``tier=None`` is the oracle."""
+    """One sanitized run traced through an event sink; ``tier=None`` is
+    the oracle.  Returns (metrics, workload, events)."""
     if tier is None:
         workload = ListStackWorkload(WORK, N_PES, rng=SEED)
     else:
         workload = StackWorkload(WORK, N_PES, rng=SEED)
     machine = SimdMachine(N_PES, CostModel())
+    sink = RingBufferSink()
     metrics = Scheduler(
         workload,
         machine,
         spec,
         init_threshold=default_init_threshold(spec),
-        trace=True,
         sanitize=True,
+        obs=Observability(events=sink),
     ).run()
     assert workload.done() and workload.check_conservation()
-    return metrics, workload
+    return metrics, workload, sink.events()
 
 
 class TestStackTierIdentity:
@@ -73,10 +76,11 @@ class TestStackTierIdentity:
     def test_tier_matches_list_oracle(self, spec, tier):
         if spec not in _stack_oracle:
             _stack_oracle[spec] = _stack_run(spec, None)
-        oracle_metrics, oracle_wl = _stack_oracle[spec]
-        metrics, workload = _stack_run(spec, tier)
+        oracle_metrics, oracle_wl, oracle_events = _stack_oracle[spec]
+        metrics, workload, events = _stack_run(spec, tier)
         assert metrics == oracle_metrics
-        assert metrics.trace is not None
+        assert events == oracle_events
+        assert len(events) == metrics.n_expand + metrics.n_lb
         assert [list(s) for s in oracle_wl.stacks] == workload.stacks
         assert (
             workload.rng.bit_generator.state
@@ -85,13 +89,16 @@ class TestStackTierIdentity:
 
 
 def _search_run(problem, spec: str):
-    return ParallelIDAStar(
+    sink = RingBufferSink()
+    result = ParallelIDAStar(
         problem,
         64,
         spec,
         init_threshold=default_init_threshold(spec),
         sanitize=True,
+        obs=Observability(events=sink),
     ).run()
+    return result, sink.events()
 
 
 class TestSearchTierIdentity:
@@ -100,17 +107,18 @@ class TestSearchTierIdentity:
     def test_tier_matches_list_oracle(self, spec, tier, monkeypatch):
         if spec not in _search_oracle:
             _search_oracle[spec] = _search_run(opaque(BENCH_INSTANCES["tiny"]), spec)
-        oracle = _search_oracle[spec]
+        oracle, oracle_events = _search_oracle[spec]
         if tier == "numpy":
             # The row band never fires: every cycle runs the vector body.
             monkeypatch.setattr(kernel, "SPARSE_THRESHOLD", 0)
-        result = _search_run(BENCH_INSTANCES["tiny"], spec)
+        result, events = _search_run(BENCH_INSTANCES["tiny"], spec)
         assert result.total_expanded == oracle.total_expanded
         assert result.bounds == oracle.bounds
         assert result.per_iteration_expanded == oracle.per_iteration_expanded
         assert result.solution_cost == oracle.solution_cost
         assert result.solutions == oracle.solutions
         assert result.metrics == oracle.metrics
+        assert events == oracle_events
 
 
 def _borrowed(method):
@@ -140,5 +148,5 @@ class TestMegaGridTierIdentity:
         if tier == "fused":
             for name in ("expand_all", "busy_counts", "nonzero_counts"):
                 monkeypatch.setattr(MegaArena, name, _borrowed(getattr(MegaArena, name)))
-        batched = run_grid(schemes, works, pes, executor="batched")
+        batched = run_grid(schemes, works, pes, n_jobs=1)
         assert serial == batched

@@ -25,10 +25,6 @@ def pick(options):
     return options
 
 
-def record(trace):
-    trace.busy_per_cycle.append(3)
-
-
 def sweep(machine, vals):  # repro: kernel
     for pe in range(machine.n_pes):
         vals[pe] += 1

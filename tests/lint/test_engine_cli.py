@@ -44,9 +44,6 @@ class TestFixtureModule:
         assert len(by_rule["R002"]) == 2
         # R003: missing __all__ (line 1).
         assert by_rule["R003"] == [1]
-        # R005: the direct append in record().
-        [r005_line] = by_rule["R005"]
-        assert "busy_per_cycle.append" in source_lines[r005_line - 1]
         # R102: the PE-axis loop in the pragma-marked sweep().
         [r102_line] = by_rule["R102"]
         assert "range(machine.n_pes)" in source_lines[r102_line - 1]
@@ -137,4 +134,4 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines()]
-        assert listed == ["R001", "R002", "R003", "R005", "R102"]
+        assert listed == ["R001", "R002", "R003", "R102"]

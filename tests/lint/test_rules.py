@@ -1,7 +1,6 @@
-"""Per-rule behaviour of the static checks (R001-R003, R005, R102)."""
+"""Per-rule behaviour of the static checks (R001-R003, R102)."""
 
 import ast
-from pathlib import Path
 
 import pytest
 
@@ -229,9 +228,9 @@ class TestSuppression:
 
 
 class TestRegistry:
-    def test_five_rules_registered(self):
+    def test_four_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == [
-            "R001", "R002", "R003", "R005", "R102",
+            "R001", "R002", "R003", "R102",
         ]
 
     def test_unknown_rule_id_rejected(self):
@@ -243,51 +242,6 @@ class TestRegistry:
         assert len(result.findings) == 1
         assert result.findings[0].rule == "R000"
         assert result.findings[0].line >= 1
-
-
-class TestR005:
-    VIOLATION = CLEAN_HEADER + (
-        "def f(trace):\n"
-        "    trace.busy_per_cycle.append(3)\n"
-        "    trace.lb_cycle_indices.extend([1, 2])\n"
-    )
-
-    def test_flags_direct_series_mutation(self, tmp_path):
-        result = lint_source(tmp_path, self.VIOLATION, rules=["R005"])
-        assert len(rule_hits(result, "R005")) == 2
-
-    def test_exempt_inside_repro_obs(self, tmp_path):
-        result = lint_source(
-            tmp_path, self.VIOLATION, rel="repro/obs/custom_sink.py",
-            rules=["R005"],
-        )
-        assert rule_hits(result, "R005") == []
-
-    def test_exempt_in_metrics_module_itself(self, tmp_path):
-        result = lint_source(
-            tmp_path, self.VIOLATION, rel="repro/core/metrics.py",
-            rules=["R005"],
-        )
-        assert rule_hits(result, "R005") == []
-
-    def test_record_calls_are_clean(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            CLEAN_HEADER + (
-                "def f(trace, lists):\n"
-                "    trace.record_cycle(1, 2, 0.5, 0.25)\n"
-                "    trace.record_lb(7)\n"
-                "    lists.other_series.append(3)\n"
-            ),
-            rules=["R005"],
-        )
-        assert rule_hits(result, "R005") == []
-
-    def test_src_tree_is_clean(self):
-        src = Path(__file__).resolve().parents[2] / "src"
-        result = run_lint([str(src)], rules=["R005"])
-        assert rule_hits(result, "R005") == []
-        assert result.files_checked > 50
 
 
 def flagged_functions(result, source):

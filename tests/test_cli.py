@@ -146,23 +146,30 @@ class TestGridIsoeff:
         assert not out.exists()
 
     def test_grid_executor_flag(self, tmp_path, capsys):
-        """Every --executor choice writes identical records, and the flag
-        choices mirror runner.GRID_EXECUTORS (kept literal in the parser
-        so building it stays import-light)."""
+        """Every --executor choice, and the in-process arena (--jobs 1),
+        writes identical records, and the flag choices mirror
+        runner.GRID_EXECUTORS (kept literal in the parser so building it
+        stays import-light)."""
         from repro.experiments.runner import GRID_EXECUTORS
 
         args = ["--schemes", "GP-S0.75", "--works", "1000", "--pes", "8"]
+        runs = {
+            "serial": ["--executor", "serial"],
+            "auto": ["--executor", "auto"],
+            "inproc": ["--jobs", "1"],
+        }
         paths = {}
-        for executor in ("serial", "batched", "auto"):
-            paths[executor] = tmp_path / f"{executor}.json"
-            assert main(
-                ["grid", str(paths[executor]), *args, "--executor", executor]
-            ) == 0
+        for name, flags in runs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            assert main(["grid", str(paths[name]), *args, *flags]) == 0
         texts = {p.read_text() for p in paths.values()}
         assert len(texts) == 1
         from repro.cli import build_parser
 
         parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["grid", "g.json", "--executor", "batched"])
+        assert exc.value.code == 2
         grid_sub = next(
             a for a in parser._subparsers._group_actions[0].choices.values()
             if a.prog.endswith(" grid")
