@@ -137,10 +137,22 @@ class FaultEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class IterationEvent(TraceEvent):
-    """One IDA* iteration boundary: the bound it ran and what it expanded."""
+    """One IDA* iteration boundary: the bound it ran, what it expanded,
+    and what it cost the machine.
+
+    ``cycles``, ``n_lb``, ``n_transfers``, ``t_calc`` and ``elapsed``
+    are this iteration's deltas of the run's shared ledger, so over a
+    run they sum to its ``RunMetrics`` totals (``n_expand``, ``n_lb``,
+    ``n_transfers``, ``ledger.t_calc``, ``ledger.elapsed``).
+    """
 
     bound: int
     expanded: int
+    cycles: int
+    n_lb: int
+    n_transfers: int
+    t_calc: float
+    elapsed: float
 
     kind = "iteration"
 

@@ -8,6 +8,9 @@ Manhattan-distance heuristic is the paper's benchmark workload
 The state carries the previous blank position so the successor generator
 can refuse to undo the last move — the standard pruning that removes the
 trivial 2-cycles of the naive tree.  Goal testing ignores that component.
+With the Manhattan heuristic, :meth:`SlidingPuzzle.successors` scores
+each child by an O(1) delta from its parent's ``h`` — the serial
+search's per-node cost — from tables of its own, not the packed ones.
 
 Besides the per-node ``SearchProblem`` interface, a board of up to 16
 cells exposes a *packed* view consumed by the arena search kernel
@@ -61,6 +64,9 @@ class PuzzleState(NamedTuple):
     tiles: tuple[int, ...]
     blank: int
     prev_blank: int
+
+
+_new_tuple = tuple.__new__
 
 
 class PackedMoves(NamedTuple):
@@ -137,6 +143,54 @@ def _packed_moves(side: int) -> PackedMoves:
     for table in tables[1:]:
         table.setflags(write=False)
     return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _dist_table(side: int) -> tuple[tuple[int, ...], ...]:
+    """``D[tile][pos]``: tile ``tile``'s Manhattan contribution at
+    ``pos`` (row 0, the blank, is all zeros), shared by every board of
+    one side."""
+    n = side * side
+    return tuple(
+        tuple(
+            abs(pos // side - (tile - 1) // side) + abs(pos % side - (tile - 1) % side)
+            if tile
+            else 0
+            for pos in range(n)
+        )
+        for tile in range(n)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _successor_moves(side: int) -> tuple:
+    """Move lists of :meth:`SlidingPuzzle.successors`, per blank and
+    previous blank.
+
+    ``moves[blank][prev]`` holds one ``(dest, dh)`` pair per move in
+    :meth:`SlidingPuzzle.expand` order, the move undoing the last one
+    left out; ``dh[tile] = D[tile][blank] - D[tile][dest]`` is the
+    change in Manhattan distance when ``tile`` slides from ``dest`` into
+    the blank.  A root's ``prev`` of ``-1`` indexes the last list, the
+    one that leaves no move out.
+    """
+    n = side * side
+    dist = _dist_table(side)
+    neighbors = _neighbor_table(side)
+    delta = {
+        (blank, dest): tuple(dist[t][blank] - dist[t][dest] for t in range(n))
+        for blank in range(n)
+        for dest in neighbors[blank]
+    }
+    return tuple(
+        tuple(
+            tuple(
+                (dest, delta[blank, dest]) for dest in neighbors[blank] if dest != prev
+            )
+            for prev in [*range(n), -1]
+        )
+        for blank in range(n)
+    )
 
 
 def _neighbor_table(side: int) -> tuple[tuple[int, ...], ...]:
@@ -272,16 +326,18 @@ class SlidingPuzzle(SearchProblem):
         self.tiles = tiles
         self.goal_tiles = tuple(list(range(1, side * side)) + [0])
         self._neighbors = _neighbor_table(side)
-        # Per-(tile, position) Manhattan contribution, for O(1) child
-        # heuristic updates during expansion.
-        n = side * side
-        self._dist = [[0] * n for _ in range(n)]
-        for tile in range(1, n):
-            goal_pos = tile - 1
-            for pos in range(n):
-                self._dist[tile][pos] = abs(pos // side - goal_pos // side) + abs(
-                    pos % side - goal_pos % side
-                )
+        self._dist = _dist_table(side)
+        # successors() scores children by the O(1) Manhattan delta only
+        # while heuristic() and expand() are this class's own; a subclass
+        # that overrides either takes the recomputing default.
+        cls = type(self)
+        self._moves = (
+            _successor_moves(side)
+            if heuristic_name == "manhattan"
+            and cls.heuristic is SlidingPuzzle.heuristic
+            and cls.expand is SlidingPuzzle.expand
+            else None
+        )
 
     # -- SearchProblem -----------------------------------------------------
 
@@ -313,6 +369,25 @@ class SlidingPuzzle(SearchProblem):
         if self.heuristic_name == "linear_conflict":
             total += linear_conflicts(tiles, self.side)
         return total
+
+    def successors(
+        self, state: PuzzleState, h: int
+    ) -> list[tuple[PuzzleState, int]]:
+        moves = self._moves
+        if moves is None:
+            return super().successors(state, h)
+        tiles, blank, prev = state
+        out = []
+        for dest, dh in moves[blank][prev]:
+            tile = tiles[dest]
+            lst = list(tiles)
+            lst[blank] = tile
+            lst[dest] = 0
+            # tuple.__new__ is what PuzzleState(...) runs, minus the
+            # Python-level __new__ call that NamedTuple wraps around it.
+            child = _new_tuple(PuzzleState, (tuple(lst), dest, blank))
+            out.append((child, h + dh[tile]))
+        return out
 
     # -- packed view (consumed by repro.search.kernel) ----------------------
     #

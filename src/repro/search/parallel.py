@@ -494,6 +494,13 @@ class ParallelIDAStar:
                 faults=fault_runtime,
                 obs=self.obs,
             )
+            before = (
+                machine.n_cycles,
+                machine.n_lb_phases,
+                machine.n_transfers,
+                machine.ledger.t_calc,
+                machine.ledger.elapsed,
+            )
             last_metrics = scheduler.run()
             bounds.append(bound)
             per_iter.append(workload.expanded)
@@ -503,6 +510,11 @@ class ParallelIDAStar:
                         cycle=machine.n_cycles,
                         bound=bound,
                         expanded=workload.expanded,
+                        cycles=machine.n_cycles - before[0],
+                        n_lb=machine.n_lb_phases - before[1],
+                        n_transfers=machine.n_transfers - before[2],
+                        t_calc=machine.ledger.t_calc - before[3],
+                        elapsed=machine.ledger.elapsed - before[4],
                     )
                 )
 

@@ -48,3 +48,15 @@ class SearchProblem(ABC):
     def heuristic(self, state: Hashable) -> int:
         """Admissible estimate of remaining cost (0 if unknown)."""
         return 0
+
+    def successors(self, state: Hashable, h: int) -> list[tuple[Hashable, int]]:
+        """``(child, heuristic(child))`` pairs in :meth:`expand` order.
+
+        ``h`` is ``heuristic(state)``, so a problem whose heuristic
+        changes by a cheap per-move delta can score each child from its
+        parent instead of from scratch.  This default recomputes the
+        heuristic per child and ignores ``h``; an override must return
+        exactly what it returns.
+        """
+        heuristic = self.heuristic
+        return [(child, heuristic(child)) for child in self.expand(state)]

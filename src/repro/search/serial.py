@@ -67,20 +67,25 @@ def depth_bounded_dfs(
     next_bound: int | None = None
     goal_depths: list[int] = []
 
-    if problem.heuristic(root) > bound:
-        return SerialSearchResult(0, 0, problem.heuristic(root), ())
+    h_root = problem.heuristic(root)
+    if h_root > bound:
+        return SerialSearchResult(0, 0, h_root, ())
 
-    # Stack of (state, g); children are pushed reversed so the expansion
-    # order matches the recursive left-to-right DFS.
-    stack: list[tuple[Hashable, int]] = [(root, 0)]
+    # Stack of (state, g, h); children are pushed reversed so the
+    # expansion order matches the recursive left-to-right DFS.  Each
+    # entry carries its heuristic so successors() can score the children
+    # from it (an O(1) delta on a Manhattan puzzle).
+    is_goal = problem.is_goal
+    successors = problem.successors
+    stack: list[tuple[Hashable, int, int]] = [(root, 0, h_root)]
     while stack:
-        state, g = stack.pop()
+        state, g, h = stack.pop()
         expanded += 1
         if max_expansions is not None and expanded > max_expansions:
             raise RuntimeError(
                 f"depth_bounded_dfs exceeded max_expansions={max_expansions}"
             )
-        if problem.is_goal(state):
+        if is_goal(state):
             solutions += 1
             goal_depths.append(g)
             if first_solution_only:
@@ -89,11 +94,11 @@ def depth_bounded_dfs(
             # (the 15-puzzle goal has successors, but extending past a goal
             # would double-count work the serial algorithm would not do).
             continue
-        children = problem.expand(state)
-        for child in reversed(children):
-            f = g + 1 + problem.heuristic(child)
+        child_g = g + 1
+        for child, h_child in reversed(successors(state, h)):
+            f = child_g + h_child
             if f <= bound:
-                stack.append((child, g + 1))
+                stack.append((child, child_g, h_child))
             elif next_bound is None or f < next_bound:
                 next_bound = f
 

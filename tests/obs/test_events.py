@@ -22,7 +22,10 @@ ALL_EVENTS = [
     RecoveryEvent(cycle=5, rounds=1, transfers=3),
     FaultEvent(cycle=6, event="death", pe=13),
     FaultEvent(cycle=6, event="quarantine", pe=13, entries=42),
-    IterationEvent(cycle=7, bound=22, expanded=900),
+    IterationEvent(
+        cycle=7, bound=22, expanded=900, cycles=31, n_lb=4, n_transfers=57,
+        t_calc=0.5, elapsed=0.375,
+    ),
 ]
 
 
@@ -46,7 +49,7 @@ class TestRingBufferSink:
     def test_wraparound_keeps_newest_and_counts_dropped(self):
         sink = RingBufferSink(maxlen=4)
         for i in range(10):
-            sink.emit(IterationEvent(cycle=i, bound=i, expanded=i))
+            sink.emit(LBPhaseEvent(cycle=i, rounds=i, transfers=i, dt=0.0))
         assert len(sink) == 4
         assert sink.n_emitted == 10
         assert sink.dropped == 6
@@ -114,7 +117,8 @@ class TestJsonlSink:
             b'{"kind":"recovery","cycle":5,"rounds":1,"transfers":3}\n'
             b'{"kind":"fault","cycle":6,"event":"death","pe":13,"entries":0}\n'
             b'{"kind":"fault","cycle":6,"event":"quarantine","pe":13,"entries":42}\n'
-            b'{"kind":"iteration","cycle":7,"bound":22,"expanded":900}\n'
+            b'{"kind":"iteration","cycle":7,"bound":22,"expanded":900,"cycles":31,'
+            b'"n_lb":4,"n_transfers":57,"t_calc":0.5,"elapsed":0.375}\n'
             b'{"kind":"cycle","cycle":1099511627776,"busy":0,"expanding":0,'
             b'"r1":1e-07,"r2":1e+22}\n'
             b'{"kind":"cycle","cycle":0,"busy":1,"expanding":1,"r1":Infinity,'

@@ -9,6 +9,8 @@ asserting the lock-step invariants throughout, a fully instrumented run
 run's one per-cycle record — equals the oracle's event for event.
 """
 
+import itertools
+
 import pytest
 
 from repro.core.config import PAPER_SCHEMES
@@ -16,6 +18,8 @@ from repro.core.scheduler import Scheduler
 from repro.experiments.runner import default_init_threshold
 from repro.lint.runtime import SanitizerError, check_observation_purity
 from repro.obs import MetricsRegistry, Observability, Profiler, RingBufferSink, profiled
+from repro.problems.npuzzle import SlidingPuzzle
+from repro.search.parallel import ParallelIDAStar
 from repro.simd.machine import SimdMachine
 from repro.workmodel.stackmodel import StackWorkload
 from tests.oracles import ListStackWorkload
@@ -74,3 +78,39 @@ class TestPurityChecker:
         b = _run("GP-DP", "arena")
         with pytest.raises(SanitizerError, match="observation-purity"):
             check_observation_purity(a, b)
+
+
+class TestIterationDeltas:
+    """Each ``IterationEvent`` carries its bound's share of the shared
+    machine ledger; over a run the shares add up to the run's totals."""
+
+    @pytest.mark.parametrize("spec", ["GP-DK", "nGP-S0.75"])
+    def test_deltas_sum_to_run_totals(self, spec):
+        problem = SlidingPuzzle.scrambled(4, 30, rng=11)
+        kwargs = dict(init_threshold=default_init_threshold(spec), sanitize=True)
+        bare = ParallelIDAStar(problem, N_PES, spec, **kwargs).run()
+        obs = Observability(events=RingBufferSink(), metrics=MetricsRegistry())
+        observed = ParallelIDAStar(problem, N_PES, spec, obs=obs, **kwargs).run()
+        assert observed == bare
+        check_observation_purity(bare.metrics, observed.metrics)
+
+        iterations = obs.events.events("iteration")
+        metrics = observed.metrics
+        assert len(iterations) == len(observed.bounds) > 1
+        assert [e.bound for e in iterations] == list(observed.bounds)
+        assert [e.expanded for e in iterations] == list(observed.per_iteration_expanded)
+        assert sum(e.cycles for e in iterations) == metrics.n_expand
+        assert sum(e.n_lb for e in iterations) == metrics.n_lb
+        assert sum(e.n_transfers for e in iterations) == metrics.n_transfers
+        assert [e.cycle for e in iterations] == list(
+            itertools.accumulate(e.cycles for e in iterations)
+        )
+        assert sum(e.t_calc for e in iterations) == pytest.approx(
+            metrics.ledger.t_calc, rel=1e-12
+        )
+        assert sum(e.elapsed for e in iterations) == pytest.approx(
+            metrics.ledger.elapsed, rel=1e-12
+        )
+        # Every iteration both expands and (past the first few) balances.
+        assert all(e.cycles > 0 and e.t_calc > 0 for e in iterations)
+        assert sum(e.n_lb for e in iterations) > 0

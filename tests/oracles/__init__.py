@@ -9,7 +9,9 @@ lives here, where no caller can select it by accident:
 - :func:`opaque` — wraps a search problem so only the four
   ``SearchProblem`` methods show.  ``SearchWorkload`` then cannot see the
   arena protocol and runs its per-PE ``DFSStack`` path, which is how the
-  suites put a puzzle on the reference path.
+  suites put a puzzle on the reference path; and the serial search takes
+  the recomputing default ``successors``, the oracle for a puzzle's
+  incremental Manhattan scoring.
 - :class:`RendezvousNGPMatcher` / :class:`RendezvousGPMatcher` — the
   mask-validated matchers with a full rotated busy order and a
   permutation-checked rendezvous, moved out of ``repro.core.matching``

@@ -1,4 +1,5 @@
-"""Hide a problem's arena protocol from ``SearchWorkload``."""
+"""Hide a problem's arena protocol from ``SearchWorkload``, and its
+incremental ``successors`` from the serial search."""
 
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ class _Opaque(SearchProblem):
 
 
 def opaque(problem: SearchProblem) -> SearchProblem:
-    """``problem``'s tree with no packed view: same states, same
-    order, same heuristic, so a search over it expands the same nodes."""
+    """``problem``'s tree with no packed view and no ``successors``
+    override: same states, same order, same heuristic, so a search over
+    it expands the same nodes, scoring every child by a full
+    ``heuristic`` call."""
     return _Opaque(problem)

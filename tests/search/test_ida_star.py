@@ -1,5 +1,6 @@
 import pytest
 
+from repro.problems.fifteen_puzzle import FifteenPuzzle
 from repro.problems.npuzzle import SlidingPuzzle
 from repro.problems.nqueens import NQueensProblem
 from repro.search.ida_star import ida_star
@@ -76,3 +77,23 @@ class TestIDAStar:
         r = ida_star(NQueensProblem(6))
         assert len(r.bounds) == 1
         assert r.solutions == 4
+
+
+#: Three entries of ``benchmarks/e2e/instances.json`` (scramble seeds
+#: 157, 165 and 1833): tiles, serial ``total_expanded`` and
+#: ``solution_cost``.  The ``ida-puzzle`` workload's set-up refuses an
+#: instance whose serial count drifts, so a serial-search change that
+#: would break the benchmark fails here first.
+BENCHMARK_INSTANCES = [
+    ((1, 8, 0, 3, 5, 11, 2, 7, 6, 10, 4, 15, 9, 13, 12, 14), 18081, 30),
+    ((0, 4, 8, 15, 2, 3, 7, 14, 10, 1, 11, 9, 6, 12, 5, 13), 21498, 44),
+    ((1, 7, 0, 8, 5, 2, 3, 4, 9, 13, 10, 12, 14, 6, 11, 15), 18327, 26),
+]
+
+
+@pytest.mark.parametrize(
+    "tiles,nodes,cost", BENCHMARK_INSTANCES, ids=["seed157", "seed165", "seed1833"]
+)
+def test_benchmark_instances_reproduce(tiles, nodes, cost):
+    r = ida_star(FifteenPuzzle(tiles))
+    assert (r.total_expanded, r.solution_cost) == (nodes, cost)
