@@ -2,7 +2,7 @@
 
 - :mod:`repro.experiments.runner` — single runs and (scheme, W, P) grids
   over the divisible workload at paper or reduced scale.
-- :mod:`repro.experiments.journal` — the content-addressed cell key
+- :mod:`repro.experiments.keys` — :func:`plan_key`, the cell key
   ``run_grid(store=...)`` publishes and resumes records under.
 - :mod:`repro.experiments.tables` — Tables 1-6 generators.
 - :mod:`repro.experiments.figures` — Figures 1, 3-8 series generators.
@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     RetryPolicy,
     QuarantineReport,
 )
-from repro.experiments.journal import cell_key, code_version
+from repro.experiments.keys import code_version, plan_key
 from repro.experiments.store import save_records, load_records, to_triples
 from repro.experiments import tables, figures
 
@@ -49,8 +49,8 @@ __all__ = [
     "GRID_EXECUTORS",
     "RetryPolicy",
     "QuarantineReport",
-    "cell_key",
     "code_version",
+    "plan_key",
     "CellPlan",
     "run_batched_cells",
     "tables",

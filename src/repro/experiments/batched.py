@@ -39,15 +39,15 @@ anything else loudly.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.core.config import Scheme
+from repro.core.config import Scheme, make_scheme
 from repro.core.matching import GPMatcher, Matcher, NGPMatcher
 from repro.core.metrics import RunMetrics
 from repro.core.scheduler import _MAX_ROUNDS_FACTOR
-from repro.core.splitting import AlphaSplitter, WorkSplitter
+from repro.core.splitting import AlphaSplitter
 from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger
 from repro.errors import ConfigError
 from repro.obs.profile import span
@@ -71,12 +71,13 @@ _LANES = (
 
 @dataclass(frozen=True)
 class CellPlan:
-    """One planned grid cell: everything needed to execute it anywhere.
+    """One planned grid cell: everything that determines its record.
 
     ``index`` is the cell's scheme-major grid index (the seed-order
-    contract); ``init_threshold`` is already resolved (the planner
-    applies the ``"auto"`` convention), so serial, batched and sharded
-    executors cannot disagree about it.
+    contract) and the only field that does not: the others are what
+    :func:`~repro.experiments.keys.plan_key` hashes.  ``init_threshold``
+    is already resolved (the planner applies the ``"auto"``
+    convention).  A plan pickles with its scheme as its name.
     """
 
     index: int
@@ -85,6 +86,15 @@ class CellPlan:
     total_work: int
     seed: int
     init_threshold: float | None
+    cost_model: CostModel = CostModel()
+
+    def __reduce__(self) -> tuple:
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        return (_unpickle_plan, ({**state, "scheme": self.scheme.name},))
+
+
+def _unpickle_plan(state: dict) -> CellPlan:
+    return CellPlan(**{**state, "scheme": make_scheme(state["scheme"])})
 
 
 def is_batchable(scheme: Scheme, *, initial_lb_cost: float = 1.0) -> bool:
@@ -109,16 +119,14 @@ class _CellRun:
     __slots__ = (
         "plan",
         "matcher",
-        "multiple_transfers",
         "rng",
         "init_target",
         "in_init",
     )
 
-    def __init__(self, plan: CellPlan, matcher: Matcher, multiple: bool) -> None:
+    def __init__(self, plan: CellPlan, matcher: Matcher) -> None:
         self.plan = plan
         self.matcher = matcher
-        self.multiple_transfers = multiple
         # The serial path hands DivisibleWorkload the cell seed; the
         # splitter is that workload's only RNG consumer, so seeding the
         # per-cell stream identically keeps every donation draw aligned.
@@ -139,9 +147,7 @@ class MegaGridExecutor:
     cells:
         The planned cells to run (any order; results key off
         ``CellPlan.index``).  Every scheme must satisfy
-        :func:`is_batchable`.
-    cost_model / splitter:
-        Shared across cells exactly as ``run_grid`` shares them.
+        :func:`is_batchable`, and all share one cost model.
     sanitize:
         Assert per-cycle invariants on the packed state: work
         conservation across every cell, non-negative counts, each
@@ -161,15 +167,15 @@ class MegaGridExecutor:
         self,
         cells: Sequence[CellPlan],
         *,
-        cost_model: CostModel | None = None,
-        splitter: WorkSplitter | None = None,
         sanitize: bool = False,
         on_cell_done: "Callable[[CellPlan, RunMetrics], None] | None" = None,
     ) -> None:
         if not cells:
             raise ConfigError("MegaGridExecutor needs at least one cell")
-        self.cost = cost_model if cost_model is not None else CostModel()
-        self.splitter = splitter if splitter is not None else AlphaSplitter()
+        self.cost = cells[0].cost_model
+        if any(c.cost_model != self.cost for c in cells):
+            raise ConfigError("the cells of one MegaGridExecutor share one cost model")
+        self.splitter = AlphaSplitter()
         self.sanitize = sanitize
         self.on_cell_done = on_cell_done
         n = len(cells)
@@ -206,7 +212,7 @@ class MegaGridExecutor:
                     f"{type(matcher).__name__}/{type(trigger).__name__}, which "
                     "the batched executor does not support; run it serially"
                 )
-            self.runs.append(_CellRun(plan, matcher, plan.scheme.multiple_transfers))
+            self.runs.append(_CellRun(plan, matcher))
             if isinstance(trigger, StaticTrigger):
                 self.is_static[i] = True
                 self.static_xp[i] = trigger.x * plan.n_pes
@@ -403,7 +409,7 @@ class MegaGridExecutor:
                 work[receivers] += give
                 transfers += len(donors)
                 rounds += 1
-                if not run.multiple_transfers or rounds >= max_rounds:
+                if not run.plan.scheme.multiple_transfers or rounds >= max_rounds:
                     break
                 busy = (work >= 2).nonzero()[0]
                 idle = (work == 0).nonzero()[0]
@@ -516,8 +522,6 @@ class MegaGridExecutor:
 def run_batched_cells(
     cells: Sequence[CellPlan],
     *,
-    cost_model: CostModel | None = None,
-    splitter: WorkSplitter | None = None,
     sanitize: bool = False,
     on_cell_done: "Callable[[CellPlan, RunMetrics], None] | None" = None,
 ) -> dict[int, RunMetrics]:
@@ -528,11 +532,5 @@ def run_batched_cells(
     if not cells:
         return {}
     with span("mega.plan", cat="grid"):
-        executor = MegaGridExecutor(
-            cells,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
-            on_cell_done=on_cell_done,
-        )
+        executor = MegaGridExecutor(cells, sanitize=sanitize, on_cell_done=on_cell_done)
     return executor.run()

@@ -52,6 +52,7 @@ from repro.errors import (
     TimeoutUnenforcedWarning,
 )
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
+from repro.experiments.keys import plan_key, scheme_name
 from repro.faults import CheckpointConfig, FaultPlan, GridChaos
 from repro.obs import Observability
 from repro.obs.registry import MetricsRegistry, record_run
@@ -301,15 +302,17 @@ def plan_grid(
     *,
     base_seed: int = 0,
     init_threshold: float | None | str = "auto",
+    cost_model: CostModel | None = None,
 ) -> list[CellPlan]:
     """The planning pass: enumerate grid cells as executable CellPlans.
 
     Cells come back in scheme-major order with their deterministic
-    :func:`cell_seed` and the init threshold already resolved (the
-    ``"auto"`` convention applied per scheme), so every executor —
-    serial, batched in-process or sharded over the pool — starts from
-    the same plan and cannot disagree about seeds or thresholds.
+    :func:`cell_seed`, the init threshold already resolved (the
+    ``"auto"`` convention applied per scheme) and ``cost_model``, so
+    every executor — serial, batched in-process or sharded over the pool
+    — starts from the same plans and cannot disagree about a cell.
     """
+    cost_model = cost_model if cost_model is not None else CostModel()
     grid_schemes = [make_scheme(s) if isinstance(s, str) else s for s in schemes]
     plans: list[CellPlan] = []
     index = 0
@@ -329,21 +332,24 @@ def plan_grid(
                         total_work=total_work,
                         seed=cell_seed(base_seed, index),
                         init_threshold=threshold,
+                        cost_model=cost_model,
                     )
                 )
                 index += 1
     return plans
 
 
-def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
+def _run_unit(
+    plans: list[CellPlan],
+    attempts: list[int],
+    sanitize: bool,
+    timeout: float | None,
+    chaos: GridChaos | None,
+) -> list[tuple[int, RunMetrics]]:
     """One unit of planned cells — the only pool worker entry point.
 
-    Schemes travel as spec strings (Scheme factories close over locals
-    and do not pickle) and are rebuilt with ``make_scheme`` here; the
-    cost model and splitter pickle as-is.  A one-cell unit runs
-    :func:`run_divisible`; a larger one packs its cells into one
-    MegaArena (:func:`run_batched_cells`), so the scheme rebuild is
-    paid per unit, not per cell.
+    A one-cell unit runs :func:`run_divisible`; a larger one packs its
+    cells into one MegaArena (:func:`run_batched_cells`).
 
     ``timeout`` arms a single ``SIGALRM`` watchdog of ``timeout *
     len(unit)`` seconds (POSIX only; elsewhere the parent warns
@@ -352,17 +358,13 @@ def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
     packed into — and a tripped watchdog raises a retryable
     :class:`~repro.errors.GridCellError`.  ``chaos`` fires under the
     watchdog, once per cell the unit carries with that cell's own
-    attempt number, so the same ``GridChaos(index=...)`` crashes the
-    same work however the grid is cut into units.
+    attempt number (``attempts``, in ``plans`` order), so the same
+    ``GridChaos(index=...)`` crashes the same work however the grid is
+    cut into units.
     """
-    rows, cost_model, splitter, sanitize, timeout, chaos = payload
-    plans = [
-        CellPlan(index, make_scheme(spec), n_pes, total_work, seed, threshold)
-        for (index, spec, n_pes, total_work, seed, threshold, _) in rows
-    ]
     use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
     if use_alarm:
-        budget = timeout * len(rows)
+        budget = timeout * len(plans)
 
         def _on_alarm(signum: int, frame: object) -> None:
             raise GridCellError(
@@ -374,19 +376,11 @@ def _run_unit(payload: tuple) -> list[tuple[int, RunMetrics]]:
         signal.setitimer(signal.ITIMER_REAL, budget)
     try:
         if chaos is not None:
-            for row in rows:
-                chaos.maybe_trigger(row[0], row[-1])
+            for plan, attempt in zip(plans, attempts):
+                chaos.maybe_trigger(plan.index, attempt)
         if len(plans) == 1:
-            metrics = _run_cell(plans[0], cost_model, splitter, sanitize)
-            return [(plans[0].index, metrics)]
-        return sorted(
-            run_batched_cells(
-                plans,
-                cost_model=cost_model,
-                splitter=splitter,
-                sanitize=sanitize,
-            ).items()
-        )
+            return [(plans[0].index, _run_cell(plans[0], sanitize))]
+        return sorted(run_batched_cells(plans, sanitize=sanitize).items())
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -459,7 +453,7 @@ def _pool_workers(
     elif (
         _can_fork()
         and _predicted_cost(cells) >= POOL_THRESHOLD
-        and not _unnamed_schemes(cells)
+        and _named(cells)
     ):
         workers = _usable_cpus()
     else:
@@ -470,16 +464,15 @@ def _pool_workers(
     return 0
 
 
-def _unnamed_schemes(cells: list[CellPlan]) -> list[str]:
-    """Names of the schemes in ``cells`` that ``make_scheme`` cannot
-    rebuild — a pool worker receives each scheme as its name."""
-    unnamed = []
-    for name in sorted({p.scheme.name for p in cells}):
-        try:
-            make_scheme(name)
-        except ValueError:
-            unnamed.append(name)
-    return unnamed
+def _named(cells: list[CellPlan]) -> bool:
+    """Whether every scheme in ``cells`` rebuilds from its name — a pool
+    worker receives each scheme as its name."""
+    try:
+        for plan in cells:
+            scheme_name(plan.scheme.name)
+    except ConfigError:
+        return False
+    return True
 
 
 def _can_fork() -> bool:
@@ -574,7 +567,6 @@ def run_grid(
     pes: list[int],
     *,
     cost_model: CostModel | None = None,
-    splitter: WorkSplitter | None = None,
     base_seed: int = 0,
     init_threshold: float | None | str = "auto",
     n_jobs: int | None = None,
@@ -622,12 +614,14 @@ def run_grid(
     spawned when the caller has another live thread.
 
     Pooled units need every scheme's name to round-trip through
-    ``make_scheme`` (all Table 1 schemes do).
+    ``make_scheme`` (all Table 1 schemes do).  Cells split work with
+    ``AlphaSplitter()``.
 
     **Durability** — ``store`` is a content-addressed
     :class:`~repro.serve.store.RecordStore` keyed by
-    :func:`~repro.experiments.journal.cell_key` ``(spec, W, P,
-    cell_seed, code_version)``.  A cell already stored is taken from it
+    :func:`~repro.experiments.keys.plan_key` (every record-determining
+    field of the cell's plan; a scheme ``make_scheme`` cannot rebuild
+    has no key).  A cell already stored is taken from it
     (counted in ``grid.resumed_cells``) and not recomputed; every other
     cell is published with an atomic ``put`` the moment it finishes
     (by the in-process arena as it leaves, by the parent as a pooled
@@ -683,7 +677,8 @@ def run_grid(
     if timeout is not None and timeout <= 0:
         raise ConfigError(f"timeout must be positive, got {timeout}")
     plans = plan_grid(
-        schemes, works, pes, base_seed=base_seed, init_threshold=init_threshold
+        schemes, works, pes, base_seed=base_seed, init_threshold=init_threshold,
+        cost_model=cost_model,
     )
     hardened = timeout is not None or chaos is not None
     resolved = _resolve_executor(executor, n_jobs, hardened)
@@ -698,10 +693,6 @@ def run_grid(
     results: dict[int, RunMetrics] = {}
     keys: dict[int, str] = {}
     if store is not None:
-        # Imported lazily: journal.py imports store.py, which imports
-        # this module back for GridRecord.
-        from repro.experiments.journal import plan_key
-
         for plan in plans:
             keys[plan.index] = plan_key(plan)
             record = store.get(keys[plan.index])
@@ -768,7 +759,9 @@ def run_grid(
             plans,
             results,
             on_done,
-            worker_args=(cost_model, splitter, sanitize, timeout, chaos),
+            sanitize=sanitize,
+            timeout=timeout,
+            chaos=chaos,
             max_workers=workers,
             retry=retry,
             registry=registry,
@@ -776,16 +769,10 @@ def run_grid(
         )
     if arena:
         results.update(
-            run_batched_cells(
-                arena,
-                cost_model=cost_model,
-                splitter=splitter,
-                sanitize=sanitize,
-                on_cell_done=on_done,
-            )
+            run_batched_cells(arena, sanitize=sanitize, on_cell_done=on_done)
         )
     for plan in serial:
-        results[plan.index] = _run_cell(plan, cost_model, splitter, sanitize)
+        results[plan.index] = _run_cell(plan, sanitize)
         on_done(plan, results[plan.index])
 
     records = [
@@ -796,19 +783,13 @@ def run_grid(
     return records
 
 
-def _run_cell(
-    plan: CellPlan,
-    cost_model: CostModel | None,
-    splitter: WorkSplitter | None,
-    sanitize: bool,
-) -> RunMetrics:
+def _run_cell(plan: CellPlan, sanitize: bool) -> RunMetrics:
     """One planned cell through the serial oracle, :func:`run_divisible`."""
     return run_divisible(
         plan.scheme,
         plan.total_work,
         plan.n_pes,
-        cost_model=cost_model,
-        splitter=splitter,
+        cost_model=plan.cost_model,
         seed=plan.seed,
         init_threshold=plan.init_threshold,
         sanitize=sanitize,
@@ -848,7 +829,9 @@ def _execute_pooled(
     results: dict[int, RunMetrics],
     on_done: Callable[[CellPlan, RunMetrics], None],
     *,
-    worker_args: tuple,
+    sanitize: bool,
+    timeout: float | None,
+    chaos: GridChaos | None,
     max_workers: int,
     retry: RetryPolicy,
     registry: MetricsRegistry | None,
@@ -866,29 +849,9 @@ def _execute_pooled(
     :class:`~repro.errors.GridCellError` if any cell ran out of budget.
     """
     by_index = {p.index: p for unit in units for p in unit}
-    unnamed = _unnamed_schemes(list(by_index.values()))
-    if unnamed:
-        raise ConfigError(
-            f"scheme {unnamed[0]!r} cannot be rebuilt from its spec; pooled "
-            "grid execution supports spec-named schemes only — use "
-            "the serial path"
-        )
+    for plan in by_index.values():
+        scheme_name(plan.scheme.name)  # raises ConfigError if a worker cannot
     attempts = dict.fromkeys(by_index, 0)
-
-    def payload(unit: list[CellPlan]) -> tuple:
-        rows = [
-            (
-                p.index,
-                p.scheme.name,
-                p.n_pes,
-                p.total_work,
-                p.seed,
-                p.init_threshold,
-                attempts[p.index],
-            )
-            for p in unit
-        ]
-        return (rows, *worker_args)
 
     shard_s = (
         registry.histogram("grid.shard_s", buckets=_SHARD_BUCKETS)
@@ -904,7 +867,12 @@ def _execute_pooled(
                     max_workers=max_workers, mp_context=_pool_context()
                 )
             submitted = time.perf_counter()
-            in_flight = {pool.submit(_run_unit, payload(u)): u for u in units}
+            in_flight = {
+                pool.submit(
+                    _run_unit, u, [attempts[p.index] for p in u], sanitize, timeout, chaos
+                ): u
+                for u in units
+            }
             units = []
             delays: list[float] = []
             pool_broken = False

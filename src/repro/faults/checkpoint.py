@@ -66,7 +66,9 @@ _FRAME = struct.Struct("<IQ")
 #: workload's planes and kernel fields no longer match the kernel.  v4
 #: drops the scheduler's ``Trace`` recorder (``trace_obj`` and the
 #: ``trace`` keyword); a v3 file's kwargs would not rebuild a scheduler.
-_VERSION = 4
+#: v5 stores each ``DFSStack`` entry's heuristic (``StackEntry.h``); a
+#: v4 search workload's entries lack it.
+_VERSION = 5
 
 
 def _frame(blob: bytes) -> bytes:

@@ -23,7 +23,8 @@ The workload picks its stack storage from the problem alone:
 - any other :class:`~repro.search.problem.SearchProblem` (n-queens,
   colouring, a linear-conflict puzzle, a 5x5 board) gets one
   :class:`~repro.search.stack.DFSStack` per PE, expanded in a per-PE
-  Python loop.
+  Python loop that scores children by ``problem.successors(state, h)``,
+  as serial :func:`~repro.search.serial.depth_bounded_dfs` does.
 
 Both storages expand the *same* deterministic tree, so full runs are
 expansion-count- and solution-identical — asserted scheme by scheme in
@@ -146,7 +147,7 @@ class SearchWorkload:
         else:
             self._stacks = [DFSStack() for _ in range(self.n_pes)]
             if root_in_bound:
-                self._stacks[0] = DFSStack([StackEntry(root, 0)])
+                self._stacks[0] = DFSStack([StackEntry(root, 0, h0)])
 
     # -- storage views -----------------------------------------------------
 
@@ -170,7 +171,9 @@ class SearchWorkload:
             out.append(
                 [
                     StackEntry(
-                        problem.decode_state(word, info & KEY_MASK), info >> G_SHIFT
+                        problem.decode_state(word, info & KEY_MASK),
+                        info >> G_SHIFT,
+                        (info >> H_SHIFT) & KEY_MASK,
                     )
                     for word, info in zip(words.tolist(), infos.tolist())
                 ]
@@ -221,7 +224,6 @@ class SearchWorkload:
         self._cached_counts = None
         n = 0
         problem = self.problem
-        h = problem.heuristic
         bound = self.bound
         for stack in stacks:
             entry = stack.pop_next()
@@ -235,10 +237,10 @@ class SearchWorkload:
                 self.goal_depths.append(g)
                 continue
             level: list[StackEntry] = []
-            for child in problem.expand(state):
-                f = g + 1 + h(child)
+            for child, h in problem.successors(state, entry.h):
+                f = g + 1 + h
                 if f <= bound:
-                    level.append(StackEntry(child, g + 1))
+                    level.append(StackEntry(child, g + 1, h))
                 elif self.next_bound is None or f < self.next_bound:
                     self.next_bound = f
             # Reverse so pop_next() (which pops from the tail) visits the

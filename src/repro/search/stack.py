@@ -25,10 +25,12 @@ __all__ = ["StackEntry", "DFSStack"]
 
 @dataclass(frozen=True)
 class StackEntry:
-    """One untried alternative: a state and its depth ``g`` from the root."""
+    """One untried alternative: a state, its depth ``g`` from the root
+    and its heuristic ``h`` (0 for problems without one)."""
 
     state: Hashable
     g: int
+    h: int = 0
 
 
 class DFSStack:

@@ -1,8 +1,9 @@
 """repro.serve — the content-addressed experiment service.
 
 The ROADMAP's "millions of users" path: experiments are pure functions
-of their content-addressed :func:`~repro.experiments.journal.cell_key`
-``(scheme spec, W, P, seed, code_version)``, so a service that caches
+of their content-addressed :func:`~repro.experiments.keys.plan_key`
+(every record-determining field of the cell's plan, and
+``code_version``), so a service that caches
 records under that key serves traffic that scales with *distinct*
 experiments, not with requests.  Identical re-submissions are answered
 from the shared :class:`~repro.serve.store.RecordStore` — bit-identical

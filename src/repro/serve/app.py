@@ -55,7 +55,7 @@ def _dispatch_get(service: ExperimentService, path: str) -> tuple[int, object, s
     """Route one GET; returns ``(status, body, content_type)`` where a
     str body is served verbatim and anything else as JSON."""
     if path == "/healthz":
-        from repro.experiments.journal import code_version
+        from repro.experiments.keys import code_version
 
         return 200, {"ok": True, "code_version": code_version()}, "json"
     if path == "/metrics":

@@ -6,8 +6,9 @@ Its cache discipline, end to end:
 1. A submission is expanded to its cells with the *same* planning code
    an offline sweep uses (:func:`~repro.experiments.runner.plan_grid`,
    :func:`~repro.experiments.runner.cell_seed`), and every cell gets its
-   content-addressed :func:`~repro.experiments.journal.plan_key` — the
-   key ``run_grid(store=...)`` itself reads and publishes it under.  A
+   content-addressed :func:`~repro.experiments.keys.plan_key` — the
+   key ``run_grid(store=...)`` itself reads and publishes it under (a
+   solve is a one-cell plan, so it shares a grid cell's key).  A
    grid request's keys are a pure function of the request and of the
    process's ``code_version()``, so they are planned once and memoised
    (:data:`MAX_MEMO_CELLS` keys held in all, least recently used out
@@ -51,6 +52,7 @@ child before the parent's ``finished``.
 
 from __future__ import annotations
 
+import functools
 import gc
 import multiprocessing
 import os
@@ -63,8 +65,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import JobNotFoundError, QueueFullError, RecordNotFoundError
-from repro.experiments.journal import cell_key, plan_key
-from repro.experiments.runner import GridRecord, plan_grid, run_divisible, run_grid
+from repro.core.config import make_scheme
+from repro.experiments.batched import CellPlan
+from repro.experiments.keys import plan_key
+from repro.experiments.runner import GridRecord, default_init_threshold, plan_grid
+from repro.experiments.runner import run_divisible, run_grid
 from repro.obs import JsonlSink, MetricsRegistry, Observability
 from repro.serve.queue import Job, JobQueue
 from repro.serve.schemas import GridRequest, JobEvent, SolveRequest
@@ -103,27 +108,33 @@ def _worker_init(alive_r: int, alive_w: int) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
+@functools.lru_cache(maxsize=256)
+def _solve_plan(request: SolveRequest) -> CellPlan:
+    """A solve as a one-cell plan: its seed verbatim, and the init
+    threshold and cost model ``plan_grid`` defaults to."""
+    threshold = default_init_threshold(request.scheme)
+    scheme = make_scheme(request.scheme)
+    return CellPlan(0, scheme, request.n_pes, request.total_work, request.seed, threshold)
+
+
 def _solve_cell(
     request: dict, events_path: Path, store_root: Path, key: str
 ) -> MetricsRegistry:
     """One solve job's compute: run the cell with its per-cycle events
     streaming into the job's file, publish the record.  Returns the
     run's registry."""
+    plan = _solve_plan(SolveRequest(**request))
     registry = MetricsRegistry()
     sink = JsonlSink(events_path)
     try:
         metrics = run_divisible(
-            request["scheme"],
-            request["total_work"],
-            request["n_pes"],
-            seed=request["seed"],
+            plan.scheme, plan.total_work, plan.n_pes, cost_model=plan.cost_model,
+            seed=plan.seed, init_threshold=plan.init_threshold,
             obs=Observability(events=sink, metrics=registry),
         )
     finally:
         sink.close()
-    record = GridRecord(
-        metrics.scheme, request["n_pes"], request["total_work"], metrics
-    )
+    record = GridRecord(plan.scheme.name, plan.n_pes, plan.total_work, metrics)
     RecordStore(store_root).put(key, record)
     return registry
 
@@ -367,9 +378,7 @@ class ExperimentService:
     def submit_solve(self, request: SolveRequest) -> dict:
         """Run (or serve from cache) one ``(scheme, W, P, seed)`` cell."""
         self._count("serve.requests", {"endpoint": "solve"})
-        key = cell_key(
-            request.scheme, request.total_work, request.n_pes, request.seed
-        )
+        key = plan_key(_solve_plan(request))
         if key in self.store:
             job = self._hit(
                 "solve",

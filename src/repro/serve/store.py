@@ -1,8 +1,9 @@
 """The shared, content-addressed record store behind the service cache.
 
 One file per cell record, named by the cell's
-:func:`~repro.experiments.journal.cell_key` (a SHA-256 hex digest over
-``(scheme spec, W, P, seed, code_version)``) and sharded into 256
+:func:`~repro.experiments.keys.plan_key` (a SHA-256 hex digest over
+every record-determining field of the cell's plan and ``code_version``)
+and sharded into 256
 two-hex-character subdirectories so a store holding millions of cells
 never puts them all in one directory.  Payloads reuse the ``store.py``
 record schema verbatim (:func:`~repro.experiments.store.record_to_dict`

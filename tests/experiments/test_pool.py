@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.config import PAPER_SCHEMES, make_scheme
 from repro.experiments import runner as runner_mod
 from repro.experiments.batched import CellPlan
-from repro.experiments.journal import plan_key
+from repro.experiments.keys import plan_key
 from repro.experiments.runner import (
     SMALL_SCALE,
     _cost_shards,

@@ -19,13 +19,15 @@ import multiprocessing
 
 import pytest
 
-from repro.experiments.journal import cell_key
-from repro.experiments.runner import run_divisible, GridRecord
+from repro.experiments.keys import plan_key
+from repro.experiments.runner import GridRecord, plan_grid, run_divisible
 from repro.experiments.store import load_records, record_to_dict, save_records
 from repro.serve.store import RecordStore
 
 N_PROCS = 8
 N_ITERS = 10
+#: The one key every hammer process puts: a real cell key.
+_KEY = plan_key(plan_grid(["GP-DK"], [200], [4])[0])
 
 
 def _make_record(seed: int = 3) -> GridRecord:
@@ -47,7 +49,7 @@ def _store_writer(path, barrier, failures):
 def _record_store_writer(path, barrier, failures):
     """One hammer process: open the same record store, put one key."""
     record = _make_record()
-    key = cell_key("GP-DK", 200, 4, 3)
+    key = _KEY
     barrier.wait()
     for _ in range(N_ITERS):
         try:
@@ -115,7 +117,7 @@ class TestConcurrentStorePut:
         failures = _hammer(_record_store_writer, root)
         assert failures == []
         store = RecordStore(root)
-        key = cell_key("GP-DK", 200, 4, 3)
+        key = _KEY
         assert store.keys() == [key]
         assert record_to_dict(store.get(key)) == record_to_dict(_make_record())
         assert [p.name for p in store.path_for(key).parent.iterdir()] == [

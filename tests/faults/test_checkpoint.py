@@ -211,6 +211,8 @@ def test_unsupported_version_rejected(tmp_path):
         {"version": 2, "workload": None},
         # v3 carries the retired Trace recorder and trace keyword.
         {"version": 3, "trace_obj": None, "kwargs": {"trace": False}},
+        # v4 DFSStack entries carry no heuristic h.
+        {"version": 4, "workload": None},
     ]
     for payload in payloads:
         blob = pickle.dumps(payload)

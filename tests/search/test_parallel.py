@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from repro.core.config import PAPER_SCHEMES
+from repro.experiments.runner import default_init_threshold
 from repro.problems.npuzzle import SlidingPuzzle
 from repro.problems.nqueens import NQueensProblem
 from repro.problems.synthetic import SyntheticTreeProblem
@@ -99,6 +101,38 @@ class TestSerialParallelEquivalence:
         )
         assert (wl.expanded, wl.solutions, wl.next_bound) == (
             serial.expanded, serial.solutions, serial.next_bound
+        )
+
+
+def _on_dfs_stacks(problem):
+    """``problem`` with its packed view declined: ``SearchWorkload``
+    runs it on ``DFSStack``s, still scoring through its ``successors``."""
+    problem.supports_arena_backend = lambda: False
+    return problem
+
+
+class TestDFSStackScoring:
+    """The ``DFSStack`` path scores children by ``successors(state, h)``
+    (an O(1) Manhattan delta on a puzzle): it runs exactly the search of
+    the full-recompute oracle and of the arena."""
+
+    @pytest.mark.parametrize("spec", PAPER_SCHEMES)
+    def test_equals_oracle_and_arena(self, spec):
+        def run(problem):
+            return ParallelIDAStar(
+                problem, 32, spec, init_threshold=default_init_threshold(spec),
+                sanitize=True,
+            ).run()
+
+        tiles = SlidingPuzzle.scrambled(4, 30, rng=5).tiles
+        listed = run(_on_dfs_stacks(SlidingPuzzle(tiles)))
+        assert listed == run(opaque(SlidingPuzzle(tiles)))
+        assert listed == run(SlidingPuzzle(tiles))
+
+    def test_five_by_five_equals_oracle(self):
+        p = SlidingPuzzle.scrambled(5, 24, rng=3)
+        assert ParallelIDAStar(p, 16, "GP-DK", sanitize=True).run() == (
+            ParallelIDAStar(opaque(p), 16, "GP-DK", sanitize=True).run()
         )
 
 

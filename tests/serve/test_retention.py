@@ -14,14 +14,36 @@ import threading
 import pytest
 
 from repro.errors import JobNotFoundError
-from repro.experiments.journal import cell_key
-from repro.experiments.runner import GridRecord, plan_grid, run_divisible, run_grid
+from repro.core.config import make_scheme
+from repro.experiments.batched import CellPlan
+from repro.experiments.keys import plan_key
+from repro.experiments.runner import (
+    GridRecord,
+    default_init_threshold,
+    plan_grid,
+    run_divisible,
+    run_grid,
+)
 from repro.serve import ExperimentService
 from repro.serve.queue import MAX_SETTLED_JOBS
 from repro.serve.schemas import parse_grid_request, parse_solve_request
 
 SOLVE = {"scheme": "GP-DK", "total_work": 300, "n_pes": 4, "seed": 1}
 GRID = {"schemes": ["GP-DK", "nGP-DP"], "works": [200], "pes": [2, 4], "base_seed": 5}
+
+
+def _solve_key(body: dict) -> str:
+    """The key of a solve: its one-cell plan, built independently of
+    the service (seed verbatim, ``"auto"`` threshold, default cost)."""
+    plan = CellPlan(
+        0,
+        make_scheme(body["scheme"]),
+        body["n_pes"],
+        body["total_work"],
+        body["seed"],
+        default_init_threshold(body["scheme"]),
+    )
+    return plan_key(plan)
 
 
 @pytest.fixture()
@@ -36,7 +58,7 @@ def _prime_solve(service) -> None:
     metrics = run_divisible(
         SOLVE["scheme"], SOLVE["total_work"], SOLVE["n_pes"], seed=SOLVE["seed"]
     )
-    key = cell_key(SOLVE["scheme"], SOLVE["total_work"], SOLVE["n_pes"], SOLVE["seed"])
+    key = _solve_key(SOLVE)
     service.store.put(
         key, GridRecord(metrics.scheme, SOLVE["n_pes"], SOLVE["total_work"], metrics)
     )
@@ -67,8 +89,7 @@ class TestHitTouchesNoDisk:
             GRID["schemes"], GRID["works"], GRID["pes"], base_seed=GRID["base_seed"]
         )
         for plan, record in zip(plans, records):
-            key = cell_key(plan.scheme.name, plan.total_work, plan.n_pes, plan.seed)
-            service.store.put(key, record)
+            service.store.put(plan_key(plan), record)
         view = service.submit_grid(parse_grid_request(GRID))
         assert view["cache_hit"] is True and view["cached_cells"] == len(plans)
         assert list(service.jobs_dir.iterdir()) == []

@@ -22,7 +22,7 @@ from repro.errors import (
     RecordNotFoundError,
     RecordStoreError,
 )
-from repro.experiments.journal import cell_key
+from repro.experiments.keys import plan_key
 from repro.experiments.runner import plan_grid, run_divisible, run_grid, GridRecord
 from repro.experiments.store import record_to_dict
 from repro.obs.events import read_jsonl_events
@@ -164,7 +164,7 @@ def _reference_keys(request):
         list(request.pes),
         base_seed=request.base_seed,
     )
-    return [cell_key(p.scheme.name, p.total_work, p.n_pes, p.seed) for p in plans]
+    return [plan_key(p) for p in plans]
 
 
 def _memo_counts(service):
@@ -183,7 +183,7 @@ _SPELLING = {"GP-S0.5": "GP-S0.50", "GP-S0.50": "GP-S0.5"}
 class TestPlanMemo:
     def test_memoised_keys_equal_planned_keys(self, tmp_path):
         """Whichever request an entry was planned for, a grid's keys
-        are what ``plan_grid`` + ``cell_key`` give — also for the other
+        are what ``plan_grid`` + ``plan_key`` give — also for the other
         spelling of a scheme, and also once LRU order has been shuffled
         by earlier examples on the same service."""
         svc = ExperimentService(tmp_path / "serve", workers=1, max_pending=4)
@@ -467,12 +467,17 @@ class TestTypedReads:
             service.record("../../../etc/passwd")
 
 
+def _store_key(base_seed: int = 0) -> str:
+    """A real cell key: the one cell of a GP-DK W=100 P=2 grid."""
+    return plan_key(plan_grid(["GP-DK"], [100], [2], base_seed=base_seed)[0])
+
+
 class TestRecordStore:
     def test_put_get_round_trip(self, tmp_path):
         store = RecordStore(tmp_path / "cells")
         metrics = run_divisible("GP-DK", 100, 2, seed=0)
         record = GridRecord("GP-DK", 2, 100, metrics)
-        key = cell_key("GP-DK", 100, 2, 0)
+        key = _store_key()
         store.put(key, record)
         assert key in store
         assert len(store) == 1
@@ -488,7 +493,7 @@ class TestRecordStore:
     def test_corrupt_payload_is_typed(self, tmp_path):
         store = RecordStore(tmp_path / "cells")
         metrics = run_divisible("GP-DK", 100, 2, seed=0)
-        key = cell_key("GP-DK", 100, 2, 0)
+        key = _store_key()
         path = store.put(key, GridRecord("GP-DK", 2, 100, metrics))
         path.write_text("{nope")
         with pytest.raises(RecordStoreError, match="not valid JSON"):
@@ -497,8 +502,8 @@ class TestRecordStore:
     def test_key_mismatch_is_typed(self, tmp_path):
         store = RecordStore(tmp_path / "cells")
         metrics = run_divisible("GP-DK", 100, 2, seed=0)
-        key = cell_key("GP-DK", 100, 2, 0)
-        other = cell_key("GP-DK", 100, 2, 1)
+        key = _store_key()
+        other = _store_key(base_seed=1)
         payload = store.put(key, GridRecord("GP-DK", 2, 100, metrics))
         target = store.path_for(other)
         target.parent.mkdir(exist_ok=True)
@@ -509,7 +514,7 @@ class TestRecordStore:
     def test_schema_version_mismatch_is_typed(self, tmp_path):
         store = RecordStore(tmp_path / "cells")
         metrics = run_divisible("GP-DK", 100, 2, seed=0)
-        key = cell_key("GP-DK", 100, 2, 0)
+        key = _store_key()
         path = store.put(key, GridRecord("GP-DK", 2, 100, metrics))
         payload = json.loads(path.read_text())
         path.write_text(json.dumps({**payload, "schema_version": 99}))
@@ -531,7 +536,7 @@ class TestRecordStore:
     def test_sharded_layout(self, tmp_path):
         store = RecordStore(tmp_path / "cells")
         metrics = run_divisible("GP-DK", 100, 2, seed=0)
-        key = cell_key("GP-DK", 100, 2, 0)
+        key = _store_key()
         path = store.put(key, GridRecord("GP-DK", 2, 100, metrics))
         assert path.parent.name == key[:2]
         assert path.name == f"{key}.json"

@@ -19,10 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.journal import cell_key
+from repro.core.config import make_scheme
+from repro.experiments.batched import CellPlan
+from repro.experiments.keys import plan_key
 from repro.experiments.runner import (
     GridRecord,
     cell_seed,
+    default_init_threshold,
     run_divisible,
     run_grid,
 )
@@ -32,6 +35,20 @@ from repro.serve.schemas import parse_grid_request, parse_solve_request
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _solve_key(body: dict) -> str:
+    """The key of a solve: its one-cell plan, built independently of
+    the service (seed verbatim, ``"auto"`` threshold, default cost)."""
+    plan = CellPlan(
+        0,
+        make_scheme(body["scheme"]),
+        body["n_pes"],
+        body["total_work"],
+        body["seed"],
+        default_init_threshold(body["scheme"]),
+    )
+    return plan_key(plan)
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="reads parent pids from /proc"
@@ -79,7 +96,7 @@ def _thread_side_snapshot(tmp_path, solves: list[dict], grid: dict) -> dict:
             body["scheme"], body["total_work"], body["n_pes"], seed=body["seed"],
             obs=Observability(metrics=job),
         )
-        key = cell_key(body["scheme"], body["total_work"], body["n_pes"], body["seed"])
+        key = _solve_key(body)
         published[key] = GridRecord(
             metrics.scheme, body["n_pes"], body["total_work"], metrics
         )
