@@ -25,7 +25,7 @@ round-trip through :func:`~repro.obs.events.read_jsonl_events`.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.errors import BadRequestError, ConfigError
 from repro.obs.events import TraceEvent, register_event_type
@@ -119,7 +119,12 @@ class SolveRequest:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "scheme": self.scheme,
+            "total_work": self.total_work,
+            "n_pes": self.n_pes,
+            "seed": self.seed,
+        }
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ Its cache discipline, end to end:
    content-addressed :func:`~repro.experiments.keys.plan_key` — the
    key ``run_grid(store=...)`` itself reads and publishes it under (a
    solve is a one-cell plan, so it shares a grid cell's key).  A
-   grid request's keys are a pure function of the request and of the
+   request's keys are a pure function of the request and of the
    process's ``code_version()``, so they are planned once and memoised
-   (:data:`MAX_MEMO_CELLS` keys held in all, least recently used out
-   first); a resubmitted grid costs one ``stat`` per cell.
+   (:data:`MAX_MEMO_CELLS` keys held in all, solves and grids alike,
+   least recently used out first); a resubmitted request costs one
+   ``stat`` per cell.
 2. Cells already in the shared :class:`~repro.serve.store.RecordStore`
    are cache **hits** — checked on disk at every submission, never
    memoised, so a record another process publishes or deletes changes
@@ -52,7 +53,6 @@ child before the parent's ``finished``.
 
 from __future__ import annotations
 
-import functools
 import gc
 import multiprocessing
 import os
@@ -77,10 +77,10 @@ from repro.serve.store import RecordStore
 
 __all__ = ["ExperimentService"]
 
-#: How many cell keys the grid-request memo holds across all its
-#: entries.  Bounded by cells, not requests, because one request may
-#: carry up to ``MAX_CELLS_PER_GRID`` keys: 8 192 64-char keys are
-#: ~1 MiB.
+#: How many cell keys the request memo holds across all its entries,
+#: a solve's one key included.  Bounded by cells, not requests, because
+#: one request may carry up to ``MAX_CELLS_PER_GRID`` keys: 8 192
+#: 64-char keys are ~1 MiB.
 MAX_MEMO_CELLS = 8192
 
 
@@ -108,7 +108,6 @@ def _worker_init(alive_r: int, alive_w: int) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-@functools.lru_cache(maxsize=256)
 def _solve_plan(request: SolveRequest) -> CellPlan:
     """A solve as a one-cell plan: its seed verbatim, and the init
     threshold and cost model ``plan_grid`` defaults to."""
@@ -158,9 +157,11 @@ def _grid_cells(
     return cached, len(records) - cached, registry
 
 
-def _plan_keys(request: GridRequest) -> tuple[str, ...]:
+def _plan_keys(request: SolveRequest | GridRequest) -> tuple[str, ...]:
     """Every cell key of ``request``, scheme-major — what ``run_grid``
     stores the same cells under."""
+    if isinstance(request, SolveRequest):
+        return (plan_key(_solve_plan(request)),)
     plans = plan_grid(
         list(request.schemes),
         list(request.works),
@@ -171,7 +172,7 @@ def _plan_keys(request: GridRequest) -> tuple[str, ...]:
 
 
 class _KeyMemo:
-    """``GridRequest -> cell keys``, holding at most
+    """``SolveRequest | GridRequest -> cell keys``, holding at most
     :data:`MAX_MEMO_CELLS` keys in all, least recently used out first.
 
     An entry never goes stale: its keys depend on nothing but the
@@ -180,19 +181,31 @@ class _KeyMemo:
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[GridRequest, tuple[str, ...]] = OrderedDict()
+        self._entries: OrderedDict[SolveRequest | GridRequest, tuple[str, ...]] = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
         #: Keys held across all entries.
         self.cells = 0
 
-    def get(self, request: GridRequest) -> tuple[str, ...] | None:
+    def get(self, request: SolveRequest | GridRequest) -> tuple[str, ...] | None:
         with self._lock:
             keys = self._entries.get(request)
             if keys is not None:
                 self._entries.move_to_end(request)
             return keys
 
-    def put(self, request: GridRequest, keys: tuple[str, ...]) -> None:
+    def plan(self, request: SolveRequest | GridRequest) -> tuple[tuple[str, ...], bool]:
+        """``request``'s keys, planned and held on a miss; and whether
+        they were already held."""
+        keys = self.get(request)
+        if keys is not None:
+            return keys, True
+        keys = _plan_keys(request)
+        self.put(request, keys)
+        return keys, False
+
+    def put(self, request: SolveRequest | GridRequest, keys: tuple[str, ...]) -> None:
         """Hold ``keys`` for ``request``, evicting the least recently
         used entries until the budget holds; a grid larger than the
         whole budget is not held."""
@@ -378,7 +391,7 @@ class ExperimentService:
     def submit_solve(self, request: SolveRequest) -> dict:
         """Run (or serve from cache) one ``(scheme, W, P, seed)`` cell."""
         self._count("serve.requests", {"endpoint": "solve"})
-        key = plan_key(_solve_plan(request))
+        (key,), _ = self._keys.plan(request)
         if key in self.store:
             job = self._hit(
                 "solve",
@@ -410,13 +423,8 @@ class ExperimentService:
     def submit_grid(self, request: GridRequest) -> dict:
         """Run (or serve from cache) a ``schemes x works x pes`` grid."""
         self._count("serve.requests", {"endpoint": "grid"})
-        memoised = self._keys.get(request)
-        if memoised is None:
-            memoised = _plan_keys(request)
-            self._keys.put(request, memoised)
-            self._count("serve.plan_memo", {"result": "miss"})
-        else:
-            self._count("serve.plan_memo", {"result": "hit"})
+        memoised, held = self._keys.plan(request)
+        self._count("serve.plan_memo", {"result": "hit" if held else "miss"})
         keys = list(memoised)
         hits = sum(1 for key in keys if key in self.store)
         misses = len(keys) - hits

@@ -7,6 +7,7 @@ stream, and the cache-hit flow as an actual client would see it.
 """
 
 import json
+import re
 import socket
 import statistics
 import threading
@@ -17,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.serve import ExperimentService, create_server
-from repro.serve.app import _Handler
+from repro.serve.app import MAX_BODY_BYTES, _Handler
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,10 @@ class _KeepAliveClient:
             f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
             f"Content-Length: {len(body)}\r\n\r\n".encode() + body
         )
+        return self.response()
+
+    def response(self):
+        """``(status, content type, body bytes)`` of the next response."""
         while b"\r\n\r\n" not in self.buf:
             self._fill()
         head, self.buf = self.buf.split(b"\r\n\r\n", 1)
@@ -325,3 +330,202 @@ class TestOneSegmentResponses:
             assert client.request("GET", "/healthz")[0] == 200
             times.append(time.perf_counter() - t0)
         assert statistics.median(times) < 0.020
+
+
+def _read_responses(raw):
+    """Split the bytes of a connection into ``(status, headers, body)``
+    responses; headers keyed by lower-cased name.  An error to a request
+    line with no valid version is an HTTP/0.9 reply, its HTML body
+    alone, as the stdlib sends it."""
+    if raw and not raw.startswith(b"HTTP/"):
+        return [(int(re.search(rb"Error code: (\d+)", raw)[1]), {}, raw)]
+    responses = []
+    while raw:
+        head, raw = raw.split(b"\r\n\r\n", 1)
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, value = line.split(":", 1)
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        body, raw = raw[:length], raw[length:]
+        responses.append((int(lines[0].split()[1]), headers, body))
+    return responses
+
+
+def _until_closed(address, data, timeout=5.0):
+    """Send ``data`` on a new connection and read until the server
+    closes it; a server that leaves it open fails the test by the
+    socket's timeout instead of stalling it."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.sendall(data)
+        received = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            received += chunk
+    return _read_responses(received)
+
+
+def _json(body):
+    return json.loads(body.decode())
+
+
+class TestRequestHead:
+    """The handler reads request heads itself, under the stdlib's
+    rules.  Every case here sends raw bytes and reads until the server
+    closes the connection, with a socket timeout."""
+
+    @pytest.fixture()
+    def address(self, server):
+        return server.server_address[:2]
+
+    def _one(self, address, data):
+        responses = _until_closed(address, data)
+        assert len(responses) == 1, responses
+        return responses[0]
+
+    @pytest.mark.parametrize("length, status", [(65536, 200), (65537, 431)])
+    def test_header_line_cap(self, address, length, status):
+        prefix = b"X-Pad: "
+        line = prefix + b"a" * (length - len(prefix) - 2) + b"\r\n"
+        assert len(line) == length
+        head = b"GET /healthz HTTP/1.1\r\n" + line + b"Connection: close\r\n\r\n"
+        assert self._one(address, head)[0] == status
+
+    @pytest.mark.parametrize("count, status", [(100, 200), (101, 431)])
+    def test_header_count_cap(self, address, count, status):
+        lines = b"Connection: close\r\n" + b"".join(
+            f"X-H{i}: {i}\r\n".encode() for i in range(count - 1)
+        )
+        head = b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+        assert self._one(address, head)[0] == status
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.\xb2\r\n\r\n", 400),
+            (b"GET /healthz FTP/1.1\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+            (b"POST /solve\r\n\r\n", 400),
+        ],
+    )
+    def test_bad_request_lines_are_refused(self, address, head, status):
+        assert self._one(address, head)[0] == status
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET /a b HTTP/1.1\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n continued\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n\tX-B: 2\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-A : 1\r\n\r\n", 400),
+        ],
+    )
+    def test_bad_header_lines_are_refused(self, address, head, status):
+        got, headers, _ = self._one(address, head)
+        assert got == status
+        assert headers["connection"] == "close"
+
+    def test_close_and_http10_close_the_connection(self, address):
+        for head in (
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nconnection: CLOSE\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz\r\n\r\n",
+        ):
+            status, _, body = self._one(address, head)
+            assert status == 200
+            assert _json(body)["ok"] is True
+
+    def test_http10_keep_alive_stays_open(self, address):
+        client = _KeepAliveClient(address)
+        try:
+            for _ in range(2):
+                client.sock.sendall(
+                    b"GET //healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                assert client.response()[0] == 200
+        finally:
+            client.close()
+
+    def test_header_names_are_case_insensitive_and_the_first_wins(
+        self, address, server
+    ):
+        body = json.dumps(SOLVE).encode()
+        client = _KeepAliveClient(address)
+        try:
+            for lengths in (
+                f"content-length: {len(body)}\r\n",
+                f"CONTENT-LENGTH: {len(body)}\r\nContent-Length: 0\r\n",
+            ):
+                client.sock.sendall(
+                    f"POST /solve HTTP/1.1\r\nHost: t\r\n{lengths}\r\n".encode() + body
+                )
+                status, _, payload = client.response()
+                assert status == 200
+                server.service.wait(_json(payload)["id"], timeout=60)
+                # The body was read whole: the connection is still in step.
+                assert client.request("GET", "/healthz")[0] == 200
+        finally:
+            client.close()
+
+    def test_expect_100_continue(self, address):
+        body = b"{not json"
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /solve HTTP/1.1\r\nExpect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode()
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            rest = b""
+            while chunk := sock.recv(65536):
+                rest += chunk
+        (status, _, payload), = _read_responses(rest)
+        assert status == 400
+        assert "not valid JSON" in _json(payload)["detail"]
+
+    @pytest.mark.parametrize(
+        "lengths, body",
+        [
+            # The refused body's bytes would be read as the next request.
+            (f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", b"A" * 1000 + b"\r\n\r\n"),
+            ("Content-Length: -1\r\n", b""),
+            ("Content-Length: abc\r\n", b""),
+            ("Content-Length: +5\r\n", b"hello"),
+            ("Transfer-Encoding: chunked\r\n", b"5\r\nhello\r\n0\r\n\r\n"),
+        ],
+        ids=["oversized", "negative", "non-numeric", "signed", "chunked"],
+    )
+    def test_unread_body_is_refused_and_closes(self, address, lengths, body):
+        head = f"POST /solve HTTP/1.1\r\nHost: t\r\n{lengths}\r\n".encode()
+        status, headers, payload = self._one(address, head + body)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert _json(payload)["error"] == "BadRequestError"
+
+    def test_refused_body_closes_a_keep_alive_connection(self, address):
+        client = _KeepAliveClient(address)
+        client.sock.settimeout(5)
+        try:
+            client.sock.sendall(
+                f"POST /grid HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+                + b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            rest = b""
+            while chunk := client.sock.recv(65536):
+                rest += chunk
+        finally:
+            client.close()
+        assert [r[0] for r in _read_responses(rest)] == [400]

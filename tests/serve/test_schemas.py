@@ -1,5 +1,7 @@
 """Request validation: every malformed payload gets a typed 400."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import BadRequestError, ReproError
@@ -139,3 +141,9 @@ class TestGridParsing:
             "base_seed": 3,
         }
         assert parse_grid_request(payload).to_dict() == payload
+
+    def test_solve_round_trips_to_dict(self):
+        payload = {"scheme": "GP-DK", "total_work": 100, "n_pes": 4, "seed": 3}
+        request = parse_solve_request(payload)
+        assert request.to_dict() == payload == dataclasses.asdict(request)
+        assert list(request.to_dict()) == [f.name for f in dataclasses.fields(request)]

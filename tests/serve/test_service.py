@@ -292,6 +292,38 @@ class TestPlanMemo:
         finally:
             svc.close()
 
+    def test_solve_keys_are_planned_once_within_the_budget(
+        self, tmp_path, monkeypatch
+    ):
+        """A solve's key is hashed on its first submission only, equals
+        a fresh one-cell plan's, and takes one key of the shared budget."""
+        monkeypatch.setattr(service_module, "MAX_MEMO_CELLS", 3)
+        hashed = []
+        monkeypatch.setattr(
+            service_module,
+            "plan_key",
+            lambda plan: hashed.append(plan) or plan_key(plan),
+        )
+        svc = ExperimentService(tmp_path / "serve", workers=1, max_pending=4)
+        try:
+            request = _solve()
+            first = svc.wait(svc.submit_solve(request)["id"], timeout=60)
+            again = svc.submit_solve(request)
+            assert again["cache_hit"] is True
+            assert again["keys"] == first["keys"]
+            assert first["keys"] == [plan_key(service_module._solve_plan(request))]
+            assert len(hashed) == 1
+            assert svc._keys.cells == 1
+
+            svc.wait(svc.submit_grid(_grid())["id"], timeout=60)  # 2 keys
+            assert svc._keys.cells == 3
+            svc.submit_solve(_solve(seed=2))  # evicts the oldest entry
+            assert svc._keys.cells <= 3
+            assert svc._keys.get(request) is None
+            assert _memo_counts(svc) == (0.0, 1.0)  # counts grids only
+        finally:
+            svc.close()
+
     def test_concurrent_puts_keep_the_count(self, monkeypatch):
         """Handler threads share one memo: under a tiny switch interval
         and more threads than cores, the cell count still equals what
