@@ -79,21 +79,9 @@ from repro.experiments.runner import (
 from repro.errors import (
     ReproError,
     ConfigError,
-    FaultInjectionError,
-    CheckpointCorruptError,
     GridCellError,
     ExecutorFallbackWarning,
     TimeoutUnenforcedWarning,
-)
-from repro.faults import (
-    FaultPlan,
-    PEFailure,
-    Straggler,
-    FaultReport,
-    CheckpointConfig,
-    write_checkpoint,
-    load_checkpoint,
-    resume_run,
 )
 from repro.errors import RecordStoreError
 from repro.lint import Finding, LintResult, run_lint
@@ -157,19 +145,9 @@ __all__ = [
     "QuarantineReport",
     "ReproError",
     "ConfigError",
-    "FaultInjectionError",
-    "CheckpointCorruptError",
     "GridCellError",
     "ExecutorFallbackWarning",
     "TimeoutUnenforcedWarning",
-    "FaultPlan",
-    "PEFailure",
-    "Straggler",
-    "FaultReport",
-    "CheckpointConfig",
-    "write_checkpoint",
-    "load_checkpoint",
-    "resume_run",
     "Finding",
     "LintResult",
     "run_lint",

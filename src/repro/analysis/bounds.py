@@ -85,7 +85,7 @@ def dk_overhead_within_bound(
     """Section 6.2: ``T_idle + T_lb`` under D_K is within ``factor`` of
     the optimal static trigger's.
 
-    ``slack`` (processor-seconds) absorbs the discreteness of real runs —
+    ``slack`` (processor-seconds) covers the discreteness of real runs —
     the proof's interpolated triggering functions ignore the one-cycle
     granularity of actual triggering.
     """

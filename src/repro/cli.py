@@ -3,9 +3,7 @@
 Commands:
 
 - ``schemes`` — list the Table 1 scheme registry.
-- ``run`` — one load-balancing run over the divisible workload; supports
-  fault injection (``--faults``) and checkpoint/resume (``--checkpoint``,
-  ``--resume``).
+- ``run`` — one load-balancing run over the divisible workload.
 - ``solve`` — solve a real problem instance (puzzle / queens / knapsack
   / tsp) with parallel search on the simulated machine.
 - ``xo`` — the Equation 18 optimal static trigger for a configuration.
@@ -15,7 +13,7 @@ Commands:
   for the perf trajectory.
 - ``stats`` — render a metrics-registry snapshot (written by ``run
   --stats`` / ``grid --stats``) and check the ledger identity
-  ``P * T_par == T_calc + T_idle + T_lb + T_recovery`` it must encode.
+  ``P * T_par == T_calc + T_idle + T_lb`` it must encode.
 - ``trace`` — run one profiled stack-model workload and write a
   Chrome-trace / Perfetto ``trace.json`` of the kernel spans.
 - ``lint`` — the SIMD-discipline static checks (rules R001, R002,
@@ -47,10 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("schemes", help="list the Table 1 load-balancing schemes")
 
     run = sub.add_parser("run", help="run a scheme over the divisible workload")
-    run.add_argument(
-        "scheme", nargs="?", default=None,
-        help="scheme spec, e.g. GP-S0.90 or nGP-DK (omit with --resume)",
-    )
+    run.add_argument("scheme", help="scheme spec, e.g. GP-S0.90 or nGP-DK")
     run.add_argument("--work", type=int, default=1_000_000, help="W, total nodes")
     run.add_argument("--pes", type=int, default=1024, help="P, processors")
     run.add_argument("--seed", type=int, default=0)
@@ -60,23 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--init", type=float, default=None,
         help="initial-distribution threshold (default: 0.85 for dynamic triggers)",
-    )
-    run.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault-plan spec, e.g. 'kill=2,drop=0.05,seed=1' or "
-        "'kill=3:40+7:90,straggle=2,slow=4'",
-    )
-    run.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="write a checkpoint file here every --checkpoint-every cycles",
-    )
-    run.add_argument(
-        "--checkpoint-every", type=int, default=100, metavar="N",
-        help="cycles between checkpoint writes (default 100)",
-    )
-    run.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume a checkpointed run instead of starting fresh",
     )
     run.add_argument(
         "--sanitize", action="store_true",
@@ -99,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="puzzle: scramble length (default 25); queens: board size "
         "(default 8); knapsack: items (default 20); tsp: cities "
         "(default 10); coloring: vertices (default 10, 3 colors)",
-    )
-    solve.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault-plan spec (puzzle/queens/coloring only), "
-        "e.g. 'kill=1,drop=0.02,seed=3'",
     )
 
     xo = sub.add_parser("xo", help="Equation 18 optimal static trigger")
@@ -310,7 +283,6 @@ def _cmd_schemes() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_divisible
-    from repro.faults import CheckpointConfig, FaultPlan, resume_run
     from repro.simd.cost import CostModel
 
     registry = None
@@ -320,69 +292,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         registry = MetricsRegistry()
         obs = Observability(metrics=registry)
-    checkpoint = (
-        CheckpointConfig(args.checkpoint, every=args.checkpoint_every)
-        if args.checkpoint
-        else None
+    cost = CostModel().with_lb_multiplier(args.lb_mult)
+    init = args.init if args.init is not None else "auto"
+    metrics = run_divisible(
+        args.scheme,
+        args.work,
+        args.pes,
+        cost_model=cost,
+        seed=args.seed,
+        init_threshold=init,
+        sanitize=args.sanitize,
+        obs=obs,
     )
-    if args.resume:
-        metrics = resume_run(args.resume, checkpoint=checkpoint)
-        if registry is not None:
-            # resume_run rebuilds the scheduler itself; fold the finished
-            # run into the registry here instead of threading obs through.
-            from repro.obs import record_run
-
-            record_run(registry, metrics)
-    else:
-        if args.scheme is None:
-            print(
-                "repro run: error: a scheme is required unless --resume is given",
-                file=sys.stderr,
-            )
-            return 2
-        faults = (
-            FaultPlan.from_spec(args.faults, args.pes) if args.faults else None
-        )
-        cost = CostModel().with_lb_multiplier(args.lb_mult)
-        init = args.init if args.init is not None else "auto"
-        metrics = run_divisible(
-            args.scheme,
-            args.work,
-            args.pes,
-            cost_model=cost,
-            seed=args.seed,
-            init_threshold=init,
-            faults=faults,
-            checkpoint=checkpoint,
-            sanitize=args.sanitize,
-            obs=obs,
-        )
     print(
         f"{metrics.scheme}: W={metrics.total_work}  P={metrics.n_pes}\n"
         f"  Nexpand={metrics.n_expand}  Nlb={metrics.n_lb}  "
         f"transfers={metrics.n_transfers}\n"
         f"  efficiency={metrics.efficiency:.4f}  speedup={metrics.speedup:.1f}"
     )
-    _print_fault_report(metrics)
     if registry is not None:
         path = registry.save_json(args.stats)
         print(f"  metrics snapshot written to {path}")
     return 0
-
-
-def _print_fault_report(metrics: object) -> None:
-    report = getattr(metrics, "faults", None)
-    if report is None or not report.any_faults:
-        return
-    inner = getattr(metrics, "ledger", None)
-    recovery = f"  T_recovery={inner.t_recovery:.3f}" if inner is not None else ""
-    print(
-        f"  faults: deaths={report.pe_deaths}  "
-        f"quarantined={report.nodes_quarantined}  "
-        f"recovered={report.nodes_recovered}  "
-        f"dropped={report.transfers_dropped}  "
-        f"duplicated={report.transfers_duplicated}{recovery}"
-    )
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -390,18 +321,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.search.branch_and_bound import ParallelDFBB
     from repro.search.parallel import ParallelIDAStar
 
-    faults = None
-    if args.faults:
-        if args.problem in ("knapsack", "tsp"):
-            print(
-                "repro solve: error: --faults supports the IDA* problems "
-                "(puzzle, queens, coloring) only",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.faults import FaultPlan
-
-        faults = FaultPlan.from_spec(args.faults, args.pes)
     init = default_init_threshold(args.scheme)
     if args.problem == "puzzle":
         from repro.problems.fifteen_puzzle import scrambled_fifteen_puzzle
@@ -409,26 +328,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         puzzle = scrambled_fifteen_puzzle(args.size or 25, rng=args.seed)
         print("instance:", puzzle.tiles)
         result = ParallelIDAStar(
-            puzzle, args.pes, args.scheme, init_threshold=init, faults=faults,
+            puzzle, args.pes, args.scheme, init_threshold=init
         ).run()
         print(
             f"optimal cost={result.solution_cost}  solutions={result.solutions}\n"
             f"W={result.total_expanded}  cycles={result.metrics.n_expand}  "
             f"Nlb={result.metrics.n_lb}  E={result.metrics.efficiency:.3f}"
         )
-        _print_fault_report(result.metrics)
     elif args.problem == "queens":
         from repro.problems.nqueens import NQueensProblem
 
         problem = NQueensProblem(args.size or 8)
         result = ParallelIDAStar(
-            problem, args.pes, args.scheme, init_threshold=init, faults=faults,
+            problem, args.pes, args.scheme, init_threshold=init
         ).run()
         print(
             f"{problem.n}-queens: solutions={result.solutions}  "
             f"W={result.total_expanded}  E={result.metrics.efficiency:.3f}"
         )
-        _print_fault_report(result.metrics)
     elif args.problem == "knapsack":
         from repro.problems.knapsack import KnapsackProblem
 
@@ -457,14 +374,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         problem = GraphColoringProblem.random(args.size or 10, 3, rng=args.seed)
         result = ParallelIDAStar(
-            problem, args.pes, args.scheme, init_threshold=init, faults=faults,
+            problem, args.pes, args.scheme, init_threshold=init
         ).run()
         print(
             f"3-coloring, {problem.n_vertices} vertices: "
             f"{result.solutions} proper colorings\n"
             f"W={result.total_expanded}  E={result.metrics.efficiency:.3f}"
         )
-        _print_fault_report(result.metrics)
     return 0
 
 
@@ -631,7 +547,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not args.no_check:
         if schemes:
             print(
-                f"\nledger identity P*T_par == T_calc+T_idle+T_lb+T_recovery "
+                f"\nledger identity P*T_par == T_calc+T_idle+T_lb "
                 f"holds for {len(schemes)} scheme(s): {', '.join(schemes)}"
             )
         else:

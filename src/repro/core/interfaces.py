@@ -76,23 +76,3 @@ class Workload(Protocol):
     def total_expanded(self) -> int:
         """Total tree nodes expanded so far (the realized W)."""
         ...
-
-    def extract_pe(self, pe: int) -> tuple[object, int]:
-        """Remove and return PE ``pe``'s entire frontier.
-
-        Returns ``(payload, n_entries)`` where ``payload`` is an opaque,
-        implementation-specific snapshot that round-trips through
-        :meth:`inject_pe` and ``n_entries`` is its size in work units
-        (stack entries, or node count for the divisible model).  The PE is
-        left empty/idle.  Used by the fault layer to quarantine the
-        surviving frontier of a fail-stopped PE.
-        """
-        ...
-
-    def inject_pe(self, pe: int, payload: object) -> int:
-        """Append a previously extracted ``payload`` onto PE ``pe``.
-
-        Returns the number of work units delivered.  The receiving PE need
-        not be empty — recovery may re-donate onto any alive PE.
-        """
-        ...

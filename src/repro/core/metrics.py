@@ -33,14 +33,10 @@ class RunMetrics:
     n_transfers: int
     n_init_lb: int
     ledger: TimeLedger
-    #: Fault-recovery phases run (0 on fault-free runs).
-    n_recovery: int = 0
-    #: ``repro.faults.runtime.FaultReport`` when faults were injected.
-    faults: object | None = None
 
     @property
     def efficiency(self) -> float:
-        """``E = T_calc / (T_calc + T_idle + T_lb + T_recovery)``."""
+        """``E = T_calc / (T_calc + T_idle + T_lb)``."""
         return self.ledger.efficiency()
 
     @property

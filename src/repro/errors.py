@@ -7,18 +7,11 @@ uses.  Configuration mistakes additionally subclass :class:`ValueError`
 (via :class:`ConfigError`) so historical ``except ValueError`` call sites
 and tests keep working unchanged.
 
-The fault/recovery subsystem (:mod:`repro.faults`) adds three concrete
-failure categories:
-
-- :class:`FaultInjectionError` — a fault plan is unsatisfiable at run
-  time (e.g. every PE dead while unexpanded work remains);
-- :class:`CheckpointCorruptError` — a checkpoint file failed its
-  magic/length/CRC validation and must not be restored;
-- :class:`GridCellError` — one or more ``run_grid`` cells failed
-  permanently after the bounded retry budget; carries the structured
-  per-cell report, every *completed* record, and a typed quarantine
-  summary, so a partially failed sweep degrades gracefully instead of
-  discarding finished work.
+The hardened grid (:func:`repro.experiments.runner.run_grid`) raises
+:class:`GridCellError` when one or more cells failed permanently after
+the bounded retry budget; it carries the structured per-cell report,
+every *completed* record, and a typed quarantine summary, so a partially
+failed sweep degrades gracefully instead of discarding finished work.
 
 The persistence layer (:mod:`repro.experiments.store`,
 :mod:`repro.obs.registry`) raises :class:`RecordStoreError` for corrupt
@@ -43,8 +36,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigError",
-    "FaultInjectionError",
-    "CheckpointCorruptError",
     "GridCellError",
     "RecordStoreError",
     "ServeError",
@@ -67,14 +58,6 @@ class ConfigError(ReproError, ValueError):
     Subclasses :class:`ValueError` so pre-hierarchy call sites that catch
     ``ValueError`` continue to work.
     """
-
-
-class FaultInjectionError(ReproError):
-    """A fault plan cannot be honored by the running machine."""
-
-
-class CheckpointCorruptError(ReproError):
-    """A checkpoint file failed integrity validation on load."""
 
 
 class RecordStoreError(ReproError, ValueError):

@@ -2,6 +2,8 @@
 
 - :mod:`repro.experiments.runner` — single runs and (scheme, W, P) grids
   over the divisible workload at paper or reduced scale.
+- :mod:`repro.experiments.chaos` — :class:`GridChaos`, deterministic
+  worker crashes that exercise the hardened grid pool.
 - :mod:`repro.experiments.keys` — :func:`plan_key`, the cell key
   ``run_grid(store=...)`` publishes and resumes records under.
 - :mod:`repro.experiments.tables` — Tables 1-6 generators.

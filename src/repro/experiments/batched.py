@@ -31,9 +31,8 @@ draw, matcher decision and ledger charge happens in the same per-cell
 order with the same operands as the serial oracle, so the returned
 ``RunMetrics`` are bit-for-bit equal to ``run_divisible`` on the same
 ``cell_seed`` — the regression suite asserts this across all six paper
-schemes.  The executor therefore supports exactly the feature set the
-grid uses (no faults, checkpoints, event sinks or cycle caps) and refuses
-anything else loudly.
+schemes.  The executor supports exactly the feature set the grid uses
+(no event sinks or cycle caps) and refuses anything else loudly.
 """
 
 from __future__ import annotations
@@ -243,9 +242,7 @@ class MegaGridExecutor:
         self.acc_elapsed = np.zeros(n, dtype=np.float64)
         self.acc_idle = np.zeros(n, dtype=np.float64)
 
-        # charge_expansion_cycle computes dt = u_calc * slowdown with
-        # slowdown 1.0; replicate the multiply so the float is the same.
-        self.dt = self.cost.u_calc * 1.0
+        self.dt = self.cost.u_calc
         self.pes_dt = self.pes * self.dt
         self.pes_f = self.pes.astype(np.float64)
         self.remaining = self.totals.copy()
@@ -378,8 +375,7 @@ class MegaGridExecutor:
 
     def _balance(self, c: int) -> bool:
         """One LB phase on cell ``c``'s arena slice — the serial scheduler's
-        ``_maybe_balance`` with ``DivisibleWorkload.transfer`` inlined
-        (fault-free path).
+        ``_maybe_balance`` with ``DivisibleWorkload.transfer`` inlined.
 
         The matcher pairs index arrays directly.  Its donors are busy by
         construction, so the workload's defensive re-validation is a no-op
@@ -439,7 +435,6 @@ class MegaGridExecutor:
             t_idle=float(self.t_idle[c]),
             t_lb=float(self.t_lb[c]),
             elapsed=float(self.elapsed[c]),
-            t_recovery=0.0,
         )
         metrics = RunMetrics(
             scheme=run.plan.scheme.name,
@@ -450,8 +445,6 @@ class MegaGridExecutor:
             n_transfers=int(self.n_transfers[c]),
             n_init_lb=int(self.n_init_lb[c]),
             ledger=ledger,
-            n_recovery=0,
-            faults=None,
         )
         if self.sanitize:
             self._sanity_finalize(c, metrics)
@@ -503,13 +496,13 @@ class MegaGridExecutor:
 
         ledger = metrics.ledger
         lhs = metrics.n_pes * ledger.elapsed
-        rhs = ledger.t_calc + ledger.t_idle + ledger.t_lb + ledger.t_recovery
+        rhs = ledger.t_calc + ledger.t_idle + ledger.t_lb
         scale = max(abs(lhs), abs(rhs), 1.0)
         require(
             abs(lhs - rhs) <= 1e-9 * scale,
             "time-identity",
             f"cell {self.runs[c].plan.index}: P*T_par != "
-            "T_calc + T_idle + T_lb + T_recovery at finalize",
+            "T_calc + T_idle + T_lb at finalize",
         )
         require(
             metrics.total_work == self.runs[c].plan.total_work,

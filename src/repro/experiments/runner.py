@@ -52,8 +52,8 @@ from repro.errors import (
     TimeoutUnenforcedWarning,
 )
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
+from repro.experiments.chaos import GridChaos
 from repro.experiments.keys import plan_key, scheme_name
-from repro.faults import CheckpointConfig, FaultPlan, GridChaos
 from repro.obs import Observability
 from repro.obs.registry import MetricsRegistry, record_run
 from repro.simd.cost import CostModel
@@ -167,8 +167,6 @@ def run_divisible(
     init_threshold: float | None | str = "auto",
     initial: str = "root",
     max_cycles: int | None = None,
-    faults: "FaultPlan | None" = None,
-    checkpoint: "CheckpointConfig | None" = None,
     sanitize: bool = False,
     obs: Observability | None = None,
 ) -> RunMetrics:
@@ -176,12 +174,10 @@ def run_divisible(
 
     ``init_threshold="auto"`` applies the paper's convention (0.85 for
     dynamic triggers, none for static); pass ``None`` or a float to
-    override.  ``faults`` injects a deterministic
-    :class:`~repro.faults.FaultPlan`; ``checkpoint`` periodically
-    serializes the run (see :mod:`repro.faults.checkpoint`); ``obs``
-    attaches an :class:`~repro.obs.Observability` bundle (typed events,
-    metrics, profiling — observation never changes the run, and the
-    final metrics are folded into ``obs.metrics`` when present).
+    override.  ``obs`` attaches an :class:`~repro.obs.Observability`
+    bundle (typed events, metrics, profiling — observation never changes
+    the run, and the final metrics are folded into ``obs.metrics`` when
+    present).
     """
     if init_threshold == "auto":
         init_threshold = default_init_threshold(scheme)
@@ -195,8 +191,6 @@ def run_divisible(
         scheme,
         init_threshold=init_threshold,
         max_cycles=max_cycles,
-        faults=faults,
-        checkpoint=checkpoint,
         sanitize=sanitize,
         obs=obs,
     )
@@ -655,7 +649,7 @@ def run_grid(
       the poison cells.
 
     ``chaos`` injects deterministic worker crashes (exit/raise/hang) for
-    testing this machinery; see :class:`repro.faults.chaos.GridChaos`.
+    testing this machinery; see :class:`repro.experiments.chaos.GridChaos`.
 
     ``registry`` folds every cell's metrics into a
     :class:`~repro.obs.registry.MetricsRegistry` (plus ``grid.*``

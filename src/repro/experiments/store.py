@@ -52,13 +52,15 @@ __all__ = [
 ]
 
 #: Written by :func:`save_records`.  v2 added ``t_recovery`` and
-#: ``n_recovery``.  Public because the cell key folds it into its
+#: ``n_recovery``, which the ledger no longer has: v2 records carry
+#: them as the constants 0.0 and 0, so stored and served bytes stay
+#: the same.  Public because the cell key folds it into its
 #: content-addressed ``code_version`` (a record-schema bump must
 #: invalidate cached cells).
 SCHEMA_VERSION = 2
 
 #: Accepted by :func:`load_records` (v1 files predate the recovery
-#: ledger line).
+#: fields).
 _SUPPORTED_VERSIONS = frozenset({1, 2})
 
 
@@ -80,12 +82,12 @@ def record_to_dict(record: GridRecord) -> dict:
         "n_lb": m.n_lb,
         "n_transfers": m.n_transfers,
         "n_init_lb": m.n_init_lb,
-        "n_recovery": m.n_recovery,
+        "n_recovery": 0,
         "ledger": {
             "t_calc": m.ledger.t_calc,
             "t_idle": m.ledger.t_idle,
             "t_lb": m.ledger.t_lb,
-            "t_recovery": m.ledger.t_recovery,
+            "t_recovery": 0.0,
             "elapsed": m.ledger.elapsed,
         },
     }
@@ -98,13 +100,18 @@ def record_from_dict(data: dict) -> GridRecord:
     ------
     RecordStoreError
         When ``data`` is missing a field or holds a malformed value (a
-        ledger that is not a mapping of the five ledger lines, say).
-        Every reader of the schema — the offline store and the record
-        store — gets this one typed error.
+        ledger that is not a mapping of the ledger lines, say), or
+        charges recovery time: ``t_recovery`` / ``n_recovery`` may be
+        absent (v1) or zero (v2), since dropping a nonzero value would
+        misstate the record's efficiency.  Every reader of the schema —
+        the offline store and the record store — gets this one typed
+        error.
     """
     try:
         ledger_data = dict(data["ledger"])
-        ledger_data.setdefault("t_recovery", 0.0)  # absent in v1 files
+        recovery = (ledger_data.pop("t_recovery", 0.0), data.get("n_recovery", 0))
+        if recovery != (0.0, 0):
+            raise ValueError(f"recovery charged (t_recovery, n_recovery) = {recovery}")
         metrics = RunMetrics(
             scheme=data["scheme"],
             n_pes=data["n_pes"],
@@ -114,7 +121,6 @@ def record_from_dict(data: dict) -> GridRecord:
             n_transfers=data["n_transfers"],
             n_init_lb=data["n_init_lb"],
             ledger=TimeLedger(**ledger_data),
-            n_recovery=data.get("n_recovery", 0),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # A structurally valid payload can still hold malformed values:

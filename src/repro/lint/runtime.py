@@ -13,13 +13,7 @@ invariants on every cycle:
 - the GP global pointer stays in ``[0, P)`` whenever it is set;
 - at a D_K trigger firing, accumulated idle exceeds ``L*P`` by at most
   one cycle's worth of idle time (Equation 4 fires at first crossing);
-- the ledger identity ``P * T_par == T_calc + T_idle + T_lb +
-  T_recovery`` holds.
-
-Fault-injected runs (``Scheduler(faults=...)``) add the fault taxonomy:
-dead PEs must hold no work and stay out of the busy/expanding masks, and
-the fault conservation ledger must balance — every node quarantined off
-a dead PE is either already recovered or still parked, never lost.
+- the ledger identity ``P * T_par == T_calc + T_idle + T_lb`` holds.
 
 The observability layer (:mod:`repro.obs`) adds one more runtime
 contract — *observation purity*: attaching event sinks, a metrics
@@ -67,14 +61,8 @@ class SchedulerSanitizer:
     def __init__(self, n_pes: int) -> None:
         self.n_pes = int(n_pes)
 
-    def check_masks(self, busy, idle, expanding, dead=None) -> None:
-        """Busy/idle disjoint; busy expands; idle|expanding exhaustive.
-
-        With a ``dead`` mask (fault-injected runs), additionally require
-        that no dead PE holds work: its frontier must have been
-        quarantined, leaving it empty (hence in the idle mask) — a dead
-        PE appearing busy or expanding means the fault layer missed it.
-        """
+    def check_masks(self, busy, idle, expanding) -> None:
+        """Busy/idle disjoint; busy expands; idle|expanding exhaustive."""
         require(
             not bool((busy & idle).any()),
             "masks-disjoint",
@@ -90,25 +78,6 @@ class SchedulerSanitizer:
             not bool((busy & ~expanding).any()),
             "busy-expands",
             "a busy PE (>=2 nodes) is not expanding",
-        )
-        if dead is not None:
-            require(
-                not bool((dead & (busy | expanding)).any()),
-                "dead-pe-empty",
-                "a fail-stopped PE still holds work — its frontier was "
-                "never quarantined",
-            )
-
-    def check_fault_conservation(self, faults) -> None:
-        """Quarantined work is either recovered or still parked — never
-        lost (``faults`` is a ``repro.faults.runtime.FaultRuntime``)."""
-        parked = faults.quarantined_entries
-        require(
-            faults.nodes_quarantined == faults.nodes_recovered + parked,
-            "fault-conservation",
-            f"fault ledger out of balance: quarantined "
-            f"{faults.nodes_quarantined} != recovered "
-            f"{faults.nodes_recovered} + parked {parked}",
         )
 
     def check_pointer(self, matcher) -> None:
@@ -156,8 +125,7 @@ class SchedulerSanitizer:
         require(
             machine.check_time_identity(),
             "time-identity",
-            "P * T_par != T_calc + T_idle + T_lb + T_recovery on the "
-            "machine ledger",
+            "P * T_par != T_calc + T_idle + T_lb on the machine ledger",
         )
 
 
@@ -171,9 +139,8 @@ _PURITY_FIELDS = (
     "n_lb",
     "n_transfers",
     "n_init_lb",
-    "n_recovery",
 )
-_PURITY_LEDGER_FIELDS = ("t_calc", "t_idle", "t_lb", "t_recovery", "elapsed")
+_PURITY_LEDGER_FIELDS = ("t_calc", "t_idle", "t_lb", "elapsed")
 
 
 def check_observation_purity(bare, observed) -> None:

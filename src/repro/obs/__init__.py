@@ -3,11 +3,10 @@
 Three independent, composable observers (see ``docs/observability.md``):
 
 - **events** (:mod:`repro.obs.events`) — typed per-cycle / per-LB-phase
-  / per-fault records into a bounded ring buffer or a streaming-JSONL
+  / per-iteration records into a bounded ring buffer or a streaming-JSONL
   file, the raw series behind Figure 8;
 - **metrics** (:mod:`repro.obs.registry`) — counters/gauges/histograms
-  (nodes expanded, donations per matcher, checkpoint bytes, per-scheme
-  ledger lines) snapshotable to JSON and rendered by
+  (nodes expanded, donations per matcher, per-scheme ledger lines) snapshotable to JSON and rendered by
   ``python -m repro stats``;
 - **profiler** (:mod:`repro.obs.profile`) — wall-clock span timers
   around the host kernels, exported as Chrome-trace JSON for Perfetto
@@ -29,11 +28,9 @@ from dataclasses import dataclass
 from repro.obs.events import (
     CycleEvent,
     EventSink,
-    FaultEvent,
     IterationEvent,
     JsonlSink,
     LBPhaseEvent,
-    RecoveryEvent,
     RingBufferSink,
     TraceEvent,
     event_from_dict,
@@ -63,8 +60,6 @@ __all__ = [
     "TraceEvent",
     "CycleEvent",
     "LBPhaseEvent",
-    "RecoveryEvent",
-    "FaultEvent",
     "IterationEvent",
     "EventSink",
     "RingBufferSink",
@@ -94,8 +89,7 @@ class Observability:
     """The observers one run should report to (any subset may be None).
 
     Pass to ``Scheduler(obs=...)`` or ``ParallelIDAStar(obs=...)``;
-    ``run_grid`` takes the registry directly.  The bundle is deliberately
-    not checkpointed — a resumed run re-attaches fresh observers.
+    ``run_grid`` takes the registry directly.
     """
 
     events: EventSink | None = None

@@ -1,8 +1,8 @@
-"""Typed per-cycle / per-phase / per-fault trace events and their sinks.
+"""Typed per-cycle / per-phase trace events and their sinks.
 
 The paper's empirical story (Tables 3-5, Figure 8's busy-PE curves) is a
 set of per-cycle time series.  This module gives those series a typed,
-bounded representation: the scheduler, fault runtime and IDA* driver emit
+bounded representation: the scheduler and IDA* driver emit
 :class:`TraceEvent` records into an :class:`EventSink`, and the two sink
 implementations bound memory explicitly —
 
@@ -33,8 +33,6 @@ __all__ = [
     "TraceEvent",
     "CycleEvent",
     "LBPhaseEvent",
-    "RecoveryEvent",
-    "FaultEvent",
     "IterationEvent",
     "EventSink",
     "RingBufferSink",
@@ -109,33 +107,6 @@ class LBPhaseEvent(TraceEvent):
 
 
 @dataclass(frozen=True)
-class RecoveryEvent(TraceEvent):
-    """One fault-recovery phase re-donating quarantined frontiers."""
-
-    rounds: int
-    transfers: int
-
-    kind = "recovery"
-
-
-@dataclass(frozen=True)
-class FaultEvent(TraceEvent):
-    """One fault-layer incident on PE ``pe``.
-
-    ``event`` is ``"death"`` (fail-stop), ``"quarantine"`` (``entries``
-    nodes parked), ``"release"`` (``entries`` nodes re-donated), or
-    ``"perturb"`` (``entries`` = dropped + duplicated transfers in one
-    LB round).
-    """
-
-    event: str
-    pe: int
-    entries: int = 0
-
-    kind = "fault"
-
-
-@dataclass(frozen=True)
 class IterationEvent(TraceEvent):
     """One IDA* iteration boundary: the bound it ran, what it expanded,
     and what it cost the machine.
@@ -159,7 +130,7 @@ class IterationEvent(TraceEvent):
 
 _EVENT_TYPES: dict[str, type[TraceEvent]] = {
     cls.kind: cls
-    for cls in (CycleEvent, LBPhaseEvent, RecoveryEvent, FaultEvent, IterationEvent)
+    for cls in (CycleEvent, LBPhaseEvent, IterationEvent)
 }
 
 
@@ -248,8 +219,8 @@ class JsonlSink(EventSink):
     """Stream every event to ``path`` as one JSON line; O(1) memory.
 
     The file handle opens lazily on first emit and is dropped on pickle
-    (checkpointed runs reopen in append mode on the next emit), so a
-    scheduler carrying a streaming sink still checkpoints cleanly.
+    (a copy reopens in append mode on the next emit), so a sink can be
+    shipped to another process before or after it starts writing.
     """
 
     def __init__(self, path: str | Path) -> None:

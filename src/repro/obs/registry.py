@@ -1,15 +1,14 @@
 """Counters, gauges and histograms for scheduled runs.
 
 A :class:`MetricsRegistry` aggregates what the paper's tables report —
-nodes expanded, LB phases, donations per matcher, the four ledger lines
-— plus operational counters the tables never needed (checkpoint bytes,
-grid retries).  Instruments are named Prometheus-style with optional
+nodes expanded, LB phases, donations per matcher, the ledger lines —
+plus operational counters the tables never needed (grid retries).  Instruments are named Prometheus-style with optional
 ``{key=value}`` labels, snapshot to plain JSON, and render as the table
 ``python -m repro stats`` prints.
 
 The registry must *reproduce* the ledger identity
 
-    P * T_par == T_calc + T_idle + T_lb + T_recovery
+    P * T_par == T_calc + T_idle + T_lb
 
 for every run it records: :func:`record_run` copies the ledger lines
 verbatim and :func:`check_snapshot_identity` re-asserts the identity on
@@ -235,40 +234,28 @@ def record_run(registry: MetricsRegistry, metrics: "RunMetrics") -> None:
     registry.counter("lb.phases", scheme).inc(metrics.n_lb)
     registry.counter("lb.transfers", scheme).inc(metrics.n_transfers)
     registry.counter("lb.init_phases", scheme).inc(metrics.n_init_lb)
-    registry.counter("recovery.phases", scheme).inc(metrics.n_recovery)
     ledger = metrics.ledger
     for line, value in (
         ("ledger.t_calc", ledger.t_calc),
         ("ledger.t_idle", ledger.t_idle),
         ("ledger.t_lb", ledger.t_lb),
-        ("ledger.t_recovery", ledger.t_recovery),
         ("ledger.t_par", ledger.elapsed),
     ):
         registry.gauge(line, scheme).set(value)
     registry.gauge("run.n_pes", scheme).set(metrics.n_pes)
     registry.gauge("run.efficiency", scheme).set(metrics.efficiency)
-    report = getattr(metrics, "faults", None)
-    if report is not None:
-        registry.counter("faults.pe_deaths", scheme).inc(report.pe_deaths)
-        registry.counter("faults.nodes_quarantined", scheme).inc(
-            report.nodes_quarantined
-        )
-        registry.counter("faults.nodes_recovered", scheme).inc(report.nodes_recovered)
-        registry.counter("faults.transfers_dropped", scheme).inc(
-            report.transfers_dropped
-        )
-        registry.counter("faults.transfers_duplicated", scheme).inc(
-            report.transfers_duplicated
-        )
 
 
 def check_snapshot_identity(snapshot: dict, *, rel_tol: float = 1e-9) -> list[str]:
-    """Verify ``P * T_par == T_calc + T_idle + T_lb + T_recovery`` per
-    scheme in a snapshot; return the schemes that pass.
+    """Verify ``P * T_par == T_calc + T_idle + T_lb`` per scheme in a
+    snapshot; return the schemes that pass.
 
     Raises :class:`~repro.errors.RecordStoreError` naming the first
     scheme whose recorded ledger lines break the identity — the canonical
-    invariant every registry snapshot must reproduce.
+    invariant every registry snapshot must reproduce.  A snapshot saved
+    before the ledger lost its recovery line may still carry a
+    ``ledger.t_recovery`` gauge; it must read 0, since the identity no
+    longer has a term for it.
     """
     from repro.errors import RecordStoreError
 
@@ -280,18 +267,23 @@ def check_snapshot_identity(snapshot: dict, *, rel_tol: float = 1e-9) -> list[st
     )
     for scheme in schemes:
         label = f"{{scheme={scheme}}}"
+        recovery = gauges.get(f"ledger.t_recovery{label}", 0.0)
+        if recovery != 0.0:
+            raise RecordStoreError(
+                f"snapshot charges {scheme!r} T_recovery={recovery!r}; the "
+                "ledger has no recovery line, so its efficiency cannot be stated"
+            )
         lhs = gauges[f"run.n_pes{label}"] * gauges[f"ledger.t_par{label}"]
         rhs = (
             gauges[f"ledger.t_calc{label}"]
             + gauges[f"ledger.t_idle{label}"]
             + gauges[f"ledger.t_lb{label}"]
-            + gauges[f"ledger.t_recovery{label}"]
         )
         scale = max(abs(lhs), abs(rhs), 1.0)
         if abs(lhs - rhs) > rel_tol * scale:
             raise RecordStoreError(
                 f"snapshot breaks the ledger identity for {scheme!r}: "
-                f"P*T_par={lhs!r} != T_calc+T_idle+T_lb+T_recovery={rhs!r}"
+                f"P*T_par={lhs!r} != T_calc+T_idle+T_lb={rhs!r}"
             )
     return schemes
 

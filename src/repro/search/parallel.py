@@ -51,8 +51,6 @@ import numpy as np
 from repro.core.config import Scheme, make_scheme
 from repro.core.metrics import RunMetrics
 from repro.core.scheduler import Scheduler
-from repro.faults.plan import FaultPlan
-from repro.faults.runtime import FaultRuntime
 from repro.obs import Observability
 from repro.obs.events import IterationEvent
 from repro.obs.profile import span
@@ -323,33 +321,6 @@ class SearchWorkload:
     def total_expanded(self) -> int:
         return self.expanded
 
-    def extract_pe(self, pe: int):
-        """Quarantine PE ``pe``'s whole DFS stack.
-
-        ``DFSStack`` storage: the :class:`DFSStack` object itself (levels
-        intact).  Arena storage: the ``(words, infos)`` window, bottom to
-        top.
-        """
-        self._cached_counts = None
-        if self._arena is not None:
-            words, infos = self._arena.extract_window(pe)
-            return (words, infos), int(len(words))
-        stacks = self._stacks
-        assert stacks is not None
-        stack = stacks[pe]
-        stacks[pe] = DFSStack()
-        return stack, stack.node_count()
-
-    def inject_pe(self, pe: int, payload) -> int:
-        """Append a quarantined frontier onto PE ``pe``'s stack."""
-        self._cached_counts = None
-        if self._arena is not None:
-            words, infos = payload
-            return self._arena.inject_window(pe, words, infos)
-        stacks = self._stacks
-        assert stacks is not None
-        return stacks[pe].absorb(payload)
-
 
 def parallel_depth_bounded(
     problem: SearchProblem,
@@ -430,13 +401,6 @@ class ParallelIDAStar:
         Forwarded to every iteration's
         :class:`~repro.core.scheduler.Scheduler` — assert the lock-step
         invariants throughout the run.
-    faults:
-        A :class:`~repro.faults.plan.FaultPlan` injected across the whole
-        run: one shared :class:`~repro.faults.runtime.FaultRuntime` spans
-        every iteration's scheduler, so fail-stop deaths key off the
-        cumulative machine cycle count and a dead PE stays dead for all
-        later bounds (its per-iteration frontier — including a root
-        seeded onto it — is quarantined and recovered each time).
     obs:
         An :class:`~repro.obs.Observability` bundle shared by every
         iteration's scheduler; the driver adds one
@@ -456,7 +420,6 @@ class ParallelIDAStar:
         split: str = "bottom",
         max_iterations: int = 100,
         sanitize: bool = False,
-        faults: FaultPlan | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.problem = problem
@@ -467,14 +430,10 @@ class ParallelIDAStar:
         self.split = split
         self.max_iterations = max_iterations
         self.sanitize = sanitize
-        self.faults = faults
         self.obs = obs
 
     def run(self) -> ParallelSearchResult:
         machine = SimdMachine(self.n_pes, self.cost_model)
-        fault_runtime: FaultRuntime | None = (
-            self.faults.start(self.n_pes) if self.faults is not None else None
-        )
         bound = self.problem.heuristic(self.problem.initial_state())
         bounds: list[int] = []
         per_iter: list[int] = []
@@ -493,7 +452,6 @@ class ParallelIDAStar:
                 self.scheme,
                 init_threshold=self.init_threshold,
                 sanitize=self.sanitize,
-                faults=fault_runtime,
                 obs=self.obs,
             )
             before = (
@@ -524,12 +482,11 @@ class ParallelIDAStar:
                 cost = min(workload.goal_depths)
                 return self._result(
                     cost, workload.solutions, bounds, per_iter, machine,
-                    last_metrics, fault_runtime,
+                    last_metrics,
                 )
             if workload.next_bound is None:
                 return self._result(
-                    None, 0, bounds, per_iter, machine, last_metrics,
-                    fault_runtime,
+                    None, 0, bounds, per_iter, machine, last_metrics
                 )
             bound = workload.next_bound
 
@@ -545,7 +502,6 @@ class ParallelIDAStar:
         per_iter: list[int],
         machine: SimdMachine,
         last_metrics: RunMetrics,
-        fault_runtime: FaultRuntime | None = None,
     ) -> ParallelSearchResult:
         result = ParallelSearchResult(
             solution_cost=cost,
@@ -553,9 +509,7 @@ class ParallelIDAStar:
             total_expanded=sum(per_iter),
             bounds=tuple(bounds),
             per_iteration_expanded=tuple(per_iter),
-            metrics=self._final_metrics(
-                machine, sum(per_iter), last_metrics, fault_runtime
-            ),
+            metrics=self._final_metrics(machine, sum(per_iter), last_metrics),
         )
         if self.obs is not None and self.obs.metrics is not None:
             record_run(self.obs.metrics, result.metrics)
@@ -566,7 +520,6 @@ class ParallelIDAStar:
         machine: SimdMachine,
         total_work: int,
         last: RunMetrics | None,
-        fault_runtime: FaultRuntime | None = None,
     ) -> RunMetrics:
         assert last is not None
         return RunMetrics(
@@ -578,6 +531,4 @@ class ParallelIDAStar:
             n_transfers=machine.n_transfers,
             n_init_lb=last.n_init_lb,
             ledger=machine.ledger,
-            n_recovery=machine.n_recovery_phases,
-            faults=fault_runtime.report() if fault_runtime is not None else None,
         )

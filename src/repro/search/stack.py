@@ -100,23 +100,6 @@ class DFSStack:
         self._levels.append(entries)
         self._count += len(entries)
 
-    def absorb(self, other: "DFSStack") -> int:
-        """Append another stack's levels on top of this one.
-
-        Used by fault recovery to re-inject a quarantined frontier: onto
-        an empty stack this reproduces ``other`` exactly (levels and all);
-        onto a non-empty one it appends ``other``'s flat sequence at the
-        tail, which is the only end DFS operations observe.  Returns the
-        number of alternatives absorbed.
-        """
-        moved = 0
-        for level in other._levels:
-            if level:
-                self._levels.append(list(level))
-                self._count += len(level)
-                moved += len(level)
-        return moved
-
     # -- work splitting ------------------------------------------------------
 
     def split_bottom(self) -> StackEntry | None:

@@ -163,7 +163,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.command, self.path = command, path
 
         # By lower-cased name; the first occurrence of a name wins, as
-        # with ``email.message.Message.get``.
+        # with ``email.message.Message.get`` -- except a Content-Length
+        # that differs from an earlier one: which of them frames the body
+        # is unknown (RFC 9112 section 6.3), so both are kept as a field
+        # list, which ``_read_body`` refuses.
         self.headers = headers = {}
         for _ in range(MAX_HEADERS + 1):
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
@@ -180,7 +183,10 @@ class _Handler(BaseHTTPRequestHandler):
             if not colon or not name or " " in name or "\t" in name:
                 self.send_error(400, f"Bad header line ({line[:80]!r})")
                 return False
-            headers.setdefault(name.lower(), value.strip(" \t\r\n"))
+            name, value = name.lower(), value.strip(" \t\r\n")
+            first = headers.setdefault(name, value)
+            if name == "content-length" and first != value:
+                headers[name] = f"{first}, {value}"
         else:
             self.send_error(
                 431, "Too many headers", f"more than {MAX_HEADERS} header lines"

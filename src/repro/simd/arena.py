@@ -150,25 +150,11 @@ class WindowArena:
         self.bottom[pe] += k
         return taken
 
-    def extract_window(self, pe: int) -> tuple[np.ndarray, ...]:
-        """Remove and return PE ``pe``'s live window (bottom -> top order).
-
-        The PE is left empty with its pointers rewound to slot 0.  Used by
-        the fault layer to quarantine a dead PE's frontier; the result
-        round-trips through :meth:`inject_window`.  Unmasked single-PE
-        operation — the target PE is already dead, so the alive mask
-        excludes rather than selects it.
-        """
-        values = self.window(pe)
-        self.bottom[pe] = 0
-        self.top[pe] = 0
-        return values
-
     def inject_window(self, pe: int, *values) -> int:
         """Append entries (bottom -> top order) onto PE ``pe``.
 
-        The inverse of :meth:`extract_window`; the receiving PE need not
-        be empty.  Returns the number of entries delivered.
+        The receiving PE need not be empty.  Returns the number of entries
+        delivered.
         """
         k = len(values[0])
         if k:

@@ -77,25 +77,6 @@ class CostModel:
             n_pes
         )
 
-    def recovery_phase_time(
-        self,
-        n_pes: int,
-        *,
-        transfer_rounds: int = 1,
-        setup_scans: int | None = None,
-    ) -> float:
-        """Total elapsed time of one fault-recovery phase.
-
-        Recovery reuses the LB machinery — a scan-based setup step that
-        locates quarantined frontiers and idle survivors, then permutation
-        rounds that re-donate the work — so it is priced exactly like an
-        LB phase.  Kept as a separate method so alternative machines can
-        price recovery differently (e.g. frontier replay from a log).
-        """
-        return self.lb_phase_time(
-            n_pes, transfer_rounds=transfer_rounds, setup_scans=setup_scans
-        )
-
     def with_lb_multiplier(self, multiplier: float) -> "CostModel":
         """Return a copy with the transfer cost scaled by ``multiplier``."""
         return replace(self, lb_cost_multiplier=multiplier)

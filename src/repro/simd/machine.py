@@ -5,12 +5,9 @@ Every observable of the paper's analysis — ``T_calc``, ``T_idle``,
 is an exact *count* over simulated cycles and phases, never a wall-clock
 measurement of the host Python.  The ledger enforces the identity
 
-    P * T_par == T_calc + T_idle + T_lb + T_recovery
+    P * T_par == T_calc + T_idle + T_lb
 
-at all times, which the test suite asserts.  ``T_recovery`` is zero on
-fault-free runs; fault-injected runs charge the re-donation of dead PEs'
-quarantined frontiers (and retries of dropped transfers) there, so the
-price of surviving a fault is a separate, inspectable ledger line.
+at all times, which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ class TimeLedger:
     t_lb:
         Processor-seconds spent in load-balancing phases (all P processors
         are engaged during a phase, busy or not).
-    t_recovery:
-        Processor-seconds spent in fault-recovery phases (re-donating
-        quarantined frontiers of dead PEs, retrying dropped transfers).
-        Always zero on fault-free runs.
     elapsed:
         Elapsed (single-machine) seconds, ``T_par``.
     """
@@ -50,11 +43,10 @@ class TimeLedger:
     t_idle: float = 0.0
     t_lb: float = 0.0
     elapsed: float = 0.0
-    t_recovery: float = 0.0
 
     def efficiency(self) -> float:
-        """``E = T_calc / (T_calc + T_idle + T_lb + T_recovery)``."""
-        denom = self.t_calc + self.t_idle + self.t_lb + self.t_recovery
+        """``E = T_calc / (T_calc + T_idle + T_lb)``."""
+        denom = self.t_calc + self.t_idle + self.t_lb
         if denom == 0.0:
             return 1.0
         return self.t_calc / denom
@@ -86,7 +78,6 @@ class SimdMachine:
     n_lb_phases: int = 0
     n_transfers: int = 0
     sanitize: bool = False
-    n_recovery_phases: int = 0
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_pes, "n_pes")
@@ -96,31 +87,24 @@ class SimdMachine:
             require(
                 self.check_time_identity(),
                 "time-identity",
-                "P * T_par != T_calc + T_idle + T_lb + T_recovery after a charge",
+                "P * T_par != T_calc + T_idle + T_lb after a charge",
             )
 
-    def charge_expansion_cycle(self, n_expanding: int, *, slowdown: float = 1.0) -> float:
+    def charge_expansion_cycle(self, n_expanding: int) -> float:
         """Account one node-expansion cycle with ``n_expanding`` active PEs.
 
-        Returns the cycle's elapsed time (``U_calc``, stretched by
-        ``slowdown`` when a straggler PE holds the lock-step machine
-        back).  Idle processors are charged idle time — the SIMD-specific
-        overhead the paper's triggering schemes try to bound.  Under a
-        slowdown the useful work stays ``n_expanding * U_calc`` (the same
-        nodes get expanded); the stretch is pure waiting and lands in
-        ``t_idle``, so ``T_calc`` of a faulty run still equals the
-        fault-free ``W * U_calc``.
+        Returns the cycle's elapsed time, ``U_calc``.  Idle processors are
+        charged idle time — the SIMD-specific overhead the paper's
+        triggering schemes try to bound.
         """
         if not 0 <= n_expanding <= self.n_pes:
             raise ValueError(
                 f"n_expanding={n_expanding} out of range [0, {self.n_pes}]"
             )
-        if slowdown < 1.0:
-            raise ValueError(f"slowdown must be >= 1, got {slowdown}")
-        dt = self.cost.u_calc * slowdown
+        dt = self.cost.u_calc
         self.ledger.elapsed += dt
-        self.ledger.t_calc += n_expanding * self.cost.u_calc
-        self.ledger.t_idle += self.n_pes * dt - n_expanding * self.cost.u_calc
+        self.ledger.t_calc += n_expanding * dt
+        self.ledger.t_idle += self.n_pes * dt - n_expanding * dt
         self.n_cycles += 1
         self._sanitize_check()
         return dt
@@ -148,29 +132,6 @@ class SimdMachine:
         self._sanitize_check()
         return dt
 
-    def charge_recovery_phase(
-        self,
-        *,
-        transfer_rounds: int = 1,
-        n_transfers: int = 0,
-        setup_scans: int | None = None,
-    ) -> float:
-        """Account one fault-recovery phase; returns its elapsed time.
-
-        Recovery runs on the same scan+permute machinery as an LB phase
-        but its processor-seconds go to ``T_recovery``, keeping the cost
-        of surviving faults out of the paper's ``T_lb`` observable.
-        """
-        dt = self.cost.recovery_phase_time(
-            self.n_pes, transfer_rounds=transfer_rounds, setup_scans=setup_scans
-        )
-        self.ledger.elapsed += dt
-        self.ledger.t_recovery += self.n_pes * dt
-        self.n_recovery_phases += 1
-        self.n_transfers += n_transfers
-        self._sanitize_check()
-        return dt
-
     def charge_custom_phase(self, dt: float, *, n_transfers: int = 0) -> float:
         """Account a communication phase of explicit duration ``dt``.
 
@@ -188,13 +149,8 @@ class SimdMachine:
         return dt
 
     def check_time_identity(self, *, rel_tol: float = 1e-9) -> bool:
-        """Verify ``P * T_par == T_calc + T_idle + T_lb + T_recovery``."""
+        """Verify ``P * T_par == T_calc + T_idle + T_lb``."""
         lhs = self.n_pes * self.ledger.elapsed
-        rhs = (
-            self.ledger.t_calc
-            + self.ledger.t_idle
-            + self.ledger.t_lb
-            + self.ledger.t_recovery
-        )
+        rhs = self.ledger.t_calc + self.ledger.t_idle + self.ledger.t_lb
         scale = max(abs(lhs), abs(rhs), 1.0)
         return abs(lhs - rhs) <= rel_tol * scale

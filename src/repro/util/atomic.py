@@ -1,8 +1,8 @@
 """Crash- and concurrency-safe file publication.
 
-Every durable artifact in this repository (saved record lists,
-checkpoints, metrics snapshots, the content-addressed record store that
-grid cells are published to) is published the same way: stage the
+Every durable artifact in this repository (saved record lists, metrics
+snapshots, the content-addressed record store that grid cells are
+published to) is published the same way: stage the
 complete payload in a temp file, ``fsync`` it, ``os.replace`` it into
 place, then ``fsync`` the parent directory.  This module is the single
 implementation of that sequence, because the historical copy-pasted
@@ -40,8 +40,8 @@ def fsync_dir(path: str | Path) -> None:
 
     ``os.replace`` makes a rename *atomic*, not *durable*: until the
     containing directory is fsynced, a crash can forget the new entry
-    entirely — the failure mode the record store's and the
-    checkpoint's "survives any crash" contracts both rule out.
+    entirely — the failure mode the record store's "survives any crash"
+    contract rules out.
     Call this after every ``os.replace`` that publishes durable state.
 
     Platforms whose directories cannot be opened (e.g. Windows) make

@@ -140,22 +140,6 @@ class DivisibleWorkload:
     def total_expanded(self) -> int:
         return self._expanded
 
-    def extract_pe(self, pe: int) -> tuple[int, int]:
-        """Quarantine PE ``pe``'s node count; the PE is left empty."""
-        count = int(self.work[pe])
-        self.work[pe] = 0
-        self._mask_cache = {}
-        return count, count
-
-    def inject_pe(self, pe: int, payload: int) -> int:
-        """Add a quarantined node count onto PE ``pe``."""
-        count = int(payload)
-        if count < 0:
-            raise ValueError(f"injected work must be >= 0, got {count}")
-        self.work[pe] += count
-        self._mask_cache = {}
-        return count
-
     # -- Introspection -----------------------------------------------------
 
     def total_remaining(self) -> int:

@@ -214,22 +214,6 @@ class StackWorkload:
     def total_expanded(self) -> int:
         return self._expanded
 
-    def extract_pe(self, pe: int) -> tuple[tuple[int, ...], int]:
-        """Quarantine PE ``pe``'s whole stack (bottom -> top order) as an
-        immutable snapshot :meth:`inject_pe` accepts."""
-        self._cached_counts = None
-        (window,) = self._arena.extract_window(pe)
-        values = tuple(int(v) for v in window)
-        return values, len(values)
-
-    def inject_pe(self, pe: int, payload: tuple[int, ...]) -> int:
-        """Append a quarantined stack snapshot onto PE ``pe``."""
-        values = tuple(payload)
-        if not values:
-            return 0
-        self._cached_counts = None
-        return self._arena.inject_window(pe, np.asarray(values, dtype=np.int64))
-
     # -- Introspection -----------------------------------------------------
 
     def total_remaining(self) -> int:

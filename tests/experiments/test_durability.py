@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import PAPER_SCHEMES
 from repro.errors import GridCellError
 from repro.experiments.runner import RetryPolicy, run_grid
-from repro.faults import GridChaos
+from repro.experiments.chaos import GridChaos
 from repro.obs import MetricsRegistry
 from repro.serve.store import RecordStore
 

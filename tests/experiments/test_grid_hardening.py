@@ -34,7 +34,7 @@ from repro.experiments.runner import (
     RetryPolicy,
     run_grid,
 )
-from repro.faults import GridChaos
+from repro.experiments.chaos import GridChaos
 from repro.obs import MetricsRegistry
 from repro.serve.store import RecordStore
 

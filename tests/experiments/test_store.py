@@ -37,6 +37,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="schema version"):
             load_records(path)
 
+    def test_recovery_fields_are_constants(self, records, tmp_path):
+        """v2 writes ``t_recovery`` / ``n_recovery`` as 0.0 / 0, and a v1
+        record without them loads to the same ledger."""
+        path = save_records(records[:1], tmp_path / "grid.json")
+        data = json.loads(path.read_text())
+        record = data["records"][0]
+        assert (record["ledger"]["t_recovery"], record["n_recovery"]) == (0.0, 0)
+        del record["ledger"]["t_recovery"], record["n_recovery"]
+        data["schema_version"] = 1
+        path.write_text(json.dumps(data))
+        assert load_records(path)[0].metrics.ledger == records[0].metrics.ledger
+
     def test_traces_dropped(self, records, tmp_path):
         # A file written when traces could be persisted still loads; its
         # "trace" key is ignored.
@@ -104,11 +116,19 @@ class TestTypedLoadErrors:
 
     def test_malformed_record(self, records, tmp_path):
         path = save_records(records[:1], tmp_path / "grid.json")
-        data = json.loads(path.read_text())
-        del data["records"][0]["ledger"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(RecordStoreError, match="malformed"):
-            load_records(path)
+        saved = path.read_text()
+        # A missing ledger, and a recovery charge the ledger has no line
+        # for: dropping it would misstate the record's efficiency.
+        for mutate in (
+            lambda r: r.pop("ledger"),
+            lambda r: r["ledger"].update(t_recovery=0.5),
+            lambda r: r.update(n_recovery=2),
+        ):
+            data = json.loads(saved)
+            mutate(data["records"][0])
+            path.write_text(json.dumps(data))
+            with pytest.raises(RecordStoreError, match="malformed"):
+                load_records(path)
 
     def test_error_is_both_repro_and_value_error(self, tmp_path):
         """Back-compat: pre-existing except ValueError handlers keep

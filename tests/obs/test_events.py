@@ -6,11 +6,9 @@ import pytest
 
 from repro.obs.events import (
     CycleEvent,
-    FaultEvent,
     IterationEvent,
     JsonlSink,
     LBPhaseEvent,
-    RecoveryEvent,
     RingBufferSink,
     event_from_dict,
     read_jsonl_events,
@@ -19,9 +17,6 @@ from repro.obs.events import (
 ALL_EVENTS = [
     CycleEvent(cycle=3, busy=7, expanding=9, r1=1.5, r2=0.25),
     LBPhaseEvent(cycle=4, rounds=2, transfers=11, dt=0.125),
-    RecoveryEvent(cycle=5, rounds=1, transfers=3),
-    FaultEvent(cycle=6, event="death", pe=13),
-    FaultEvent(cycle=6, event="quarantine", pe=13, entries=42),
     IterationEvent(
         cycle=7, bound=22, expanded=900, cycles=31, n_lb=4, n_transfers=57,
         t_calc=0.5, elapsed=0.375,
@@ -65,7 +60,7 @@ class TestRingBufferSink:
         sink = RingBufferSink()
         for event in ALL_EVENTS:
             sink.emit(event)
-        assert [e.kind for e in sink.events("fault")] == ["fault", "fault"]
+        assert [e.kind for e in sink.events("lb")] == ["lb"]
         assert sink.events() == ALL_EVENTS
 
     def test_rejects_bad_maxlen(self):
@@ -114,9 +109,6 @@ class TestJsonlSink:
         golden = (
             b'{"kind":"cycle","cycle":3,"busy":7,"expanding":9,"r1":1.5,"r2":0.25}\n'
             b'{"kind":"lb","cycle":4,"rounds":2,"transfers":11,"dt":0.125}\n'
-            b'{"kind":"recovery","cycle":5,"rounds":1,"transfers":3}\n'
-            b'{"kind":"fault","cycle":6,"event":"death","pe":13,"entries":0}\n'
-            b'{"kind":"fault","cycle":6,"event":"quarantine","pe":13,"entries":42}\n'
             b'{"kind":"iteration","cycle":7,"bound":22,"expanded":900,"cycles":31,'
             b'"n_lb":4,"n_transfers":57,"t_calc":0.5,"elapsed":0.375}\n'
             b'{"kind":"cycle","cycle":1099511627776,"busy":0,"expanding":0,'

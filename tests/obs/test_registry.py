@@ -97,6 +97,14 @@ class TestRecordRun:
         snap["gauges"]["ledger.t_calc{scheme=GP-DK}"] += 123.0
         with pytest.raises(RecordStoreError, match="ledger identity"):
             check_snapshot_identity(snap)
+        # An old snapshot's recovery line passes at 0 and is refused
+        # otherwise: the identity has no term left to carry it.
+        snap = registry.snapshot()
+        snap["gauges"]["ledger.t_recovery{scheme=GP-DK}"] = 0.0
+        assert check_snapshot_identity(snap) == ["GP-DK"]
+        snap["gauges"]["ledger.t_recovery{scheme=GP-DK}"] = 0.5
+        with pytest.raises(RecordStoreError, match="T_recovery"):
+            check_snapshot_identity(snap)
 
     def test_render_is_deterministic_text(self, registry):
         text = render_snapshot(registry.snapshot())

@@ -97,15 +97,6 @@ class ListStackWorkload:
     def total_expanded(self) -> int:
         return self._expanded
 
-    def extract_pe(self, pe: int) -> tuple[tuple[int, ...], int]:
-        values = tuple(self.stacks[pe])
-        self.stacks[pe].clear()
-        return values, len(values)
-
-    def inject_pe(self, pe: int, payload: tuple[int, ...]) -> int:
-        self.stacks[pe].extend(payload)
-        return len(payload)
-
     def total_remaining(self) -> int:
         return sum(sum(s) for s in self.stacks)
 

@@ -39,14 +39,6 @@ class TestListStackWorkload:
         assert wl.transfer(np.array([0, 0]), np.array([2, 1])) == 1
         assert [list(s) for s in wl.stacks] == [[10, 5], [40], [3]]
 
-    def test_extract_inject_round_trip(self):
-        wl = ListStackWorkload(100, 2, rng=0)
-        wl.stacks[0] = deque([40, 10, 5])
-        payload, n = wl.extract_pe(0)
-        assert (payload, n) == ((40, 10, 5), 3) and not wl.stacks[0]
-        assert wl.inject_pe(1, payload) == 3
-        assert list(wl.stacks[1]) == [40, 10, 5]
-
     def test_expands_exactly_w_nodes_conserving_work(self):
         wl = ListStackWorkload(700, 4, rng=5, leaf_probability=0.3)
         while not wl.done():

@@ -459,12 +459,16 @@ class TestRequestHead:
     def test_header_names_are_case_insensitive_and_the_first_wins(
         self, address, server
     ):
+        """The first of a repeated header wins; a repeated Content-Length
+        is read only when every copy agrees."""
         body = json.dumps(SOLVE).encode()
         client = _KeepAliveClient(address)
         try:
             for lengths in (
                 f"content-length: {len(body)}\r\n",
-                f"CONTENT-LENGTH: {len(body)}\r\nContent-Length: 0\r\n",
+                f"CONTENT-LENGTH: {len(body)}\r\nContent-Length: {len(body)}\r\n",
+                f"Content-Length: {len(body)}\r\n"
+                "Connection: keep-alive\r\nConnection: close\r\n",
             ):
                 client.sock.sendall(
                     f"POST /solve HTTP/1.1\r\nHost: t\r\n{lengths}\r\n".encode() + body
@@ -476,7 +480,6 @@ class TestRequestHead:
                 assert client.request("GET", "/healthz")[0] == 200
         finally:
             client.close()
-
     def test_expect_100_continue(self, address):
         body = b"{not json"
         with socket.create_connection(address, timeout=5) as sock:
@@ -505,8 +508,10 @@ class TestRequestHead:
             ("Content-Length: abc\r\n", b""),
             ("Content-Length: +5\r\n", b"hello"),
             ("Transfer-Encoding: chunked\r\n", b"5\r\nhello\r\n0\r\n\r\n"),
+            # Which length frames the body is unknown (RFC 9112 section 6.3).
+            ("Content-Length: 2\r\nContent-Length: 0\r\n", b"{}"),
         ],
-        ids=["oversized", "negative", "non-numeric", "signed", "chunked"],
+        ids=["oversized", "negative", "non-numeric", "signed", "chunked", "differing"],
     )
     def test_unread_body_is_refused_and_closes(self, address, lengths, body):
         head = f"POST /solve HTTP/1.1\r\nHost: t\r\n{lengths}\r\n".encode()

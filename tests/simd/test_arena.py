@@ -21,7 +21,7 @@ from repro.simd.arena import WindowArena
 STACK_ROWS = (((), np.int64),)
 SEARCH_ROWS = (((), np.int64), ((), np.int64))
 
-OPS = ("push", "pop", "donate", "take", "move_window", "reset", "reserve")
+OPS = ("push", "pop", "donate", "take", "inject", "reset", "reserve")
 
 
 def _encode(rows, ids):
@@ -114,13 +114,10 @@ def test_arena_matches_list_model(rows, data):
             k = data.draw(st.integers(0, len(model[pe])))
             taken, model[pe] = model[pe][:k], model[pe][k:]
             assert _same(arena.take_bottoms(pe, k), _encode(rows, taken))
-        elif op == "move_window":
-            src, dst = data.draw(any_pe), data.draw(any_pe)
-            ids, model[src] = model[src], []
-            values = arena.extract_window(src)
-            assert _same(values, _encode(rows, ids))
-            assert arena.bottom[src] == arena.top[src] == 0
-            assert arena.inject_window(dst, *values) == len(ids)
+        elif op == "inject":
+            dst = data.draw(any_pe)
+            ids = [next(fresh) for _ in range(data.draw(st.integers(0, 4)))]
+            assert arena.inject_window(dst, *_encode(rows, ids)) == len(ids)
             model[dst].extend(ids)
         elif op == "reset":
             arena.reset_empty_windows()

@@ -26,6 +26,22 @@ class TestRun:
         with pytest.raises(ValueError):
             main(["run", "XX-S0.5", "--work", "100", "--pes", "4"])
 
+    def test_fault_and_checkpoint_flags_are_gone(self, capsys):
+        """The divisible run has no fault plan, checkpoint or resume, so
+        its scheme is a required positional and the old flags are usage
+        errors."""
+        for argv in (
+            ["run", "GP-S0.90", "--faults", "kill=1"],
+            ["run", "GP-S0.90", "--checkpoint", "ck.bin"],
+            ["run", "--resume", "ck.bin"],
+            ["run"],
+            ["solve", "puzzle", "--faults", "kill=1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: repro" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_puzzle(self, capsys):

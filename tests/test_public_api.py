@@ -28,10 +28,12 @@ SUBPACKAGES = [
 #: Knobs retired with the storage-backend matrix (which storage holds
 #: the stacks is private to ``workmodel.stackmodel`` / ``search.parallel``)
 #: with the kernel tiers (each kernel has one implementation) and with the
-#: per-cycle collective charge (the paper folds it into the cycle time).
+#: per-cycle collective charge (the paper folds it into the cycle time),
+#: and with fault injection and mid-run checkpoints (the paper's machine
+#: never loses a PE; the record store resumes a grid cell by cell).
 RETIRED_KNOBS = {
     "backend", "sampler", "h_memo", "heuristic_memo", "kernel_backend", "workspace",
-    "charge_collectives",
+    "charge_collectives", "faults", "checkpoint", "slowdown",
 }
 
 
@@ -85,6 +87,10 @@ class TestPublicAPI:
             for knob in RETIRED_KNOBS & set(_parameters(obj))
         ]
         assert not offenders, offenders
+
+    def test_fault_package_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.faults")
 
     def test_every_public_item_documented(self):
         for name in repro.__all__:

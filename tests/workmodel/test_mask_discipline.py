@@ -1,10 +1,9 @@
 """Mask-cache discipline: no public mutator may leave memoized masks stale.
 
 All three workload fidelities memoize their busy/idle/expanding masks
-between mutations.  Every public mutator — ``expand_cycle``,
-``transfer``, and the fault-path ``extract_pe`` / ``inject_pe`` — must
-invalidate that cache itself; a caller reading masks right after a
-mutation must see the post-mutation state without calling
+between mutations.  Every public mutator — ``expand_cycle`` and
+``transfer`` — must invalidate that cache itself; a caller reading masks
+right after a mutation must see the post-mutation state without calling
 ``invalidate_masks`` by hand.  The check: warm the cache, mutate, read
 the (possibly cached) masks, then force invalidation and re-read — the
 two reads must agree for every mutator on every workload and storage
@@ -90,44 +89,3 @@ def test_transfer_invalidates(name):
     _masks(wl)
     wl.transfer(busy[:k], idle[:k])
     _assert_masks_fresh(wl)
-
-
-@pytest.mark.parametrize("name", WORKLOADS, ids=list(WORKLOADS))
-def test_extract_and_inject_invalidate(name):
-    wl = WORKLOADS[name]()
-    for _ in range(5):
-        if not wl.done():
-            wl.expand_cycle()
-    holders = np.flatnonzero(wl.expanding_mask())
-    assert len(holders), "fixture must leave at least one non-empty PE"
-    donor = int(holders[0])
-    empties = np.flatnonzero(wl.idle_mask())
-    receiver = int(empties[0]) if len(empties) else (donor + 1) % N_PES
-
-    _masks(wl)
-    payload, n_entries = wl.extract_pe(donor)
-    assert n_entries > 0
-    assert not wl.expanding_mask()[donor], "extracted PE must read empty"
-    _assert_masks_fresh(wl)
-
-    _masks(wl)
-    injected = wl.inject_pe(receiver, payload)
-    assert injected == n_entries
-    assert wl.expanding_mask()[receiver], "injected PE must read non-empty"
-    _assert_masks_fresh(wl)
-
-
-@pytest.mark.parametrize("name", WORKLOADS, ids=list(WORKLOADS))
-def test_extract_inject_round_trip_conserves_totals(name):
-    wl = WORKLOADS[name]()
-    for _ in range(5):
-        if not wl.done():
-            wl.expand_cycle()
-    before = wl._counts().copy() if hasattr(wl, "_counts") else None
-    holders = np.flatnonzero(wl.expanding_mask())
-    donor = int(holders[0])
-    payload, n_entries = wl.extract_pe(donor)
-    back = wl.inject_pe(donor, payload)
-    assert back == n_entries
-    if before is not None:
-        assert np.array_equal(wl._counts(), before)

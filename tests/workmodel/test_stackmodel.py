@@ -12,9 +12,12 @@ from repro.workmodel.stackmodel import StackWorkload
 def _with_stacks(*stacks):
     """A workload whose PE ``i`` holds exactly ``stacks[i]`` (bottom -> top)."""
     wl = StackWorkload(100, len(stacks), rng=0)
-    wl.extract_pe(0)
+    arena = wl._arena
+    arena.take_bottoms(0, 1)  # drop the root
+    arena.reset_empty_windows()
     for pe, values in enumerate(stacks):
-        wl.inject_pe(pe, tuple(values))
+        arena.inject_window(pe, np.asarray(values, dtype=np.int64))
+    wl.invalidate_masks()
     return wl
 
 
