@@ -208,9 +208,10 @@ class Scheduler:
         sanitizer = self._sanitizer
         rounds = 0
         transfers = 0
-        idle_count = int(idle.sum())
+        idle_count = int(idle.sum()) if sanitizer is not None else 0
         max_rounds = _MAX_ROUNDS_FACTOR * self.machine.n_pes
-        while busy.any() and idle.any() and rounds < max_rounds:
+        # The first round's busy/idle test is the one just above.
+        while rounds < max_rounds:
             if sanitizer is not None:
                 sanitizer.check_pointer(matcher)
             with span("lb.match"):
@@ -230,6 +231,8 @@ class Scheduler:
                 break
             busy = self.workload.busy_mask()
             idle = self.workload.idle_mask()
+            if not busy.any() or not idle.any():
+                break
 
         dt = self.machine.charge_lb_phase(
             transfer_rounds=rounds,

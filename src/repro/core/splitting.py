@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def _donors(w: np.ndarray) -> np.ndarray:
+    """``w`` as an array, once every donor is known to hold >= 2 nodes."""
+    w = np.asarray(w)
+    if len(w) and w.min() < 2:
+        raise ValueError("all donors must hold at least 2 nodes to split")
+    return w
+
+
 @dataclass(frozen=True)
 class WorkSplitter:
     """Base splitting policy.
@@ -58,9 +66,7 @@ class WorkSplitter:
         Every donor must hold ``w >= 2``; the donation ``d`` satisfies
         ``1 <= d <= w - 1``, so both pieces are non-empty.
         """
-        w = np.asarray(w)
-        if (w < 2).any():
-            raise ValueError("all donors must hold at least 2 nodes to split")
+        w = _donors(w)
         frac = self.fractions(len(w), rng)
         d = np.rint(frac * w).astype(w.dtype)
         # np.clip(d, 1, w - 1), without its dispatch overhead.
@@ -114,9 +120,7 @@ class UnitSplitter(WorkSplitter):
         raise TypeError("UnitSplitter donates fixed amounts, not fractions")
 
     def donation(self, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        w = np.asarray(w)
-        if (w < 2).any():
-            raise ValueError("all donors must hold at least 2 nodes to split")
+        w = _donors(w)
         return np.ones(len(w), dtype=w.dtype)
 
 

@@ -15,9 +15,10 @@ executor split that fixes it:
 - the **executor** (:class:`MegaGridExecutor`) packs every planned cell
   into one :class:`~repro.workmodel.mega.MegaArena` and advances *all*
   of them per iteration with single full-width kernels — one
-  ``expand_all`` + two segmented reductions per lock-step cycle — while
-  the per-cell trigger state (S^x / D_P / D_K accumulators) and the time
-  ledgers advance as vectors over the cell axis.
+  ``expand_cycle`` (two segmented reductions) per lock-step cycle —
+  while the per-cell trigger state (S^x / D_P / D_K accumulators) and
+  the time ledgers advance as vectors over the cell axis, and one fire
+  expression decides every cell's trigger at once.
 
 Only the *infrequent* events drop to per-cell Python: an LB phase runs
 the cell's own matcher/splitter on its arena slice exactly as the serial
@@ -47,7 +48,7 @@ from repro.core.matching import GPMatcher, Matcher, NGPMatcher
 from repro.core.metrics import RunMetrics
 from repro.core.scheduler import _MAX_ROUNDS_FACTOR
 from repro.core.splitting import AlphaSplitter
-from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger
+from repro.core.triggering import DKTrigger, DPTrigger, StaticTrigger, Trigger
 from repro.errors import ConfigError
 from repro.obs.profile import span
 from repro.simd.cost import CostModel
@@ -60,10 +61,9 @@ __all__ = ["CellPlan", "is_batchable", "MegaGridExecutor", "run_batched_cells"]
 #: Every per-cell vector of :class:`MegaGridExecutor`, one entry per
 #: cell still running; ``_drop_finished`` filters them all by one mask.
 _LANES = (
-    "pes", "pes_dt", "pes_f", "totals", "remaining", "in_main",
-    "is_static", "is_dp", "is_dk", "static_xp", "lb_cost_est", "lb_cost_est_p",
+    "pes", "pes_dt", "totals", "remaining", "in_main",
+    "static_xp", "lb_cost_est", "lb_cost_est_p",
     "elapsed", "t_calc", "t_idle", "t_lb",
-    "n_lb", "n_transfers", "n_init_lb",
     "acc_work", "acc_elapsed", "acc_idle",
 )
 
@@ -113,7 +113,12 @@ def is_batchable(scheme: Scheme, *, initial_lb_cost: float = 1.0) -> bool:
 
 
 class _CellRun:
-    """Per-cell Python-side state: matcher, RNG stream, phase bookkeeping."""
+    """Per-cell Python-side state: matcher, RNG stream, phase bookkeeping.
+
+    ``acc_work0`` / ``acc_idle0`` are what a trigger-phase reset writes
+    to the cell's ``acc_work`` / ``acc_idle`` lanes: ``0.0`` for the
+    accumulator its trigger kind owns, ``-inf`` for one it does not.
+    """
 
     __slots__ = (
         "plan",
@@ -121,11 +126,21 @@ class _CellRun:
         "rng",
         "init_target",
         "in_init",
+        "acc_work0",
+        "acc_idle0",
+        "n_lb",
+        "n_transfers",
+        "n_init_lb",
     )
 
-    def __init__(self, plan: CellPlan, matcher: Matcher) -> None:
+    def __init__(self, plan: CellPlan, matcher: Matcher, trigger: Trigger) -> None:
         self.plan = plan
         self.matcher = matcher
+        self.acc_work0 = 0.0 if isinstance(trigger, DPTrigger) else -np.inf
+        self.acc_idle0 = 0.0 if isinstance(trigger, DKTrigger) else -np.inf
+        self.n_lb = 0
+        self.n_transfers = 0
+        self.n_init_lb = 0
         # The serial path hands DivisibleWorkload the cell seed; the
         # splitter is that workload's only RNG consumer, so seeding the
         # per-cell stream identically keeps every donation draw aligned.
@@ -184,20 +199,24 @@ class MegaGridExecutor:
         self.arena = MegaArena(self.pes.tolist(), roots=self.totals.tolist())
         # Each cell's slice of the arena, taken once per arena layout.
         self.views = self.arena.views()
-        # lb_phase_time by (P, rounds, setup scans): a phase's simulated
-        # price depends on nothing else, and a grid pays thousands.
-        self._phase_times: dict[tuple[int, int, int], float] = {}
+        # lb_phase_time and P times it by (P, rounds, setup scans): a
+        # phase's simulated price depends on nothing else, and a grid
+        # pays thousands.
+        self._phase_times: dict[tuple[int, int, int], tuple[float, float]] = {}
 
         # Per-cell Python state and vectorized trigger parameters.  The
         # trigger objects built by the scheme are only probed for their
         # type and constants; their per-cycle arithmetic is replicated
         # on the cell axis below, operand-for-operand.
+        #
+        # Every lane carries all three trigger kinds, and a lane of one
+        # kind holds thresholds the other two can never meet: busy >= 0
+        # is never <= a static_xp of -1, and an acc_work or acc_idle of
+        # -inf stays -inf and never reaches a finite L term.  So one fire
+        # expression serves every lane (see ``run``).  No sentinel sits
+        # in ``lb_cost_est``: busy * inf at busy == 0 would be NaN.
         self.runs: list[_CellRun] = []
-        # Trigger kind per cell: S^x, D_P or D_K.
-        self.is_static = np.zeros(n, dtype=bool)
-        self.is_dp = np.zeros(n, dtype=bool)
-        self.is_dk = np.zeros(n, dtype=bool)
-        self.static_xp = np.zeros(n, dtype=np.float64)  # x * P per static cell
+        self.static_xp = np.full(n, -1.0)  # x * P per static cell, else -1
         self.lb_cost_est = np.zeros(n, dtype=np.float64)  # L
         self.lb_cost_est_p = np.zeros(n, dtype=np.float64)  # L * P
         for i, plan in enumerate(cells):
@@ -211,40 +230,33 @@ class MegaGridExecutor:
                     f"{type(matcher).__name__}/{type(trigger).__name__}, which "
                     "the batched executor does not support; run it serially"
                 )
-            self.runs.append(_CellRun(plan, matcher))
+            self.runs.append(_CellRun(plan, matcher, trigger))
             if isinstance(trigger, StaticTrigger):
-                self.is_static[i] = True
                 self.static_xp[i] = trigger.x * plan.n_pes
             else:
-                self.is_dp[i] = isinstance(trigger, DPTrigger)
-                self.is_dk[i] = not self.is_dp[i]
                 self.lb_cost_est[i] = initial_lb_cost
                 self.lb_cost_est_p[i] = initial_lb_cost * plan.n_pes
 
-        # Ledger lines and counters, one lane per running cell.  Every
-        # cell starts at cycle 0 and expands each cycle until it leaves,
-        # so one counter is every running cell's cycle count.
+        # Ledger lines, one lane per running cell.  Every cell starts at
+        # cycle 0 and expands each cycle until it leaves, so one counter
+        # is every running cell's cycle count.
         self.cycles = 0
         self.elapsed = np.zeros(n, dtype=np.float64)
         self.t_calc = np.zeros(n, dtype=np.float64)
         self.t_idle = np.zeros(n, dtype=np.float64)
         self.t_lb = np.zeros(n, dtype=np.float64)
-        self.n_lb = np.zeros(n, dtype=np.int64)
-        self.n_transfers = np.zeros(n, dtype=np.int64)
-        self.n_init_lb = np.zeros(n, dtype=np.int64)
 
-        # Trigger accumulators (D_P's w and t, D_K's w_idle).  Lanes of
-        # cells still in their init-distribution phase accumulate
-        # garbage by design: the serial scheduler never consults the
-        # trigger during init and resets the accumulators on exit, and
-        # so does the transition below.
-        self.acc_work = np.zeros(n, dtype=np.float64)
+        # Trigger accumulators (D_P's w and t, D_K's w_idle), holding
+        # their sentinels on lanes of other kinds.  Lanes of cells still
+        # in their init-distribution phase accumulate garbage by design:
+        # the serial scheduler never consults the trigger during init
+        # and resets the accumulators on exit, and so does the
+        # transition below.
+        self.acc_work = np.array([r.acc_work0 for r in self.runs])
         self.acc_elapsed = np.zeros(n, dtype=np.float64)
-        self.acc_idle = np.zeros(n, dtype=np.float64)
+        self.acc_idle = np.array([r.acc_idle0 for r in self.runs])
 
-        self.dt = self.cost.u_calc
-        self.pes_dt = self.pes * self.dt
-        self.pes_f = self.pes.astype(np.float64)
+        self.pes_dt = self.pes * self.cost.u_calc
         self.remaining = self.totals.copy()
         self.in_main = np.array([not r.in_init for r in self.runs], dtype=bool)
         self.results: dict[int, RunMetrics] = {}
@@ -258,21 +270,21 @@ class MegaGridExecutor:
         cell that finishes is snapshotted and dropped in the same cycle,
         so the rest of the grid stops paying for its rows.
         """
-        u = self.cost.u_calc
-        dt = self.dt
+        # A cycle lasts U_calc (SimdMachine.charge_expansion_cycle), so
+        # the D_P accumulator's ``counts * dt`` is the ledger's ``calc``.
+        dt = self.cost.u_calc
         has_init = any(r.in_init for r in self.runs)
-        has_dp = bool(self.is_dp.any())
-        has_dk = bool(self.is_dk.any())
-        has_static = bool(self.is_static.any())
+        # Only a D_P lane owns acc_work, only a D_K lane acc_idle.
+        has_dp = any(r.acc_work0 == 0.0 for r in self.runs)
+        has_dk = any(r.acc_idle0 == 0.0 for r in self.runs)
 
         while True:
             with span("mega.expand_cycle", cat="grid"):
-                counts = self.arena.expand_all()
-                busy = self.arena.busy_counts()
+                counts, busy = self.arena.expand_cycle()
 
             # Vectorized ledger charge — same operand order per cell as
             # SimdMachine.charge_expansion_cycle.
-            calc = counts * u
+            calc = counts * dt
             self.elapsed += dt
             self.t_calc += calc
             self.t_idle += self.pes_dt - calc
@@ -282,26 +294,35 @@ class MegaGridExecutor:
             # Trigger accumulators advance before the fire decision,
             # exactly like Trigger.after_cycle.
             if has_dp:
-                self.acc_work += counts * dt
+                self.acc_work += calc
                 self.acc_elapsed += dt
             if has_dk:
-                self.acc_idle += (self.pes_f - counts) * dt
+                self.acc_idle += (self.pes - counts) * dt
 
             if self.sanitize:
                 self._sanity_step(counts)
 
             # Cells whose final node expanded this cycle finish *before*
             # the trigger is consulted (the serial loop breaks first).
-            done = self.remaining == 0
-            if done.any():
-                for c in np.flatnonzero(done):
-                    self._finalize(int(c))
+            if not self.remaining.all():
+                done = self.remaining == 0
+                for c in np.flatnonzero(done).tolist():
+                    self._finalize(c)
                 if done.all():
                     break
                 busy = self._drop_finished(~done, busy)
 
-            # Trigger decisions for cells in the main loop.
-            fired = self._fired(busy, has_static, has_dp, has_dk)
+            # S^x, D_P and D_K in one expression: each is the serial
+            # trigger's comparison with its operands in the serial order,
+            # and a lane's sentinels keep the other two false.
+            fire = (
+                (busy <= self.static_xp)
+                | (self.acc_work - busy * self.acc_elapsed >= busy * self.lb_cost_est)
+                | (self.acc_idle >= self.lb_cost_est_p)
+            )
+            if has_init:
+                fire &= self.in_main
+            fired = np.flatnonzero(fire).tolist()
 
             # Init-distribution cells: balance every cycle until the
             # active fraction reaches the target (Section 7).
@@ -309,27 +330,9 @@ class MegaGridExecutor:
                 has_init = self._step_init_cells()
 
             for c in fired:
-                self._balance(int(c))
+                self._balance(c)
 
         return self.results
-
-    def _fired(
-        self, busy: np.ndarray, has_static: bool, has_dp: bool, has_dk: bool
-    ) -> np.ndarray:
-        """Indices of main-loop cells whose trigger fired this cycle."""
-        eligible = self.in_main
-        if not eligible.any():
-            return np.empty(0, dtype=np.int64)
-        fire = np.zeros(len(eligible), dtype=bool)
-        if has_static:
-            fire |= self.is_static & (busy <= self.static_xp)
-        if has_dp:
-            r1 = self.acc_work - busy * self.acc_elapsed
-            r2 = busy * self.lb_cost_est
-            fire |= self.is_dp & (r1 >= r2)
-        if has_dk:
-            fire |= self.is_dk & (self.acc_idle >= self.lb_cost_est_p)
-        return np.flatnonzero(fire & eligible)
 
     def _step_init_cells(self) -> bool:
         """Advance every cell still in its init-distribution phase.
@@ -350,7 +353,7 @@ class MegaGridExecutor:
                 self._reset_trigger_phase(c)
                 continue
             if self._balance(c):
-                self.n_init_lb[c] += 1
+                run.n_init_lb += 1
             any_left = True
         return any_left
 
@@ -368,10 +371,12 @@ class MegaGridExecutor:
     # -- per-cell slow paths ----------------------------------------------
 
     def _reset_trigger_phase(self, c: int) -> None:
-        """``Trigger.start_phase`` on the vectorized accumulators."""
-        self.acc_work[c] = 0.0
+        """``Trigger.start_phase`` on the vectorized accumulators; a lane
+        gets its sentinels back on the accumulators its kind does not own."""
+        run = self.runs[c]
+        self.acc_work[c] = run.acc_work0
         self.acc_elapsed[c] = 0.0
-        self.acc_idle[c] = 0.0
+        self.acc_idle[c] = run.acc_idle0
 
     def _balance(self, c: int) -> bool:
         """One LB phase on cell ``c``'s arena slice — the serial scheduler's
@@ -392,6 +397,7 @@ class MegaGridExecutor:
             return False
         matcher = run.matcher
         n_pes = run.plan.n_pes
+        multiple = run.plan.scheme.multiple_transfers
         rounds = 0
         transfers = 0
         max_rounds = _MAX_ROUNDS_FACTOR * n_pes
@@ -400,30 +406,34 @@ class MegaGridExecutor:
                 donors, receivers = matcher.pair(busy, idle)
                 if self.sanitize:
                     self._sanity_pairs(c, work, donors, receivers)
-                give = self.splitter.donation(work[donors], run.rng)
-                work[donors] -= give
-                work[receivers] += give
+                held = work[donors]
+                give = self.splitter.donation(held, run.rng)
+                work[donors] = held - give
+                # Receivers are idle: 0 + give is give.
+                work[receivers] = give
                 transfers += len(donors)
                 rounds += 1
-                if not run.plan.scheme.multiple_transfers or rounds >= max_rounds:
+                if not multiple or rounds >= max_rounds:
                     break
                 busy = (work >= 2).nonzero()[0]
                 idle = (work == 0).nonzero()[0]
                 if not len(busy) or not len(idle):
                     break
         key = (n_pes, rounds, matcher.setup_scans)
-        dt = self._phase_times.get(key)
-        if dt is None:
-            dt = self._phase_times[key] = self.cost.lb_phase_time(
+        times = self._phase_times.get(key)
+        if times is None:
+            dt = self.cost.lb_phase_time(
                 n_pes, transfer_rounds=rounds, setup_scans=matcher.setup_scans
             )
+            times = self._phase_times[key] = (dt, n_pes * dt)
+        dt, dt_p = times
         self.elapsed[c] += dt
-        self.t_lb[c] += n_pes * dt
-        self.n_lb[c] += 1
-        self.n_transfers[c] += transfers
+        self.t_lb[c] += dt_p
+        run.n_lb += 1
+        run.n_transfers += transfers
         # Trigger.notify_lb_cost + start_phase (static triggers ignore L).
         self.lb_cost_est[c] = dt
-        self.lb_cost_est_p[c] = dt * n_pes
+        self.lb_cost_est_p[c] = dt_p
         self._reset_trigger_phase(c)
         return True
 
@@ -441,9 +451,9 @@ class MegaGridExecutor:
             n_pes=run.plan.n_pes,
             total_work=int(self.arena.expanded()[c]),
             n_expand=self.cycles,
-            n_lb=int(self.n_lb[c]),
-            n_transfers=int(self.n_transfers[c]),
-            n_init_lb=int(self.n_init_lb[c]),
+            n_lb=run.n_lb,
+            n_transfers=run.n_transfers,
+            n_init_lb=run.n_init_lb,
             ledger=ledger,
         )
         if self.sanitize:

@@ -218,9 +218,7 @@ class RingBufferSink(EventSink):
 class JsonlSink(EventSink):
     """Stream every event to ``path`` as one JSON line; O(1) memory.
 
-    The file handle opens lazily on first emit and is dropped on pickle
-    (a copy reopens in append mode on the next emit), so a sink can be
-    shipped to another process before or after it starts writing.
+    The file handle opens lazily, in append mode, on the first emit.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -239,11 +237,6 @@ class JsonlSink(EventSink):
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_fh"] = None
-        return state
 
 
 def read_jsonl_events(path: str | Path) -> list[TraceEvent]:

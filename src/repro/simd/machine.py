@@ -78,6 +78,11 @@ class SimdMachine:
     n_lb_phases: int = 0
     n_transfers: int = 0
     sanitize: bool = False
+    #: lb_phase_time by (transfer rounds, setup scans): with ``n_pes``
+    #: and ``cost`` fixed, a phase's price depends on nothing else.
+    _phase_times: dict[tuple[int, int | None], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_pes, "n_pes")
@@ -122,9 +127,12 @@ class SimdMachine:
         phase contributes ``P * t_phase`` processor-seconds to ``T_lb``
         (Section 3.1: ``T_lb = t_lb * #phases * P``).
         """
-        dt = self.cost.lb_phase_time(
-            self.n_pes, transfer_rounds=transfer_rounds, setup_scans=setup_scans
-        )
+        key = (transfer_rounds, setup_scans)
+        dt = self._phase_times.get(key)
+        if dt is None:
+            dt = self._phase_times[key] = self.cost.lb_phase_time(
+                self.n_pes, transfer_rounds=transfer_rounds, setup_scans=setup_scans
+            )
         self.ledger.elapsed += dt
         self.ledger.t_lb += self.n_pes * dt
         self.n_lb_phases += 1

@@ -6,9 +6,9 @@ at a time (the serial path) pays the numpy dispatch overhead of every
 kernel call per cell per cycle; on small cells that overhead dwarfs the
 O(P) work.  :class:`MegaArena` packs all cells onto **one flat PE axis**
 — cell ``c`` owns rows ``offsets[c]:offsets[c+1]`` — so a single
-full-width ``expand_all`` call runs every cell's lock-step
-node-expansion cycle at once, and per-cell observables (expanding /
-busy / non-idle counts) come back as one segmented reduction each.
+full-width ``expand_cycle`` call runs every cell's lock-step
+node-expansion cycle at once and returns the per-cell expanding and
+busy counts, each one segmented reduction.
 
 This is the storage layer of the batched grid executor
 (:mod:`repro.experiments.batched`); the lock-step *semantics* — when a
@@ -23,7 +23,7 @@ cells finish at different cycles stops paying for the rows of the ones
 already done: every kernel call scans only the cells still running.
 
 Cross-cell isolation is structural: every write is either full-width
-elementwise (``where``-masked on each row's own state, so row ``i`` only
+elementwise (masked by each row's own state, so row ``i`` only
 ever depends on row ``i``) or goes through :meth:`cell`, a slice view
 bounded by the owning cell's offsets.  The fuzz suite locks this in by
 mutating single cells and asserting every other cell's bytes unchanged.
@@ -150,35 +150,31 @@ class MegaArena:
 
     # -- full-width kernels ----------------------------------------------
 
-    def expand_all(self) -> np.ndarray:  # repro: kernel
+    def expand_cycle(self) -> tuple[np.ndarray, np.ndarray]:  # repro: kernel
         """One lock-step node-expansion cycle for **every** cell at once.
 
         Full-width and unmasked across cells: each row with ``work > 0``
         expands exactly one node, exactly as
         ``DivisibleWorkload.expand_cycle`` does per cell — rows of
         finished cells are all zero and therefore self-masking.  Returns
-        the per-cell count of rows that expanded (cell ``c``'s
-        ``n_expanding`` for this cycle).
+        two per-cell vectors: the count of rows that expanded (cell
+        ``c``'s ``n_expanding`` for this cycle) and the count of busy
+        (splittable, ``work >= 2``) rows after the expansion.
         """
-        active = self.work > 0
-        counts = np.add.reduceat(active.astype(np.int64), self._starts)
-        np.subtract(self.work, 1, out=self.work, where=active)
+        work = self.work
+        active = work > 0
+        counts = np.add.reduceat(active, self._starts, dtype=np.int64)
+        # Subtracting the 0/1 mask decrements exactly the active rows.
+        np.subtract(work, active, out=work)
         self._expanded += counts
-        return counts
-
-    def busy_counts(self) -> np.ndarray:  # repro: kernel
-        """Per-cell count of busy (splittable, ``work >= 2``) PEs.
-
-        Full-width read-only reduction over the unmasked flat axis.
-        """
-        return np.add.reduceat((self.work > 1).astype(np.int64), self._starts)
+        return counts, np.add.reduceat(work > 1, self._starts, dtype=np.int64)
 
     def nonzero_counts(self) -> np.ndarray:  # repro: kernel
         """Per-cell count of non-idle (``work >= 1``) PEs.
 
         Full-width read-only reduction over the unmasked flat axis.
         """
-        return np.add.reduceat((self.work > 0).astype(np.int64), self._starts)
+        return np.add.reduceat(self.work > 0, self._starts, dtype=np.int64)
 
     def remaining(self) -> np.ndarray:  # repro: kernel
         """Per-cell unexpanded node totals (conservation observable)."""

@@ -8,17 +8,26 @@ schemes, with the runtime sanitizer asserting the lock-step invariants
 on the batched side as it goes.
 """
 
+import warnings
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PAPER_SCHEMES, Scheme, make_scheme
 from repro.core.matching import GPMatcher
+from repro.core.scheduler import Scheduler
 from repro.errors import ConfigError, ExecutorFallbackWarning
 from repro.experiments import runner as runner_mod
-from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
+from repro.experiments.batched import (
+    CellPlan,
+    MegaGridExecutor,
+    is_batchable,
+    run_batched_cells,
+)
 from repro.experiments.runner import (
     GRID_EXECUTORS,
     cell_seed,
@@ -28,6 +37,7 @@ from repro.experiments.runner import (
 )
 from repro.lint.runtime import SanitizerError
 from repro.obs import MetricsRegistry
+from repro.simd.cost import CostModel
 
 SCHEMES = list(PAPER_SCHEMES)
 WORKS = [400, 1700]
@@ -130,6 +140,79 @@ class TestNonDefaultGPAdvance:
         default = run_grid(list(GP_SPECS), WORKS, PES, base_seed=13, executor="serial")
         assert [r.metrics.n_transfers for r in bat] != [
             r.metrics.n_transfers for r in default
+        ]
+
+
+#: GP/nGP x S^x over the threshold's ends and middle, plus D_P and D_K.
+TRIGGER_SPECS = [
+    f"{m}-{t}"
+    for m in ("GP", "nGP")
+    for t in ("S0", "S0.3", "S0.75", "S1", "DP", "DK")
+]
+
+
+def _lb_attempt_cycles(monkeypatch):
+    """Spy on both loops: the cycles at which each cell asks for an LB
+    phase, keyed by grid index (the serial path runs cells in index
+    order, the batched one knows each cell's plan)."""
+    serial: list[list[int]] = []
+    batched: dict[int, list[int]] = {}
+    run, maybe_balance, balance = (
+        Scheduler.run, Scheduler._maybe_balance, MegaGridExecutor._balance
+    )
+
+    def scheduler_run(self):
+        serial.append([])
+        return run(self)
+
+    def scheduler_balance(self, matcher, trigger):
+        serial[-1].append(self.machine.n_cycles)
+        return maybe_balance(self, matcher, trigger)
+
+    def executor_balance(self, c):
+        batched.setdefault(self.runs[c].plan.index, []).append(self.cycles)
+        return balance(self, c)
+
+    monkeypatch.setattr(Scheduler, "run", scheduler_run)
+    monkeypatch.setattr(Scheduler, "_maybe_balance", scheduler_balance)
+    monkeypatch.setattr(MegaGridExecutor, "_balance", executor_balance)
+    return serial, batched
+
+
+class TestTriggerLanes:
+    """Every lane carries all three trigger kinds behind sentinels; the
+    fire expression must decide exactly what each cell's serial trigger
+    decides, over grids that mix the kinds in one arena."""
+
+    @given(
+        schemes=st.lists(st.sampled_from(TRIGGER_SPECS), min_size=1, max_size=4, unique=True),
+        works=st.lists(st.sampled_from([1, 2, 3, 40, 150, 600]), min_size=1, max_size=2, unique=True),
+        pes=st.lists(st.sampled_from([1, 2, 8, 32]), min_size=1, max_size=2, unique=True),
+        init_threshold=st.sampled_from([None, 0.5, 0.85]),
+        lb_multiplier=st.sampled_from([1.0, 12.0]),
+        base_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_grids_match_serial(
+        self, schemes, works, pes, init_threshold, lb_multiplier, base_seed
+    ):
+        """Records alone miss a sentinel that fires a cell with no busy
+        PE (the phase is skipped and nothing is charged), so the cycles
+        of every LB attempt are compared too.  ``P = 1``, ``W <= 3`` and
+        two schemes at one (W, P) give cells that end on the same cycle."""
+        with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 0 * inf sentinel would warn
+            serial_attempts, batched_attempts = _lb_attempt_cycles(monkeypatch)
+            kwargs = dict(
+                base_seed=base_seed,
+                init_threshold=init_threshold,
+                cost_model=CostModel().with_lb_multiplier(lb_multiplier),
+            )
+            ser = run_grid(schemes, works, pes, executor="serial", **kwargs)
+            bat = run_grid(schemes, works, pes, n_jobs=1, sanitize=True, **kwargs)
+        assert bat == ser
+        assert serial_attempts == [
+            batched_attempts.get(i, []) for i in range(len(ser))
         ]
 
 

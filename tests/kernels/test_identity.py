@@ -122,18 +122,21 @@ class TestSearchTierIdentity:
 
 
 def _borrowed(method):
-    """Wrap a ``MegaArena`` reduction so every call on an arena returns
-    the same buffer, overwritten in place.  The buffer is reallocated
-    only when the cell count changes (finished cells leave the arena)."""
+    """Wrap a ``MegaArena`` kernel so every call on an arena returns the
+    same buffers, overwritten in place: one per returned vector (the
+    fused ``expand_cycle`` returns two).  A buffer is reallocated only
+    when the cell count changes (finished cells leave the arena)."""
 
     def reduction(self):
         fresh = method(self)
+        vectors = fresh if isinstance(fresh, tuple) else (fresh,)
         key = f"_borrowed_{method.__name__}"
-        buf = self.__dict__.get(key)
-        if buf is None or buf.shape != fresh.shape:
-            buf = self.__dict__[key] = np.empty_like(fresh)
-        buf[...] = fresh
-        return buf
+        bufs = self.__dict__.get(key)
+        if bufs is None or bufs[0].shape != vectors[0].shape:
+            bufs = self.__dict__[key] = [np.empty_like(v) for v in vectors]
+        for buf, v in zip(bufs, vectors):
+            buf[...] = v
+        return tuple(bufs) if isinstance(fresh, tuple) else bufs[0]
 
     return reduction
 
@@ -141,12 +144,12 @@ def _borrowed(method):
 class TestMegaGridTierIdentity:
     @pytest.mark.parametrize("tier", TIERS)
     def test_batched_grid_matches_serial_oracle(self, tier, monkeypatch):
-        schemes = ["GP-S0.90", "nGP-DK"]
+        schemes = ["GP-S0.90", "nGP-DK", "GP-DP"]
         works = [2_000, 5_000]
         pes = [32]
         serial = run_grid(schemes, works, pes, executor="serial")
         if tier == "fused":
-            for name in ("expand_all", "busy_counts", "nonzero_counts"):
+            for name in ("expand_cycle", "nonzero_counts"):
                 monkeypatch.setattr(MegaArena, name, _borrowed(getattr(MegaArena, name)))
         batched = run_grid(schemes, works, pes, n_jobs=1)
         assert serial == batched

@@ -1,7 +1,5 @@
 """Typed trace events and the two bounded sinks."""
 
-import pickle
-
 import pytest
 
 from repro.obs.events import (
@@ -129,18 +127,6 @@ class TestJsonlSink:
         # A new event kind has to add its line here.
         registered = {k for k in _EVENT_TYPES if not k.startswith("test-")}
         assert {json.loads(line)["kind"] for line in golden.splitlines()} == registered
-
-    def test_picklable_mid_stream(self, tmp_path):
-        """Checkpointed runs can carry a streaming sink: the live file
-        handle is dropped on pickle and reopens on the next emit."""
-        path = tmp_path / "events.jsonl"
-        sink = JsonlSink(path)
-        sink.emit(ALL_EVENTS[0])
-        clone = pickle.loads(pickle.dumps(sink))
-        sink.close()
-        clone.emit(ALL_EVENTS[1])
-        clone.close()
-        assert read_jsonl_events(path) == ALL_EVENTS[:2]
 
 
 class TestRegisterEventType:

@@ -58,10 +58,17 @@ class TestPacking:
         arena, pes, roots = _random_arena(rng, n_cells, max_p, max_w)
         for _ in range(cycles):
             before = arena.remaining()
-            counts = arena.expand_all()
+            rows = arena.unpack()
+            counts, busy = arena.expand_cycle()
             assert np.all(counts >= 0) and np.all(counts <= pes)
             assert np.array_equal(arena.remaining(), before - counts)
             assert arena.check_conservation(roots)
+            # The fused counts are the per-cell ones, taken before and
+            # after the decrement, and each row lost at most one node.
+            for c, (row, after) in enumerate(zip(rows, arena.unpack())):
+                assert counts[c] == np.count_nonzero(row)
+                assert busy[c] == np.count_nonzero(after >= 2)
+                assert np.array_equal(after, np.maximum(row - 1, 0))
             # interleave a random intra-cell transfer (donor -> idle PE)
             c = int(rng.integers(0, n_cells))
             vec = arena.cell(c)
@@ -101,18 +108,17 @@ class TestPacking:
         drained = int(rng.integers(0, n_cells))
         arena.cell(drained)[:] = 0
         expanded_before = arena.expanded()[drained]
-        counts = arena.expand_all()
-        assert counts[drained] == 0
+        counts, busy = arena.expand_cycle()
+        assert counts[drained] == 0 and busy[drained] == 0
         assert arena.expanded()[drained] == expanded_before
         assert np.all(arena.cell(drained) == 0)
-        assert arena.busy_counts()[drained] == 0
         assert arena.nonzero_counts()[drained] == 0
 
 
 class TestKeep:
     def test_keep_drops_cells_in_order(self):
         arena = MegaArena([2, 3, 1], roots=[5, 7, 4])
-        arena.expand_all()
+        arena.expand_cycle()
         arena.cell(1)[2] = 3  # a donation inside cell 1
         arena.cell(1)[0] -= 3
         arena.keep([True, False, True])
@@ -120,12 +126,14 @@ class TestKeep:
         assert list(arena.offsets) == [0, 2, 3]
         assert arena.work.tolist() == [4, 0, 3]
         assert arena.expanded().tolist() == [1, 1]
-        assert arena.busy_counts().tolist() == [1, 1]
+        assert arena.nonzero_counts().tolist() == [1, 1]
         assert arena.check_conservation([5, 4])
+        counts, busy = arena.expand_cycle()
+        assert counts.tolist() == [1, 1] and busy.tolist() == [1, 1]
 
     def test_keep_everything_is_a_no_op(self):
         arena = MegaArena([3, 2], roots=[4, 9])
-        arena.expand_all()
+        arena.expand_cycle()
         before = arena.work.copy(), arena.expanded(), arena.offsets.copy()
         arena.keep([True, True])
         after = arena.work, arena.expanded(), arena.offsets
@@ -163,7 +171,7 @@ class TestKeep:
         ids = np.arange(n_cells)  # original cell id of each arena cell
         roots = np.asarray(roots)
         for _ in range(cycles):
-            arena.expand_all()
+            arena.expand_cycle()
             keep = rng.random(arena.n_cells) < 0.7
             if not keep.any():
                 keep[int(rng.integers(0, arena.n_cells))] = True
