@@ -15,7 +15,8 @@ busy enumeration *starts*:
 
 There is one pairing implementation, :meth:`Matcher.pair`, on the index
 arrays of the busy and idle sets (the PE indices a sum-scan enumerates, in
-rank order).  :meth:`Matcher.match` is the validated mask form around it.
+rank order); the scheduler and the batched grid call it directly.
+:meth:`Matcher.match` is the validated mask form around it.
 Figure 2's worked example is reproduced verbatim in the test suite.
 """
 
@@ -104,7 +105,14 @@ class Matcher:
         return self._pair(busy_idx, self._start(busy_idx), idle_idx)
 
     def match(self, busy: np.ndarray, idle: np.ndarray) -> MatchResult:
-        """:meth:`pair` on validated ``busy`` / ``idle`` masks."""
+        """:meth:`pair` on validated ``busy`` / ``idle`` masks.
+
+        The public, checked entry point.  The
+        :class:`~repro.core.scheduler.Scheduler` and the batched grid
+        executor pair through :meth:`pair` on index arrays instead, and
+        make these checks only in sanitize mode
+        (:meth:`~repro.lint.runtime.SchedulerSanitizer.check_pairs`).
+        """
         busy = np.asarray(busy, dtype=bool)
         idle = np.asarray(idle, dtype=bool)
         if busy.shape != idle.shape or busy.ndim != 1:

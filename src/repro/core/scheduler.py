@@ -16,17 +16,19 @@ The paper's rule "after each load balancing phase, at least one node
 expansion cycle is completed before the triggering condition is tested
 again" falls out of the loop structure.
 
-One cycle reads the workload masks several times — the trigger state
-needs the busy count, the sanitizer all three masks, and an LB phase the
-busy/idle pair per transfer round.  The workloads memoize one counts
-snapshot per mutation (see ``DivisibleWorkload``/``StackWorkload``
-``invalidate_masks``), so those reads collapse to a single O(P) pass per
-cycle plus one per transfer round instead of 3-6 full recomputations.
+A cycle reads one workload mask, the busy count, unless it balances or
+runs sanitized.  An LB phase pairs the busy and idle PE index arrays
+through :meth:`~repro.core.matching.Matcher.pair` each transfer round —
+the same path the batched grid executor takes; the mask checks that
+:meth:`~repro.core.matching.Matcher.match` would make run in sanitize
+mode only (:meth:`~repro.lint.runtime.SchedulerSanitizer.check_pairs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.config import Scheme, make_scheme
 from repro.core.interfaces import Workload
@@ -110,6 +112,9 @@ class Scheduler:
                 f"init_threshold must be in (0, 1], got {self.init_threshold}"
             )
         self._n_init_lb = 0
+        #: ``lb.transfers_per_phase`` / ``lb.rounds_per_phase`` on
+        #: ``obs.metrics``, looked up at the run's first LB phase.
+        self._lb_histograms = None
 
     # ------------------------------------------------------------------ #
 
@@ -169,7 +174,7 @@ class Scheduler:
     def _expand_and_observe(self) -> TriggerState:
         expanding = self.workload.expand_cycle()
         dt = self.machine.charge_expansion_cycle(expanding)
-        busy = int(self.workload.busy_mask().sum())
+        busy = int(np.count_nonzero(self.workload.busy_mask()))
         return TriggerState(
             busy=busy, expanding=expanding, n_pes=self.machine.n_pes, dt=dt
         )
@@ -199,39 +204,36 @@ class Scheduler:
         """
         scheme = self.scheme
         assert isinstance(scheme, Scheme)
-        busy = self.workload.busy_mask()
-        idle = self.workload.idle_mask()
-        if not busy.any() or not idle.any():
+        workload = self.workload
+        busy_mask, idle_mask = workload.busy_mask(), workload.idle_mask()
+        busy, idle = busy_mask.nonzero()[0], idle_mask.nonzero()[0]
+        if not len(busy) or not len(idle):
             trigger.start_phase()
             return False
 
         sanitizer = self._sanitizer
         rounds = 0
         transfers = 0
-        idle_count = int(idle.sum()) if sanitizer is not None else 0
         max_rounds = _MAX_ROUNDS_FACTOR * self.machine.n_pes
         # The first round's busy/idle test is the one just above.
         while rounds < max_rounds:
-            if sanitizer is not None:
-                sanitizer.check_pointer(matcher)
             with span("lb.match"):
-                result = matcher.match(busy, idle)
-            if len(result) == 0:
-                break
+                donors, receivers = matcher.pair(busy, idle)
+            if sanitizer is not None:
+                sanitizer.check_pairs(busy_mask, idle_mask, donors, receivers)
+                sanitizer.check_pointer(matcher)
             with span("lb.transfer"):
-                performed = self.workload.transfer(result.donors, result.receivers)
+                performed = workload.transfer(donors, receivers)
             transfers += performed
             rounds += 1
-            if sanitizer is not None:
-                sanitizer.check_pointer(matcher)
-                idle_after = int(self.workload.idle_mask().sum())
-                sanitizer.check_round_progress(idle_count, idle_after, performed)
-                idle_count = idle_after
-            if not scheme.multiple_transfers:
+            if not scheme.multiple_transfers and sanitizer is None:
                 break
-            busy = self.workload.busy_mask()
-            idle = self.workload.idle_mask()
-            if not busy.any() or not idle.any():
+            idle_before = len(idle)
+            busy_mask, idle_mask = workload.busy_mask(), workload.idle_mask()
+            busy, idle = busy_mask.nonzero()[0], idle_mask.nonzero()[0]
+            if sanitizer is not None:
+                sanitizer.check_round_progress(idle_before, len(idle), performed)
+            if not scheme.multiple_transfers or not len(busy) or not len(idle):
                 break
 
         dt = self.machine.charge_lb_phase(
@@ -250,8 +252,14 @@ class Scheduler:
                 )
             )
             if obs.metrics is not None:
-                obs.metrics.histogram("lb.transfers_per_phase").observe(transfers)
-                obs.metrics.histogram("lb.rounds_per_phase").observe(rounds)
+                histograms = self._lb_histograms
+                if histograms is None:
+                    histograms = self._lb_histograms = (
+                        obs.metrics.histogram("lb.transfers_per_phase"),
+                        obs.metrics.histogram("lb.rounds_per_phase"),
+                    )
+                histograms[0].observe(transfers)
+                histograms[1].observe(rounds)
         trigger.notify_lb_cost(dt)
         trigger.start_phase()
         return True
@@ -268,7 +276,7 @@ class Scheduler:
             self._record_cycle(state, trigger)
             if self.workload.done():
                 break
-            non_idle = self.machine.n_pes - int(self.workload.idle_mask().sum())
+            non_idle = self.machine.n_pes - int(np.count_nonzero(self.workload.idle_mask()))
             if non_idle >= target:
                 break
             if self._maybe_balance(matcher, trigger):

@@ -483,23 +483,14 @@ class MegaGridExecutor:
     ) -> None:
         """What ``Matcher.match`` would validate, on one round of ``pair``:
         busy donors, idle receivers, no PE twice, a GP pointer in range."""
-        from repro.lint.runtime import SchedulerSanitizer, require
+        from repro.lint.runtime import SchedulerSanitizer
 
-        index = self.runs[c].plan.index
-        require(
-            len(donors) == len(receivers) > 0
-            and bool((work[donors] >= 2).all())
-            and bool((work[receivers] == 0).all()),
-            "lb-pairing",
-            f"cell {index}: a matched donor is not busy or a receiver not idle",
+        sanitizer = SchedulerSanitizer(len(work))
+        sanitizer.check_pairs(
+            work >= 2, work == 0, donors, receivers,
+            where=f"cell {self.runs[c].plan.index}: ",
         )
-        require(
-            len(np.unique(donors)) == len(donors)
-            and len(np.unique(receivers)) == len(receivers),
-            "lb-pairing",
-            f"cell {index}: a PE appears twice in one transfer round",
-        )
-        SchedulerSanitizer(len(work)).check_pointer(self.runs[c].matcher)
+        sanitizer.check_pointer(self.runs[c].matcher)
 
     def _sanity_finalize(self, c: int, metrics: RunMetrics) -> None:
         from repro.lint.runtime import require

@@ -8,6 +8,10 @@ invariants on every cycle:
 
 - busy and idle masks are disjoint, and together with the expanding
   mask cover every PE (Section 2's busy / idle / singleton taxonomy);
+- every LB transfer round pairs busy donors with idle receivers, from
+  disjoint busy and idle sets, with no PE twice (what
+  ``Matcher.match`` validates; the ``Scheduler`` pairs through
+  ``Matcher.pair``, which does not);
 - every LB transfer round strictly decreases the idle count, by exactly
   the number of performed transfers;
 - the GP global pointer stays in ``[0, P)`` whenever it is set;
@@ -78,6 +82,29 @@ class SchedulerSanitizer:
             not bool((busy & ~expanding).any()),
             "busy-expands",
             "a busy PE (>=2 nodes) is not expanding",
+        )
+
+    def check_pairs(self, busy, idle, donors, receivers, where: str = "") -> None:
+        """One transfer round's pairs: disjoint busy/idle masks, busy
+        donors, idle receivers, no PE twice.  ``where`` prefixes the
+        message (the batched executor names the cell)."""
+        require(
+            not bool((busy & idle).any()),
+            "lb-pairing",
+            f"{where}a PE is both busy and idle at a transfer round",
+        )
+        require(
+            len(donors) == len(receivers) > 0
+            and bool(busy[donors].all())
+            and bool(idle[receivers].all()),
+            "lb-pairing",
+            f"{where}a matched donor is not busy or a receiver not idle",
+        )
+        require(
+            len(set(donors.tolist())) == len(donors)
+            and len(set(receivers.tolist())) == len(receivers),
+            "lb-pairing",
+            f"{where}a PE appears twice in one transfer round",
         )
 
     def check_pointer(self, matcher) -> None:

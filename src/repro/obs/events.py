@@ -15,7 +15,13 @@ implementations bound memory explicitly —
   for post-hoc Figure-8-style reconstruction of arbitrarily long runs.
 
 Events are plain frozen dataclasses; ``to_dict()`` gives the stable JSON
-schema documented in ``docs/observability.md``.  Emission is strictly
+schema documented in ``docs/observability.md``, and ``to_jsonl()`` its
+compact line.  Each event class writes that line through one template
+built from its fields (:func:`_line_encoder`): ints and finite floats
+print as ``json`` prints them, strings go through ``json``'s own ASCII
+escaper, and any other value — a bool, a numpy scalar, a non-finite
+float — falls back to ``json.dumps``, so a line is byte for byte what
+``json.dumps(e.to_dict(), separators=(",", ":"))`` writes.  Emission is strictly
 observational: no sink ever touches workload state, machine ledgers or
 RNG streams, so a traced run is bit-identical to an untraced one (the
 purity suite asserts this).
@@ -25,9 +31,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 __all__ = [
     "TraceEvent",
@@ -74,7 +82,52 @@ class TraceEvent:
 
     def to_jsonl(self) -> str:
         """The event as its one compact line of a JSONL stream."""
-        return json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
+        cls = type(self)
+        encode = _LINE_ENCODERS.get(cls)
+        if encode is None:
+            encode = _LINE_ENCODERS[cls] = _line_encoder(cls)
+        return encode(self)
+
+
+def _json_line(event: TraceEvent) -> str:
+    return json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
+
+
+def _line_encoder(cls: type[TraceEvent]) -> Callable[[TraceEvent], str]:
+    """``cls``'s line writer: one ``%`` template over its fields.
+
+    ``%s`` prints an ``int`` by ``int.__repr__`` and a ``float`` by
+    ``float.__repr__`` — what ``json`` writes for them when the float is
+    finite — and a ``str`` field is pre-escaped by
+    ``encode_basestring_ascii``, ``json.dumps``'s own escaper.  A value
+    of any other exact type (a bool, a numpy scalar) or a non-finite
+    float goes to ``json.dumps`` whole.
+    """
+    names = tuple(f.name for f in fields(cls))
+    template = "{" + ",".join(
+        encode_basestring_ascii(key).replace("%", "%%") + ":%s"
+        for key in ("kind", *names)
+    ) + "}\n"
+    kind = encode_basestring_ascii(cls.kind)
+    get = attrgetter(*names) if len(names) > 1 else lambda e: (getattr(e, names[0]),)
+
+    def encode(event: TraceEvent) -> str:
+        out = [kind]
+        for value in get(event):
+            t = type(value)
+            if t is int or (t is float and value - value == 0.0):
+                out.append(value)
+            elif t is str:
+                out.append(encode_basestring_ascii(value))
+            else:
+                return _json_line(event)
+        return template % tuple(out)
+
+    return encode
+
+
+#: One line encoder per event class, built on its first ``to_jsonl``.
+_LINE_ENCODERS: dict[type, Callable[[TraceEvent], str]] = {}
 
 
 @dataclass(frozen=True)
@@ -218,7 +271,8 @@ class RingBufferSink(EventSink):
 class JsonlSink(EventSink):
     """Stream every event to ``path`` as one JSON line; O(1) memory.
 
-    The file handle opens lazily, in append mode, on the first emit.
+    The file handle opens lazily, in append mode, on the first emit; the
+    parent directory is made only when it is missing.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -228,8 +282,11 @@ class JsonlSink(EventSink):
 
     def emit(self, event: TraceEvent) -> None:
         if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
+            try:
+                self._fh = self.path.open("a", encoding="utf-8")
+            except FileNotFoundError:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self.path.open("a", encoding="utf-8")
         self._fh.write(event.to_jsonl())
         self.n_emitted += 1
 

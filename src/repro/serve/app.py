@@ -42,6 +42,12 @@ A body the handler will not read — a ``Content-Length`` that is not a
 non-negative integer or exceeds :data:`MAX_BODY_BYTES`, or a
 ``Transfer-Encoding`` — is refused with a 400 that closes the
 connection: left unread, its bytes would be parsed as the next request.
+
+No read waits longer than :data:`READ_TIMEOUT_S`: a stalled head, a
+stalled body and an idle keep-alive connection all close the connection
+and end its handler thread.  That, and a client that resets its
+connection, ends quietly — no traceback on stderr — and counts in
+``serve.http.dropped{reason=timeout|reset}``.
 """
 
 from __future__ import annotations
@@ -61,6 +67,16 @@ __all__ = ["create_server", "serve_forever"]
 #: Largest accepted request body; a grid submission is a few hundred
 #: bytes, so anything near this is abuse, not a client.
 MAX_BODY_BYTES = 1 << 20
+
+#: The longest one read of a connection may wait, in seconds: for a
+#: request head, a body, or the next request on a kept-alive connection.
+#: Set above the longest gap a client of the end-to-end benchmark leaves:
+#: its control connection reads ``/metrics`` before and after the whole
+#: measured loop and idles in between, ``--seconds`` plus one round
+#: (10.04 s at the contract's 10 s; every loop client's gap was under
+#: 30 ms).  No run of that harness may last longer than 180 s, so no
+#: gap can either.
+READ_TIMEOUT_S = 180.0
 
 #: The stdlib's limits on a request head: the longest line, and the
 #: most header lines.
@@ -118,10 +134,43 @@ class _Handler(BaseHTTPRequestHandler):
     #: racing refresh writes the same string.
     _date_line = (0, "")
 
+    # ``StreamRequestHandler.setup`` puts it on the socket; read per
+    # connection, so the module constant is the one place to set it.
+    timeout = property(lambda self: READ_TIMEOUT_S)
+
     # The default handler logs every request to stderr; the service has
     # metrics for that.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass
+
+    def handle_one_request(self) -> None:
+        """Serve one request off the connection, as the stdlib does; a
+        read past the deadline or a reset connection closes it quietly
+        and counts in ``serve.http.dropped``."""
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(self.raw_requestline) > MAX_LINE_BYTES:
+                self.requestline = self.request_version = self.command = ""
+                self.send_error(414)
+                return
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if not self.parse_request():
+                return
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                self.send_error(501, f"Unsupported method ({self.command!r})")
+                return
+            method()
+            return
+        except TimeoutError:
+            reason = "timeout"
+        except ConnectionError:
+            reason = "reset"
+        self.close_connection = True
+        service: ExperimentService = self.server.service  # type: ignore[attr-defined]
+        service._count("serve.http.dropped", {"reason": reason})
 
     def parse_request(self) -> bool:
         """Read the request line and headers; on a defect send the

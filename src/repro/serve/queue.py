@@ -21,7 +21,7 @@ the job (``status="failed"``), and the HTTP layer serves them from
 
 Memory is bounded too: the registry keeps the :data:`MAX_SETTLED_JOBS`
 most recently settled jobs.  Beyond that the oldest settled job is
-forgotten together with its artifact directory, and its id answers the
+forgotten together with its event file, and its id answers the
 same typed 404 as one that never existed.  Queued and running jobs are
 never evicted.
 """
@@ -29,7 +29,6 @@ never evicted.
 from __future__ import annotations
 
 import itertools
-import shutil
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -63,9 +62,10 @@ class Job:
     satisfied.  ``cache_hit`` is true only for the *whole-job* hit —
     every cell served from the store, nothing queued.
 
-    A job that owns artifacts has ``events_path`` set, inside the
-    ``jobs/<id>/`` directory its creator made for it; a whole-job hit
-    owns none and keeps its lifecycle events in ``events``.
+    A job that owns an artifact has ``events_path`` set: the
+    ``jobs/<id>.jsonl`` file its creator made for it, its one artifact;
+    a whole-job hit owns none and keeps its lifecycle events in
+    ``events``.
     """
 
     id: str
@@ -88,9 +88,9 @@ class Job:
         return next(self._seq)
 
     def discard(self) -> None:
-        """Remove the artifact directory this job owns, if it owns one."""
+        """Remove the event file this job owns, if it owns one."""
         if self.events_path is not None:
-            shutil.rmtree(self.events_path.parent, ignore_errors=True)
+            self.events_path.unlink(missing_ok=True)
 
     def view(self) -> dict:
         """The job as its stable JSON response shape."""

@@ -228,8 +228,8 @@ class ExperimentService:
     """Submit experiments, cache by content address, serve records.
 
     ``root`` holds everything the service persists: the shared record
-    store under ``root/cells`` and each queued job's event stream under
-    ``root/jobs/<job-id>``.  Several service
+    store under ``root/cells`` and each queued job's event stream in
+    ``root/jobs/<job-id>.jsonl``.  Several service
     processes may share one ``root`` — the store is concurrency-safe by
     construction.
 
@@ -319,36 +319,47 @@ class ExperimentService:
 
     # -- job plumbing ------------------------------------------------------
 
-    def _new_job(self, kind: str, request: dict, keys: list[str]) -> Job:
-        """A job whose artifact directory this call created.
+    def _new_job(
+        self, kind: str, request: dict, keys: list[str], queued: str = ""
+    ) -> Job:
+        """A job owning the event file this call created, its
+        ``queued`` event (``queued`` is the detail) already in it.
 
         Ids restart with the service and other service processes may
-        share ``root``, so an id is taken only once ``mkdir`` proves
-        nobody — an earlier incarnation or a concurrent one — owns
-        ``jobs/<id>``: a job never appends to another job's event
-        stream.
+        share ``root``, so an id is taken only once an exclusive create
+        (``O_CREAT | O_EXCL``) proves nobody — an earlier incarnation or
+        a concurrent one — owns ``jobs/<id>.jsonl``: a job never appends
+        to another job's event stream.  The event is written *before*
+        the pool can start the job, so from here on one writer at a time
+        owns the stream (no interleaved appends).
         """
         while True:
             job_id = self.queue.new_id()
-            job_dir = self.jobs_dir / job_id
+            path = self.jobs_dir / f"{job_id}.jsonl"
             try:
-                job_dir.mkdir()
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             except FileExistsError:
                 continue
-            return Job(
+            job = Job(
                 id=job_id,
                 kind=kind,
                 request=request,
                 keys=keys,
                 n_cells=len(keys),
-                events_path=job_dir / "events.jsonl",
+                events_path=path,
             )
+            event = JobEvent(cycle=job.next_seq(), status="queued", detail=queued)
+            try:
+                os.write(fd, event.to_jsonl().encode("utf-8"))
+            finally:
+                os.close(fd)
+            return job
 
     def _hit(self, kind: str, request: dict, keys: list[str], detail: str) -> Job:
         """A whole-job hit: settled on arrival, nothing queued, nothing
-        on disk — no ``jobs/<id>/``, so its id needs no ``mkdir`` proof
-        (ids are unique within the process, and only a job that owns a
-        directory ever writes or removes one)."""
+        on disk — no ``jobs/<id>.jsonl``, so its id needs no exclusive
+        create (ids are unique within the process, and only a job that
+        owns an event file ever writes or removes one)."""
         n = len(keys)
         job = Job(
             id=self.queue.new_id(),
@@ -401,10 +412,6 @@ class ExperimentService:
             )
         else:
             job = self._new_job("solve", request.to_dict(), [key])
-            # The "queued" event is written *before* the pool can start
-            # the job, so the worker is the only writer of the stream
-            # from here on (no interleaved appends).
-            self._emit(job, "queued")
             self._submit(job, self._run_solve)
             self._count("serve.cache", {"result": "miss"})
         return job.view()
@@ -433,11 +440,13 @@ class ExperimentService:
                 "grid", request.to_dict(), keys, f"all {hits} cells served from store"
             )
         else:
-            job = self._new_job("grid", request.to_dict(), keys)
-            job.cached_cells = hits
-            self._emit(
-                job, "queued", f"{hits} of {len(keys)} cells already cached"
+            job = self._new_job(
+                "grid",
+                request.to_dict(),
+                keys,
+                f"{hits} of {len(keys)} cells already cached",
             )
+            job.cached_cells = hits
             self._submit(job, self._run_grid)
             if hits:
                 self._count("serve.cache", {"result": "hit"}, hits)
@@ -478,7 +487,7 @@ class ExperimentService:
         try:
             return job.events_path.read_text()
         except FileNotFoundError:
-            # Evicted, directory and all, since the look-up above.
+            # Evicted since the look-up above.
             raise JobNotFoundError(f"unknown job id {job_id!r}") from None
 
     def record(self, key: str) -> dict:

@@ -11,11 +11,11 @@ Everything is vectorized: a cycle is O(P) numpy work, and a full
 paper-scale run (P = 8192, W = 1.6e7, ~3000 cycles) takes well under a
 second.
 
-The busy/idle/expanding masks are cached between mutations: one scheduler
-cycle reads them up to six times (trigger state, sanitizer, matcher), and
-each used to pay a fresh O(P) comparison.  Code that writes ``work``
-directly (tests, profiles) must call :meth:`DivisibleWorkload.invalidate_masks`
-before re-reading masks it has already read.
+Nothing is cached between mutations: a mask is one comparison over
+``work``, cheaper than the dictionary that used to memoise it, and a
+scheduler cycle reads one (the busy count) unless it balances.  Code may
+write ``work`` directly; :meth:`DivisibleWorkload.invalidate_masks` is
+the protocol's no-op here.
 """
 
 from __future__ import annotations
@@ -72,45 +72,29 @@ class DivisibleWorkload:
         else:
             raise ValueError(f"initial must be 'root' or 'uniform', got {initial!r}")
         self._expanded = 0
-        self._mask_cache: dict[str, np.ndarray] = {}
 
     # -- Workload protocol ------------------------------------------------
 
     def invalidate_masks(self) -> None:
-        """Drop cached masks after writing ``work`` directly."""
-        self._mask_cache.clear()
-
-    def _mask(self, kind: str) -> np.ndarray:
-        mask = self._mask_cache.get(kind)
-        if mask is None:
-            if kind == "expanding":
-                mask = self.work > 0
-            elif kind == "busy":
-                mask = self.work >= 2
-            else:
-                mask = self.work == 0
-            self._mask_cache[kind] = mask
-        return mask
+        """Nothing to drop: every mask is computed on read."""
 
     def expanding_mask(self) -> np.ndarray:
         """PEs holding at least one node expand every cycle."""
-        return self._mask("expanding")
+        return self.work > 0
 
     def busy_mask(self) -> np.ndarray:
         """PEs with >= 2 nodes can split (Section 2's busy definition)."""
-        return self._mask("busy")
+        return self.work >= 2
 
     def idle_mask(self) -> np.ndarray:
         """PEs with no work receive during LB phases."""
-        return self._mask("idle")
+        return self.work == 0
 
     def expand_cycle(self) -> int:
-        active = self._mask("expanding")
-        n = int(active.sum())
-        self._mask_cache = {}
-        if n:
-            np.subtract(self.work, 1, out=self.work, where=active)
-            self._expanded += n
+        active = self.work > 0
+        n = int(np.count_nonzero(active))
+        self.work -= active
+        self._expanded += n
         return n
 
     def transfer(self, donors: np.ndarray, receivers: np.ndarray) -> int:
@@ -118,21 +102,19 @@ class DivisibleWorkload:
         receivers = np.asarray(receivers, dtype=np.int64)
         if donors.shape != receivers.shape:
             raise ValueError("donors and receivers must pair one-to-one")
+        work = self.work
+        held = work[donors]
+        # Matching pairs busy donors with idle receivers and nothing
+        # expands in between, so this only guards against caller misuse.
+        valid = held >= 2
+        if not valid.all():
+            donors, receivers, held = donors[valid], receivers[valid], held[valid]
         if len(donors) == 0:
             return 0
-        self._mask_cache = {}
-        # Matching guarantees donors were busy and receivers idle when the
-        # masks were read; nothing expands between matching and transfer,
-        # so this only guards against caller misuse.
-        valid = self.work[donors] >= 2
-        donors = donors[valid]
-        receivers = receivers[valid]
-        if len(donors) == 0:
-            return 0
-        give = self.splitter.donation(self.work[donors], self.rng)
-        self.work[donors] -= give
-        self.work[receivers] += give
-        return int(len(donors))
+        give = self.splitter.donation(held, self.rng)
+        work[donors] = held - give
+        work[receivers] += give
+        return len(donors)
 
     def done(self) -> bool:
         return self._expanded >= self.total_work

@@ -72,7 +72,58 @@ class _PointerCorruptingWorkload:
         return getattr(self.inner, name)
 
 
+class _OverlapAfterTransferWorkload:
+    """Seeded mutant: after each transfer round, and until the next
+    expansion cycle, the workload reports its first idle PE as busy too.
+
+    The lie never reaches the per-cycle mask check and leaves the idle
+    count honest, so only the LB round's pair check can see it — the
+    check ``Matcher.match`` made before the ``Scheduler`` paired through
+    ``Matcher.pair``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lies = 0
+        self._lying = False
+
+    def expand_cycle(self):
+        self._lying = False
+        return self.inner.expand_cycle()
+
+    def transfer(self, donors, receivers):
+        performed = self.inner.transfer(donors, receivers)
+        self._lying = True
+        return performed
+
+    def busy_mask(self):
+        busy = self.inner.busy_mask().copy()
+        idle = self.inner.idle_mask()
+        if self._lying and idle.any():
+            busy[idle.argmax()] = True
+            self.lies += 1
+        return busy
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class TestFaultInjection:
+    def test_pe_both_busy_and_idle_is_caught_at_the_lb_round(self):
+        workload = _OverlapAfterTransferWorkload(DivisibleWorkload(5000, 16, rng=0))
+        scheduler = Scheduler(
+            workload, SimdMachine(16), "GP-DP", init_threshold=0.85, sanitize=True
+        )
+        with pytest.raises(SanitizerError) as excinfo:
+            scheduler.run()
+        assert excinfo.value.invariant == "lb-pairing"
+        assert workload.lies >= 1
+
+    def test_the_overlap_mutant_runs_unchecked_without_sanitize(self):
+        workload = _OverlapAfterTransferWorkload(DivisibleWorkload(5000, 16, rng=0))
+        scheduler = Scheduler(workload, SimdMachine(16), "GP-DP", init_threshold=0.85)
+        assert scheduler.run().total_work == 5000
+        assert workload.lies >= 1
+
     def test_corrupted_gp_pointer_is_caught(self):
         inner = DivisibleWorkload(5000, 16, rng=0)
         workload = _PointerCorruptingWorkload(inner, after_cycles=40)
@@ -123,6 +174,22 @@ class TestSchedulerSanitizerUnits:
         none = np.zeros(4, dtype=bool)
         with pytest.raises(SanitizerError, match="masks-exhaustive"):
             sanitizer.check_masks(none, none, none)
+
+    def test_pairs_violations(self):
+        sanitizer = SchedulerSanitizer(4)
+        busy = np.array([True, True, False, False])
+        idle = np.array([False, False, True, True])
+        sanitizer.check_pairs(busy, idle, np.array([0, 1]), np.array([2, 3]))
+        cases = [
+            (busy, busy | idle, [0], [2]),  # a PE both busy and idle
+            (busy, idle, [2], [3]),  # donor not busy
+            (busy, idle, [0], [1]),  # receiver not idle
+            (busy, idle, [0, 0], [2, 3]),  # a donor twice
+            (busy, idle, [0, 1], [2]),  # unpaired
+        ]
+        for b, i, donors, receivers in cases:
+            with pytest.raises(SanitizerError, match="lb-pairing"):
+                sanitizer.check_pairs(b, i, np.array(donors), np.array(receivers))
 
     def test_round_progress_violation(self):
         with pytest.raises(SanitizerError, match="lb-round-progress"):

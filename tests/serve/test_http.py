@@ -10,6 +10,7 @@ import json
 import re
 import socket
 import statistics
+import struct
 import threading
 import time
 import urllib.error
@@ -17,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve import ExperimentService, create_server
+from repro.serve import ExperimentService, app, create_server
 from repro.serve.app import MAX_BODY_BYTES, _Handler
 
 
@@ -534,3 +535,75 @@ class TestRequestHead:
         finally:
             client.close()
         assert [r[0] for r in _read_responses(rest)] == [400]
+
+
+def _dropped(server, reason):
+    counters = server.service.metrics()["counters"]
+    return counters.get(f"serve.http.dropped{{reason={reason}}}", 0)
+
+
+def _settles(condition, timeout=5.0):
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        if time.perf_counter() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+STALLED_BODY = b'POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"sc'
+
+
+class TestReadDeadline:
+    """No read waits past ``READ_TIMEOUT_S`` (patched to 0.3 s here): a
+    stalled head, a stalled body and an idle keep-alive connection are
+    closed, their handler threads exit, and each drop is counted."""
+
+    @pytest.fixture()
+    def address(self, server, monkeypatch):
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", 0.3)
+        return server.server_address[:2]
+
+    @pytest.mark.parametrize(
+        "data, answered",
+        [
+            (b"", 0),
+            (b"GET /healthz HTTP/1.1\r\n\r\n", 1),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\n", 0),
+            (STALLED_BODY, 0),
+        ],
+        ids=["idle", "idle-keep-alive", "stalled-head", "stalled-body"],
+    )
+    def test_stalled_connection_is_closed_and_counted(
+        self, address, server, data, answered
+    ):
+        before = _dropped(server, "timeout")
+        t0 = time.perf_counter()
+        responses = _until_closed(address, data)
+        assert time.perf_counter() - t0 < 3.0
+        assert [r[0] for r in responses] == [200] * answered
+        assert _dropped(server, "timeout") == before + 1
+
+    def test_twenty_stalled_bodies_give_their_threads_back(self, address):
+        base = threading.active_count()
+        socks = [socket.create_connection(address, timeout=5) for _ in range(20)]
+        try:
+            for sock in socks:
+                sock.sendall(STALLED_BODY)
+            for sock in socks:
+                assert sock.recv(1) == b""  # closed by the server, no reply
+            assert _settles(lambda: threading.active_count() <= base)
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_reset_is_counted_without_a_traceback(self, address, server, capfd):
+        before = _dropped(server, "reset")
+        sock = socket.create_connection(address, timeout=5)
+        sock.sendall(b"POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n")
+        time.sleep(0.05)
+        # SO_LINGER 0: close sends RST, not FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        assert _settles(lambda: _dropped(server, "reset") == before + 1)
+        assert "Traceback" not in capfd.readouterr().err

@@ -1,10 +1,10 @@
 """The hit path touches no disk, and the job registry is bounded.
 
 A whole-job cache hit is the service's cheap path — it is answered
-thousands of times a second — so it must neither create ``jobs/<id>/``
-nor stay in memory for ever.  Settled jobs are kept up to
-``MAX_SETTLED_JOBS``; the oldest settled one is then forgotten together
-with its artifact directory, and a queued or running job never is.
+thousands of times a second — so it must neither create
+``jobs/<id>.jsonl`` nor stay in memory for ever.  Settled jobs are kept
+up to ``MAX_SETTLED_JOBS``; the oldest settled one is then forgotten
+together with its event file, and a queued or running job never is.
 """
 
 import json
@@ -97,16 +97,17 @@ class TestHitTouchesNoDisk:
         assert service.metrics()["counters"]["serve.cache{result=hit}"] == len(plans)
 
     def test_hit_never_disturbs_a_predecessors_directory(self, tmp_path):
-        """A hit takes its id without the ``mkdir`` proof, so it may
-        share a number with an earlier incarnation's job — whose
-        directory it must neither write to nor, once evicted, remove."""
+        """A hit takes its id without the exclusive-create proof, so it
+        may share a number with an earlier incarnation's job — whose
+        event file it must neither write to nor, once evicted, remove."""
         root = tmp_path / "serve"
         first = ExperimentService(root, workers=1)
         try:
             miss = first.wait(first.submit_solve(parse_solve_request(SOLVE))["id"])
         finally:
             first.close()
-        stream = (root / "jobs" / miss["id"] / "events.jsonl").read_bytes()
+        artifact = root / "jobs" / f"{miss['id']}.jsonl"
+        stream = artifact.read_bytes()
         second = ExperimentService(root, workers=1)
         try:
             hits = [
@@ -118,7 +119,8 @@ class TestHitTouchesNoDisk:
         assert hits[0]["id"] == miss["id"]
         with pytest.raises(JobNotFoundError):
             second.job(hits[0]["id"])
-        assert (root / "jobs" / miss["id"] / "events.jsonl").read_bytes() == stream
+        assert artifact.read_bytes() == stream
+        assert sorted(p.name for p in (root / "jobs").iterdir()) == [artifact.name]
 
 
 class TestRetention:
@@ -141,13 +143,13 @@ class TestRetention:
 
     def test_evicted_miss_job_takes_its_directory_along(self, service):
         miss = service.wait(service.submit_solve(parse_solve_request(SOLVE))["id"])
-        job_dir = service.jobs_dir / miss["id"]
-        assert (job_dir / "events.jsonl").is_file()
+        artifact = service.jobs_dir / f"{miss['id']}.jsonl"
+        assert list(service.jobs_dir.iterdir()) == [artifact]
         for _ in range(MAX_SETTLED_JOBS - 1):
             service.submit_solve(parse_solve_request(SOLVE))
-        assert job_dir.is_dir()  # the oldest of exactly MAX_SETTLED_JOBS
+        assert artifact.is_file()  # the oldest of exactly MAX_SETTLED_JOBS
         service.submit_solve(parse_solve_request(SOLVE))
-        assert not job_dir.exists()
+        assert list(service.jobs_dir.iterdir()) == []
         with pytest.raises(JobNotFoundError):
             service.job(miss["id"])
         assert service.queue._futures == {}
@@ -177,7 +179,7 @@ class TestRetention:
         for view in (running, queued):
             done = service.wait(view["id"], timeout=60)
             assert done["status"] == "done" and done["computed_cells"] == 1
-            assert (service.jobs_dir / view["id"] / "events.jsonl").is_file()
+            assert (service.jobs_dir / f"{view['id']}.jsonl").is_file()
 
 
 def test_concurrent_settling_loses_no_update(service):

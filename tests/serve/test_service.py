@@ -232,7 +232,8 @@ class TestPlanMemo:
         svc = ExperimentService(root, workers=1, max_pending=4)
         try:
             request = _grid(schemes=("GP-DK", "nGP-DP"))
-            keys = svc.wait(svc.submit_grid(request)["id"], timeout=60)["keys"]
+            first = svc.wait(svc.submit_grid(request)["id"], timeout=60)
+            keys = first["keys"]
             assert svc.submit_grid(request)["cache_hit"] is True
 
             svc.store.path_for(keys[2]).unlink()
@@ -241,9 +242,11 @@ class TestPlanMemo:
             done = svc.wait(view["id"], timeout=60)
             assert (done["cached_cells"], done["computed_cells"]) == (3, 1)
             assert keys[2] in svc.store
-            # The job's directory holds its event stream and nothing else.
-            job_dir = svc.jobs_dir / view["id"]
-            assert [p.name for p in job_dir.iterdir()] == ["events.jsonl"]
+            # Each queued job left its event stream and nothing else.
+            assert sorted(p.name for p in svc.jobs_dir.iterdir()) == [
+                f"{first['id']}.jsonl",
+                f"{view['id']}.jsonl",
+            ]
             assert svc.submit_grid(request)["cache_hit"] is True
 
             svc.store.path_for(keys[0]).unlink()
@@ -461,9 +464,8 @@ class TestBackpressure:
                 svc.submit_solve(_solve(seed=51))
             release.set()
             svc.queue.wait(first["id"])
-            job_dirs = sorted(p.name for p in svc.jobs_dir.iterdir())
-            events = list(svc.jobs_dir.glob("*/events.jsonl"))
-            assert len(events) == 1, (job_dirs, events)
+            artifacts = sorted(p.name for p in svc.jobs_dir.iterdir())
+            assert artifacts == [f"{first['id']}.jsonl"]
             svc._run_solve = original
         finally:
             svc.close()
